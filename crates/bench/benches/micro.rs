@@ -1,12 +1,15 @@
 //! Criterion micro-benchmarks for the pipeline stages: parsing, tree-tuple
-//! extraction, the similarity kernels (Eqs. 1-4) and representative
-//! computation.
+//! extraction, the similarity kernels (Eqs. 1-4), scoring a tuple against
+//! k representatives and representative computation.
 
-use criterion::{black_box, criterion_group, criterion_main, Criterion};
+use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use cxk_bench::{prepare, CorpusKind};
-use cxk_core::compute_local_representative;
+use cxk_core::{compute_local_representative, rep::prepare_representatives, EngineBuilder};
 use cxk_corpus::dblp::{generate, DblpConfig};
-use cxk_transact::txsim::{gamma_shared, sim_gamma_j};
+use cxk_transact::txsim::{
+    gamma_shared, sim_gamma_j, sim_gamma_j_prepared, sim_gamma_j_reference, PreparedSlab,
+    ScoreScratch,
+};
 use cxk_transact::{pathsim, BuildOptions, DatasetBuilder, SimParams};
 use cxk_util::Interner;
 use cxk_xml::{count_tree_tuples, extract_tree_tuples, parse_document, ParseOptions, TupleLimits};
@@ -85,9 +88,87 @@ fn bench_transaction_similarity(c: &mut Criterion) {
     c.bench_function("sim_gamma_j", |b| {
         b.iter(|| black_box(sim_gamma_j(&ctx, &a, &z)))
     });
+    c.bench_function("sim_gamma_j_reference", |b| {
+        b.iter(|| black_box(sim_gamma_j_reference(&ctx, &a, &z)))
+    });
     c.bench_function("gamma_shared", |b| {
         b.iter(|| black_box(gamma_shared(&ctx, &a, &z)))
     });
+}
+
+/// One tuple scored against k trained representatives — the inner loop of
+/// every assignment — by the reference definition (`gamma_shared` +
+/// `union_size` over borrowed views) and by the prepared kernel (the tuple
+/// prepared once, the representatives once per model). The model is
+/// trained the way the serving benchmark's are (three markup dialects,
+/// f = 0.5, γ = 0.4). Reported as representatives scored per second.
+fn bench_tuple_vs_representatives(c: &mut Criterion) {
+    let corpus = generate(&DblpConfig {
+        documents: 300,
+        seed: 6,
+        dialects: 3,
+    });
+    let mut builder = DatasetBuilder::new(BuildOptions::default());
+    for doc in &corpus.documents {
+        builder.add_xml(doc).expect("valid document");
+    }
+    let ds = &builder.finish();
+    let model = EngineBuilder::new(16)
+        .similarity(0.5, 0.4)
+        .seed(6)
+        .build()
+        .expect("valid config")
+        .fit(ds)
+        .expect("fit succeeds")
+        .into_model(ds, BuildOptions::default());
+    let reps: Vec<_> = model
+        .reps
+        .iter()
+        .filter(|r| !r.is_empty())
+        .cloned()
+        .collect();
+    let ctx = ds.sim_ctx(model.params);
+    let tuples: Vec<_> = ds
+        .transactions
+        .iter()
+        .take(16)
+        .map(|t| ds.views(t))
+        .collect();
+    let rep_views: Vec<_> = reps.iter().map(|r| r.views()).collect();
+    let prepared = prepare_representatives(ctx.tag_sim, &reps);
+    let scored = (tuples.len() * reps.len()) as u64;
+
+    let mut group = c.benchmark_group(format!("score_tuple_vs_k{}", reps.len()));
+    group.throughput(Throughput::Elements(scored));
+    group.bench_function("reference", |b| {
+        b.iter(|| {
+            let mut total = 0.0;
+            for tuple in &tuples {
+                for rep in &rep_views {
+                    total += sim_gamma_j_reference(&ctx, tuple, rep);
+                }
+            }
+            black_box(total)
+        })
+    });
+    let mut query = PreparedSlab::new();
+    let mut scratch = ScoreScratch::default();
+    group.bench_function("prepared", |b| {
+        b.iter(|| {
+            let mut total = 0.0;
+            for tuple in &tuples {
+                query.clear();
+                query.push(ctx.tag_sim, tuple.iter().copied());
+                if let Some(q) = query.get(0) {
+                    for rep in prepared.iter() {
+                        total += sim_gamma_j_prepared(&ctx, q, rep, &mut scratch);
+                    }
+                }
+            }
+            black_box(total)
+        })
+    });
+    group.finish();
 }
 
 fn bench_local_representative(c: &mut Criterion) {
@@ -125,7 +206,8 @@ criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
     targets = bench_parser, bench_tuple_extraction, bench_path_similarity,
-              bench_transaction_similarity, bench_local_representative,
+              bench_transaction_similarity, bench_tuple_vs_representatives,
+              bench_local_representative,
               bench_dataset_build
 }
 criterion_main!(benches);

@@ -31,7 +31,7 @@
 //! carry the accuracy side of the trade-off: `agreement` (fraction of
 //! documents assigned to the brute-force cluster), `f_measure`
 //! (`cxk_eval::f_measure` against the generator's hybrid ground truth),
-//! and the per-document `reps_scored`/`nodes_visited` work counters. The
+//! and the per-tuple `reps_scored`/`nodes_visited` work counters. The
 //! full-beam row is asserted bit-identical to brute force; the default
 //! beam is asserted ≥ 0.95 agreement.
 //!
@@ -137,10 +137,11 @@ struct TreeRow {
     agreement: f64,
     /// `cxk_eval::f_measure` against the generator's hybrid ground truth.
     f_measure: f64,
-    /// Leaf representatives exactly re-ranked, per document.
-    reps_scored_per_doc: f64,
-    /// Internal (merged) representatives scored, per document.
-    nodes_visited_per_doc: f64,
+    /// Leaf representatives exactly re-ranked, per tuple (the unit the
+    /// `< k` bound holds for: a document has several tuples).
+    reps_scored_per_tuple: f64,
+    /// Internal (merged) representatives scored, per tuple.
+    nodes_visited_per_tuple: f64,
 }
 
 impl Record {
@@ -166,13 +167,13 @@ impl Record {
                 t.depth as i64,
                 t.agreement,
                 t.f_measure,
-                t.reps_scored_per_doc,
-                t.nodes_visited_per_doc,
+                t.reps_scored_per_tuple,
+                t.nodes_visited_per_tuple,
             ),
             None => (-1, -1, -1, -1.0, -1.0, -1.0, -1.0),
         };
         format!(
-            r#"{{"mode":"{}","shards":{},"docs":{},"seconds":{:.6},"docs_per_sec":{:.1},"trash":{},"candidates_per_doc":{:.3},"postings_bytes":{},"resident_postings_bytes":{},"offered_rps":{offered:.1},"achieved_rps":{achieved:.1},"p50_micros":{p50},"p99_micros":{p99},"p999_micros":{p999},"branch":{branch},"beam":{beam},"tree_depth":{depth},"agreement":{agreement:.4},"f_measure":{fm:.4},"reps_scored_per_doc":{reps:.2},"nodes_visited_per_doc":{nodes:.2}}}"#,
+            r#"{{"mode":"{}","shards":{},"docs":{},"seconds":{:.6},"docs_per_sec":{:.1},"trash":{},"candidates_per_doc":{:.3},"postings_bytes":{},"resident_postings_bytes":{},"offered_rps":{offered:.1},"achieved_rps":{achieved:.1},"p50_micros":{p50},"p99_micros":{p99},"p999_micros":{p999},"branch":{branch},"beam":{beam},"tree_depth":{depth},"agreement":{agreement:.4},"f_measure":{fm:.4},"reps_scored_per_tuple":{reps:.2},"nodes_visited_per_tuple":{nodes:.2}}}"#,
             self.mode,
             self.shards,
             self.docs,
@@ -782,8 +783,8 @@ fn main() {
             depth: stats.depth,
             agreement,
             f_measure: f_measure(&large_truth, &preds),
-            reps_scored_per_doc: stats.reps_scored as f64 / docs,
-            nodes_visited_per_doc: stats.nodes_visited as f64 / docs,
+            reps_scored_per_tuple: stats.reps_scored as f64 / stats.tuples.max(1) as f64,
+            nodes_visited_per_tuple: stats.nodes_visited as f64 / stats.tuples.max(1) as f64,
         };
         if beam >= large_k {
             assert!(
@@ -792,9 +793,9 @@ fn main() {
             );
         } else {
             assert!(
-                row.reps_scored_per_doc < large_k as f64,
-                "partial beams must score strictly fewer than k reps/doc ({:.1} at k={large_k})",
-                row.reps_scored_per_doc
+                row.reps_scored_per_tuple < large_k as f64,
+                "partial beams must score strictly fewer than k reps/tuple ({:.1} at k={large_k})",
+                row.reps_scored_per_tuple
             );
             assert!(
                 cpd < large_k as f64,

@@ -24,9 +24,8 @@ use crate::cxk::{local_clustering_phase, select_initial_reps, CxkConfig};
 use crate::error::CxkError;
 use crate::globalrep::compute_global_representative;
 use crate::outcome::{ClusteringOutcome, RoundTrace};
-use crate::rep::Representative;
+use crate::rep::{prepare_representatives, Representative};
 use cxk_p2p::{RoundSample, SimClock};
-use cxk_transact::item::ItemView;
 use cxk_transact::Dataset;
 use rayon::prelude::*;
 
@@ -255,8 +254,7 @@ pub(crate) fn drive_churn(
         let owner = |j: usize| alive_ids[j % m_alive];
 
         // Phase 1+2 on alive peers only.
-        let global_views: Vec<Vec<ItemView<'_>>> =
-            global_reps.iter().map(Representative::views).collect();
+        let global = prepare_representatives(ctx.tag_sim, &global_reps);
         peers.par_iter_mut().filter(|p| p.alive).for_each(|peer| {
             peer.work = 0;
             let phase = local_clustering_phase(
@@ -264,7 +262,7 @@ pub(crate) fn drive_churn(
                 &ctx,
                 &peer.local,
                 &mut peer.assignments,
-                &global_views,
+                &global,
                 k,
                 config.max_inner,
                 &mut peer.work,

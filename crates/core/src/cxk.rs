@@ -19,10 +19,9 @@ use crate::error::CxkError;
 use crate::globalrep::compute_global_representative;
 use crate::localrep::compute_local_representative;
 use crate::outcome::{ClusteringOutcome, RoundTrace};
-use crate::rep::Representative;
+use crate::rep::{prepare_representatives, Representative};
 use cxk_p2p::{CostModel, RoundSample, SimClock};
-use cxk_transact::item::ItemView;
-use cxk_transact::txsim::sim_gamma_j;
+use cxk_transact::txsim::{sim_gamma_j_prepared, PreparedSlab, ScoreScratch};
 use cxk_transact::{Dataset, SimCtx, SimParams};
 use cxk_util::DetRng;
 use rayon::prelude::*;
@@ -159,8 +158,7 @@ pub(crate) fn drive_collaborative(
         // Phase 1+2: local relocation and representative computation,
         // genuinely parallel across peers (deterministic: peers touch only
         // their own state).
-        let global_views: Vec<Vec<ItemView<'_>>> =
-            global_reps.iter().map(Representative::views).collect();
+        let global = prepare_representatives(ctx.tag_sim, &global_reps);
         peers.par_iter_mut().for_each(|peer| {
             peer.work = 0;
             let phase = local_clustering_phase(
@@ -168,7 +166,7 @@ pub(crate) fn drive_collaborative(
                 &ctx,
                 &peer.local,
                 &mut peer.assignments,
-                &global_views,
+                &global,
                 k,
                 config.max_inner,
                 &mut peer.work,
@@ -421,12 +419,12 @@ pub(crate) fn local_clustering_phase(
     ctx: &SimCtx<'_>,
     local: &[usize],
     assignments: &mut [u32],
-    global_views: &[Vec<ItemView<'_>>],
+    global: &PreparedSlab,
     k: usize,
     max_inner: usize,
     work: &mut u64,
 ) -> LocalPhase {
-    let first = relocate_slice(ds, ctx, local, assignments, global_views, k, work);
+    let first = relocate_slice(ds, ctx, local, assignments, global, k, work);
     let mut clusters: Vec<Vec<usize>> = vec![Vec::new(); k];
     for (li, &t) in local.iter().enumerate() {
         let a = assignments[li] as usize;
@@ -441,9 +439,8 @@ pub(crate) fn local_clustering_phase(
 
     let mut inner_passes = 1;
     for _ in 1..max_inner {
-        let rep_views: Vec<Vec<ItemView<'_>>> =
-            local_reps.iter().map(Representative::views).collect();
-        let pass = relocate_slice(ds, ctx, local, assignments, &rep_views, k, work);
+        let prepared = prepare_representatives(ctx.tag_sim, &local_reps);
+        let pass = relocate_slice(ds, ctx, local, assignments, &prepared, k, work);
         inner_passes += 1;
         if pass.relocations == 0 {
             break;
@@ -479,31 +476,42 @@ pub(crate) fn local_clustering_phase(
 
 /// Assigns each transaction in `local` to the best representative: trash
 /// when `simγJ` is zero for every representative, otherwise the argmax
-/// (ties to the lowest cluster id). Adds comparison work to `work`. Shared
-/// with the PK-means baseline.
+/// (ties to the lowest cluster id). `reps` are the representatives
+/// prepared against `ctx`'s table (see
+/// [`prepare_representatives`](crate::rep::prepare_representatives)).
+/// Adds comparison work to `work`. Shared with the PK-means baseline.
 pub(crate) fn relocate_slice(
     ds: &Dataset,
     ctx: &SimCtx<'_>,
     local: &[usize],
     assignments: &mut [u32],
-    rep_views: &[Vec<ItemView<'_>>],
+    reps: &PreparedSlab,
     k: usize,
     work: &mut u64,
 ) -> Relocation {
     // Work is charged analytically (one unit per item-pair comparison) so
     // the comparison loop itself can run under rayon.
-    let rep_len_sum: u64 = rep_views.iter().map(|rv| rv.len() as u64).sum();
+    let rep_len_sum: u64 = reps.iter().map(|rep| rep.len() as u64).sum();
     let choices: Vec<(u32, f64)> = local
         .par_iter()
         .map(|&t| {
-            let tv = ds.views(&ds.transactions[t]);
+            // One prepared transaction and one scratch per transaction,
+            // shared across its k scores.
+            let tx = ds.transactions[t]
+                .items()
+                .iter()
+                .map(|id| ds.items[id.index()].view());
+            let query = PreparedSlab::build(ctx.tag_sim, [tx]);
+            let mut scratch = ScoreScratch::default();
             let mut best_j = k as u32;
             let mut best_s = 0.0f64;
-            for (j, rv) in rep_views.iter().enumerate() {
-                let s = sim_gamma_j(ctx, &tv, rv);
-                if s > best_s {
-                    best_s = s;
-                    best_j = j as u32;
+            if let Some(query) = query.get(0) {
+                for (j, rep) in reps.iter().enumerate() {
+                    let s = sim_gamma_j_prepared(ctx, query, rep, &mut scratch);
+                    if s > best_s {
+                        best_s = s;
+                        best_j = j as u32;
+                    }
                 }
             }
             let new = if best_s == 0.0 { k as u32 } else { best_j };

@@ -16,7 +16,7 @@
 
 use crate::rep::{conflate_items, RepItem, Representative};
 use cxk_transact::item::ItemView;
-use cxk_transact::txsim::sim_gamma_j;
+use cxk_transact::txsim::{sim_gamma_j_prepared, PreparedSlab, ScoreScratch};
 use cxk_transact::{Dataset, ItemId, SimCtx};
 use cxk_util::FxHashMap;
 use cxk_xml::path::PathId;
@@ -122,12 +122,22 @@ pub fn generate_tree_tuple(
         return Representative::empty();
     }
 
-    let score = |items: &[RepItem], work: &mut u64| -> f64 {
-        let rep_views: Vec<ItemView<'_>> = items.iter().map(RepItem::view).collect();
+    // Members are prepared once; each candidate once per extension, then
+    // scored against every member with one reused scratch.
+    let prepared_members =
+        PreparedSlab::build(ctx.tag_sim, members.iter().map(|m| m.iter().copied()));
+    let mut candidate = PreparedSlab::new();
+    let mut scratch = ScoreScratch::default();
+    let mut score = |items: &[RepItem], work: &mut u64| -> f64 {
+        candidate.clear();
+        candidate.push(ctx.tag_sim, items.iter().map(RepItem::view));
+        let Some(rep) = candidate.get(0) else {
+            return 0.0;
+        };
         let mut total = 0.0;
-        for member in members {
-            *work += (member.len() * rep_views.len()) as u64;
-            total += sim_gamma_j(ctx, member, &rep_views);
+        for member in prepared_members.iter() {
+            *work += (member.len() * rep.len()) as u64;
+            total += sim_gamma_j_prepared(ctx, member, rep, &mut scratch);
         }
         total
     };
@@ -170,6 +180,7 @@ pub fn generate_tree_tuple(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cxk_transact::txsim::sim_gamma_j;
     use cxk_transact::{BuildOptions, DatasetBuilder, SimParams};
 
     /// Small two-topic corpus: four bibliographic records, two about data

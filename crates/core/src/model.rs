@@ -25,10 +25,10 @@
 use crate::error::CxkError;
 use crate::localrep::compute_local_representative;
 use crate::outcome::ClusteringOutcome;
-use crate::rep::{RepItem, Representative};
+use crate::rep::{empty_slab_for, RepItem, Representative};
 use cxk_text::{SparseVec, TermStatsBuilder};
 use cxk_transact::item::ItemId;
-use cxk_transact::{BuildOptions, Dataset, SimParams};
+use cxk_transact::{BuildOptions, Dataset, PreparedSlab, SimParams};
 use cxk_util::{FxHasher, Interner, Symbol};
 use cxk_xml::path::{PathId, PathTable};
 use std::hash::Hasher;
@@ -139,6 +139,20 @@ impl TrainedModel {
         tag_paths.sort_unstable();
         tag_paths.dedup();
         tag_paths
+    }
+
+    /// The representatives prepared for the `simγJ` kernel (entry `j` is
+    /// representative `j`), each tag path ranked by its position in
+    /// [`TrainedModel::rep_tag_paths`]: the ranks of any tag-path table
+    /// that lists those paths first, in that order, whatever it appends.
+    pub fn prepare_reps(&self) -> PreparedSlab {
+        let base = self.rep_tag_paths();
+        let rank = |path: PathId| base.binary_search(&path).ok().map(|r| r as u32);
+        let mut slab = empty_slab_for(&self.reps);
+        for rep in &self.reps {
+            slab.push_ranked(rank, rep.items.iter().map(RepItem::view));
+        }
+        slab
     }
 }
 

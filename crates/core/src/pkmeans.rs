@@ -23,9 +23,8 @@ use crate::cxk::{local_clustering_phase, select_initial_reps};
 use crate::error::CxkError;
 use crate::globalrep::compute_global_representative;
 use crate::outcome::{ClusteringOutcome, RoundTrace};
-use crate::rep::Representative;
+use crate::rep::{prepare_representatives, Representative};
 use cxk_p2p::{CostModel, RoundSample, SimClock};
-use cxk_transact::item::ItemView;
 use cxk_transact::{Dataset, SimParams};
 use rayon::prelude::*;
 
@@ -141,8 +140,7 @@ pub(crate) fn drive_pk_means(
     for round in 1..=config.max_rounds {
         rounds = round;
 
-        let global_views: Vec<Vec<ItemView<'_>>> =
-            global_reps.iter().map(Representative::views).collect();
+        let global = prepare_representatives(ctx.tag_sim, &global_reps);
         peers.par_iter_mut().for_each(|peer| {
             peer.work = 0;
             let phase = local_clustering_phase(
@@ -150,7 +148,7 @@ pub(crate) fn drive_pk_means(
                 &ctx,
                 &peer.local,
                 &mut peer.assignments,
-                &global_views,
+                &global,
                 k,
                 config.max_inner,
                 &mut peer.work,

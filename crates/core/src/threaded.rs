@@ -19,9 +19,8 @@ use crate::cxk::{local_clustering_phase, select_initial_reps, CxkConfig};
 use crate::error::CxkError;
 use crate::globalrep::compute_global_representative;
 use crate::outcome::{ClusteringOutcome, RoundTrace};
-use crate::rep::Representative;
+use crate::rep::{prepare_representatives, Representative};
 use cxk_p2p::{Network, NetworkError, Peer, PeerId, Wire};
-use cxk_transact::item::ItemView;
 use cxk_transact::Dataset;
 use std::collections::VecDeque;
 use std::time::{Duration, Instant};
@@ -203,14 +202,13 @@ fn peer_main(
 
         // Phase A: local clustering — first pass against the received
         // global representatives, then local K-means to stability.
-        let global_views: Vec<Vec<ItemView<'_>>> =
-            global_reps.iter().map(Representative::views).collect();
+        let global = prepare_representatives(ctx.tag_sim, &global_reps);
         let phase = local_clustering_phase(
             ds,
             &ctx,
             &local,
             &mut assignments,
-            &global_views,
+            &global,
             k,
             config.max_inner,
             &mut work,

@@ -14,12 +14,13 @@
 //!
 //! * `QuerySession` (crate-private) is the **per-worker mutable** half —
 //!   private copies of the model's interners and path table (parsing
-//!   interns unseen markup), plus the lazily extended tag-path similarity
-//!   table. It is cheap relative to the model: no representatives, no
-//!   postings.
-//! * The [`TrainedModel`] and any index built over its representatives are
-//!   **immutable** once published, so they can sit behind an `Arc` and be
-//!   shared by every worker — the memory model the sharded engine
+//!   interns unseen markup), the lazily extended tag-path similarity
+//!   table, and the worker's scoring buffers. It is cheap relative to the
+//!   model: no representatives, no postings.
+//! * The [`TrainedModel`], its representatives prepared for the `simγJ`
+//!   kernel ([`TrainedModel::prepare_reps`]) and any index built over them
+//!   are **immutable** once published, so they can sit behind an `Arc` and
+//!   be shared by every worker — the memory model the sharded engine
 //!   (`crate::shard`) is built on.
 //!
 //! Each tree tuple is assigned by the paper's relocation rule — argmax of
@@ -36,18 +37,20 @@
 use crate::index::{Candidates, TagPathIndex};
 use crate::remote::{RemoteClassifier, RemoteEngine};
 use crate::shard::{ShardedClassifier, ShardedEngine};
+use crate::slot::EpochModel;
 use crate::tree::{TreeClassifier, TreeEngine};
 use cxk_core::rep::RepItem;
 use cxk_core::TrainedModel;
 use cxk_p2p::NetworkError;
 use cxk_text::{preprocess, ttf_itf, SparseVec, TermStatsBuilder};
 use cxk_transact::item::{item_fingerprint, ItemView};
-use cxk_transact::txsim::sim_gamma_j;
+use cxk_transact::txsim::{sim_gamma_j_prepared, PreparedSlab, PreparedTx, ScoreScratch};
 use cxk_transact::{SimCtx, SimParams, TagPathSimTable};
 use cxk_util::{FxHashMap, FxHashSet, Interner, Symbol};
 use cxk_xml::parser::{parse_document, XmlError};
 use cxk_xml::path::{leaf_tag_path, PathId, PathTable};
 use cxk_xml::tuple::{count_tree_tuples, extract_tree_tuples};
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Assignment of one tree tuple (transaction) of the document.
@@ -127,14 +130,171 @@ impl From<NetworkError> for ClassifyError {
     }
 }
 
+/// A session's structural-similarity table over the model's
+/// representative tag paths plus the query paths seen so far.
+///
+/// The representative paths ([`TrainedModel::rep_tag_paths`]) always hold
+/// ranks `0..B`, in that order, and query paths are appended after them:
+/// the epoch's prepared representatives ([`TrainedModel::prepare_reps`])
+/// rank their tag paths the same way, so they stay valid however the
+/// table grows or resets. The table is dense (`P²` cells, `O(P²·d²)` to
+/// rebuild), so a stream of documents with ever-fresh markup must not grow
+/// it without bound: past the cap it restarts from the representatives'
+/// paths plus the current request's.
+#[derive(Debug)]
+pub(crate) struct SessionTagSim {
+    table: TagPathSimTable,
+    /// The representatives' tag paths, sorted: ranks `0..B`.
+    base: Vec<PathId>,
+    /// Tag paths the table covers (base + query paths since the last
+    /// reset).
+    known: FxHashSet<PathId>,
+    /// Cap on `known`.
+    pub(crate) cap: usize,
+}
+
+impl SessionTagSim {
+    /// The table over `model`'s representative tag paths.
+    pub(crate) fn new(model: &TrainedModel) -> Self {
+        let base = model.rep_tag_paths();
+        Self {
+            table: TagPathSimTable::build(&base, &model.paths),
+            known: base.iter().copied().collect(),
+            cap: (base.len() * 4).max(1024),
+            base,
+        }
+    }
+
+    /// The current table.
+    pub(crate) fn table(&self) -> &TagPathSimTable {
+        &self.table
+    }
+
+    /// Records a query tag path; `true` when the table does not cover it
+    /// yet (call [`SessionTagSim::rebuild`] before scoring).
+    pub(crate) fn observe(&mut self, path: PathId) -> bool {
+        self.known.insert(path)
+    }
+
+    /// Rebuilds the table over every observed path: the base first, then
+    /// the query paths in id order. Past the cap the cache first resets to
+    /// the base plus `request` (the paths of the request being scored);
+    /// evicted paths re-enter on their next appearance, and scores are
+    /// unaffected because the table always covers rep × query pairs.
+    pub(crate) fn rebuild(&mut self, paths: &PathTable, request: impl IntoIterator<Item = PathId>) {
+        if self.known.len() > self.cap {
+            self.known = self.base.iter().copied().collect();
+            self.known.extend(request);
+        }
+        let mut queried: Vec<PathId> = self
+            .known
+            .iter()
+            .copied()
+            .filter(|p| self.base.binary_search(p).is_err())
+            .collect();
+        queried.sort_unstable();
+        let mut all = Vec::with_capacity(self.base.len() + queried.len());
+        all.extend_from_slice(&self.base);
+        all.extend(queried);
+        self.table = TagPathSimTable::build(&all, paths);
+    }
+
+    /// Paths currently covered (diagnostics).
+    #[cfg(test)]
+    pub(crate) fn known(&self) -> usize {
+        self.known.len()
+    }
+}
+
+/// Per-worker scoring buffers, reused across tuples and requests: the
+/// prepared query tuple, the kernel's scratch and the candidate set. A
+/// warm worker prepares, prunes and scores without allocating.
+#[derive(Debug, Default)]
+pub(crate) struct Scorer {
+    query: PreparedSlab,
+    scratch: ScoreScratch,
+    candidates: Candidates,
+}
+
+impl Scorer {
+    /// Prepares one query tuple, ranking its tag paths in `tag_sim` (the
+    /// session's table, whose ranks agree with the prepared
+    /// representatives').
+    pub(crate) fn prepare<'a>(
+        &mut self,
+        tag_sim: &TagPathSimTable,
+        items: impl IntoIterator<Item = ItemView<'a>>,
+    ) {
+        self.query.clear();
+        self.query.push(tag_sim, items);
+    }
+
+    /// Collects the prepared tuple's candidates under `index`, or every
+    /// representative when `index` is `None` (brute force). `items` are the
+    /// tuple's items again and `paths` resolves their tag paths.
+    pub(crate) fn select<'a>(
+        &mut self,
+        index: Option<&TagPathIndex>,
+        items: impl IntoIterator<Item = ItemView<'a>>,
+        paths: &PathTable,
+    ) {
+        match index {
+            Some(index) => index.candidates(items, paths, &mut self.candidates),
+            None => self.candidates.set_all(),
+        }
+    }
+
+    /// [`argmax_tuple`] over the selected candidates within `range` (the
+    /// range the selecting index covers); also returns how many were
+    /// scored.
+    pub(crate) fn argmax_selected(
+        &mut self,
+        ctx: &SimCtx<'_>,
+        reps: &PreparedSlab,
+        range: Range<u32>,
+        trash: u32,
+    ) -> (u32, f64, usize) {
+        let scored = self.candidates.len(range.len());
+        let Some(query) = self.query.get(0) else {
+            return (trash, 0.0, scored);
+        };
+        let ids = self.candidates.ids_in(range);
+        let (id, sim) = argmax_tuple(ctx, query, reps, ids, trash, &mut self.scratch);
+        (id, sim, scored)
+    }
+
+    /// [`argmax_tuple`] over explicit ascending `ids`.
+    pub(crate) fn argmax(
+        &mut self,
+        ctx: &SimCtx<'_>,
+        reps: &PreparedSlab,
+        ids: impl Iterator<Item = u32>,
+        trash: u32,
+    ) -> (u32, f64) {
+        match self.query.get(0) {
+            Some(query) => argmax_tuple(ctx, query, reps, ids, trash, &mut self.scratch),
+            None => (trash, 0.0),
+        }
+    }
+
+    /// `simγJ` of the prepared tuple against one prepared representative.
+    pub(crate) fn score(&mut self, ctx: &SimCtx<'_>, rep: PreparedTx<'_>) -> f64 {
+        match self.query.get(0) {
+            Some(query) => sim_gamma_j_prepared(ctx, query, rep, &mut self.scratch),
+            None => 0.0,
+        }
+    }
+}
+
 /// The per-worker mutable half of a classification session: private
 /// interner copies plus the derived structural-similarity table, extended
-/// lazily as unseen markup arrives (exactly like the streaming clusterer).
+/// lazily as unseen markup arrives (exactly like the streaming clusterer),
+/// and the worker's scoring buffers.
 ///
 /// A session is built from (a shared reference to) a model and never
 /// touches it again — every mutation lands in the session's own copies, so
-/// any number of sessions can share one `Arc<TrainedModel>` and one
-/// immutable index across threads.
+/// any number of sessions can share one `Arc<TrainedModel>`, one
+/// immutable index and one prepared representative slab across threads.
 #[derive(Debug)]
 pub(crate) struct QuerySession {
     /// Copy of the model's label interner (grows with unseen tags).
@@ -145,39 +305,22 @@ pub(crate) struct QuerySession {
     paths: PathTable,
     /// Preprocessing options frozen at training time.
     build: cxk_transact::BuildOptions,
-    tag_sim: TagPathSimTable,
-    /// The representatives' tag paths — the permanent base of `tag_sim`.
-    base_tag_paths: Vec<PathId>,
-    /// Tag paths currently covered by `tag_sim` (base + query paths seen
-    /// since the last reset).
-    known_tag_paths: FxHashSet<PathId>,
-    /// Cap on `known_tag_paths`: the `sim_S` table is dense (`P²` cells,
-    /// `O(P²·d²)` to rebuild), so a stream of documents with ever-fresh
-    /// markup must not grow it without bound. Past the cap the cache
-    /// resets to the base paths; re-arriving paths just re-enter it.
-    pub(crate) tag_path_cap: usize,
+    /// `sim_S` over the representatives' and the queries' tag paths.
+    pub(crate) tag_sim: SessionTagSim,
+    scorer: Scorer,
 }
 
 impl QuerySession {
     /// Builds the session's private derived state from `model`.
     pub(crate) fn new(model: &TrainedModel) -> Self {
-        let rep_tag_paths = model.rep_tag_paths();
-        let tag_sim = TagPathSimTable::build(&rep_tag_paths, &model.paths);
         Self {
             labels: model.labels.clone(),
             vocabulary: model.vocabulary.clone(),
             paths: model.paths.clone(),
             build: model.build.clone(),
-            tag_sim,
-            known_tag_paths: rep_tag_paths.iter().copied().collect(),
-            tag_path_cap: (rep_tag_paths.len() * 4).max(1024),
-            base_tag_paths: rep_tag_paths,
+            tag_sim: SessionTagSim::new(model),
+            scorer: Scorer::default(),
         }
-    }
-
-    /// The similarity context for scoring this session's queries.
-    pub(crate) fn sim_ctx(&self, params: SimParams) -> SimCtx<'_> {
-        SimCtx::new(&self.tag_sim, params)
     }
 
     /// The session's path table (the model's, extended by query markup).
@@ -185,10 +328,46 @@ impl QuerySession {
         &self.paths
     }
 
-    /// Paths currently covered by the similarity table (diagnostics).
-    #[cfg(test)]
-    pub(crate) fn known_tag_paths(&self) -> usize {
-        self.known_tag_paths.len()
+    /// Prepares `tuple` as the query the next scores use.
+    pub(crate) fn prepare(&mut self, tuple: &[RepItem]) {
+        self.scorer
+            .prepare(self.tag_sim.table(), tuple.iter().map(RepItem::view));
+    }
+
+    /// Scores the prepared `tuple` against the candidates `index` yields
+    /// for it (every id of `range` when `index` is `None`): the winner,
+    /// its similarity and the number of representatives scored.
+    pub(crate) fn argmax_in(
+        &mut self,
+        params: SimParams,
+        reps: &PreparedSlab,
+        tuple: &[RepItem],
+        index: Option<&TagPathIndex>,
+        range: Range<u32>,
+        trash: u32,
+    ) -> (u32, f64, usize) {
+        self.scorer
+            .select(index, tuple.iter().map(RepItem::view), &self.paths);
+        let ctx = SimCtx::new(self.tag_sim.table(), params);
+        self.scorer.argmax_selected(&ctx, reps, range, trash)
+    }
+
+    /// Scores the prepared tuple against explicit ascending `ids`.
+    pub(crate) fn argmax(
+        &mut self,
+        params: SimParams,
+        reps: &PreparedSlab,
+        ids: impl Iterator<Item = u32>,
+        trash: u32,
+    ) -> (u32, f64) {
+        let ctx = SimCtx::new(self.tag_sim.table(), params);
+        self.scorer.argmax(&ctx, reps, ids, trash)
+    }
+
+    /// `simγJ` of the prepared tuple against one prepared representative.
+    pub(crate) fn score(&mut self, params: SimParams, rep: PreparedTx<'_>) -> f64 {
+        let ctx = SimCtx::new(self.tag_sim.table(), params);
+        self.scorer.score(&ctx, rep)
     }
 
     /// Parses `xml` and produces its query transactions: per tree tuple, a
@@ -220,7 +399,7 @@ impl QuerySession {
             let path = self.paths.intern(&complete);
             let tag = leaf_tag_path(&tree, leaf);
             let tag_path = self.paths.intern(&tag);
-            new_tag_paths |= self.known_tag_paths.insert(tag_path);
+            new_tag_paths |= self.tag_sim.observe(tag_path);
             let raw = tree.node(leaf).value().unwrap_or_default().to_string();
             let terms = preprocess(&raw, &mut self.vocabulary, &self.build.pipeline);
             let mut distinct = terms.clone();
@@ -244,19 +423,10 @@ impl QuerySession {
         if new_tag_paths {
             // Unseen markup: extend the precomputed structural table so
             // sim_S lookups cover the query paths (any index is over the
-            // representatives only and needs no rebuild).
-            if self.known_tag_paths.len() > self.tag_path_cap {
-                // Past the cap, restart the cache from the representatives'
-                // paths plus this request's — scores are unaffected (the
-                // table always covers rep × query pairs; evicted paths
-                // simply rebuild on their next appearance).
-                self.known_tag_paths = self.base_tag_paths.iter().copied().collect();
-                self.known_tag_paths
-                    .extend(leaves.iter().map(|l| l.tag_path));
-            }
-            let mut all: Vec<PathId> = self.known_tag_paths.iter().copied().collect();
-            all.sort_unstable();
-            self.tag_sim = TagPathSimTable::build(&all, &self.paths);
+            // representatives only and needs no rebuild, and the prepared
+            // representatives keep their ranks).
+            self.tag_sim
+                .rebuild(&self.paths, leaves.iter().map(|l| l.tag_path));
         }
 
         let n_xt = leaves.len() as u32;
@@ -365,18 +535,24 @@ pub(crate) struct QueryTuples {
 /// The relocation rule over one candidate stream: argmax of `simγJ` with
 /// ties to the lowest id, `(k, 0.0)` (trash) when nothing scores above
 /// zero. `ids` must ascend for the tie-break to pick the lowest id —
-/// every caller iterates a sorted candidate list or an id range.
+/// every caller iterates a candidate bitset or an id range. `query` and
+/// `reps` must be prepared against tables that agree with `ctx`'s ranks;
+/// an id with no prepared representative scores nothing.
 pub(crate) fn argmax_tuple(
     ctx: &SimCtx<'_>,
-    views: &[ItemView<'_>],
-    rep_views: &[Vec<ItemView<'_>>],
+    query: PreparedTx<'_>,
+    reps: &PreparedSlab,
     ids: impl Iterator<Item = u32>,
     trash: u32,
+    scratch: &mut ScoreScratch,
 ) -> (u32, f64) {
     let mut best_j = trash;
     let mut best_s = 0.0f64;
     for j in ids {
-        let s = sim_gamma_j(ctx, views, &rep_views[j as usize]);
+        let Some(rep) = reps.get(j as usize) else {
+            continue;
+        };
+        let s = sim_gamma_j_prepared(ctx, query, rep, scratch);
         if s > best_s {
             best_s = s;
             best_j = j;
@@ -430,6 +606,8 @@ pub(crate) fn aggregate_document(
 /// and the session, not the representatives.
 pub struct Classifier {
     model: Arc<TrainedModel>,
+    /// The model's representatives prepared for scoring, shared per epoch.
+    reps: Arc<PreparedSlab>,
     session: QuerySession,
     index: TagPathIndex,
 }
@@ -444,10 +622,19 @@ impl Classifier {
     /// workers: the model `Arc` is cloned, the index and session are this
     /// worker's own).
     pub fn shared(model: Arc<TrainedModel>) -> Self {
+        let reps = Arc::new(model.prepare_reps());
+        Self::with_reps(model, reps)
+    }
+
+    /// Builds a classifier over a shared model and the epoch's prepared
+    /// representatives (`model.prepare_reps()`, built once per epoch by
+    /// the slot).
+    pub(crate) fn with_reps(model: Arc<TrainedModel>, reps: Arc<PreparedSlab>) -> Self {
         let session = QuerySession::new(&model);
         let index = TagPathIndex::build(&model.reps, &model.paths, model.params);
         Self {
             model,
+            reps,
             session,
             index,
         }
@@ -497,28 +684,24 @@ impl Classifier {
 
     fn classify_impl(&mut self, xml: &str, indexed: bool) -> Result<DocumentAssignment, XmlError> {
         let query = self.session.extract(xml, &self.model.term_stats)?;
-        let tuples = query.transactions;
-        let k = self.model.k();
-        let ctx = self.session.sim_ctx(self.model.params);
-        let rep_views: Vec<Vec<ItemView<'_>>> = self.model.reps.iter().map(|r| r.views()).collect();
-
-        let mut assignments = Vec::with_capacity(tuples.len());
-        for tuple in &tuples {
-            let views: Vec<ItemView<'_>> = tuple.iter().map(RepItem::view).collect();
-            let candidates = if indexed {
-                self.index.candidates(&views, self.session.paths())
-            } else {
-                Candidates::All
-            };
-            let (cluster, similarity) =
-                argmax_tuple(&ctx, &views, &rep_views, candidates.ids(k), k as u32);
-            assignments.push(TupleAssignment {
-                cluster,
-                similarity,
-                candidates: candidates.len(k),
-            });
-        }
-        Ok(aggregate_document(k, assignments, query.capped))
+        let k = self.model.k() as u32;
+        let index = indexed.then_some(&self.index);
+        let assignments = query
+            .transactions
+            .iter()
+            .map(|tuple| {
+                self.session.prepare(tuple);
+                let (cluster, similarity, candidates) =
+                    self.session
+                        .argmax_in(self.model.params, &self.reps, tuple, index, 0..k, k);
+                TupleAssignment {
+                    cluster,
+                    similarity,
+                    candidates,
+                }
+            })
+            .collect();
+        Ok(aggregate_document(k as usize, assignments, query.capped))
     }
 }
 
@@ -561,17 +744,13 @@ impl ClassifyEngine {
     /// Builds the engine for one epoch: remote when the server was
     /// configured with a remote topology (which outlives epochs), sharded
     /// when the epoch published a shared sharded engine, tree when it
-    /// published a shared representative tree, replicated otherwise.
-    pub fn for_epoch(
-        model: &Arc<TrainedModel>,
-        sharded: Option<&Arc<ShardedEngine>>,
-        remote: Option<&Arc<RemoteEngine>>,
-        tree: Option<&Arc<TreeEngine>>,
-    ) -> Self {
-        match (remote, sharded, tree) {
+    /// published a shared representative tree, replicated (over the
+    /// epoch's shared prepared representatives) otherwise.
+    pub fn for_epoch(epoch: &EpochModel, remote: Option<&Arc<RemoteEngine>>) -> Self {
+        match (remote, &epoch.sharded, &epoch.tree) {
             (Some(topology), _, _) => ClassifyEngine::Remote(Box::new(RemoteClassifier::new(
                 Arc::clone(topology),
-                Arc::clone(model),
+                Arc::clone(&epoch.model),
             ))),
             (None, Some(engine), _) => {
                 ClassifyEngine::Sharded(Box::new(ShardedClassifier::new(Arc::clone(engine))))
@@ -579,9 +758,10 @@ impl ClassifyEngine {
             (None, None, Some(engine)) => {
                 ClassifyEngine::Tree(Box::new(TreeClassifier::new(Arc::clone(engine))))
             }
-            (None, None, None) => {
-                ClassifyEngine::Replicated(Box::new(Classifier::shared(Arc::clone(model))))
-            }
+            (None, None, None) => ClassifyEngine::Replicated(Box::new(Classifier::with_reps(
+                Arc::clone(&epoch.model),
+                Arc::clone(&epoch.reps),
+            ))),
         }
     }
 
@@ -783,8 +963,8 @@ mod tests {
     #[test]
     fn tag_path_cache_stays_bounded_under_ever_fresh_markup() {
         let mut c = Classifier::new(model());
-        c.session_mut().tag_path_cap = 8; // shrink to exercise the reset cheaply
-        let cap = c.session_mut().tag_path_cap;
+        c.session_mut().tag_sim.cap = 8; // shrink to exercise the reset cheaply
+        let cap = c.session_mut().tag_sim.cap;
         let before = c.classify(&mining_doc(1)).unwrap();
         // A hostile stream where every document invents new markup must not
         // grow the dense sim_S table without bound.
@@ -793,9 +973,9 @@ mod tests {
             let report = c.classify(&doc).unwrap();
             assert_eq!(report.cluster, c.trash_id());
             assert!(
-                c.session_mut().known_tag_paths() <= cap + 4,
+                c.session_mut().tag_sim.known() <= cap + 4,
                 "cache must reset: {} paths after doc {i}",
-                c.session_mut().known_tag_paths()
+                c.session_mut().tag_sim.known()
             );
         }
         // Evicted paths re-enter on their next appearance with identical
@@ -822,12 +1002,27 @@ mod tests {
         assert_eq!(Arc::strong_count(&model), 3);
     }
 
+    /// An epoch publishing `model` with the given shared engines.
+    fn epoch(
+        model: &Arc<TrainedModel>,
+        sharded: Option<&Arc<ShardedEngine>>,
+        tree: Option<&Arc<TreeEngine>>,
+    ) -> EpochModel {
+        EpochModel {
+            epoch: 1,
+            model: Arc::clone(model),
+            reps: Arc::new(model.prepare_reps()),
+            sharded: sharded.cloned(),
+            tree: tree.cloned(),
+        }
+    }
+
     #[test]
     fn engine_seam_agrees_across_strategies() {
         let model = Arc::new(model());
         let engine = Arc::new(ShardedEngine::build(Arc::clone(&model), 3));
-        let mut replicated = ClassifyEngine::for_epoch(&model, None, None, None);
-        let mut sharded = ClassifyEngine::for_epoch(&model, Some(&engine), None, None);
+        let mut replicated = ClassifyEngine::for_epoch(&epoch(&model, None, None), None);
+        let mut sharded = ClassifyEngine::for_epoch(&epoch(&model, Some(&engine), None), None);
         assert!(replicated.sharded_engine().is_none());
         assert!(sharded.sharded_engine().is_some());
         assert!(sharded.remote_engine().is_none());
@@ -859,11 +1054,11 @@ mod tests {
             Arc::clone(&model),
             TreeConfig { branch: 2, beam: 2 },
         ));
-        let mut engine = ClassifyEngine::for_epoch(&model, None, None, Some(&tree));
+        let mut engine = ClassifyEngine::for_epoch(&epoch(&model, None, Some(&tree)), None);
         assert!(engine.tree_engine().is_some());
         assert!(engine.sharded_engine().is_none());
         assert_eq!(engine.posting_entries(), 0, "the tree holds no postings");
-        let mut brute = ClassifyEngine::for_epoch(&model, None, None, None);
+        let mut brute = ClassifyEngine::for_epoch(&epoch(&model, None, None), None);
         for doc in [mining_doc(2), networking_doc(4)] {
             let a = engine.classify(&doc).expect("tree");
             let b = brute.classify_brute(&doc).expect("brute");

@@ -83,7 +83,7 @@ mod queue;
 
 use crate::classify::{ClassifyEngine, ClassifyError, DocumentAssignment};
 use crate::remote::RemoteEngine;
-use crate::slot::{EpochModel, ModelSlot};
+use crate::slot::ModelSlot;
 use conn::{Limits, Request};
 use cxk_core::{
     load_model, peek_format_version, snapshot_digest, TrainedModel, MODEL_FORMAT_VERSION,
@@ -364,7 +364,7 @@ impl Server {
         // on every engine rebuild.)
         {
             let current = slot.current();
-            let engine = engine_for(&current, remote.as_ref());
+            let engine = ClassifyEngine::for_epoch(&current, remote.as_ref());
             stats
                 .index_postings
                 .store(engine.posting_entries() as u64, Ordering::Relaxed);
@@ -512,19 +512,6 @@ impl Drop for Server {
     }
 }
 
-/// One worker's classify engine for a published epoch: a remote fan-out
-/// session when the server has a shard-daemon topology, a lightweight
-/// session over the epoch's shared shard set, or a private full-index
-/// classifier when the slot runs replicated.
-fn engine_for(epoch: &EpochModel, remote: Option<&Arc<RemoteEngine>>) -> ClassifyEngine {
-    ClassifyEngine::for_epoch(
-        &epoch.model,
-        epoch.sharded.as_ref(),
-        remote,
-        epoch.tree.as_ref(),
-    )
-}
-
 /// A worker: pull jobs from the bounded queue, keep the engine on the
 /// live epoch, render complete responses and hand them back to the
 /// acceptor (channel + waker). Exits when the queue closes.
@@ -536,7 +523,7 @@ fn worker_loop(
     delay: Option<Duration>,
 ) {
     let mut current = ctx.slot.current();
-    let mut engine = engine_for(&current, ctx.remote.as_ref());
+    let mut engine = ClassifyEngine::for_epoch(&current, ctx.remote.as_ref());
     while let Some(job) = queue.pop() {
         // Hot reload: observe a newer epoch *between* requests, so
         // in-flight work always finishes on the model it started with
@@ -545,7 +532,7 @@ fn worker_loop(
         // swap time.
         if ctx.slot.epoch() != current.epoch {
             current = ctx.slot.current();
-            engine = engine_for(&current, ctx.remote.as_ref());
+            engine = ClassifyEngine::for_epoch(&current, ctx.remote.as_ref());
             ctx.stats
                 .index_postings
                 .store(engine.posting_entries() as u64, Ordering::Relaxed);

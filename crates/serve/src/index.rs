@@ -45,20 +45,59 @@ use cxk_util::{FxHashMap, FxHashSet, Symbol};
 use cxk_xml::path::PathTable;
 use std::ops::Range;
 
-/// The candidate set for one query transaction.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Candidates {
-    /// Pruning is unsound for this query/parameter combination — evaluate
-    /// every representative.
-    All,
-    /// Only these representative ids (ascending) can have `simγJ > 0`.
-    Some(Vec<u32>),
+/// The candidate set for one query transaction: either every
+/// representative (pruning is unsound for this query/parameter
+/// combination) or a bitset over global representative ids.
+///
+/// The set is caller-owned and refilled by [`TagPathIndex::candidates`],
+/// so a warm worker collects candidates without allocating; iteration
+/// walks the bits in ascending id order, the order the strict-`>` /
+/// lowest-id tie-break needs.
+#[derive(Debug, Clone, Default)]
+pub struct Candidates {
+    /// Pruning was disabled: every covered id is a candidate.
+    all: bool,
+    /// Bit `id % 64` of word `id / 64` is set iff representative `id` is a
+    /// candidate (global ids).
+    words: Vec<u64>,
 }
 
 impl Candidates {
+    /// An empty candidate set.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Whether pruning was disabled and every representative is a
+    /// candidate.
+    pub fn is_all(&self) -> bool {
+        self.all
+    }
+
+    /// Marks every representative a candidate.
+    pub(crate) fn set_all(&mut self) {
+        self.all = true;
+        self.words.clear();
+    }
+
+    /// Empties the set, sized for ids below `end` (keeps the allocation).
+    fn reset(&mut self, end: u32) {
+        self.all = false;
+        self.words.clear();
+        self.words.resize((end as usize).div_ceil(64), 0);
+    }
+
+    /// Adds every id of `ids`.
+    fn extend(&mut self, ids: &[u32]) {
+        for &id in ids {
+            if let Some(word) = self.words.get_mut(id as usize / 64) {
+                *word |= 1 << (id % 64);
+            }
+        }
+    }
+
     /// The representative ids to evaluate, given `k` total. Allocation-free:
-    /// `All` walks the id range directly instead of materializing a `Vec`,
-    /// so the classify hot loop does not allocate per query.
+    /// `All` walks the id range directly.
     pub fn ids(&self, k: usize) -> CandidateIds<'_> {
         self.ids_in(0..k as u32)
     }
@@ -67,44 +106,80 @@ impl Candidates {
     /// `range` (a shard's slice of the global id space): `All` yields the
     /// whole range; pruned candidates already carry global ids.
     pub fn ids_in(&self, range: Range<u32>) -> CandidateIds<'_> {
-        match self {
-            Candidates::All => CandidateIds::Range(range),
-            Candidates::Some(ids) => CandidateIds::Listed(ids.iter()),
-        }
+        CandidateIds(if self.all {
+            IdsInner::Range(range)
+        } else {
+            IdsInner::Bits {
+                words: &self.words,
+                next: 0,
+                current: 0,
+                remaining: self.count(),
+            }
+        })
     }
 
     /// Number of candidates, given `k` total.
     pub fn len(&self, k: usize) -> usize {
-        match self {
-            Candidates::All => k,
-            Candidates::Some(ids) => ids.len(),
+        if self.all {
+            k
+        } else {
+            self.count()
         }
+    }
+
+    fn count(&self) -> usize {
+        self.words.iter().map(|w| w.count_ones() as usize).sum()
     }
 }
 
 /// Iterator over candidate representative ids (see [`Candidates::ids`]).
 #[derive(Debug, Clone)]
-pub enum CandidateIds<'a> {
+pub struct CandidateIds<'a>(IdsInner<'a>);
+
+#[derive(Debug, Clone)]
+enum IdsInner<'a> {
     /// Every id in the covered range (pruning was disabled).
     Range(Range<u32>),
-    /// The pruned candidate list, ascending.
-    Listed(std::slice::Iter<'a, u32>),
+    /// The set bits of a pruned candidate set, ascending.
+    Bits {
+        words: &'a [u64],
+        /// Index of the next word to load.
+        next: usize,
+        /// Unvisited bits of the word before `next`.
+        current: u64,
+        /// Ids not yet yielded.
+        remaining: usize,
+    },
 }
 
 impl Iterator for CandidateIds<'_> {
     type Item = u32;
 
     fn next(&mut self) -> Option<u32> {
-        match self {
-            CandidateIds::Range(range) => range.next(),
-            CandidateIds::Listed(iter) => iter.next().copied(),
+        match &mut self.0 {
+            IdsInner::Range(range) => range.next(),
+            IdsInner::Bits {
+                words,
+                next,
+                current,
+                remaining,
+            } => {
+                while *current == 0 {
+                    *current = *words.get(*next)?;
+                    *next += 1;
+                }
+                let bit = current.trailing_zeros();
+                *current &= *current - 1;
+                *remaining = remaining.saturating_sub(1);
+                Some((*next as u32 - 1) * 64 + bit)
+            }
         }
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
-        match self {
-            CandidateIds::Range(range) => range.size_hint(),
-            CandidateIds::Listed(iter) => iter.size_hint(),
+        match &self.0 {
+            IdsInner::Range(range) => range.size_hint(),
+            IdsInner::Bits { remaining, .. } => (*remaining, Some(*remaining)),
         }
     }
 }
@@ -242,44 +317,54 @@ impl TagPathIndex {
             + keys * key
     }
 
-    /// The candidate representatives for one query transaction. `paths`
-    /// must resolve the query items' tag paths (the classifier's table,
-    /// which extends the model's as unseen markup arrives).
-    pub fn candidates(&self, query: &[ItemView<'_>], paths: &PathTable) -> Candidates {
-        if query.is_empty() || self.params.gamma <= 0.0 {
-            // simγJ(∅, ∅) = 1 and γ = 0 matches any pair: no sound pruning.
-            return Candidates::All;
+    /// Fills `out` with the candidate representatives for one query
+    /// transaction. `paths` must resolve the query items' tag paths (the
+    /// classifier's table, which extends the model's as unseen markup
+    /// arrives).
+    pub fn candidates<'a>(
+        &self,
+        query: impl IntoIterator<Item = ItemView<'a>>,
+        paths: &PathTable,
+        out: &mut Candidates,
+    ) {
+        if self.params.gamma <= 0.0 {
+            // γ = 0 matches any pair: no sound pruning.
+            out.set_all();
+            return;
         }
         let structure = self.params.f > 0.0;
         let content = self.params.f < 1.0;
 
-        let mut set: FxHashSet<u32> = FxHashSet::default();
+        out.reset(self.covered().end);
+        let mut empty_query = true;
         for item in query {
+            empty_query = false;
             if structure {
                 let labels = paths.resolve(item.tag_path);
                 if labels.is_empty() {
-                    set.extend(self.empty_tag_path_reps.iter().copied());
+                    out.extend(&self.empty_tag_path_reps);
                 }
                 for label in labels {
                     if let Some(post) = self.tag_postings.get(label) {
-                        set.extend(post.iter().copied());
+                        out.extend(post);
                     }
                 }
             }
             if content {
                 if item.vector.is_empty() {
-                    set.extend(self.empty_vector_reps.iter().copied());
+                    out.extend(&self.empty_vector_reps);
                 }
                 for (term, _) in item.vector.iter() {
                     if let Some(post) = self.term_postings.get(&term) {
-                        set.extend(post.iter().copied());
+                        out.extend(post);
                     }
                 }
             }
         }
-        let mut ids: Vec<u32> = set.into_iter().collect();
-        ids.sort_unstable();
-        Candidates::Some(ids)
+        if empty_query {
+            // simγJ(∅, ∅) = 1: every representative may score.
+            out.set_all();
+        }
     }
 }
 
@@ -340,6 +425,13 @@ mod tests {
         }
     }
 
+    /// The candidates of `query`: `None` when pruning is off, else the ids.
+    fn listed(index: &TagPathIndex, query: &[ItemView<'_>], paths: &PathTable) -> Option<Vec<u32>> {
+        let mut out = Candidates::new();
+        index.candidates(query.iter().copied(), paths, &mut out);
+        (!out.is_all()).then(|| out.ids_in(index.covered()).collect())
+    }
+
     fn view<'a>(fx: &'a Fixture, path: usize, vector: usize, fp: u64) -> ItemView<'a> {
         ItemView {
             tag_path: fx.path_ids[path],
@@ -360,14 +452,8 @@ mod tests {
         // channel, so rep 1 *is* a candidate; drop content by querying with
         // the structure-only parameterization.
         let structure_only = TagPathIndex::build(&reps, &fx.paths, SimParams::new(1.0, 0.8));
-        assert_eq!(
-            structure_only.candidates(&query, &fx.paths),
-            Candidates::Some(vec![0])
-        );
-        assert_eq!(
-            index.candidates(&query, &fx.paths),
-            Candidates::Some(vec![0, 1])
-        );
+        assert_eq!(listed(&structure_only, &query, &fx.paths), Some(vec![0]));
+        assert_eq!(listed(&index, &query, &fx.paths), Some(vec![0, 1]));
     }
 
     #[test]
@@ -377,10 +463,7 @@ mod tests {
         let index = TagPathIndex::build(&reps, &fx.paths, SimParams::new(0.5, 0.8));
         // Query shares tags and terms with rep 0 only.
         let query = [view(&fx, 0, 0, 9)];
-        assert_eq!(
-            index.candidates(&query, &fx.paths),
-            Candidates::Some(vec![0])
-        );
+        assert_eq!(listed(&index, &query, &fx.paths), Some(vec![0]));
     }
 
     #[test]
@@ -389,14 +472,10 @@ mod tests {
         let reps = vec![rep(&fx, 0, 0, 1), rep(&fx, 2, 1, 2)];
         let index = TagPathIndex::build(&reps, &fx.paths, SimParams::new(0.5, 0.0));
         let query = [view(&fx, 0, 0, 9)];
-        assert_eq!(index.candidates(&query, &fx.paths), Candidates::All);
-        assert_eq!(
-            index
-                .candidates(&query, &fx.paths)
-                .ids(2)
-                .collect::<Vec<_>>(),
-            vec![0, 1]
-        );
+        assert_eq!(listed(&index, &query, &fx.paths), None);
+        let mut c = Candidates::new();
+        index.candidates(query.iter().copied(), &fx.paths, &mut c);
+        assert_eq!(c.ids(2).collect::<Vec<_>>(), vec![0, 1]);
     }
 
     #[test]
@@ -408,26 +487,39 @@ mod tests {
         assert_eq!(index.covered(), 2..4);
         // Query matches the first shard rep (global id 2) only.
         let query = [view(&fx, 0, 0, 9)];
-        assert_eq!(
-            index.candidates(&query, &fx.paths),
-            Candidates::Some(vec![2])
-        );
+        assert_eq!(listed(&index, &query, &fx.paths), Some(vec![2]));
         // All-candidates fallbacks walk the shard's global range.
         let all = TagPathIndex::build_range(&reps, &fx.paths, SimParams::new(0.5, 0.0), 2);
-        let c = all.candidates(&query, &fx.paths);
-        assert_eq!(c, Candidates::All);
+        let mut c = Candidates::new();
+        all.candidates(query.iter().copied(), &fx.paths, &mut c);
+        assert!(c.is_all());
         assert_eq!(c.ids_in(all.covered()).collect::<Vec<_>>(), vec![2, 3]);
     }
 
     #[test]
     fn candidate_ids_iterate_without_allocating() {
-        let all = Candidates::All;
+        let mut all = Candidates::new();
+        all.set_all();
         assert_eq!(all.ids(3).len(), 3);
         assert_eq!(all.ids(3).collect::<Vec<_>>(), vec![0, 1, 2]);
-        let some = Candidates::Some(vec![1, 4]);
-        assert_eq!(some.ids(9).len(), 2);
-        assert_eq!(some.ids(9).collect::<Vec<_>>(), vec![1, 4]);
-        assert_eq!(some.ids_in(5..9).collect::<Vec<_>>(), vec![1, 4]);
+        let mut some = Candidates::new();
+        some.reset(200);
+        some.extend(&[130, 4, 1, 63, 64, 4]);
+        assert_eq!(some.ids(200).len(), 5);
+        assert_eq!(some.len(200), 5);
+        assert_eq!(some.ids(200).collect::<Vec<_>>(), vec![1, 4, 63, 64, 130]);
+        assert_eq!(
+            some.ids_in(5..9).collect::<Vec<_>>(),
+            vec![1, 4, 63, 64, 130]
+        );
+        // Refilling reuses the words and forgets the previous query.
+        let words = some.words.as_ptr();
+        some.reset(150);
+        some.extend(&[7]);
+        assert_eq!(some.ids(150).collect::<Vec<_>>(), vec![7]);
+        assert_eq!(some.words.as_ptr(), words);
+        some.reset(64);
+        assert_eq!(some.ids(64).len(), 0);
     }
 
     #[test]
@@ -435,7 +527,7 @@ mod tests {
         let fx = fixture();
         let reps = vec![rep(&fx, 0, 0, 1)];
         let index = TagPathIndex::build(&reps, &fx.paths, SimParams::new(0.5, 0.8));
-        assert_eq!(index.candidates(&[], &fx.paths), Candidates::All);
+        assert_eq!(listed(&index, &[], &fx.paths), None);
     }
 
     #[test]
@@ -446,10 +538,7 @@ mod tests {
         let reps = vec![rep(&fx, 2, 2, 1)];
         let index = TagPathIndex::build(&reps, &fx.paths, SimParams::new(0.0, 0.9));
         let query = [view(&fx, 0, 2, 9)];
-        assert_eq!(
-            index.candidates(&query, &fx.paths),
-            Candidates::Some(vec![0])
-        );
+        assert_eq!(listed(&index, &query, &fx.paths), Some(vec![0]));
     }
 
     #[test]
@@ -460,10 +549,7 @@ mod tests {
         let reps = vec![rep(&fx, 2, 0, 1)];
         let index = TagPathIndex::build(&reps, &fx.paths, SimParams::new(1.0, 0.5));
         let query = [view(&fx, 0, 0, 9)]; // same vector, disjoint tags
-        assert_eq!(
-            index.candidates(&query, &fx.paths),
-            Candidates::Some(vec![])
-        );
+        assert_eq!(listed(&index, &query, &fx.paths), Some(vec![]));
     }
 
     #[test]
@@ -472,10 +558,7 @@ mod tests {
         let reps = vec![rep(&fx, 0, 1, 1)];
         let index = TagPathIndex::build(&reps, &fx.paths, SimParams::new(0.0, 0.5));
         let query = [view(&fx, 1, 0, 9)]; // shared tags, disjoint vectors
-        assert_eq!(
-            index.candidates(&query, &fx.paths),
-            Candidates::Some(vec![])
-        );
+        assert_eq!(listed(&index, &query, &fx.paths), Some(vec![]));
     }
 
     #[test]
@@ -484,10 +567,7 @@ mod tests {
         let reps = vec![rep(&fx, 3, 1, 1)]; // empty tag path
         let index = TagPathIndex::build(&reps, &fx.paths, SimParams::new(1.0, 0.5));
         let query = [view(&fx, 3, 0, 9)];
-        assert_eq!(
-            index.candidates(&query, &fx.paths),
-            Candidates::Some(vec![0])
-        );
+        assert_eq!(listed(&index, &query, &fx.paths), Some(vec![0]));
     }
 
     #[test]

@@ -61,16 +61,16 @@
 //! accumulates scatter round-trip time.
 
 use crate::classify::{
-    aggregate_document, argmax_tuple, ClassifyError, DocumentAssignment, QuerySession,
+    aggregate_document, ClassifyError, DocumentAssignment, QuerySession, Scorer, SessionTagSim,
     TupleAssignment,
 };
-use crate::index::{Candidates, TagPathIndex};
+use crate::index::TagPathIndex;
 use cxk_core::{save_model, snapshot_digest, TrainedModel};
 use cxk_p2p::{FramedConn, NetworkError, PeerId, TrafficLedger, Wire, WireCodec, WireReader};
 use cxk_text::SparseVec;
 use cxk_transact::item::ItemView;
-use cxk_transact::{SimCtx, TagPathSimTable};
-use cxk_util::{FxHashSet, Symbol};
+use cxk_transact::{PreparedSlab, SimCtx};
+use cxk_util::Symbol;
 use cxk_xml::path::{PathId, PathTable};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::ops::Range;
@@ -343,28 +343,24 @@ impl WireCodec for ShardMsg {
 }
 
 /// The daemon side of a [`QuerySession`]: a private path-table clone plus
-/// the lazily extended structural-similarity table, maintained under the
-/// same cap/eviction policy so `sim_S` lookups cover rep × query pairs.
-/// One per connection — a connection only ever sees one frontend worker's
-/// symbol numbering, which keeps shipped novel symbols consistent.
+/// the lazily extended structural-similarity table (the same
+/// [`SessionTagSim`] the frontend sessions keep, so `sim_S` lookups cover
+/// rep × query pairs and the prepared representatives keep their ranks),
+/// and the connection's scoring buffers. One per connection — a
+/// connection only ever sees one frontend worker's symbol numbering, which
+/// keeps shipped novel symbols consistent.
 struct RangeSession {
     paths: PathTable,
-    tag_sim: TagPathSimTable,
-    base_tag_paths: Vec<PathId>,
-    known_tag_paths: FxHashSet<PathId>,
-    cap: usize,
+    tag_sim: SessionTagSim,
+    scorer: Scorer,
 }
 
 impl RangeSession {
     fn new(model: &TrainedModel) -> Self {
-        let base = model.rep_tag_paths();
-        let tag_sim = TagPathSimTable::build(&base, &model.paths);
         Self {
             paths: model.paths.clone(),
-            tag_sim,
-            known_tag_paths: base.iter().copied().collect(),
-            cap: (base.len() * 4).max(1024),
-            base_tag_paths: base,
+            tag_sim: SessionTagSim::new(model),
+            scorer: Scorer::default(),
         }
     }
 
@@ -387,7 +383,7 @@ impl RangeSession {
                             item.tag_path.iter().map(|&raw| Symbol(raw)).collect();
                         let tag_path = self.paths.intern(&labels);
                         request_paths.push(tag_path);
-                        fresh |= self.known_tag_paths.insert(tag_path);
+                        fresh |= self.tag_sim.observe(tag_path);
                         let pairs: Vec<(Symbol, f64)> = item
                             .terms
                             .iter()
@@ -399,13 +395,7 @@ impl RangeSession {
             })
             .collect();
         if fresh {
-            if self.known_tag_paths.len() > self.cap {
-                self.known_tag_paths = self.base_tag_paths.iter().copied().collect();
-                self.known_tag_paths.extend(request_paths.iter().copied());
-            }
-            let mut all: Vec<PathId> = self.known_tag_paths.iter().copied().collect();
-            all.sort_unstable();
-            self.tag_sim = TagPathSimTable::build(&all, &self.paths);
+            self.tag_sim.rebuild(&self.paths, request_paths);
         }
         decoded
     }
@@ -416,6 +406,8 @@ struct DaemonShared {
     model: Arc<TrainedModel>,
     range: Range<u32>,
     index: TagPathIndex,
+    /// The model's representatives prepared for scoring (global ids).
+    reps: PreparedSlab,
     digest: u64,
     shutdown: AtomicBool,
 }
@@ -469,6 +461,7 @@ impl ShardDaemon {
             )
         })?;
         let shared = Arc::new(DaemonShared {
+            reps: model.prepare_reps(),
             model,
             range: range.clone(),
             index,
@@ -577,7 +570,6 @@ fn handle_conn(stream: TcpStream, shared: &DaemonShared) {
         return;
     };
     let mut session = RangeSession::new(&shared.model);
-    let rep_views: Vec<Vec<ItemView<'_>>> = shared.model.reps.iter().map(|r| r.views()).collect();
     loop {
         if shared.shutdown.load(Ordering::Acquire) {
             return;
@@ -600,7 +592,7 @@ fn handle_conn(stream: TcpStream, shared: &DaemonShared) {
             },
             ShardMsg::Scatter { seq, brute, tuples } => ShardMsg::ScatterAck {
                 seq,
-                answers: answer_scatter(shared, &mut session, &rep_views, brute, &tuples),
+                answers: answer_scatter(shared, &mut session, brute, &tuples),
             },
             other => ShardMsg::Error {
                 message: format!("unexpected request: {other:?}"),
@@ -617,42 +609,37 @@ fn handle_conn(stream: TcpStream, shared: &DaemonShared) {
 fn answer_scatter(
     shared: &DaemonShared,
     session: &mut RangeSession,
-    rep_views: &[Vec<ItemView<'_>>],
     brute: bool,
     tuples: &[WireTuple],
 ) -> Vec<ShardAnswer> {
     let decoded = session.intern_tuples(tuples);
-    let ctx = SimCtx::new(&session.tag_sim, shared.model.params);
+    let RangeSession {
+        paths,
+        tag_sim,
+        scorer,
+    } = session;
+    let ctx = SimCtx::new(tag_sim.table(), shared.model.params);
     let trash = shared.model.trash_id();
-    let range_len = (shared.range.end - shared.range.start) as usize;
     decoded
         .iter()
         .map(|items| {
-            let views: Vec<ItemView<'_>> = items
-                .iter()
-                .map(|(tag_path, vector, fingerprint)| ItemView {
-                    tag_path: *tag_path,
-                    vector,
-                    fingerprint: *fingerprint,
-                })
-                .collect();
-            let candidates = if brute {
-                Candidates::All
-            } else {
-                shared.index.candidates(&views, &session.paths)
+            let views = || {
+                items
+                    .iter()
+                    .map(|(tag_path, vector, fingerprint)| ItemView {
+                        tag_path: *tag_path,
+                        vector,
+                        fingerprint: *fingerprint,
+                    })
             };
-            let scored = candidates.len(range_len) as u32;
-            let (id, sim) = argmax_tuple(
-                &ctx,
-                &views,
-                rep_views,
-                candidates.ids_in(shared.range.clone()),
-                trash,
-            );
+            scorer.prepare(tag_sim.table(), views());
+            scorer.select((!brute).then_some(&shared.index), views(), paths);
+            let (id, sim, scored) =
+                scorer.argmax_selected(&ctx, &shared.reps, shared.range.clone(), trash);
             ShardAnswer {
                 sim_bits: sim.to_bits(),
                 id,
-                scored,
+                scored: scored as u32,
             }
         })
         .collect()

@@ -52,13 +52,11 @@
 //! seam a cross-process transport would replace (see `ROADMAP.md`,
 //! "Async transport").
 
-use crate::classify::{
-    aggregate_document, argmax_tuple, DocumentAssignment, QuerySession, TupleAssignment,
-};
-use crate::index::{Candidates, TagPathIndex};
+use crate::classify::{aggregate_document, DocumentAssignment, QuerySession, TupleAssignment};
+use crate::index::TagPathIndex;
 use cxk_core::rep::RepItem;
 use cxk_core::TrainedModel;
-use cxk_transact::item::ItemView;
+use cxk_transact::PreparedSlab;
 use cxk_xml::parser::XmlError;
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -128,6 +126,8 @@ pub struct ShardStats {
 /// The shared, immutable scatter/gather engine for one model epoch.
 pub struct ShardedEngine {
     model: Arc<TrainedModel>,
+    /// The model's representatives prepared for scoring (global ids).
+    reps: PreparedSlab,
     shards: Vec<Shard>,
     counters: Vec<ShardCounters>,
 }
@@ -158,6 +158,7 @@ impl ShardedEngine {
             .collect();
         let counters = shards.iter().map(|_| ShardCounters::default()).collect();
         Self {
+            reps: model.prepare_reps(),
             model,
             shards,
             counters,
@@ -210,13 +211,12 @@ impl ShardedEngine {
     /// the gather keeps the global argmax under the brute-force tie-break.
     fn assign_tuple(
         &self,
-        session: &QuerySession,
-        views: &[ItemView<'_>],
-        rep_views: &[Vec<ItemView<'_>>],
+        session: &mut QuerySession,
+        tuple: &[RepItem],
         indexed: bool,
     ) -> TupleAssignment {
         let k = self.model.k() as u32;
-        let ctx = session.sim_ctx(self.model.params);
+        session.prepare(tuple);
         let mut best_j = k;
         let mut best_s = 0.0f64;
         let mut scored_total = 0usize;
@@ -224,14 +224,14 @@ impl ShardedEngine {
             if shard.is_empty() {
                 continue;
             }
-            let candidates = if indexed {
-                shard.index.candidates(views, session.paths())
-            } else {
-                Candidates::All
-            };
-            let scored = candidates.len(shard.len());
-            let (local_j, local_s) =
-                argmax_tuple(&ctx, views, rep_views, candidates.ids_in(shard.range()), k);
+            let (local_j, local_s, scored) = session.argmax_in(
+                self.model.params,
+                &self.reps,
+                tuple,
+                indexed.then_some(&shard.index),
+                shard.range(),
+                k,
+            );
             counters.queries.fetch_add(1, Ordering::Relaxed);
             counters.scored.fetch_add(scored as u64, Ordering::Relaxed);
             scored_total += scored;
@@ -319,15 +319,10 @@ impl ShardedClassifier {
     fn classify_impl(&mut self, xml: &str, indexed: bool) -> Result<DocumentAssignment, XmlError> {
         let model = self.engine.model();
         let query = self.session.extract(xml, &model.term_stats)?;
-        let rep_views: Vec<Vec<ItemView<'_>>> = model.reps.iter().map(|r| r.views()).collect();
         let assignments = query
             .transactions
             .iter()
-            .map(|tuple| {
-                let views: Vec<ItemView<'_>> = tuple.iter().map(RepItem::view).collect();
-                self.engine
-                    .assign_tuple(&self.session, &views, &rep_views, indexed)
-            })
+            .map(|tuple| self.engine.assign_tuple(&mut self.session, tuple, indexed))
             .collect();
         Ok(aggregate_document(model.k(), assignments, query.capped))
     }

@@ -34,6 +34,7 @@
 use crate::shard::ShardedEngine;
 use crate::tree::{TreeConfig, TreeEngine};
 use cxk_core::TrainedModel;
+use cxk_transact::PreparedSlab;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -44,6 +45,10 @@ pub struct EpochModel {
     pub epoch: u64,
     /// The model published at this epoch, shared by every worker.
     pub model: Arc<TrainedModel>,
+    /// The model's representatives prepared for the scoring kernel
+    /// ([`TrainedModel::prepare_reps`]), shared by every replicated
+    /// worker: a few KB, built once per epoch.
+    pub reps: Arc<PreparedSlab>,
     /// The epoch's shared scatter/gather engine, when the slot was built
     /// with a shard count; `None` means workers replicate a full index
     /// each.
@@ -148,11 +153,13 @@ impl ModelSlot {
         epoch: u64,
     ) -> EpochModel {
         let model = Arc::new(model);
+        let reps = Arc::new(model.prepare_reps());
         let sharded = shards.map(|s| Arc::new(ShardedEngine::build(Arc::clone(&model), s)));
         let tree = tree.map(|cfg| Arc::new(TreeEngine::build(Arc::clone(&model), cfg)));
         EpochModel {
             epoch,
             model,
+            reps,
             sharded,
             tree,
         }

@@ -82,13 +82,10 @@
 //! state is its own [`TreeClassifier`] (a `QuerySession`), so resident
 //! tree memory is constant in the worker count.
 
-use crate::classify::{
-    aggregate_document, argmax_tuple, DocumentAssignment, QuerySession, TupleAssignment,
-};
+use crate::classify::{aggregate_document, DocumentAssignment, QuerySession, TupleAssignment};
 use cxk_core::rep::{RepItem, Representative};
 use cxk_core::{merge_representatives, TrainedModel};
-use cxk_transact::item::ItemView;
-use cxk_transact::txsim::sim_gamma_j;
+use cxk_transact::txsim::{sim_gamma_j_prepared, PreparedSlab, ScoreScratch};
 use cxk_transact::{SimCtx, TagPathSimTable};
 use cxk_xml::parser::XmlError;
 use std::ops::Range;
@@ -184,6 +181,12 @@ pub struct TreeEngine {
     /// Internal levels bottom-up: `levels[0]` merges the leaves, the
     /// last level is the (≤ `B`-wide) top. Empty when `k ≤ B`.
     levels: Vec<Vec<TreeNode>>,
+    /// `levels[d]`'s merged representatives prepared for scoring (entry
+    /// `i` is node `i`). Merged items come from the leaves' item pool, so
+    /// they rank in the same representative tag-path table as the leaves.
+    prepared_levels: Vec<PreparedSlab>,
+    /// The leaf representatives prepared for the exact re-rank.
+    reps: PreparedSlab,
     counters: TreeCounters,
 }
 
@@ -197,7 +200,9 @@ impl TreeEngine {
             beam: config.beam.max(1),
         };
         let branch = config.branch;
+        let reps = model.prepare_reps();
         let mut levels: Vec<Vec<TreeNode>> = Vec::new();
+        let mut prepared_levels: Vec<PreparedSlab> = Vec::new();
         let mut leaf_order: Vec<u32> = Vec::new();
         if model.k() > branch {
             // Merging needs a similarity context covering the
@@ -208,7 +213,7 @@ impl TreeEngine {
             let tag_sim = TagPathSimTable::build(&rep_tag_paths, &model.paths);
             let ctx = SimCtx::new(&tag_sim, model.params);
 
-            leaf_order = Self::group_leaves(&ctx, &model, branch);
+            leaf_order = Self::group_leaves(&ctx, &reps, branch);
             let mut level: Vec<TreeNode> = leaf_order
                 .chunks(branch)
                 .enumerate()
@@ -247,12 +252,23 @@ impl TreeEngine {
                 level = next;
             }
             levels.push(level);
+            prepared_levels = levels
+                .iter()
+                .map(|level| {
+                    let nodes = level
+                        .iter()
+                        .map(|node| node.rep.items.iter().map(RepItem::view));
+                    PreparedSlab::build(&tag_sim, nodes)
+                })
+                .collect();
         }
         Self {
             model,
             config,
             leaf_order,
             levels,
+            prepared_levels,
+            reps,
             counters: TreeCounters::default(),
         }
     }
@@ -266,14 +282,14 @@ impl TreeEngine {
     /// merging unrelated clusters sheds the minority's items during
     /// refinement. The pairwise similarities are computed once
     /// (O(k²) `simγJ` evaluations), paid per epoch at build time.
-    fn group_leaves(ctx: &SimCtx<'_>, model: &TrainedModel, branch: usize) -> Vec<u32> {
-        let k = model.reps.len();
-        let rep_views: Vec<Vec<ItemView<'_>>> = model.reps.iter().map(|r| r.views()).collect();
+    fn group_leaves(ctx: &SimCtx<'_>, reps: &PreparedSlab, branch: usize) -> Vec<u32> {
+        let k = reps.len();
         // Symmetric pairwise similarity matrix, row-major.
         let mut sim = vec![0.0f64; k * k];
-        for i in 0..k {
-            for j in i + 1..k {
-                let s = sim_gamma_j(ctx, &rep_views[i], &rep_views[j]);
+        let mut scratch = ScoreScratch::default();
+        for (i, a) in reps.iter().enumerate() {
+            for (j, b) in reps.iter().enumerate().skip(i + 1) {
+                let s = sim_gamma_j_prepared(ctx, a, b, &mut scratch);
                 sim[i * k + j] = s;
                 sim[j * k + i] = s;
             }
@@ -366,17 +382,19 @@ impl TreeEngine {
     /// Beam descent for one tuple: returns the ascending candidate leaf
     /// ids and the number of internal nodes scored. Only called with
     /// non-empty levels and a non-degenerate query.
-    fn descend(&self, ctx: &SimCtx<'_>, views: &[ItemView<'_>]) -> (Vec<u32>, u64) {
+    fn descend(&self, session: &mut QuerySession) -> (Vec<u32>, u64) {
         let mut visited = 0u64;
         let top_len = self.levels.last().map(Vec::len).unwrap_or(0);
         let mut frontier: Vec<usize> = (0..top_len).collect();
         for depth in (0..self.levels.len()).rev() {
             let level = &self.levels[depth];
             let mut scored: Vec<(f64, usize)> = Vec::with_capacity(frontier.len());
-            for &i in &frontier {
-                if let Some(node) = level.get(i) {
-                    scored.push((sim_gamma_j(ctx, views, &node.rep.views()), i));
-                    visited += 1;
+            if let Some(prepared) = self.prepared_levels.get(depth) {
+                for &i in &frontier {
+                    if let Some(node) = prepared.get(i) {
+                        scored.push((session.score(self.model.params, node), i));
+                        visited += 1;
+                    }
                 }
             }
             // Score descending, node index ascending on ties — the
@@ -418,19 +436,19 @@ impl TreeEngine {
     /// degenerate tuples and level-less trees).
     fn assign_tuple(
         &self,
-        session: &QuerySession,
-        views: &[ItemView<'_>],
-        rep_views: &[Vec<ItemView<'_>>],
+        session: &mut QuerySession,
+        tuple: &[RepItem],
         pruned: bool,
     ) -> TupleAssignment {
         let k = self.model.k() as u32;
-        let ctx = session.sim_ctx(self.model.params);
+        let params = self.model.params;
+        session.prepare(tuple);
         self.counters.tuples.fetch_add(1, Ordering::Relaxed);
         // γ = 0 and empty queries score 0 against every merged node:
         // the descent would keep arbitrary subtrees, so scan instead —
         // the same degenerate cases where the inverted index falls back
-        // to `Candidates::All`.
-        let degenerate = views.is_empty() || self.model.params.gamma <= 0.0;
+        // to every representative.
+        let degenerate = tuple.is_empty() || params.gamma <= 0.0;
         if !pruned || degenerate || self.levels.is_empty() {
             if pruned && degenerate {
                 self.counters.fallbacks.fetch_add(1, Ordering::Relaxed);
@@ -438,14 +456,14 @@ impl TreeEngine {
             self.counters
                 .reps_scored
                 .fetch_add(u64::from(k), Ordering::Relaxed);
-            let (cluster, similarity) = argmax_tuple(&ctx, views, rep_views, 0..k, k);
+            let (cluster, similarity) = session.argmax(params, &self.reps, 0..k, k);
             return TupleAssignment {
                 cluster,
                 similarity,
                 candidates: k as usize,
             };
         }
-        let (ids, visited) = self.descend(&ctx, views);
+        let (ids, visited) = self.descend(session);
         self.counters
             .nodes_visited
             .fetch_add(visited, Ordering::Relaxed);
@@ -453,7 +471,7 @@ impl TreeEngine {
             .reps_scored
             .fetch_add(ids.len() as u64, Ordering::Relaxed);
         let candidates = ids.len();
-        let (cluster, similarity) = argmax_tuple(&ctx, views, rep_views, ids.into_iter(), k);
+        let (cluster, similarity) = session.argmax(params, &self.reps, ids.into_iter(), k);
         // Zero rescue: a pruned re-rank that found nothing (the tuple
         // would go to trash) is re-run over the full range — trash is
         // only ever declared after an exhaustive scan, so the tree
@@ -463,7 +481,7 @@ impl TreeEngine {
             self.counters
                 .reps_scored
                 .fetch_add(u64::from(k) - candidates as u64, Ordering::Relaxed);
-            let (cluster, similarity) = argmax_tuple(&ctx, views, rep_views, 0..k, k);
+            let (cluster, similarity) = session.argmax(params, &self.reps, 0..k, k);
             return TupleAssignment {
                 cluster,
                 similarity,
@@ -546,15 +564,10 @@ impl TreeClassifier {
     fn classify_impl(&mut self, xml: &str, pruned: bool) -> Result<DocumentAssignment, XmlError> {
         let model = self.engine.model();
         let query = self.session.extract(xml, &model.term_stats)?;
-        let rep_views: Vec<Vec<ItemView<'_>>> = model.reps.iter().map(|r| r.views()).collect();
         let assignments = query
             .transactions
             .iter()
-            .map(|tuple| {
-                let views: Vec<ItemView<'_>> = tuple.iter().map(RepItem::view).collect();
-                self.engine
-                    .assign_tuple(&self.session, &views, &rep_views, pruned)
-            })
+            .map(|tuple| self.engine.assign_tuple(&mut self.session, tuple, pruned))
             .collect();
         Ok(aggregate_document(model.k(), assignments, query.capped))
     }

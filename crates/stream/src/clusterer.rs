@@ -1,12 +1,13 @@
 //! The streaming clusterer: cheap per-document folds, periodic refreshes.
 
 use crate::policy::RefreshPolicy;
+use cxk_core::rep::prepare_representatives;
 use cxk_core::{
     compute_local_representative, CxkConfig, EngineBuilder, Representative, TrainedModel,
 };
 use cxk_text::{preprocess, ttf_itf, SparseVec};
-use cxk_transact::item::{item_fingerprint, Item, ItemId, ItemView};
-use cxk_transact::txsim::sim_gamma_j;
+use cxk_transact::item::{item_fingerprint, Item, ItemId};
+use cxk_transact::txsim::{sim_gamma_j_prepared, PreparedSlab, ScoreScratch};
 use cxk_transact::{BuildOptions, Dataset, DatasetBuilder, ExactMatch, Transaction};
 use cxk_util::{FxHashMap, FxHashSet, Symbol};
 use cxk_xml::parser::{parse_document, XmlError};
@@ -85,6 +86,10 @@ pub struct StreamClusterer {
     /// Cluster per transaction (`k` = trash).
     assignments: Vec<u32>,
     reps: Vec<Representative>,
+    /// `reps` prepared for the scoring kernel against `ds.tag_sim`;
+    /// re-prepared whenever either changes (a refresh, or a push that
+    /// rebuilds the table and so re-ranks its paths).
+    prepared: PreparedSlab,
     /// (path, answer) → item id, for item-domain deduplication.
     item_index: FxHashMap<(PathId, Box<str>), ItemId>,
     /// Distinct tag paths currently covered by `ds.tag_sim`.
@@ -105,6 +110,7 @@ impl StreamClusterer {
             ds: DatasetBuilder::new(BuildOptions::default()).finish(),
             assignments: Vec::new(),
             reps: Vec::new(),
+            prepared: PreparedSlab::new(),
             item_index: FxHashMap::default(),
             known_tag_paths: FxHashSet::default(),
             stats: StreamStats::default(),
@@ -293,8 +299,10 @@ impl StreamClusterer {
 
         if new_tag_paths {
             // A markup shape never seen before: extend the precomputed
-            // structural table (small and cheap relative to a refresh).
+            // structural table (small and cheap relative to a refresh);
+            // the rebuilt table re-ranks its paths, so re-prepare.
             self.ds.rebuild_tag_sim(&ExactMatch);
+            self.prepared = prepare_representatives(&self.ds.tag_sim, &self.reps);
         }
 
         // Bookkeeping the batch builder would have produced.
@@ -314,26 +322,28 @@ impl StreamClusterer {
 
         // Assign the new transactions against the frozen representatives.
         let ctx = self.ds.sim_ctx(self.opts.config.params);
-        let rep_views: Vec<Vec<ItemView<'_>>> =
-            self.reps.iter().map(Representative::views).collect();
         let mut assigned = Vec::with_capacity(new_transactions.len());
         let mut trash = 0usize;
+        let mut query = PreparedSlab::new();
+        let mut scratch = ScoreScratch::default();
         for &t in &new_transactions {
-            let tv = self.ds.views(&self.ds.transactions[t]);
+            query.clear();
+            query.push(ctx.tag_sim, self.ds.views(&self.ds.transactions[t]));
             let mut best_j = k as u32;
             let mut best_s = 0.0f64;
-            for (j, rv) in rep_views.iter().enumerate() {
-                let s = sim_gamma_j(&ctx, &tv, rv);
-                if s > best_s {
-                    best_s = s;
-                    best_j = j as u32;
+            if let Some(tx) = query.get(0) {
+                for (j, rep) in self.prepared.iter().enumerate() {
+                    let s = sim_gamma_j_prepared(&ctx, tx, rep, &mut scratch);
+                    if s > best_s {
+                        best_s = s;
+                        best_j = j as u32;
+                    }
                 }
             }
             let choice = if best_s == 0.0 { k as u32 } else { best_j };
             trash += usize::from(choice == k as u32);
             assigned.push(choice);
         }
-        drop(rep_views);
         self.assignments.extend(&assigned);
 
         self.stats.documents_since_refresh += 1;
@@ -420,6 +430,7 @@ impl StreamClusterer {
                 .collect();
             (outcome.rounds, outcome.converged)
         };
+        self.prepared = prepare_representatives(&self.ds.tag_sim, &self.reps);
 
         self.stats.documents_since_refresh = 0;
         self.stats.transactions_since_refresh = 0;
@@ -431,6 +442,7 @@ impl StreamClusterer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cxk_transact::txsim::sim_gamma_j_reference;
     use cxk_transact::SimParams;
 
     fn mining_doc(i: usize) -> String {
@@ -636,14 +648,28 @@ mod tests {
             s.dataset().tag_sim.len() > before,
             "book paths must be registered for sim_S"
         );
-        // All transactions remain scorable (no panic on lookup).
-        let ctx = s.dataset().sim_ctx(SimParams::new(0.5, 0.6));
+        // All transactions remain scorable: the reference lookup panics on
+        // an unregistered path.
+        let ctx = s.dataset().sim_ctx(s.opts.config.params);
         let last = s.dataset().transactions.len() - 1;
-        let _ = sim_gamma_j(
+        let tail = s.dataset().views(&s.dataset().transactions[last]);
+        let _ = sim_gamma_j_reference(
             &ctx,
-            &s.dataset().views(&s.dataset().transactions[last]),
+            &tail,
             &s.dataset().views(&s.dataset().transactions[0]),
         );
+        // The rebuilt table re-ranked its paths: the push's assignment must
+        // still be the reference argmax over the representatives.
+        let k = s.representatives().len() as u32;
+        let mut expected = (k, 0.0f64);
+        for (j, rep) in s.representatives().iter().enumerate() {
+            let score = sim_gamma_j_reference(&ctx, &tail, &rep.views());
+            if score > expected.1 {
+                expected = (j as u32, score);
+            }
+        }
+        let expected = if expected.1 == 0.0 { k } else { expected.0 };
+        assert_eq!(s.assignments()[last], expected);
     }
 
     #[test]

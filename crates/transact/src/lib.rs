@@ -17,7 +17,8 @@
 //! * [`itemsim`] — the combined item similarity `sim` (Eq. 1) and
 //!   γ-matching (Eq. 2).
 //! * [`txsim`] — the enhanced intersection `matchγ` and the transaction
-//!   similarity `simγJ` (Eq. 4).
+//!   similarity `simγJ` (Eq. 4), scored by a prepared kernel over
+//!   [`PreparedSlab`]s.
 //!
 //! # Example
 //!
@@ -59,4 +60,7 @@ pub use pathsim::{
 };
 pub use persist::{load as load_dataset, save as save_dataset, PersistError};
 pub use transaction::Transaction;
-pub use txsim::{gamma_shared, sim_gamma_j, union_size};
+pub use txsim::{
+    gamma_shared, sim_gamma_j, sim_gamma_j_prepared, sim_gamma_j_reference, union_size,
+    PreparedSlab, PreparedTx, ScoreScratch,
+};

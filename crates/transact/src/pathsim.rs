@@ -110,16 +110,24 @@ impl TagPathSimTable {
         }
         let size = tag_paths.len();
         let mut matrix = vec![0.0f64; size * size];
+        // Upper triangle only: Eq. (3) adds the same two directed sums in
+        // either orientation, and addition commutes, so `sim(j, i)` is
+        // bit-for-bit `sim(i, j)` — mirrored below instead of recomputed.
         matrix
             .par_chunks_mut(size.max(1))
             .enumerate()
             .for_each(|(i, row)| {
                 let pi = table.resolve(tag_paths[i]);
-                for (j, cell) in row.iter_mut().enumerate() {
+                for (j, cell) in row.iter_mut().enumerate().skip(i) {
                     let pj = table.resolve(tag_paths[j]);
                     *cell = tag_path_similarity_with(pi, pj, matcher);
                 }
             });
+        for i in 0..size {
+            for j in 0..i {
+                matrix[i * size + j] = matrix[j * size + i];
+            }
+        }
         Self { rank, size, matrix }
     }
 
@@ -147,6 +155,19 @@ impl TagPathSimTable {
         let i = self.rank[&a] as usize;
         let j = self.rank[&b] as usize;
         self.matrix[i * self.size + j]
+    }
+
+    /// Precomputed `sim_S` between the paths at dense ranks `i` and `j`
+    /// (see [`TagPathSimTable::rank_of`]) — the hash-free lookup of the
+    /// prepared scoring kernel. A rank outside the table scores `0.0`.
+    #[inline]
+    pub fn sim_at(&self, i: u32, j: u32) -> f64 {
+        let (i, j) = (i as usize, j as usize);
+        if i < self.size && j < self.size {
+            self.matrix.get(i * self.size + j).copied().unwrap_or(0.0)
+        } else {
+            0.0
+        }
     }
 }
 
@@ -281,6 +302,47 @@ mod tests {
             }
         }
         assert_eq!(sim_table.rank_of(PathId(999)), None);
+    }
+
+    #[test]
+    fn mirrored_cells_equal_direct_computation_bit_for_bit() {
+        // The table computes the upper triangle and mirrors it; the lower
+        // cells must still be exactly what Eq. (3) gives in that
+        // orientation, also under a graded matcher.
+        let mut interner = Interner::new();
+        let mut table = PathTable::new();
+        let specs = [
+            "dblp.article.title",
+            "dblp.inproceedings.title.sub",
+            "dblp.book",
+            "a.author.b.artist",
+            "root.author",
+            "x",
+        ];
+        let ids: Vec<PathId> = specs
+            .iter()
+            .map(|s| {
+                let labels: Vec<Symbol> = s.split('.').map(|t| interner.intern(t)).collect();
+                table.intern(&labels)
+            })
+            .collect();
+        let matcher = FirstLetter(&interner);
+        let sim_table = TagPathSimTable::build_with(&ids, &table, &matcher);
+        for (i, &a) in ids.iter().enumerate() {
+            for (j, &b) in ids.iter().enumerate() {
+                let direct = tag_path_similarity_with(table.resolve(a), table.resolve(b), &matcher);
+                assert_eq!(sim_table.sim(a, b).to_bits(), direct.to_bits());
+                assert_eq!(
+                    sim_table.sim_at(i as u32, j as u32).to_bits(),
+                    direct.to_bits()
+                );
+            }
+        }
+        assert_eq!(
+            sim_table.sim_at(0, ids.len() as u32),
+            0.0,
+            "out-of-range rank"
+        );
     }
 
     #[test]

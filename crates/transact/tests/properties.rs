@@ -4,7 +4,10 @@
 use cxk_text::SparseVec;
 use cxk_transact::item::ItemView;
 use cxk_transact::pathsim::{tag_path_similarity, TagPathSimTable};
-use cxk_transact::txsim::{gamma_shared, sim_gamma_j, union_size};
+use cxk_transact::txsim::{
+    gamma_shared, sim_gamma_j, sim_gamma_j_prepared, sim_gamma_j_reference, union_size,
+    PreparedSlab, ScoreScratch,
+};
 use cxk_transact::{SimCtx, SimParams};
 use cxk_util::{FxHashSet, Interner, Symbol};
 use cxk_xml::path::{PathId, PathTable};
@@ -193,4 +196,198 @@ proptest! {
         let expected = 0.3 * structure + 0.7 * content;
         prop_assert!((mixed - expected).abs() < 1e-9);
     }
+}
+
+// ---------------------------------------------------------------------
+// The prepared scoring kernel against the reference definition.
+// ---------------------------------------------------------------------
+
+/// `(tag path, vector, fingerprint)` indices of one transaction's items.
+/// Fingerprints come from a pool of six, so the same fingerprint repeats
+/// within a side and is shared across sides.
+type TxSpec = Vec<(usize, usize, u64)>;
+
+fn tx_strategy() -> impl Strategy<Value = TxSpec> {
+    proptest::collection::vec((0usize..8, 0usize..8, 0u64..6), 0..7)
+}
+
+/// Weights with real rounding, plus values whose squares underflow (a
+/// non-empty TCU with norm 0) and exact ones.
+fn weight_strategy() -> impl Strategy<Value = f64> {
+    prop_oneof![
+        8 => 0.01f64..10.0,
+        1 => Just(1e-170),
+        1 => Just(1.0),
+    ]
+}
+
+/// Tag paths, and vectors as `(term, weight)` lists.
+type KernelFixtureSpec = (Vec<Vec<u8>>, Vec<Vec<(u8, f64)>>);
+
+/// Vectors over a small vocabulary; empty TCUs are common.
+fn kernel_fixture_strategy() -> impl Strategy<Value = KernelFixtureSpec> {
+    (
+        proptest::collection::vec(path_strategy(), 1..6),
+        proptest::collection::vec(
+            proptest::collection::vec((0u8..10, weight_strategy()), 0..6),
+            1..6,
+        ),
+    )
+}
+
+/// `f` and `γ` at both ends of their range and anywhere in between.
+fn unit_param_strategy() -> impl Strategy<Value = f64> {
+    prop_oneof![Just(0.0), Just(1.0), 0.0f64..=1.0]
+}
+
+fn kernel_fixture(paths: &[Vec<u8>], vectors: &[Vec<(u8, f64)>]) -> Fixture {
+    let mut interner = Interner::new();
+    let mut table = PathTable::new();
+    let ids: Vec<PathId> = paths
+        .iter()
+        .map(|p| {
+            let symbols = to_symbols(p, &mut interner);
+            table.intern(&symbols)
+        })
+        .collect();
+    let mut dedup = ids.clone();
+    dedup.sort_unstable();
+    dedup.dedup();
+    Fixture {
+        table: TagPathSimTable::build(&dedup, &table),
+        tag_paths: ids,
+        vectors: vectors
+            .iter()
+            .map(|pairs| {
+                SparseVec::from_pairs(
+                    pairs
+                        .iter()
+                        .map(|&(t, w)| (Symbol(u32::from(t)), w))
+                        .collect(),
+                )
+            })
+            .collect(),
+    }
+}
+
+fn spec_views<'a>(fx: &'a Fixture, spec: &TxSpec) -> Vec<ItemView<'a>> {
+    spec.iter()
+        .map(|&(p, v, fingerprint)| ItemView {
+            tag_path: fx.tag_paths[p % fx.tag_paths.len()],
+            vector: &fx.vectors[v % fx.vectors.len()],
+            fingerprint,
+        })
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn prepared_kernel_is_bit_identical_to_the_reference(
+        (paths, vectors) in kernel_fixture_strategy(),
+        specs in proptest::collection::vec(tx_strategy(), 1..6),
+        f in unit_param_strategy(),
+        gamma in unit_param_strategy(),
+    ) {
+        let fx = kernel_fixture(&paths, &vectors);
+        let ctx = SimCtx::new(&fx.table, SimParams::new(f, gamma));
+        let txs: Vec<Vec<ItemView<'_>>> = specs.iter().map(|s| spec_views(&fx, s)).collect();
+        // One slab holding every transaction, one scratch warmed across
+        // pairs of different shapes: offsets and reuse are exercised too.
+        let slab = PreparedSlab::build(&fx.table, txs.iter().map(|t| t.iter().copied()));
+        prop_assert_eq!(slab.len(), txs.len());
+        let mut scratch = ScoreScratch::default();
+        for (i, a) in txs.iter().enumerate() {
+            for (j, b) in txs.iter().enumerate() {
+                let reference = sim_gamma_j_reference(&ctx, a, b);
+                let prepared = sim_gamma_j_prepared(
+                    &ctx,
+                    slab.get(i).expect("prepared"),
+                    slab.get(j).expect("prepared"),
+                    &mut scratch,
+                );
+                prop_assert_eq!(
+                    prepared.to_bits(),
+                    reference.to_bits(),
+                    "f={} γ={} tr{}={:?} tr{}={:?}: prepared {} vs reference {}",
+                    f, gamma, i, specs[i], j, specs[j], prepared, reference
+                );
+                prop_assert_eq!(sim_gamma_j(&ctx, a, b).to_bits(), reference.to_bits());
+            }
+        }
+    }
+
+    #[test]
+    fn prepared_ranks_survive_appended_table_paths(
+        (paths, vectors) in kernel_fixture_strategy(),
+        extra in proptest::collection::vec(path_strategy(), 1..4),
+        tr1 in tx_strategy(),
+        tr2 in tx_strategy(),
+        f in unit_param_strategy(),
+        gamma in unit_param_strategy(),
+    ) {
+        // Serving prepares representatives against the model's table and
+        // scores under a session table that appends query paths after
+        // them: every earlier rank keeps its meaning.
+        let mut fx = kernel_fixture(&paths, &vectors);
+        let mut interner = Interner::new();
+        let mut table = PathTable::new();
+        let base: Vec<PathId> = paths
+            .iter()
+            .map(|p| table.intern(&to_symbols(p, &mut interner)))
+            .collect();
+        fx.tag_paths = base.clone();
+        let mut base_sorted = base.clone();
+        base_sorted.sort_unstable();
+        base_sorted.dedup();
+        let base_table = TagPathSimTable::build(&base_sorted, &table);
+        let mut appended = base_sorted.clone();
+        for p in &extra {
+            let id = table.intern(&to_symbols(p, &mut interner));
+            if !appended.contains(&id) {
+                appended.push(id);
+            }
+        }
+        let session_table = TagPathSimTable::build(&appended, &table);
+        let a = spec_views(&fx, &tr1);
+        let b = spec_views(&fx, &tr2);
+        let mut reps = PreparedSlab::new();
+        reps.push(&base_table, b.iter().copied());
+        let mut query = PreparedSlab::new();
+        query.push(&session_table, a.iter().copied());
+        let ctx = SimCtx::new(&session_table, SimParams::new(f, gamma));
+        let prepared = sim_gamma_j_prepared(
+            &ctx,
+            query.get(0).expect("query"),
+            reps.get(0).expect("rep"),
+            &mut ScoreScratch::default(),
+        );
+        let reference = sim_gamma_j_reference(&SimCtx::new(&base_table, SimParams::new(f, gamma)), &a, &b);
+        prop_assert_eq!(prepared.to_bits(), reference.to_bits());
+    }
+}
+
+#[test]
+fn prepared_kernel_conventions_on_empty_transactions() {
+    let fx = kernel_fixture(&[vec![1, 2]], &[vec![(1, 2.0)], vec![]]);
+    let ctx = SimCtx::new(&fx.table, SimParams::new(0.5, 0.5));
+    let item = spec_views(&fx, &vec![(0, 0, 7)]);
+    let empty_tcu = spec_views(&fx, &vec![(0, 1, 8)]);
+    let none: Vec<ItemView<'_>> = Vec::new();
+    let slab = PreparedSlab::build(
+        &fx.table,
+        [&none, &item, &empty_tcu].iter().map(|t| t.iter().copied()),
+    );
+    let mut scratch = ScoreScratch::default();
+    let score = |i: usize, j: usize, scratch: &mut ScoreScratch| {
+        sim_gamma_j_prepared(&ctx, slab.get(i).unwrap(), slab.get(j).unwrap(), scratch)
+    };
+    assert_eq!(score(0, 0, &mut scratch), 1.0, "simγJ(∅, ∅) = 1");
+    assert_eq!(score(0, 1, &mut scratch).to_bits(), 0.0f64.to_bits());
+    assert_eq!(score(1, 0, &mut scratch).to_bits(), 0.0f64.to_bits());
+    assert_eq!(score(1, 1, &mut scratch), 1.0);
+    // An empty TCU against itself is identical content (sim_C = 1).
+    assert_eq!(score(2, 2, &mut scratch), 1.0);
+    assert!(slab.get(3).is_none());
 }
