@@ -1,6 +1,6 @@
 //! The five analyses. Each check walks pre-scanned files and appends
-//! [`Diagnostic`](crate::report::Diagnostic)s to the shared report;
-//! suppression filtering is applied here so every check behaves the same.
+//! [`Diagnostic`]s to the shared report; suppression filtering is applied
+//! here so every check behaves the same.
 
 pub mod atomic_ordering;
 pub mod event_loop;

@@ -1,8 +1,11 @@
 //! Criterion micro-benchmarks for the pipeline stages: parsing, tree-tuple
-//! extraction, the similarity kernels (Eqs. 1-4), scoring a tuple against
-//! k representatives and representative computation.
+//! extraction (the DOM oracle's numbers), the document pipeline every
+//! production path reads documents through, the similarity kernels
+//! (Eqs. 1-4), scoring a tuple against k representatives and
+//! representative computation.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
+use cxk_bench::data::prepare_dblp_dialects;
 use cxk_bench::{prepare, CorpusKind};
 use cxk_core::{compute_local_representative, rep::prepare_representatives, EngineBuilder};
 use cxk_corpus::dblp::{generate, DblpConfig};
@@ -10,9 +13,14 @@ use cxk_transact::txsim::{
     gamma_shared, sim_gamma_j, sim_gamma_j_prepared, sim_gamma_j_reference, PreparedSlab,
     ScoreScratch,
 };
-use cxk_transact::{pathsim, BuildOptions, DatasetBuilder, SimParams};
-use cxk_util::Interner;
-use cxk_xml::{count_tree_tuples, extract_tree_tuples, parse_document, ParseOptions, TupleLimits};
+use cxk_transact::{
+    pathsim, BuildOptions, DatasetBuilder, DocumentPipeline, ItemId, ItemWeights, SimParams,
+};
+use cxk_util::{FxHashMap, Interner};
+use cxk_xml::{
+    count_tree_tuples, extract_document, extract_tree_tuples, parse_document, ParseOptions,
+    TupleLimits,
+};
 
 fn bench_parser(c: &mut Criterion) {
     let corpus = generate(&DblpConfig {
@@ -63,6 +71,73 @@ fn bench_tuple_extraction(c: &mut Criterion) {
             }
         })
     });
+}
+
+/// The document pipeline over DBLP documents in three dialects, in
+/// documents per second: SAX extraction alone, then the whole pipeline
+/// (extraction, preprocessing, `ttf.itf` weighting) in serving mode —
+/// statistics frozen at a trained collection's, each document its own
+/// averaging scope — and in training mode: `DatasetBuilder`, every
+/// document joining live statistics, weighted as one collection.
+fn bench_document_pipeline(c: &mut Criterion) {
+    let model = prepare_dblp_dialects(0.3, 7, 3).dataset;
+    let docs = generate(&DblpConfig {
+        documents: 50,
+        seed: 8,
+        dialects: 3,
+    })
+    .documents;
+    let options = BuildOptions::default();
+
+    let mut group = c.benchmark_group("document_pipeline_50_dblp_docs");
+    group.throughput(Throughput::Elements(docs.len() as u64));
+    // A warm serving session's tables: the model's, grown by the first
+    // iteration's unseen markup and terms.
+    let (mut labels, mut vocabulary, mut paths) = (
+        model.labels.clone(),
+        model.vocabulary.clone(),
+        model.paths.clone(),
+    );
+    group.bench_function("sax_extract", |b| {
+        b.iter(|| {
+            for doc in &docs {
+                black_box(
+                    extract_document(doc, &mut labels, &options.parse, &options.limits)
+                        .expect("valid document"),
+                );
+            }
+        })
+    });
+    group.bench_function("serving", |b| {
+        b.iter(|| {
+            let mut pipeline = DocumentPipeline {
+                options: &options,
+                labels: &mut labels,
+                vocabulary: &mut vocabulary,
+                paths: &mut paths,
+            };
+            for doc in &docs {
+                let parsed = pipeline.parse(doc, None).expect("valid document");
+                let mut domain = FxHashMap::default();
+                let mut weights = ItemWeights::default();
+                let tuples = parsed.weigh(&model.term_stats, &mut weights, |leaf| {
+                    let next = ItemId(domain.len() as u32);
+                    *domain.entry(leaf.key()).or_insert(next)
+                });
+                black_box((tuples, weights.into_vectors().count()));
+            }
+        })
+    });
+    group.bench_function("training", |b| {
+        b.iter(|| {
+            let mut builder = DatasetBuilder::new(BuildOptions::default());
+            for doc in &docs {
+                builder.add_xml(doc).expect("valid document");
+            }
+            black_box(builder.finish())
+        })
+    });
+    group.finish();
 }
 
 fn bench_path_similarity(c: &mut Criterion) {
@@ -185,29 +260,12 @@ fn bench_local_representative(c: &mut Criterion) {
     });
 }
 
-fn bench_dataset_build(c: &mut Criterion) {
-    let corpus = generate(&DblpConfig {
-        documents: 60,
-        seed: 5,
-        dialects: 1,
-    });
-    c.bench_function("dataset_build_60_docs", |b| {
-        b.iter(|| {
-            let mut builder = DatasetBuilder::new(BuildOptions::default());
-            for doc in &corpus.documents {
-                builder.add_xml(doc).unwrap();
-            }
-            black_box(builder.finish())
-        })
-    });
-}
-
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = bench_parser, bench_tuple_extraction, bench_path_similarity,
+    targets = bench_parser, bench_tuple_extraction, bench_document_pipeline,
+              bench_path_similarity,
               bench_transaction_similarity, bench_tuple_vs_representatives,
-              bench_local_representative,
-              bench_dataset_build
+              bench_local_representative
 }
 criterion_main!(benches);

@@ -21,7 +21,7 @@ use crate::localrep::compute_local_representative;
 use crate::outcome::{ClusteringOutcome, RoundTrace};
 use crate::rep::{prepare_representatives, Representative};
 use cxk_p2p::{CostModel, RoundSample, SimClock};
-use cxk_transact::txsim::{sim_gamma_j_prepared, PreparedSlab, ScoreScratch};
+use cxk_transact::txsim::{argmax_prepared, PreparedSlab, ScoreScratch};
 use cxk_transact::{Dataset, SimCtx, SimParams};
 use cxk_util::DetRng;
 use rayon::prelude::*;
@@ -476,7 +476,8 @@ pub(crate) fn local_clustering_phase(
 
 /// Assigns each transaction in `local` to the best representative: trash
 /// when `simγJ` is zero for every representative, otherwise the argmax
-/// (ties to the lowest cluster id). `reps` are the representatives
+/// (ties to the lowest cluster id) — the relocation rule of
+/// [`argmax_prepared`]. `reps` are the representatives
 /// prepared against `ctx`'s table (see
 /// [`prepare_representatives`](crate::rep::prepare_representatives)).
 /// Adds comparison work to `work`. Shared with the PK-means baseline.
@@ -503,19 +504,13 @@ pub(crate) fn relocate_slice(
                 .map(|id| ds.items[id.index()].view());
             let query = PreparedSlab::build(ctx.tag_sim, [tx]);
             let mut scratch = ScoreScratch::default();
-            let mut best_j = k as u32;
-            let mut best_s = 0.0f64;
-            if let Some(query) = query.get(0) {
-                for (j, rep) in reps.iter().enumerate() {
-                    let s = sim_gamma_j_prepared(ctx, query, rep, &mut scratch);
-                    if s > best_s {
-                        best_s = s;
-                        best_j = j as u32;
-                    }
+            match query.get(0) {
+                Some(query) => {
+                    let ids = 0..reps.len() as u32;
+                    argmax_prepared(ctx, query, reps, ids, k as u32, &mut scratch)
                 }
+                None => (k as u32, 0.0),
             }
-            let new = if best_s == 0.0 { k as u32 } else { best_j };
-            (new, best_s)
         })
         .collect();
     let mut result = Relocation::default();

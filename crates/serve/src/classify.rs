@@ -1,11 +1,12 @@
 //! Online classification of XML documents against a trained model.
 //!
-//! Classification mirrors the training pipeline with **frozen corpus
-//! statistics**: the incoming document is parsed, its tree tuples
-//! extracted, and every TCU weighted with `ttf.itf` against the training
+//! Classification reads the incoming document through the training
+//! pipeline (`cxk_transact::pipeline`, no DOM) with **frozen corpus
+//! statistics**: every TCU is weighted with `ttf.itf` against the training
 //! collection's `N_T` / `n_{j,T}` — the document does *not* join the
 //! collection, so classification is read-only with respect to the model's
-//! statistics and any arrival order of requests yields identical scores.
+//! statistics and any arrival order of requests yields identical scores —
+//! and an item's weight averages its occurrences in this one document.
 //! (Unseen terms get `n_{j,T} = 0` and weight 0; unseen tags only ever
 //! exact-match themselves, so the symbols they intern into the session's
 //! private interners cannot affect similarities either.)
@@ -24,9 +25,10 @@
 //!   (`crate::shard`) is built on.
 //!
 //! Each tree tuple is assigned by the paper's relocation rule — argmax of
-//! `simγJ` over the representatives, trash when every similarity is zero —
-//! and the document aggregates its tuples by summed similarity per
-//! cluster. [`Classifier::classify`] consults the index first;
+//! `simγJ` over the representatives, trash when every similarity is zero
+//! (`argmax_prepared`, the rule training uses) — and the document
+//! aggregates its tuples by summed similarity per cluster.
+//! [`Classifier::classify`] consults the index first;
 //! [`Classifier::classify_brute`] scores every representative. The two are
 //! guaranteed to agree exactly (see the `index` module docs), and the
 //! sharded scatter/gather path ([`crate::shard::ShardedClassifier`])
@@ -42,14 +44,15 @@ use crate::tree::{TreeClassifier, TreeEngine};
 use cxk_core::rep::RepItem;
 use cxk_core::TrainedModel;
 use cxk_p2p::NetworkError;
-use cxk_text::{preprocess, ttf_itf, SparseVec, TermStatsBuilder};
-use cxk_transact::item::{item_fingerprint, ItemView};
-use cxk_transact::txsim::{sim_gamma_j_prepared, PreparedSlab, PreparedTx, ScoreScratch};
-use cxk_transact::{SimCtx, SimParams, TagPathSimTable};
-use cxk_util::{FxHashMap, FxHashSet, Interner, Symbol};
-use cxk_xml::parser::{parse_document, XmlError};
-use cxk_xml::path::{leaf_tag_path, PathId, PathTable};
-use cxk_xml::tuple::{count_tree_tuples, extract_tree_tuples};
+use cxk_text::{SparseVec, TermStatsBuilder};
+use cxk_transact::item::{item_fingerprint, ItemId, ItemView};
+use cxk_transact::txsim::{
+    argmax_prepared, sim_gamma_j_prepared, PreparedSlab, PreparedTx, ScoreScratch,
+};
+use cxk_transact::{DocumentPipeline, ItemWeights, SimCtx, SimParams, TagPathSimTable};
+use cxk_util::{FxHashMap, FxHashSet, Interner};
+use cxk_xml::parser::XmlError;
+use cxk_xml::path::{PathId, PathTable};
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -244,7 +247,7 @@ impl Scorer {
         }
     }
 
-    /// [`argmax_tuple`] over the selected candidates within `range` (the
+    /// [`argmax_prepared`] over the selected candidates within `range` (the
     /// range the selecting index covers); also returns how many were
     /// scored.
     pub(crate) fn argmax_selected(
@@ -259,11 +262,11 @@ impl Scorer {
             return (trash, 0.0, scored);
         };
         let ids = self.candidates.ids_in(range);
-        let (id, sim) = argmax_tuple(ctx, query, reps, ids, trash, &mut self.scratch);
+        let (id, sim) = argmax_prepared(ctx, query, reps, ids, trash, &mut self.scratch);
         (id, sim, scored)
     }
 
-    /// [`argmax_tuple`] over explicit ascending `ids`.
+    /// [`argmax_prepared`] over explicit ascending `ids`.
     pub(crate) fn argmax(
         &mut self,
         ctx: &SimCtx<'_>,
@@ -272,7 +275,7 @@ impl Scorer {
         trash: u32,
     ) -> (u32, f64) {
         match self.query.get(0) {
-            Some(query) => argmax_tuple(ctx, query, reps, ids, trash, &mut self.scratch),
+            Some(query) => argmax_prepared(ctx, query, reps, ids, trash, &mut self.scratch),
             None => (trash, 0.0),
         }
     }
@@ -370,154 +373,69 @@ impl QuerySession {
         self.scorer.score(&ctx, rep)
     }
 
-    /// Parses `xml` and produces its query transactions: per tree tuple, a
-    /// list of items weighted against the frozen corpus statistics
-    /// (`term_stats` is the model's).
+    /// Reads `xml` through the document pipeline and produces its query
+    /// transactions: per tree tuple, the deduplicated items weighted
+    /// against the model's frozen `term_stats` — the document does not join
+    /// them — each averaged over its occurrences in this document.
     pub(crate) fn extract(
         &mut self,
         xml: &str,
         term_stats: &TermStatsBuilder,
     ) -> Result<QueryTuples, XmlError> {
-        let tree = parse_document(xml, &mut self.labels, &self.build.parse)?;
-        let capped = count_tree_tuples(&tree) > self.build.limits.max_tuples_per_tree as u64;
-        let tuples = extract_tree_tuples(&tree, &self.build.limits);
-
-        // Per-leaf preprocessing, mirroring the batch builder.
-        struct Leaf {
-            path: PathId,
-            tag_path: PathId,
-            raw: String,
-            terms: Vec<Symbol>,
-            distinct: Vec<Symbol>,
+        let doc = DocumentPipeline {
+            options: &self.build,
+            labels: &mut self.labels,
+            vocabulary: &mut self.vocabulary,
+            paths: &mut self.paths,
         }
-        let mut leaves: Vec<Leaf> = Vec::new();
-        let mut leaf_index: FxHashMap<cxk_xml::tree::NodeId, u32> = FxHashMap::default();
-        let mut term_doc_counts: FxHashMap<Symbol, u32> = FxHashMap::default();
+        .parse(xml, None)?;
+
         let mut new_tag_paths = false;
-        for leaf in tree.leaves() {
-            let complete = tree.label_path(leaf);
-            let path = self.paths.intern(&complete);
-            let tag = leaf_tag_path(&tree, leaf);
-            let tag_path = self.paths.intern(&tag);
-            new_tag_paths |= self.tag_sim.observe(tag_path);
-            let raw = tree.node(leaf).value().unwrap_or_default().to_string();
-            let terms = preprocess(&raw, &mut self.vocabulary, &self.build.pipeline);
-            let mut distinct = terms.clone();
-            distinct.sort_unstable();
-            distinct.dedup();
-            // The document does NOT join the collection statistics — but
-            // its own document-level counts participate in ttf.itf.
-            for &t in &distinct {
-                *term_doc_counts.entry(t).or_insert(0) += 1;
-            }
-            leaf_index.insert(leaf, leaves.len() as u32);
-            leaves.push(Leaf {
-                path,
-                tag_path,
-                raw,
-                terms,
-                distinct,
-            });
+        for leaf in doc.leaves() {
+            new_tag_paths |= self.tag_sim.observe(leaf.tag_path);
         }
-
         if new_tag_paths {
             // Unseen markup: extend the precomputed structural table so
             // sim_S lookups cover the query paths (any index is over the
             // representatives only and needs no rebuild, and the prepared
             // representatives keep their ranks).
             self.tag_sim
-                .rebuild(&self.paths, leaves.iter().map(|l| l.tag_path));
+                .rebuild(&self.paths, doc.leaves().iter().map(|l| l.tag_path));
         }
 
-        let n_xt = leaves.len() as u32;
-        let n_t = term_stats.total_tcus();
-
-        // Document-wide item domain keyed by (path, answer), averaging the
-        // ttf.itf weights over the item's occurrences within the document —
-        // the batch builder's reconciliation scoped to one document.
-        let mut domain: FxHashMap<(PathId, Box<str>), u32> = FxHashMap::default();
-        struct QueryItem {
-            item: RepItem,
-            acc: FxHashMap<Symbol, f64>,
-            occurrences: u32,
-        }
-        let mut items: Vec<QueryItem> = Vec::new();
-        let mut tuple_item_ids: Vec<Vec<u32>> = Vec::with_capacity(tuples.len());
-
-        for tuple in &tuples {
-            let n_tau = tuple.leaves.len() as u32;
-            let mut tuple_counts: FxHashMap<Symbol, u32> = FxHashMap::default();
-            for leaf in &tuple.leaves {
-                let li = leaf_index[leaf] as usize;
-                for &t in &leaves[li].distinct {
-                    *tuple_counts.entry(t).or_insert(0) += 1;
-                }
-            }
-
-            let mut ids: Vec<u32> = Vec::with_capacity(tuple.leaves.len());
-            for leaf in &tuple.leaves {
-                let li = leaf_index[leaf] as usize;
-                let leaf_data = &leaves[li];
-                let key = (leaf_data.path, leaf_data.raw.clone().into_boxed_str());
-                let id = *domain.entry(key).or_insert_with(|| {
-                    items.push(QueryItem {
-                        item: RepItem {
-                            path: leaf_data.path,
-                            tag_path: leaf_data.tag_path,
-                            vector: SparseVec::new(),
-                            fingerprint: item_fingerprint(leaf_data.path, &leaf_data.raw),
-                            source: None,
-                        },
-                        acc: FxHashMap::default(),
-                        occurrences: 0,
-                    });
-                    (items.len() - 1) as u32
+        let mut domain: FxHashMap<(PathId, Box<str>), ItemId> = FxHashMap::default();
+        let mut items: Vec<RepItem> = Vec::new();
+        let mut weights = ItemWeights::default();
+        let tuples = doc.weigh(term_stats, &mut weights, |leaf| {
+            *domain.entry(leaf.key()).or_insert_with(|| {
+                items.push(RepItem {
+                    path: leaf.path,
+                    tag_path: leaf.tag_path,
+                    vector: SparseVec::new(),
+                    fingerprint: item_fingerprint(leaf.path, &leaf.raw),
+                    source: None,
                 });
-                ids.push(id);
-
-                let entry = &mut items[id as usize];
-                entry.occurrences += 1;
-                let mut tf: FxHashMap<Symbol, u32> = FxHashMap::default();
-                for &t in &leaf_data.terms {
-                    *tf.entry(t).or_insert(0) += 1;
-                }
-                for (&term, &count) in &tf {
-                    let nj_tau = tuple_counts.get(&term).copied().unwrap_or(0);
-                    let nj_xt = term_doc_counts.get(&term).copied().unwrap_or(0);
-                    let nj_t = term_stats.tcus_containing(term);
-                    let w = ttf_itf(count, nj_tau, n_tau, nj_xt, n_xt, nj_t, n_t);
-                    *entry.acc.entry(term).or_insert(0.0) += w;
-                }
-            }
-            tuple_item_ids.push(ids);
+                ItemId(items.len() as u32 - 1)
+            })
+        });
+        for (item, vector) in items.iter_mut().zip(weights.into_vectors()) {
+            item.vector = vector;
         }
 
-        let items: Vec<RepItem> = items
-            .into_iter()
-            .map(|q| {
-                let n = f64::from(q.occurrences.max(1));
-                let pairs: Vec<(Symbol, f64)> = q.acc.iter().map(|(&t, &w)| (t, w / n)).collect();
-                RepItem {
-                    vector: SparseVec::from_pairs(pairs),
-                    ..q.item
-                }
-            })
-            .collect();
-
-        let transactions = tuple_item_ids
+        let transactions = tuples
             .into_iter()
             .map(|ids| {
                 // Transactions are item *sets*: deduplicate repeated items.
-                let mut seen: FxHashSet<u32> = FxHashSet::default();
+                let mut seen: FxHashSet<ItemId> = FxHashSet::default();
                 ids.into_iter()
                     .filter(|&id| seen.insert(id))
-                    .map(|id| items[id as usize].clone())
+                    .filter_map(|id| items.get(id.index()).cloned())
                     .collect()
             })
             .collect();
         Ok(QueryTuples {
             transactions,
-            capped,
+            capped: doc.capped(),
         })
     }
 }
@@ -530,39 +448,6 @@ pub(crate) struct QueryTuples {
     pub transactions: Vec<Vec<RepItem>>,
     /// The document exceeded `TupleLimits::max_tuples_per_tree`.
     pub capped: bool,
-}
-
-/// The relocation rule over one candidate stream: argmax of `simγJ` with
-/// ties to the lowest id, `(k, 0.0)` (trash) when nothing scores above
-/// zero. `ids` must ascend for the tie-break to pick the lowest id —
-/// every caller iterates a candidate bitset or an id range. `query` and
-/// `reps` must be prepared against tables that agree with `ctx`'s ranks;
-/// an id with no prepared representative scores nothing.
-pub(crate) fn argmax_tuple(
-    ctx: &SimCtx<'_>,
-    query: PreparedTx<'_>,
-    reps: &PreparedSlab,
-    ids: impl Iterator<Item = u32>,
-    trash: u32,
-    scratch: &mut ScoreScratch,
-) -> (u32, f64) {
-    let mut best_j = trash;
-    let mut best_s = 0.0f64;
-    for j in ids {
-        let Some(rep) = reps.get(j as usize) else {
-            continue;
-        };
-        let s = sim_gamma_j_prepared(ctx, query, rep, scratch);
-        if s > best_s {
-            best_s = s;
-            best_j = j;
-        }
-    }
-    if best_s == 0.0 {
-        (trash, 0.0)
-    } else {
-        (best_j, best_s)
-    }
 }
 
 /// Document aggregate over per-tuple assignments: summed similarity per

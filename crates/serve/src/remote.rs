@@ -36,11 +36,11 @@
 //!   `from_pairs` over the shipped `(symbol, bits)` pairs reproduces the
 //!   vector bit-for-bit — no floating-point arithmetic happens in transit,
 //!   and weights are computed once, on the frontend.
-//! * **Unchanged gather.** Daemons run the same
-//!   [`argmax_tuple`](crate::classify) over their range (strict `>`,
-//!   lowest id wins ties); the frontend gathers in ascending range order
-//!   with the same strict `>` and declares trash exactly when the global
-//!   best is `0.0`.
+//! * **Unchanged gather.** Daemons score their range under the relocation
+//!   rule (`cxk_transact::txsim::argmax_prepared`: strict `>`, lowest id
+//!   wins ties); the frontend gathers their answers in ascending range
+//!   order with the same rule (`gather_best`), which declares trash
+//!   exactly when the global best is `0.0`.
 //!
 //! # Failover contract
 //!
@@ -69,7 +69,7 @@ use cxk_core::{save_model, snapshot_digest, TrainedModel};
 use cxk_p2p::{FramedConn, NetworkError, PeerId, TrafficLedger, Wire, WireCodec, WireReader};
 use cxk_text::SparseVec;
 use cxk_transact::item::ItemView;
-use cxk_transact::{PreparedSlab, SimCtx};
+use cxk_transact::{gather_best, PreparedSlab, SimCtx};
 use cxk_util::Symbol;
 use cxk_xml::path::{PathId, PathTable};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -365,9 +365,9 @@ impl RangeSession {
     }
 
     /// Interns the shipped tuples into this session's tables and rebuilds
-    /// the similarity table when new tag paths arrived — mirroring
-    /// `QuerySession::extract`'s maintenance, minus the parsing (the
-    /// frontend already did that).
+    /// the similarity table when new tag paths arrived — the same
+    /// `SessionTagSim` upkeep as `QuerySession::extract`, minus the
+    /// parsing (the frontend already did that).
     #[allow(clippy::type_complexity)]
     fn intern_tuples(&mut self, tuples: &[WireTuple]) -> Vec<Vec<(PathId, SparseVec, u64)>> {
         let mut fresh = false;
@@ -877,24 +877,18 @@ impl RemoteClassifier {
         let trash = k as u32;
         let mut assignments = Vec::with_capacity(tuples.len());
         for t in 0..tuples.len() {
-            let mut best_j = trash;
-            let mut best_s = 0.0f64;
             let mut scored = 0usize;
-            // Slots ascend by range (coverage-checked), so strict `>`
-            // keeps the lowest winning id — the brute-force tie-break.
-            for answers in &per_shard {
-                let answer = &answers[t];
+            // Slots ascend by range (coverage-checked), so the relocation
+            // rule keeps the lowest winning id — the brute-force tie-break.
+            let answers = per_shard.iter().filter_map(|answers| {
+                let answer = answers.get(t)?;
                 scored += answer.scored as usize;
-                let sim = f64::from_bits(answer.sim_bits);
-                if sim > best_s {
-                    best_s = sim;
-                    best_j = answer.id;
-                }
-            }
-            let cluster = if best_s == 0.0 { trash } else { best_j };
+                Some((answer.id, f64::from_bits(answer.sim_bits)))
+            });
+            let (cluster, similarity) = gather_best(answers, trash);
             assignments.push(TupleAssignment {
                 cluster,
-                similarity: best_s,
+                similarity,
                 candidates: scored,
             });
         }

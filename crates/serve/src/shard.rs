@@ -56,7 +56,7 @@ use crate::classify::{aggregate_document, DocumentAssignment, QuerySession, Tupl
 use crate::index::TagPathIndex;
 use cxk_core::rep::RepItem;
 use cxk_core::TrainedModel;
-use cxk_transact::PreparedSlab;
+use cxk_transact::{gather_best, PreparedSlab};
 use cxk_xml::parser::XmlError;
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -217,35 +217,32 @@ impl ShardedEngine {
     ) -> TupleAssignment {
         let k = self.model.k() as u32;
         session.prepare(tuple);
-        let mut best_j = k;
-        let mut best_s = 0.0f64;
         let mut scored_total = 0usize;
-        for (shard, counters) in self.shards.iter().zip(&self.counters) {
-            if shard.is_empty() {
-                continue;
-            }
-            let (local_j, local_s, scored) = session.argmax_in(
-                self.model.params,
-                &self.reps,
-                tuple,
-                indexed.then_some(&shard.index),
-                shard.range(),
-                k,
-            );
-            counters.queries.fetch_add(1, Ordering::Relaxed);
-            counters.scored.fetch_add(scored as u64, Ordering::Relaxed);
-            scored_total += scored;
-            // Shards ascend, so a strict `>` resolves cross-shard ties to
-            // the lower id — exactly the brute-force scan order.
-            if local_s > best_s {
-                best_s = local_s;
-                best_j = local_j;
-            }
-        }
-        let cluster = if best_s == 0.0 { k } else { best_j };
+        let answers = self
+            .shards
+            .iter()
+            .zip(&self.counters)
+            .filter(|(shard, _)| !shard.is_empty())
+            .map(|(shard, counters)| {
+                let (local_j, local_s, scored) = session.argmax_in(
+                    self.model.params,
+                    &self.reps,
+                    tuple,
+                    indexed.then_some(&shard.index),
+                    shard.range(),
+                    k,
+                );
+                counters.queries.fetch_add(1, Ordering::Relaxed);
+                counters.scored.fetch_add(scored as u64, Ordering::Relaxed);
+                scored_total += scored;
+                (local_j, local_s)
+            });
+        // Shards ascend, so the relocation rule resolves cross-shard ties
+        // to the lower id — exactly the brute-force scan order.
+        let (cluster, similarity) = gather_best(answers, k);
         TupleAssignment {
             cluster,
-            similarity: best_s,
+            similarity,
             candidates: scored_total,
         }
     }

@@ -41,7 +41,7 @@
 //! kept nodes' leaf positions map through `leaf_order` to ids, sorted
 //! ascending, and the winner is chosen by the *unchanged* exact rule
 //! over exactly those candidates:
-//! `argmax_tuple` with strict `>`, ties to the lowest id, trash when
+//! `argmax_prepared` with strict `>`, ties to the lowest id, trash when
 //! the best similarity is 0. Document aggregation is byte-for-byte the
 //! code every other strategy runs.
 //!

@@ -5,13 +5,14 @@ use cxk_core::rep::prepare_representatives;
 use cxk_core::{
     compute_local_representative, CxkConfig, EngineBuilder, Representative, TrainedModel,
 };
-use cxk_text::{preprocess, ttf_itf, SparseVec};
-use cxk_transact::item::{item_fingerprint, Item, ItemId};
-use cxk_transact::txsim::{sim_gamma_j_prepared, PreparedSlab, ScoreScratch};
-use cxk_transact::{BuildOptions, Dataset, DatasetBuilder, ExactMatch, Transaction};
-use cxk_util::{FxHashMap, FxHashSet, Symbol};
-use cxk_xml::parser::{parse_document, XmlError};
-use cxk_xml::path::{leaf_tag_path, PathId};
+use cxk_transact::item::ItemId;
+use cxk_transact::txsim::{argmax_prepared, PreparedSlab, ScoreScratch};
+use cxk_transact::{
+    BuildOptions, Dataset, DatasetBuilder, DocumentPipeline, ExactMatch, ItemWeights, Transaction,
+};
+use cxk_util::{FxHashMap, FxHashSet};
+use cxk_xml::parser::XmlError;
+use cxk_xml::path::PathId;
 use std::time::Instant;
 
 /// Configuration for a [`StreamClusterer`].
@@ -104,10 +105,14 @@ impl StreamClusterer {
     /// # Errors
     /// Returns the first XML parse error.
     pub fn new(initial_docs: &[&str], opts: StreamOptions) -> Result<Self, XmlError> {
+        let mut builder = DatasetBuilder::new(opts.build.clone());
+        for doc in initial_docs {
+            builder.add_xml(doc)?;
+        }
         let mut this = Self {
             opts,
-            docs: Vec::new(),
-            ds: DatasetBuilder::new(BuildOptions::default()).finish(),
+            docs: initial_docs.iter().map(|d| d.to_string()).collect(),
+            ds: builder.finish(),
             assignments: Vec::new(),
             reps: Vec::new(),
             prepared: PreparedSlab::new(),
@@ -115,14 +120,7 @@ impl StreamClusterer {
             known_tag_paths: FxHashSet::default(),
             stats: StreamStats::default(),
         };
-        // Validate all documents before committing any state.
-        for doc in initial_docs {
-            let mut probe = DatasetBuilder::new(this.opts.build.clone());
-            probe.add_xml(doc)?;
-        }
-        this.docs = initial_docs.iter().map(|d| d.to_string()).collect();
-        this.rebuild_and_recluster();
-        this.stats.refreshes = 0;
+        this.recluster();
         Ok(this)
     }
 
@@ -180,122 +178,48 @@ impl StreamClusterer {
     /// Returns the parse error without changing any state.
     pub fn push(&mut self, xml: &str) -> Result<ArrivalReport, XmlError> {
         let k = self.opts.config.k;
-        let tree = parse_document(xml, &mut self.ds.labels, &self.opts.build.parse)?;
+        // Arrival-time statistics: the collection-level factors include
+        // this document before its own TCUs are weighted.
+        let doc = DocumentPipeline {
+            options: &self.opts.build,
+            labels: &mut self.ds.labels,
+            vocabulary: &mut self.ds.vocabulary,
+            paths: &mut self.ds.paths,
+        }
+        .parse(xml, Some(&mut self.ds.term_stats))?;
         let doc_index = self.docs.len();
         self.docs.push(xml.to_string());
 
-        let tuples = cxk_xml::extract_tree_tuples(&tree, &self.opts.build.limits);
-
-        // Per-leaf preprocessing, mirroring the batch builder.
-        struct Leaf {
-            path: PathId,
-            tag_path: PathId,
-            raw: String,
-            terms: Vec<Symbol>,
-            distinct: Vec<Symbol>,
-        }
-        let mut leaves: Vec<Leaf> = Vec::new();
-        let mut leaf_index: FxHashMap<cxk_xml::NodeId, u32> = FxHashMap::default();
-        let mut term_doc_counts: FxHashMap<Symbol, u32> = FxHashMap::default();
         let mut new_tag_paths = false;
-        for leaf in tree.leaves() {
-            let complete = tree.label_path(leaf);
-            let path = self.ds.paths.intern(&complete);
-            let tag = leaf_tag_path(&tree, leaf);
-            let tag_path = self.ds.paths.intern(&tag);
-            new_tag_paths |= self.known_tag_paths.insert(tag_path) && !self.ds.items.is_empty();
-            let raw = tree.node(leaf).value().unwrap_or_default().to_string();
-            let terms = preprocess(&raw, &mut self.ds.vocabulary, &self.opts.build.pipeline);
-            let mut distinct = terms.clone();
-            distinct.sort_unstable();
-            distinct.dedup();
-            // Arrival-time statistics: the collection-level factors include
-            // this document before its own TCUs are weighted.
-            self.ds.term_stats.add_tcu(&distinct);
-            for &t in &distinct {
-                *term_doc_counts.entry(t).or_insert(0) += 1;
-            }
-            leaf_index.insert(leaf, leaves.len() as u32);
-            leaves.push(Leaf {
-                path,
-                tag_path,
-                raw,
-                terms,
-                distinct,
-            });
+        for leaf in doc.leaves() {
+            new_tag_paths |=
+                self.known_tag_paths.insert(leaf.tag_path) && !self.ds.items.is_empty();
         }
 
-        let n_xt = leaves.len() as u32;
-        let n_t = self.ds.term_stats.total_tcus();
-        // Weight accumulation for items *first materialized by this
-        // document* (averaged over their occurrences within it, like the
-        // batch builder averages over all occurrences).
-        let mut fresh_acc: FxHashMap<ItemId, (FxHashMap<Symbol, f64>, u32)> = FxHashMap::default();
-        let mut new_transactions: Vec<usize> = Vec::new();
-
-        for tuple in &tuples {
-            let n_tau = tuple.leaves.len() as u32;
-            let mut tuple_counts: FxHashMap<Symbol, u32> = FxHashMap::default();
-            for leaf in &tuple.leaves {
-                let li = leaf_index[leaf] as usize;
-                for &t in &leaves[li].distinct {
-                    *tuple_counts.entry(t).or_insert(0) += 1;
-                }
-            }
-
-            let mut tx_items: Vec<ItemId> = Vec::with_capacity(tuple.leaves.len());
-            for leaf in &tuple.leaves {
-                let li = leaf_index[leaf] as usize;
-                let leaf_data = &leaves[li];
-                let key = (leaf_data.path, leaf_data.raw.clone().into_boxed_str());
-                let (id, fresh) = match self.item_index.get(&key) {
-                    Some(&id) => (id, false),
-                    None => {
-                        let id = ItemId(self.ds.items.len() as u32);
-                        self.ds.items.push(Item {
-                            path: leaf_data.path,
-                            tag_path: leaf_data.tag_path,
-                            raw: leaf_data.raw.clone().into_boxed_str(),
-                            terms: leaf_data.terms.clone(),
-                            vector: SparseVec::new(),
-                            fingerprint: item_fingerprint(leaf_data.path, &leaf_data.raw),
-                        });
-                        self.item_index.insert(key, id);
-                        (id, true)
-                    }
-                };
-                tx_items.push(id);
-                // Existing items keep their frozen vectors (the documented
-                // streaming approximation); fresh items accumulate
-                // arrival-time weights.
-                if fresh || fresh_acc.contains_key(&id) {
-                    let entry = fresh_acc.entry(id).or_default();
-                    entry.1 += 1;
-                    let mut tf: FxHashMap<Symbol, u32> = FxHashMap::default();
-                    for &t in &leaf_data.terms {
-                        *tf.entry(t).or_insert(0) += 1;
-                    }
-                    for (&term, &count) in &tf {
-                        let nj_tau = tuple_counts.get(&term).copied().unwrap_or(0);
-                        let nj_xt = term_doc_counts.get(&term).copied().unwrap_or(0);
-                        let nj_t = self.ds.term_stats.tcus_containing(term);
-                        let w = ttf_itf(count, nj_tau, n_tau, nj_xt, n_xt, nj_t, n_t);
-                        *entry.0.entry(term).or_insert(0.0) += w;
-                    }
-                }
-            }
-            new_transactions.push(self.ds.transactions.len());
-            self.ds.transactions.push(Transaction::new(tx_items));
+        // Only items this document is the first to show get vectors,
+        // averaged over their occurrences within it; existing items keep
+        // their frozen vectors (the documented streaming approximation).
+        let first_new = ItemId(self.ds.items.len() as u32);
+        let mut weights = ItemWeights::from_item(first_new);
+        let tuples = doc.weigh(&self.ds.term_stats, &mut weights, |leaf| {
+            *self.item_index.entry(leaf.key()).or_insert_with(|| {
+                self.ds.items.push(leaf.item());
+                ItemId(self.ds.items.len() as u32 - 1)
+            })
+        });
+        let fresh = self.ds.items[first_new.index()..].iter_mut();
+        for (item, vector) in fresh.zip(weights.into_vectors()) {
+            self.ds.stats.max_tcu_nnz = self.ds.stats.max_tcu_nnz.max(vector.nnz());
+            item.vector = vector;
+        }
+        let first_transaction = self.ds.transactions.len();
+        for ids in tuples {
+            let tr = Transaction::new(ids);
+            self.ds.stats.max_transaction_len = self.ds.stats.max_transaction_len.max(tr.len());
+            self.ds.transactions.push(tr);
             self.ds.doc_of.push(doc_index as u32);
         }
-
-        for (id, (acc, occurrences)) in fresh_acc {
-            let n = f64::from(occurrences.max(1));
-            let pairs: Vec<(Symbol, f64)> = acc.iter().map(|(&t, &w)| (t, w / n)).collect();
-            let vector = SparseVec::from_pairs(pairs);
-            self.ds.stats.max_tcu_nnz = self.ds.stats.max_tcu_nnz.max(vector.nnz());
-            self.ds.items[id.index()].vector = vector;
-        }
+        let new_transactions = first_transaction..self.ds.transactions.len();
 
         if new_tag_paths {
             // A markup shape never seen before: extend the precomputed
@@ -311,14 +235,7 @@ impl StreamClusterer {
         self.ds.stats.items = self.ds.items.len();
         self.ds.stats.vocabulary = self.ds.vocabulary.len();
         self.ds.stats.total_tcus = self.ds.term_stats.total_tcus();
-        self.ds.stats.max_depth = self.ds.stats.max_depth.max(tree.depth());
-        self.ds.stats.max_transaction_len = self.ds.stats.max_transaction_len.max(
-            new_transactions
-                .iter()
-                .map(|&t| self.ds.transactions[t].len())
-                .max()
-                .unwrap_or(0),
-        );
+        self.ds.stats.max_depth = self.ds.stats.max_depth.max(doc.depth());
 
         // Assign the new transactions against the frozen representatives.
         let ctx = self.ds.sim_ctx(self.opts.config.params);
@@ -326,21 +243,16 @@ impl StreamClusterer {
         let mut trash = 0usize;
         let mut query = PreparedSlab::new();
         let mut scratch = ScoreScratch::default();
-        for &t in &new_transactions {
+        for t in new_transactions {
             query.clear();
             query.push(ctx.tag_sim, self.ds.views(&self.ds.transactions[t]));
-            let mut best_j = k as u32;
-            let mut best_s = 0.0f64;
-            if let Some(tx) = query.get(0) {
-                for (j, rep) in self.prepared.iter().enumerate() {
-                    let s = sim_gamma_j_prepared(&ctx, tx, rep, &mut scratch);
-                    if s > best_s {
-                        best_s = s;
-                        best_j = j as u32;
-                    }
+            let (choice, _) = match query.get(0) {
+                Some(tx) => {
+                    let ids = 0..self.prepared.len() as u32;
+                    argmax_prepared(&ctx, tx, &self.prepared, ids, k as u32, &mut scratch)
                 }
-            }
-            let choice = if best_s == 0.0 { k as u32 } else { best_j };
+                None => (k as u32, 0.0),
+            };
             trash += usize::from(choice == k as u32);
             assigned.push(choice);
         }
@@ -386,7 +298,6 @@ impl StreamClusterer {
     /// Full rebuild + re-clustering + representative recomputation.
     /// Returns `(rounds, converged)` of the clustering.
     fn rebuild_and_recluster(&mut self) -> (usize, bool) {
-        let k = self.opts.config.k;
         let mut builder = DatasetBuilder::new(self.opts.build.clone());
         for doc in &self.docs {
             builder
@@ -394,6 +305,13 @@ impl StreamClusterer {
                 .expect("documents were parsed successfully when pushed");
         }
         self.ds = builder.finish();
+        self.recluster()
+    }
+
+    /// Re-clusters the current dataset and recomputes the representatives.
+    /// Returns `(rounds, converged)` of the clustering.
+    fn recluster(&mut self) -> (usize, bool) {
+        let k = self.opts.config.k;
         self.item_index = self
             .ds
             .items

@@ -1,28 +1,23 @@
 //! Dataset construction: XML documents → tree tuples → transactions.
 //!
-//! [`DatasetBuilder`] runs the full preprocessing pipeline of Fig. 1(b):
-//! parse each document, extract its tree tuples (§3.2), build the
-//! collection-wide item domain keyed by `(complete path, answer)` (§3.3,
-//! Fig. 4), preprocess every TCU, and weight terms with `ttf.itf` (§4.1.2).
-//!
-//! An item shared by several tuples/documents (e.g. `booktitle = 'KDD'`)
-//! receives the **average** of its per-occurrence `ttf.itf` weights: the
-//! paper defines the weight per occurrence (`w_j` in `u_i` *with respect to
-//! τ*) but assigns one vector per item in the transactional view; averaging
-//! over occurrences is the canonical reconciliation and is recorded in
-//! `DESIGN.md`.
+//! [`DatasetBuilder`] runs every document through the
+//! [document pipeline](crate::pipeline) of Fig. 1(b) — parse, extract its
+//! tree tuples (§3.2), preprocess every TCU — with live collection
+//! statistics, then builds the collection-wide item domain keyed by
+//! `(complete path, answer)` (§3.3, Fig. 4) and weights its terms with
+//! `ttf.itf` (§4.1.2) against the whole collection.
 
-use crate::item::{item_fingerprint, Item, ItemId};
+use crate::item::{Item, ItemId};
 use crate::itemsim::{SimCtx, SimParams};
 use crate::pathsim::TagPathSimTable;
+use crate::pipeline::{DocumentPipeline, ItemWeights, ParsedDocument};
 use crate::transaction::Transaction;
-use cxk_text::{preprocess, ttf_itf, PipelineOptions, SparseVec, TermStatsBuilder};
-use cxk_util::{FxHashMap, Interner, Symbol};
-use cxk_xml::parser::{parse_document, ParseOptions, XmlError};
-use cxk_xml::path::{leaf_tag_path, PathId, PathTable};
-use cxk_xml::sax::{StreamedDocument, StreamingTupleExtractor};
-use cxk_xml::tree::XmlTree;
-use cxk_xml::tuple::{count_tree_tuples, extract_tree_tuples, TupleLimits};
+use cxk_text::{PipelineOptions, TermStatsBuilder};
+use cxk_util::{FxHashMap, Interner};
+use cxk_xml::parser::{ParseOptions, XmlError};
+use cxk_xml::path::{PathId, PathTable};
+use cxk_xml::sax::StreamingTupleExtractor;
+use cxk_xml::tuple::TupleLimits;
 use std::io::BufRead;
 
 pub use cxk_xml::sax::IngestStats;
@@ -103,10 +98,7 @@ impl Dataset {
 
     /// The distinct tag paths of the item domain, sorted.
     pub fn distinct_tag_paths(&self) -> Vec<PathId> {
-        let mut tag_paths: Vec<PathId> = self.items.iter().map(|i| i.tag_path).collect();
-        tag_paths.sort_unstable();
-        tag_paths.dedup();
-        tag_paths
+        distinct_paths(&self.items, |i| i.tag_path)
     }
 
     /// Recomputes the precomputed `sim_S` table with a custom tag matcher
@@ -119,35 +111,16 @@ impl Dataset {
     }
 }
 
-/// One leaf occurrence inside a document, preprocessed.
-#[derive(Debug, Clone)]
-struct LeafData {
-    path: PathId,
-    tag_path: PathId,
-    raw: String,
-    terms: Vec<Symbol>,
-}
-
-/// Accumulated per-document state.
-#[derive(Debug)]
-struct DocAccum {
-    leaves: Vec<LeafData>,
-    /// Tuples as indices into `leaves`.
-    tuples: Vec<Vec<u32>>,
-    /// `n_{j,XT}`: TCUs of this document containing each term.
-    term_doc_counts: FxHashMap<Symbol, u32>,
-    depth: usize,
-}
-
-/// Incremental dataset builder.
+/// Incremental dataset builder: every document is parsed and joins the
+/// collection statistics as it is added; `finish` weights them all
+/// against the whole collection.
 pub struct DatasetBuilder {
     labels: Interner,
     vocabulary: Interner,
     paths: PathTable,
     options: BuildOptions,
-    docs: Vec<DocAccum>,
+    docs: Vec<ParsedDocument>,
     term_stats: TermStatsBuilder,
-    capped_documents: u64,
 }
 
 impl DatasetBuilder {
@@ -160,7 +133,6 @@ impl DatasetBuilder {
             options,
             docs: Vec::new(),
             term_stats: TermStatsBuilder::new(),
-            capped_documents: 0,
         }
     }
 
@@ -173,68 +145,22 @@ impl DatasetBuilder {
     /// [`TupleLimits`] — silent truncation would skew the transactional
     /// view, so ingest summaries surface this count.
     pub fn capped_documents(&self) -> u64 {
-        self.capped_documents
+        self.docs.iter().filter(|d| d.capped()).count() as u64
     }
 
     /// Parses one XML document and adds it to the collection. Returns the
-    /// document index.
+    /// document index. A rejected document leaves the collection as it
+    /// was.
     pub fn add_xml(&mut self, xml: &str) -> Result<usize, XmlError> {
-        let tree = parse_document(xml, &mut self.labels, &self.options.parse)?;
-        Ok(self.add_tree(&tree))
-    }
-
-    /// Adds an already-parsed tree. The tree's labels **must** have been
-    /// interned in this builder's label interner (use [`Self::add_xml`] when
-    /// in doubt).
-    pub fn add_tree(&mut self, tree: &XmlTree) -> usize {
-        let tuples = extract_tree_tuples(tree, &self.options.limits);
-        if count_tree_tuples(tree) > self.options.limits.max_tuples_per_tree as u64 {
-            self.capped_documents += 1;
+        let doc = DocumentPipeline {
+            options: &self.options,
+            labels: &mut self.labels,
+            vocabulary: &mut self.vocabulary,
+            paths: &mut self.paths,
         }
-
-        // Preprocess each document leaf once; tuples reference leaves by
-        // index so shared leaves are not re-tokenized per tuple.
-        let mut leaf_index: FxHashMap<cxk_xml::tree::NodeId, u32> = FxHashMap::default();
-        let mut leaves: Vec<LeafData> = Vec::new();
-        let mut term_doc_counts: FxHashMap<Symbol, u32> = FxHashMap::default();
-
-        for leaf in tree.leaves() {
-            let complete = tree.label_path(leaf);
-            let path = self.paths.intern(&complete);
-            let tag = leaf_tag_path(tree, leaf);
-            let tag_path = self.paths.intern(&tag);
-            let raw = tree.node(leaf).value().unwrap_or_default().to_string();
-            let terms = preprocess(&raw, &mut self.vocabulary, &self.options.pipeline);
-
-            let mut distinct = terms.clone();
-            distinct.sort_unstable();
-            distinct.dedup();
-            self.term_stats.add_tcu(&distinct);
-            for &t in &distinct {
-                *term_doc_counts.entry(t).or_insert(0) += 1;
-            }
-
-            leaf_index.insert(leaf, leaves.len() as u32);
-            leaves.push(LeafData {
-                path,
-                tag_path,
-                raw,
-                terms,
-            });
-        }
-
-        let tuple_leaf_lists: Vec<Vec<u32>> = tuples
-            .iter()
-            .map(|t| t.leaves.iter().map(|l| leaf_index[l]).collect())
-            .collect();
-
-        self.docs.push(DocAccum {
-            leaves,
-            tuples: tuple_leaf_lists,
-            term_doc_counts,
-            depth: tree.depth(),
-        });
-        self.docs.len() - 1
+        .parse(xml, Some(&mut self.term_stats))?;
+        self.docs.push(doc);
+        Ok(self.docs.len() - 1)
     }
 
     /// Streams every document out of `input` (one or more concatenated XML
@@ -248,163 +174,62 @@ impl DatasetBuilder {
         let mut extractor =
             StreamingTupleExtractor::new(input, self.options.parse.clone(), self.options.limits);
         while let Some(doc) = extractor.next_document(&mut self.labels)? {
-            self.add_streamed(doc);
+            let doc = DocumentPipeline {
+                options: &self.options,
+                labels: &mut self.labels,
+                vocabulary: &mut self.vocabulary,
+                paths: &mut self.paths,
+            }
+            .parse_streamed(doc, Some(&mut self.term_stats));
+            self.docs.push(doc);
         }
         Ok(extractor.stats())
     }
 
-    /// Adds one document emitted by a [`StreamingTupleExtractor`] whose
-    /// labels were interned via [`Self::labels_mut`]. Mirrors
-    /// [`Self::add_tree`] exactly: leaves arrive in document order with
-    /// their complete paths, and tuples are already leaf-index lists.
-    pub fn add_streamed(&mut self, doc: StreamedDocument) -> usize {
-        let mut leaves: Vec<LeafData> = Vec::with_capacity(doc.leaves.len());
-        let mut term_doc_counts: FxHashMap<Symbol, u32> = FxHashMap::default();
-
-        for leaf in doc.leaves {
-            let path = self.paths.intern(&leaf.path);
-            let tag_path = self.paths.intern(&leaf.path[..leaf.path.len() - 1]);
-            let raw = leaf.value;
-            let terms = preprocess(&raw, &mut self.vocabulary, &self.options.pipeline);
-
-            let mut distinct = terms.clone();
-            distinct.sort_unstable();
-            distinct.dedup();
-            self.term_stats.add_tcu(&distinct);
-            for &t in &distinct {
-                *term_doc_counts.entry(t).or_insert(0) += 1;
-            }
-
-            leaves.push(LeafData {
-                path,
-                tag_path,
-                raw,
-                terms,
-            });
-        }
-
-        if doc.capped {
-            self.capped_documents += 1;
-        }
-        self.docs.push(DocAccum {
-            leaves,
-            tuples: doc.tuples,
-            term_doc_counts,
-            depth: doc.depth,
-        });
-        self.docs.len() - 1
-    }
-
-    /// The builder's label interner, for driving a
-    /// [`StreamingTupleExtractor`] externally before [`Self::add_streamed`].
-    pub fn labels_mut(&mut self) -> &mut Interner {
-        &mut self.labels
-    }
-
     /// Finalizes the dataset: builds the item domain, computes `ttf.itf`
-    /// vectors and the tag-path similarity table.
+    /// vectors against the whole collection's statistics, and the tag-path
+    /// similarity table.
     pub fn finish(self) -> Dataset {
-        let n_t = self.term_stats.total_tcus();
-
-        // Item domain keyed by (path, answer).
+        // Item domain keyed by (path, answer), averaged over the collection.
         let mut domain: FxHashMap<(PathId, Box<str>), ItemId> = FxHashMap::default();
         let mut items: Vec<Item> = Vec::new();
-        // Per-item accumulated occurrence weights and counts.
-        let mut weight_acc: Vec<FxHashMap<Symbol, f64>> = Vec::new();
-        let mut occ_count: Vec<u32> = Vec::new();
-
+        let mut weights = ItemWeights::default();
         let mut transactions: Vec<Transaction> = Vec::new();
         let mut doc_of: Vec<u32> = Vec::new();
 
         for (doc_idx, doc) in self.docs.iter().enumerate() {
-            let n_xt = doc.leaves.len() as u32;
-            for tuple in &doc.tuples {
-                // Tuple-level TCU term counts (distinct per TCU).
-                let n_tau = tuple.len() as u32;
-                let mut tuple_counts: FxHashMap<Symbol, u32> = FxHashMap::default();
-                for &leaf_i in tuple {
-                    let mut distinct = doc.leaves[leaf_i as usize].terms.clone();
-                    distinct.sort_unstable();
-                    distinct.dedup();
-                    for t in distinct {
-                        *tuple_counts.entry(t).or_insert(0) += 1;
-                    }
-                }
-
-                let mut tx_items: Vec<ItemId> = Vec::with_capacity(tuple.len());
-                for &leaf_i in tuple {
-                    let leaf = &doc.leaves[leaf_i as usize];
-                    let key = (leaf.path, leaf.raw.clone().into_boxed_str());
-                    let id = *domain.entry(key).or_insert_with(|| {
-                        let id = ItemId(items.len() as u32);
-                        items.push(Item {
-                            path: leaf.path,
-                            tag_path: leaf.tag_path,
-                            raw: leaf.raw.clone().into_boxed_str(),
-                            terms: leaf.terms.clone(),
-                            vector: SparseVec::new(),
-                            fingerprint: item_fingerprint(leaf.path, &leaf.raw),
-                        });
-                        weight_acc.push(FxHashMap::default());
-                        occ_count.push(0);
-                        id
-                    });
-                    tx_items.push(id);
-
-                    // Accumulate this occurrence's ttf.itf weights.
-                    occ_count[id.index()] += 1;
-                    let mut tf: FxHashMap<Symbol, u32> = FxHashMap::default();
-                    for &t in &leaf.terms {
-                        *tf.entry(t).or_insert(0) += 1;
-                    }
-                    for (&term, &count) in &tf {
-                        let nj_tau = tuple_counts.get(&term).copied().unwrap_or(0);
-                        let nj_xt = doc.term_doc_counts.get(&term).copied().unwrap_or(0);
-                        let nj_t = self.term_stats.tcus_containing(term);
-                        let w = ttf_itf(count, nj_tau, n_tau, nj_xt, n_xt, nj_t, n_t);
-                        *weight_acc[id.index()].entry(term).or_insert(0.0) += w;
-                    }
-                }
-                transactions.push(Transaction::new(tx_items));
+            let tuples = doc.weigh(&self.term_stats, &mut weights, |leaf| {
+                *domain.entry(leaf.key()).or_insert_with(|| {
+                    items.push(leaf.item());
+                    ItemId(items.len() as u32 - 1)
+                })
+            });
+            for ids in tuples {
+                transactions.push(Transaction::new(ids));
                 doc_of.push(doc_idx as u32);
             }
         }
-
-        // Finalize vectors: average over occurrences.
-        let mut max_tcu_nnz = 0usize;
-        for (i, item) in items.iter_mut().enumerate() {
-            let n = f64::from(occ_count[i].max(1));
-            let pairs: Vec<(Symbol, f64)> =
-                weight_acc[i].iter().map(|(&t, &w)| (t, w / n)).collect();
-            item.vector = SparseVec::from_pairs(pairs);
-            max_tcu_nnz = max_tcu_nnz.max(item.vector.nnz());
+        for (item, vector) in items.iter_mut().zip(weights.into_vectors()) {
+            item.vector = vector;
         }
+        let max_tcu_nnz = items.iter().map(|i| i.vector.nnz()).max().unwrap_or(0);
 
         // Tag-path similarity table over the distinct tag paths of the item
         // domain.
-        let mut tag_paths: Vec<PathId> = items.iter().map(|i| i.tag_path).collect();
-        tag_paths.sort_unstable();
-        tag_paths.dedup();
+        let tag_paths = distinct_paths(&items, |i| i.tag_path);
         let tag_sim = TagPathSimTable::build(&tag_paths, &self.paths);
-
-        let complete_paths: usize = {
-            let mut ps: Vec<PathId> = items.iter().map(|i| i.path).collect();
-            ps.sort_unstable();
-            ps.dedup();
-            ps.len()
-        };
 
         let stats = DatasetStats {
             documents: self.docs.len(),
             transactions: transactions.len(),
             items: items.len(),
             vocabulary: self.vocabulary.len(),
-            complete_paths,
+            complete_paths: distinct_paths(&items, |i| i.path).len(),
             tag_paths: tag_paths.len(),
             max_transaction_len: transactions.iter().map(Transaction::len).max().unwrap_or(0),
             max_tcu_nnz,
-            total_tcus: n_t,
-            max_depth: self.docs.iter().map(|d| d.depth).max().unwrap_or(0),
+            total_tcus: self.term_stats.total_tcus(),
+            max_depth: self.docs.iter().map(|d| d.depth()).max().unwrap_or(0),
         };
 
         Dataset {
@@ -419,6 +244,14 @@ impl DatasetBuilder {
             stats,
         }
     }
+}
+
+/// The distinct values of `path` over `items`, sorted.
+fn distinct_paths(items: &[Item], path: impl Fn(&Item) -> PathId) -> Vec<PathId> {
+    let mut paths: Vec<PathId> = items.iter().map(path).collect();
+    paths.sort_unstable();
+    paths.dedup();
+    paths
 }
 
 #[cfg(test)]
@@ -547,6 +380,39 @@ mod tests {
         let mut builder = DatasetBuilder::new(BuildOptions::default());
         assert!(builder.add_xml("<a><b></a>").is_err());
         assert_eq!(builder.document_count(), 0);
+    }
+
+    /// Trailing content after the root, or no root at all, is rejected
+    /// like any malformed document: statistics, vocabulary, path table and
+    /// collection stay as they were.
+    #[test]
+    fn trailing_content_is_rejected_without_touching_state() {
+        let mut builder = DatasetBuilder::new(BuildOptions::default());
+        builder.add_xml(DBLP_XML).expect("valid xml");
+        let state = |b: &DatasetBuilder| {
+            (
+                b.document_count(),
+                b.vocabulary.len(),
+                b.paths.len(),
+                b.term_stats.total_tcus(),
+                b.term_stats.counts().to_vec(),
+            )
+        };
+        let before = state(&builder);
+        for bad in [
+            format!("{DBLP_XML}<b/>"),
+            format!("{DBLP_XML} unseen trailing words"),
+            "<fresh><markup>with new terms</markup></fresh><x/>".to_string(),
+            String::new(),
+        ] {
+            let err = builder.add_xml(&bad).expect_err("rejected");
+            assert!(
+                err.message.contains("trailing content")
+                    || err.message.contains("expected document element"),
+                "{err}"
+            );
+            assert_eq!(state(&builder), before, "{bad:?}");
+        }
     }
 
     /// The streaming ingest path must produce a dataset bit-identical to

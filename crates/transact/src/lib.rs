@@ -9,6 +9,10 @@
 //!
 //! * [`item`] — items, the deduplicated item domain, item views.
 //! * [`transaction`] — transactions as sorted item-id sets.
+//! * [`pipeline`] — the one document pipeline training, streaming and
+//!   serving share: SAX events → tree tuples → preprocessed leaves →
+//!   `ttf.itf`-weighted items, with the term statistics as the only thing
+//!   the callers set.
 //! * [`dataset`] — [`dataset::DatasetBuilder`]: XML documents → tree tuples →
 //!   transactions, with collection-wide `ttf.itf` vectorization.
 //! * [`pathsim`] — structural similarity `sim_S` between tag paths (Eq. 3)
@@ -49,6 +53,7 @@ pub mod item;
 pub mod itemsim;
 pub mod pathsim;
 pub mod persist;
+pub mod pipeline;
 pub mod transaction;
 pub mod txsim;
 
@@ -59,8 +64,9 @@ pub use pathsim::{
     tag_path_similarity, tag_path_similarity_with, ExactMatch, TagMatcher, TagPathSimTable,
 };
 pub use persist::{load as load_dataset, save as save_dataset, PersistError};
+pub use pipeline::{DocumentPipeline, ItemWeights, ParsedDocument, ParsedLeaf};
 pub use transaction::Transaction;
 pub use txsim::{
-    gamma_shared, sim_gamma_j, sim_gamma_j_prepared, sim_gamma_j_reference, union_size,
-    PreparedSlab, PreparedTx, ScoreScratch,
+    argmax_prepared, gamma_shared, gather_best, sim_gamma_j, sim_gamma_j_prepared,
+    sim_gamma_j_reference, union_size, PreparedSlab, PreparedTx, ScoreScratch,
 };

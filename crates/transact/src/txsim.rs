@@ -46,6 +46,10 @@
 //! prepared transaction may only be scored under a context whose table
 //! holds the same paths at the same ranks (a table that *appends* paths
 //! keeps every earlier rank valid).
+//!
+//! Every assignment applies one relocation rule, [`gather_best`], to
+//! scores the kernel computed ([`argmax_prepared`]) or to answers gathered
+//! from shards.
 
 use crate::item::ItemView;
 use crate::itemsim::SimCtx;
@@ -505,6 +509,40 @@ pub fn sim_gamma_j_prepared(
     (shared as f64 / union as f64).clamp(0.0, 1.0)
 }
 
+/// The relocation rule over already-scored `(id, simγJ)` answers: the
+/// highest similarity wins under a strict `>`, so of equal maxima the
+/// first wins — answers must come in ascending id order for ties to go to
+/// the lowest id — and a best of 0 (nothing scored above zero, or no
+/// answer at all) is `(trash, 0.0)`.
+pub fn gather_best(answers: impl IntoIterator<Item = (u32, f64)>, trash: u32) -> (u32, f64) {
+    let mut best = (trash, 0.0f64);
+    for (id, sim) in answers {
+        if sim > best.1 {
+            best = (id, sim);
+        }
+    }
+    best
+}
+
+/// [`gather_best`] over `query` scored by the kernel against the prepared
+/// representatives with ascending ids `ids`; an id with no prepared
+/// representative scores nothing. `query` and `reps` must be prepared
+/// against tables whose ranks agree with `ctx`'s.
+pub fn argmax_prepared(
+    ctx: &SimCtx<'_>,
+    query: PreparedTx<'_>,
+    reps: &PreparedSlab,
+    ids: impl IntoIterator<Item = u32>,
+    trash: u32,
+    scratch: &mut ScoreScratch,
+) -> (u32, f64) {
+    let answers = ids.into_iter().filter_map(|j| {
+        let rep = reps.get(j as usize)?;
+        Some((j, sim_gamma_j_prepared(ctx, query, rep, scratch)))
+    });
+    gather_best(answers, trash)
+}
+
 /// Adds every item pair's dot product into `matrix` (row-major, `n2`
 /// columns) by merging the two transactions' sorted distinct terms. A
 /// pair's products are added in ascending term order starting from `0.0`
@@ -570,6 +608,14 @@ mod tests {
     use cxk_text::SparseVec;
     use cxk_util::{Interner, Symbol};
     use cxk_xml::path::{PathId, PathTable};
+
+    #[test]
+    fn gather_best_is_the_relocation_rule() {
+        // Nothing above zero is trash; a tie goes to the first (lowest) id.
+        assert_eq!(gather_best([], 7), (7, 0.0));
+        assert_eq!(gather_best([(0, 0.0), (3, 0.0)], 7), (7, 0.0));
+        assert_eq!(gather_best([(1, 0.5), (2, 0.9), (4, 0.9)], 7), (2, 0.9));
+    }
 
     struct Fixture {
         table: TagPathSimTable,

@@ -17,7 +17,10 @@
 //! * [`mod@write`] — serialization back to XML text (used for round-trip
 //!   property tests and by the corpus generators).
 //! * [`sax`] — pull-based streaming parsing and tuple extraction over any
-//!   [`std::io::BufRead`], for corpora larger than RAM.
+//!   [`std::io::BufRead`], for corpora larger than RAM, and
+//!   [`sax::extract_document`], the single-document route every production
+//!   path reads documents through. The DOM route ([`parser`] → [`mod@tuple`])
+//!   stays as the oracle the equivalence tests compare it with.
 
 #![warn(missing_docs)]
 
@@ -31,7 +34,8 @@ pub mod write;
 pub use parser::{parse_document, ParseOptions, XmlError};
 pub use path::{LabelPath, PathAnswer, PathTable};
 pub use sax::{
-    IngestStats, SaxEvent, SaxReader, StreamedDocument, StreamedLeaf, StreamingTupleExtractor,
+    extract_document, IngestStats, SaxEvent, SaxReader, StreamedDocument, StreamedLeaf,
+    StreamingTupleExtractor,
 };
 pub use tree::{NodeId, NodeKind, XmlTree};
 pub use tuple::{count_tree_tuples, extract_tree_tuples, TreeTuple, TupleLimits};

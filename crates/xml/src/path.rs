@@ -9,7 +9,7 @@
 //! [`PathTable`] interns label sequences into dense [`PathId`]s shared across
 //! a corpus so that transactions can refer to paths by integer.
 
-use crate::tree::{NodeId, NodeKind, XmlTree};
+use crate::tree::{NodeId, XmlTree};
 use cxk_util::{FxHashMap, Symbol};
 
 /// A path as an owned label sequence.
@@ -176,22 +176,6 @@ pub fn maximal_tag_paths(tree: &XmlTree) -> Vec<LabelPath> {
         }
     }
     out
-}
-
-/// Tag path of a leaf: its complete path minus the final label. Attribute
-/// leaves and text leaves both drop exactly one trailing label, matching the
-/// `TP_XT` definition.
-pub fn leaf_tag_path(tree: &XmlTree, leaf: NodeId) -> LabelPath {
-    debug_assert!(tree.node(leaf).is_leaf());
-    let mut path = tree.label_path(leaf);
-    path.pop();
-    path
-}
-
-/// Whether `leaf`'s kind makes its complete path end in an attribute name
-/// (`true`) or in `S` (`false`).
-pub fn leaf_is_attribute(tree: &XmlTree, leaf: NodeId) -> bool {
-    matches!(tree.node(leaf).kind, NodeKind::Attribute(_))
 }
 
 #[cfg(test)]

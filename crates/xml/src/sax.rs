@@ -25,6 +25,10 @@
 //!   are resident: memory is bounded by document depth × branching × the
 //!   tuple cap, independent of corpus size.
 //!
+//! * [`extract_document`] — the extractor over exactly one in-memory
+//!   document, accepting and rejecting what `parse_document` does: how
+//!   every production path reads a document. The DOM route is the oracle.
+//!
 //! The equivalence with the DOM route is pinned by the property tests in
 //! `tests/sax_equivalence.rs`.
 
@@ -201,19 +205,31 @@ impl<R: BufRead> ByteStream<R> {
     }
 
     /// Scans forward for `term`, consuming through it. Bytes before the
-    /// terminator are appended to `keep` when given. Returns `false` if
-    /// EOF arrives first (the input is then fully consumed).
-    fn scan_past(&mut self, term: &[u8], mut keep: Option<&mut Vec<u8>>) -> Result<bool, XmlError> {
+    /// terminator are appended to `keep` when given. EOF first is the
+    /// error `message`, reported where the scan started — the construct's
+    /// own position, as the DOM parser reports an unterminated construct.
+    fn scan_past(
+        &mut self,
+        term: &[u8],
+        mut keep: Option<&mut Vec<u8>>,
+        message: &str,
+    ) -> Result<(), XmlError> {
+        let (offset, line) = (self.offset(), self.line);
         let mut matched = 0usize;
         loop {
             let Some(b) = self.peek()? else {
-                return Ok(false);
+                let message = message.into();
+                return Err(XmlError {
+                    offset,
+                    line,
+                    message,
+                });
             };
             self.bump(1);
             if b == term[matched] {
                 matched += 1;
                 if matched == term.len() {
-                    return Ok(true);
+                    return Ok(());
                 }
             } else {
                 // Fall back to the longest suffix of the bytes matched so
@@ -315,7 +331,7 @@ impl<R: BufRead> SaxReader<R> {
     fn content_step(&mut self) -> Result<(), XmlError> {
         match self.stream.peek()? {
             None => {
-                let name = self.open.last().expect("content implies open element");
+                let name = self.open.last().map_or("", String::as_str);
                 Err(self.stream.err(format!("unclosed element `{name}`")))
             }
             Some(b'<') => {
@@ -324,7 +340,7 @@ impl<R: BufRead> SaxReader<R> {
                     let offset = self.stream.offset();
                     self.stream.bump(2);
                     let name = self.parse_name()?;
-                    let expected = self.open.last().expect("open element").clone();
+                    let expected = self.open.last().cloned().unwrap_or_default();
                     if name != expected {
                         return Err(self.stream.err(format!(
                             "mismatched end tag: expected `</{expected}>`, found `</{name}>`"
@@ -339,18 +355,15 @@ impl<R: BufRead> SaxReader<R> {
                     // The DOM parser's skip_until scans from the `<`
                     // itself, so the opener may participate in the
                     // terminator match; mirror that exactly.
-                    if !self.stream.scan_past(b"-->", None)? {
-                        return Err(self.stream.err("unterminated construct, expected `-->`"));
-                    }
-                    Ok(())
+                    self.stream
+                        .scan_past(b"-->", None, "unterminated construct, expected `-->`")
                 } else if self.stream.starts_with(b"<![CDATA[")? {
                     self.stream.bump(b"<![CDATA[".len());
                     let start_offset = self.stream.offset();
                     let start_line = self.stream.line;
                     let mut raw = Vec::new();
-                    if !self.stream.scan_past(b"]]>", Some(&mut raw))? {
-                        return Err(self.stream.err("unterminated CDATA section"));
-                    }
+                    self.stream
+                        .scan_past(b"]]>", Some(&mut raw), "unterminated CDATA section")?;
                     let text = std::str::from_utf8(&raw).map_err(|_| XmlError {
                         offset: start_offset,
                         line: start_line,
@@ -365,10 +378,8 @@ impl<R: BufRead> SaxReader<R> {
                     }
                     Ok(())
                 } else if self.stream.starts_with(b"<?")? {
-                    if !self.stream.scan_past(b"?>", None)? {
-                        return Err(self.stream.err("unterminated construct, expected `?>`"));
-                    }
-                    Ok(())
+                    self.stream
+                        .scan_past(b"?>", None, "unterminated construct, expected `?>`")
                 } else {
                     self.flush_text();
                     self.parse_start_tag()
@@ -535,18 +546,27 @@ impl<R: BufRead> SaxReader<R> {
         loop {
             self.skip_whitespace()?;
             if self.stream.starts_with(b"<?")? {
-                if !self.stream.scan_past(b"?>", None)? {
-                    return Err(self.stream.err("unterminated construct, expected `?>`"));
-                }
+                self.stream
+                    .scan_past(b"?>", None, "unterminated construct, expected `?>`")?;
             } else if self.stream.starts_with(b"<!--")? {
-                if !self.stream.scan_past(b"-->", None)? {
-                    return Err(self.stream.err("unterminated construct, expected `-->`"));
-                }
+                self.stream
+                    .scan_past(b"-->", None, "unterminated construct, expected `-->`")?;
             } else if self.stream.starts_with(b"<!DOCTYPE")? {
                 self.skip_doctype()?;
             } else {
                 return Ok(());
             }
+        }
+    }
+
+    /// Skips the misc after a document and requires the end of input:
+    /// anything else is trailing content, as in
+    /// [`crate::parser::parse_document`].
+    fn expect_end(&mut self) -> Result<(), XmlError> {
+        self.skip_misc()?;
+        match self.stream.peek()? {
+            None => Ok(()),
+            Some(_) => Err(self.stream.err("trailing content after document element")),
         }
     }
 
@@ -769,8 +789,7 @@ impl<R: BufRead> StreamingTupleExtractor<R> {
                     let label = labels.intern(&name);
                     open_path.push(label);
                     depth = depth.max(open_path.len());
-                    stack.push(Frame::new(label));
-                    let frame = stack.last_mut().expect("frame just pushed");
+                    let mut frame = Frame::new(label);
                     for (attr_name, value) in attributes {
                         let attr_label = labels.intern(&attr_name);
                         depth = depth.max(open_path.len() + 1);
@@ -784,6 +803,7 @@ impl<R: BufRead> StreamingTupleExtractor<R> {
                         });
                         frame.add_leaf(attr_label, index, cap);
                     }
+                    stack.push(frame);
                 }
                 SaxEvent::Text { text, .. } => {
                     let s_label = *s_label.get_or_insert_with(|| labels.intern(S_LABEL));
@@ -796,13 +816,16 @@ impl<R: BufRead> StreamingTupleExtractor<R> {
                         is_attribute: false,
                         value: text,
                     });
-                    stack
-                        .last_mut()
-                        .expect("text implies an open element")
-                        .add_leaf(s_label, index, cap);
+                    // The reader emits text only inside an open element.
+                    if let Some(frame) = stack.last_mut() {
+                        frame.add_leaf(s_label, index, cap);
+                    }
                 }
                 SaxEvent::EndElement { .. } => {
-                    let frame = stack.pop().expect("end implies an open element");
+                    // The reader emits an end only for an open element.
+                    let Some(frame) = stack.pop() else {
+                        return Err(self.reader.stream.err("unexpected end tag"));
+                    };
                     let label = frame.label;
                     let (alts, count) = frame.close(cap);
                     open_path.pop();
@@ -843,6 +866,27 @@ impl<R: BufRead> StreamingTupleExtractor<R> {
                 }
             };
         }
+    }
+}
+
+/// Extracts the one document of `input`. Accepts and rejects exactly what
+/// [`crate::parser::parse_document`] does, with an equal [`XmlError`]
+/// (empty input, and trailing content after the root element, included);
+/// on success the result equals the DOM route's, labels interned in the
+/// same order.
+pub fn extract_document(
+    input: &str,
+    labels: &mut Interner,
+    options: &ParseOptions,
+    limits: &TupleLimits,
+) -> Result<StreamedDocument, XmlError> {
+    let mut extractor = StreamingTupleExtractor::new(input.as_bytes(), options.clone(), *limits);
+    match extractor.next_document(labels)? {
+        Some(doc) => {
+            extractor.reader.expect_end()?;
+            Ok(doc)
+        }
+        None => Err(extractor.reader.stream.err("expected document element")),
     }
 }
 

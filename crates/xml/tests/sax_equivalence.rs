@@ -2,10 +2,12 @@
 //! `StreamingTupleExtractor` must produce exactly the leaves, tuples, depth
 //! and cap status that `parse_document` + `extract_tree_tuples` produce —
 //! including truncation order under a tiny `TupleLimits` cap — regardless
-//! of how the input bytes are chunked.
+//! of how the input bytes are chunked. The single-document entry
+//! `extract_document` must further accept and reject exactly the inputs
+//! `parse_document` does, with an equal error.
 
-use cxk_util::Interner;
-use cxk_xml::sax::{StreamedDocument, StreamedLeaf, StreamingTupleExtractor};
+use cxk_util::{DetRng, Interner};
+use cxk_xml::sax::{extract_document, StreamedDocument, StreamedLeaf, StreamingTupleExtractor};
 use cxk_xml::tree::{NodeKind, S_LABEL};
 use cxk_xml::write::{to_xml_string, Layout};
 use cxk_xml::{
@@ -17,7 +19,17 @@ use std::io::{BufRead, Read};
 /// Projects a DOM-parsed tree into the exact shape the streaming extractor
 /// emits: leaves in arena (document) order, tuples as leaf-index lists.
 fn dom_streamed(xml: &str, labels: &mut Interner, limits: &TupleLimits) -> StreamedDocument {
-    let tree = parse_document(xml, labels, &ParseOptions::default()).expect("DOM parse");
+    dom_route(xml, labels, limits).expect("DOM parse")
+}
+
+/// The DOM route as a `Result`: `parse_document`, then extraction
+/// projected to the streaming extractor's shape.
+fn dom_route(
+    xml: &str,
+    labels: &mut Interner,
+    limits: &TupleLimits,
+) -> Result<StreamedDocument, cxk_xml::XmlError> {
+    let tree = parse_document(xml, labels, &ParseOptions::default())?;
     let mut leaf_index = std::collections::HashMap::new();
     let mut leaves = Vec::new();
     for (ordinal, id) in tree.leaves().enumerate() {
@@ -33,13 +45,13 @@ fn dom_streamed(xml: &str, labels: &mut Interner, limits: &TupleLimits) -> Strea
         .map(|t| t.leaves.iter().map(|l| leaf_index[l]).collect())
         .collect();
     let count = count_tree_tuples(&tree);
-    StreamedDocument {
+    Ok(StreamedDocument {
         leaves,
         tuples,
         depth: tree.depth(),
         tuple_count: count,
         capped: count > limits.max_tuples_per_tree as u64,
-    }
+    })
 }
 
 fn streamed<R: BufRead>(
@@ -295,4 +307,191 @@ fn cap_truncation_matches_dom_exactly() {
         assert_eq!(dom, sax, "cap {cap}");
         assert_eq!(sax.capped, cap < 81, "cap {cap}");
     }
+}
+
+// ---- single-document parity ------------------------------------------------
+
+/// Markup fragments a mutation may insert: openers and closers of every
+/// construct, entities good and bad, quotes and a second root.
+const SNIPPETS: [&str; 24] = [
+    "<",
+    ">",
+    "</",
+    "/>",
+    "<a>",
+    "</a>",
+    "<b/>",
+    "<!--",
+    "-->",
+    "<?",
+    "?>",
+    "<![CDATA[",
+    "]]>",
+    "&",
+    "&amp;",
+    "&#x41;",
+    "&bogus;",
+    "\"",
+    "'",
+    "=",
+    " ",
+    "\n",
+    "<!DOCTYPE x>",
+    "text",
+];
+
+/// The largest char boundary of `s` at or below `i`.
+fn floor_boundary(s: &str, mut i: usize) -> usize {
+    i = i.min(s.len());
+    while !s.is_char_boundary(i) {
+        i -= 1;
+    }
+    i
+}
+
+/// A random range `start..end` of `s` on char boundaries.
+fn random_range(s: &str, rng: &mut DetRng) -> (usize, usize) {
+    let a = floor_boundary(s, rng.below(s.len() + 1));
+    let b = floor_boundary(s, rng.below(s.len() + 1));
+    (a.min(b), a.max(b))
+}
+
+/// Applies one to three deterministic mutations to `base`: truncate,
+/// insert a markup snippet, delete a range, or duplicate a range.
+fn mutate(base: &str, rng: &mut DetRng) -> String {
+    let mut doc = base.to_string();
+    for _ in 0..rng.range(1, 4) {
+        match rng.below(4) {
+            0 => {
+                let at = floor_boundary(&doc, rng.below(doc.len() + 1));
+                doc.truncate(at);
+            }
+            1 => {
+                let at = floor_boundary(&doc, rng.below(doc.len() + 1));
+                let snippet = SNIPPETS[rng.below(SNIPPETS.len())];
+                doc.insert_str(at, snippet);
+            }
+            2 => {
+                let (a, b) = random_range(&doc, rng);
+                doc.replace_range(a..b, "");
+            }
+            _ => {
+                let (a, b) = random_range(&doc, rng);
+                let copy = doc[a..b].to_string();
+                doc.insert_str(b, &copy);
+            }
+        }
+    }
+    doc
+}
+
+/// `extract_document` returns exactly the DOM route's `Result`: on success
+/// the same leaves, tuples, depth, count and `capped`, with labels interned
+/// in the same order; on failure an equal `XmlError`.
+fn assert_parity(input: &str, limits: &TupleLimits) {
+    let mut dom_labels = Interner::new();
+    let mut sax_labels = Interner::new();
+    let dom = dom_route(input, &mut dom_labels, limits);
+    let sax = extract_document(input, &mut sax_labels, &ParseOptions::default(), limits);
+    assert_eq!(dom, sax, "input {input:?}");
+    if sax.is_ok() {
+        let dom_order: Vec<&str> = dom_labels.iter().map(|(_, l)| l).collect();
+        let sax_order: Vec<&str> = sax_labels.iter().map(|(_, l)| l).collect();
+        assert_eq!(dom_order, sax_order, "label order for {input:?}");
+    }
+}
+
+/// A hand-written document exercising every construct the parser knows.
+const HOSTILE: &str = "\u{FEFF}<?xml version=\"1.0\"?>\n\
+    <!DOCTYPE dblp [ <!ELEMENT dblp (x)> ]>\n\
+    <!-- lead -->\n\
+    <dblp note=\"a &lt;b&gt; &#38; c\">\n\
+    \t<x>one<!-- comment -->two<?pi data?></x>\n\
+    <x><![CDATA[raw <cdata> & text]]></x>\n\
+    <x k='v'>&quot;q&apos; &#x41;</x>\n\
+    <empty/>\n\
+    </dblp>\n<!-- tail --><?tail?>\n";
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Mutated generated documents: parity on whatever the mutations leave,
+    /// valid or not, under the default and a tiny tuple cap.
+    #[test]
+    fn single_document_entry_matches_dom_on_mutated_input(
+        specs in proptest::collection::vec(node_spec(), 0..5),
+        seed in any::<u64>(),
+        cap in 1usize..8,
+    ) {
+        let mut labels = Interner::new();
+        let base = spec_xml(&specs, &mut labels);
+        let mut rng = DetRng::seed_from_u64(seed);
+        let input = mutate(&base, &mut rng);
+        assert_parity(&input, &TupleLimits::default());
+        assert_parity(&input, &TupleLimits { max_tuples_per_tree: cap });
+    }
+}
+
+#[test]
+fn single_document_entry_matches_dom_on_mutated_samples() {
+    let dir = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../samples");
+    let mut bases: Vec<String> = std::fs::read_dir(&dir)
+        .expect("samples/ exists")
+        .filter_map(|e| e.ok().map(|e| e.path()))
+        .filter(|p| p.extension().is_some_and(|e| e == "xml"))
+        .map(|p| std::fs::read_to_string(p).expect("readable sample"))
+        .collect();
+    bases.sort();
+    bases.push(HOSTILE.to_string());
+    let mut rng = DetRng::seed_from_u64(0x5a7);
+    for base in &bases {
+        assert_parity(base, &TupleLimits::default());
+        for _ in 0..400 {
+            assert_parity(&mutate(base, &mut rng), &TupleLimits::default());
+        }
+    }
+}
+
+#[test]
+fn single_document_entry_matches_dom_on_edge_inputs() {
+    for input in [
+        "",
+        "   \n ",
+        "\u{FEFF}",
+        "\u{FEFF}<a/>",
+        "<?xml version=\"1.0\"?>",
+        "<!-- only a comment -->",
+        "<a/><b/>",
+        "<a/>\n<b/>\n",
+        "<a/>trailing",
+        "<a>x</a>  \n<!-- c --><?pi?>",
+        "<a/><!-- unterminated",
+        "<a/><?unterminated",
+        "<a><!-- unterminated",
+        "<a>\n<?unterminated",
+        "<a>\n\n<![CDATA[unterminated",
+        "<!-- unterminated",
+        "<!DOCTYPE unterminated",
+        "<a><b></a>",
+        HOSTILE,
+    ] {
+        assert_parity(input, &TupleLimits::default());
+    }
+    let mut labels = Interner::new();
+    let err = extract_document(
+        "<a/><b/>",
+        &mut labels,
+        &ParseOptions::default(),
+        &TupleLimits::default(),
+    )
+    .expect_err("a second root is trailing content");
+    assert!(err.message.contains("trailing content"), "{err}");
+    let err = extract_document(
+        "",
+        &mut labels,
+        &ParseOptions::default(),
+        &TupleLimits::default(),
+    )
+    .expect_err("empty input");
+    assert!(err.message.contains("expected document element"), "{err}");
 }
