@@ -1,16 +1,15 @@
 //! Measures online classification throughput (docs/sec) against a trained
-//! model across index layouts: direct replicated-indexed, direct
-//! brute-force, direct sharded scatter/gather at `S ∈ {1, 2, 4, 8}`, and
-//! over the live HTTP server (replicated, sharded, and remote — the
-//! latter scattering to real shard daemons over loopback TCP) with
-//! concurrent clients — each HTTP layout measured twice, once with one
-//! connection per request and once with keep-alive connections reused for
-//! the whole stream (the `http-keepalive-*` rows; reuse must win, and the
-//! binary asserts it). For every configuration it also reports the **resident
-//! postings bytes** the serving pool would hold: the replicated layout
-//! duplicates its index per worker (`bytes × threads`), the sharded layout
-//! shares one engine per model epoch (`bytes × 1`) — the memory model the
-//! ROADMAP's "Sharded indexes" item asked for.
+//! model across index layouts: the direct standalone classifier (indexed
+//! and brute-force), direct sharded scatter/gather at `S ∈ {1, 2, 4, 8}`,
+//! and over the live HTTP server (the default one-shard index, `S`
+//! shards, and remote — the latter scattering to real shard daemons over
+//! loopback TCP) with concurrent clients — each HTTP layout measured
+//! twice, once with one connection per request and once with keep-alive
+//! connections reused for the whole stream (the `http-keepalive-*` rows;
+//! reuse must win, and the binary asserts it). For every configuration it
+//! also reports the **resident postings bytes** the row holds: one index
+//! for a direct classifier, and one engine per model epoch for a server,
+//! shared by its whole worker pool (zero on a remote frontend).
 //!
 //! After the closed-loop sweeps, the binary runs **open-loop** latency
 //! measurements ([`cxk_bench::loadgen`]): a Poisson arrival schedule at
@@ -66,7 +65,7 @@
 //! shares the `dblp` label with every representative and the indexes
 //! degenerate to brute force (the `candidates_per_doc` column makes the
 //! pruning rate visible either way). Sharded assignment is asserted
-//! bit-identical to the replicated index on every document scored.
+//! bit-identical to the standalone index on every document scored.
 
 use cxk_bench::args::{parse_usize_list, Flags};
 use cxk_bench::loadgen::{self, LoadgenConfig};
@@ -75,7 +74,7 @@ use cxk_corpus::dblp::{self, DblpConfig};
 use cxk_corpus::ClusteringSetting;
 use cxk_eval::f_measure;
 use cxk_serve::{
-    Classifier, ServeOptions, Server, ShardDaemon, ShardedClassifier, ShardedEngine,
+    Classifier, Layout, ServeOptions, Server, ShardDaemon, ShardedClassifier, ShardedEngine,
     TreeClassifier, TreeConfig, TreeEngine,
 };
 use cxk_transact::{BuildOptions, DatasetBuilder};
@@ -107,8 +106,8 @@ struct Record {
     /// measures no index (open-loop rows), `0` when the engine really
     /// holds no postings (tree rows).
     postings_bytes: i64,
-    /// Postings bytes the serving pool holds resident: per-worker copies
-    /// for the replicated layout, one shared engine for the sharded one.
+    /// Postings bytes the row holds resident: a direct classifier's one
+    /// index, or the one engine a server's worker pool shares per epoch.
     /// Same sentinel rule as `postings_bytes`.
     resident_postings_bytes: i64,
     /// Open-loop latency measurements; `None` on closed-loop rows, where
@@ -377,8 +376,8 @@ fn main() {
         records.push(r);
     }
 
-    // Direct classification: replicated indexed vs brute force. The
-    // replicated pool would carry one postings copy per worker.
+    // Direct classification: the standalone classifier, indexed vs brute
+    // force, each holding one index.
     let mut indexed_clusters: Vec<u32> = Vec::with_capacity(stream.len());
     for (mode, brute) in [("indexed", false), ("brute", true)] {
         let mut classifier = Classifier::shared(Arc::clone(&model));
@@ -411,7 +410,7 @@ fn main() {
                 trash,
                 candidates_per_doc: cpd,
                 postings_bytes: bytes as i64,
-                resident_postings_bytes: (bytes * threads) as i64,
+                resident_postings_bytes: bytes as i64,
                 open_loop: None,
                 tree: None,
             },
@@ -419,7 +418,7 @@ fn main() {
     }
 
     // Direct sharded scatter/gather across the sweep; every assignment is
-    // asserted identical to the replicated index above. One engine is
+    // asserted identical to the standalone index above. One engine is
     // shared however many workers scatter into it.
     for &s in &shard_sweep {
         let engine = Arc::new(ShardedEngine::build(Arc::clone(&model), s));
@@ -433,7 +432,7 @@ fn main() {
                 let report = classifier.classify(doc).expect("classify");
                 assert_eq!(
                     report.cluster, indexed_clusters[at],
-                    "sharded (S={s}) must agree with the replicated index on doc {at}"
+                    "sharded (S={s}) must agree with the standalone index on doc {at}"
                 );
                 at += 1;
                 report
@@ -457,9 +456,10 @@ fn main() {
         );
     }
 
-    // Over HTTP with concurrent clients: replicated, sharded, then remote
-    // — the latter scattering every classification to real shard daemons
-    // over loopback TCP (one daemon per contiguous representative range).
+    // Over HTTP with concurrent clients: the default one-shard index,
+    // `http_shards` shards, then remote — the latter scattering every
+    // classification to real shard daemons over loopback TCP (one daemon
+    // per contiguous representative range).
     let http_shards = shard_sweep.last().copied().unwrap_or(4);
     let daemons: Vec<ShardDaemon> = (0..http_shards)
         .map(|i| {
@@ -472,22 +472,31 @@ fn main() {
     let daemon_addrs: Vec<Vec<String>> =
         daemons.iter().map(|d| vec![d.addr().to_string()]).collect();
     for (mode, shards, remote) in [
-        ("http-replicated", None, false),
-        ("http-sharded", Some(http_shards), false),
-        ("http-remote", None, true),
+        ("http-indexed", 1, false),
+        ("http-sharded", http_shards, false),
+        ("http-remote", http_shards, true),
     ] {
+        let layout = if remote {
+            Layout::Remote {
+                replicas: daemon_addrs.clone(),
+                deadline: cxk_serve::remote::DEFAULT_DEADLINE,
+            }
+        } else {
+            Layout::Indexed { shards }
+        };
+        // One engine per epoch, shared by the whole pool whatever its
+        // worker count. A remote frontend holds no postings at all: each
+        // daemon owns its slice of this engine's postings in its own
+        // process, so the row reports the aggregate daemon postings and
+        // zero frontend-resident bytes.
+        let bytes = ShardedEngine::build(Arc::clone(&model), shards).postings_bytes() as i64;
+        let resident = if remote { 0 } else { bytes };
         let server = Server::start(
             (*model).clone(),
             ("127.0.0.1", 0),
             ServeOptions {
                 threads,
-                brute_force: false,
-                shards,
-                remote_shards: if remote {
-                    daemon_addrs.clone()
-                } else {
-                    Vec::new()
-                },
+                layout,
                 ..ServeOptions::default()
             },
         )
@@ -514,44 +523,11 @@ fn main() {
             stream.len() as f64 / ka_seconds,
             stream.len() as f64 / seconds,
         );
-        // The index behind each layout was already built and measured in
-        // the direct sweep above; reuse those bytes instead of rebuilding.
-        let measured = |m: &str, s: usize| {
-            records
-                .iter()
-                .find(|r| r.mode == m && r.shards == s)
-                .expect("direct sweep ran first")
-                .postings_bytes
-        };
-        let (bytes, resident) = if remote {
-            // The frontend holds no postings at all: each daemon owns its
-            // slice of the sharded engine measured above, in its own
-            // process. Report the aggregate daemon postings and zero
-            // frontend-resident bytes.
-            (measured("sharded", http_shards), 0)
-        } else {
-            match shards {
-                // One shared engine per epoch regardless of the worker count.
-                Some(s) => {
-                    let shared = measured("sharded", s);
-                    (shared, shared)
-                }
-                None => {
-                    let per_worker = measured("indexed", 0);
-                    (per_worker, per_worker * threads as i64)
-                }
-            }
-        };
-        let row_shards = if remote {
-            http_shards
-        } else {
-            shards.unwrap_or(0)
-        };
         emit(
             &mut records,
             Record {
                 mode: format!("{mode}(clients={clients})"),
-                shards: row_shards,
+                shards,
                 docs: stats.classified as usize,
                 seconds,
                 trash: stats.trash as usize,
@@ -569,7 +545,7 @@ fn main() {
                     "http-keepalive-{}(clients={clients})",
                     mode.trim_start_matches("http-")
                 ),
-                shards: row_shards,
+                shards,
                 docs: stream.len(),
                 seconds: ka_seconds,
                 trash: (ka_stats.trash - stats.trash) as usize,
@@ -593,7 +569,7 @@ fn main() {
     // shows both an uncongested and a queueing regime on any machine.
     let capacity = records
         .iter()
-        .find(|r| r.mode.starts_with("http-keepalive-replicated"))
+        .find(|r| r.mode.starts_with("http-keepalive-indexed"))
         .expect("closed-loop keep-alive sweep ran first")
         .docs_per_sec();
     let open_requests: usize = flags.get("open-requests", if quick { 300 } else { 2000 });
@@ -627,8 +603,8 @@ fn main() {
         emit(
             &mut records,
             Record {
-                mode: format!("openloop-replicated(load={fraction})"),
-                shards: 0,
+                mode: format!("openloop-indexed(load={fraction})"),
+                shards: 1,
                 docs: report.completed,
                 seconds,
                 trash: 0,
@@ -734,7 +710,7 @@ fn main() {
                 trash,
                 candidates_per_doc: cpd,
                 postings_bytes: bytes as i64,
-                resident_postings_bytes: (bytes * threads) as i64,
+                resident_postings_bytes: bytes as i64,
                 open_loop: None,
                 tree: None,
             },

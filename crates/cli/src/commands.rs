@@ -12,7 +12,7 @@ use cxk_core::{
 };
 use cxk_corpus::{synthesize_to, CorpusStream, SynthSpec};
 use cxk_serve::{
-    assignment_json, json_escape, Classifier, ServeOptions, Server, ShardDaemon, TreeConfig,
+    assignment_json, json_escape, Classifier, Layout, ServeOptions, Server, ShardDaemon, TreeConfig,
 };
 use cxk_transact::{
     load_dataset, save_dataset, BuildOptions, Dataset, DatasetBuilder, IngestStats, SimParams,
@@ -446,26 +446,27 @@ fn classify_stream(
     Ok(out)
 }
 
-/// `cxk serve <model.cxkmodel> [--port P] [--threads T] [--shards S]
-/// [--tree [--branch B] [--beam W]] [--brute] [--watch SECS]
+/// `cxk serve <model.cxkmodel> [--port P] [--threads T]
+/// [--shards S | --tree [--branch B] [--beam W] | --remote-shards …
+/// [--replicas …] [--remote-deadline-ms N]] [--watch SECS]
 /// [--queue-depth N] [--keep-alive SECS]` — run the classification
-/// server in the foreground. With `--shards`, the representatives are
-/// partitioned across `S` shards and the whole worker pool shares one
-/// scatter/gather engine per model epoch (assignments are bit-identical
-/// to the default replicated layout; memory no longer scales with
-/// `--threads`). With `--tree`, each epoch publishes one shared
+/// server in the foreground. The layout flags are mutually exclusive (see
+/// [`layout_from_flags`]). By default the whole worker pool shares one
+/// index per model epoch; `--shards` partitions it across `S` shards
+/// (assignments are bit-identical either way, and memory does not scale
+/// with `--threads`). With `--tree`, each epoch publishes one shared
 /// hierarchical representative tree (branching factor `--branch`,
 /// default 8) and assignment descends it greedily keeping the top
-/// `--beam` subtrees per level (default 2) before exactly re-ranking
-/// the reached leaves — sublinear in k but approximate below full beam,
-/// so it cannot be combined with the exact shard layouts. With
-/// `--watch`, the snapshot file is polled every `SECS` seconds and
-/// hot-swapped into the running worker pool when it changes;
-/// `POST /reload` forces a swap at any time. `--queue-depth` bounds the
-/// acceptor→worker request queue (overflow is shed with a `503`
-/// carrying `Retry-After`); `--keep-alive` sets the idle horizon
-/// for connection reuse, and `--keep-alive 0` disables reuse entirely
-/// (one response per connection). Only returns on error.
+/// `--beam` subtrees per level (default 3) before exactly re-ranking
+/// the reached leaves — sublinear in k but approximate below full beam.
+/// With `--remote-shards`, every classification scatters to `cxk
+/// shard-serve` daemons. With `--watch`, the snapshot file is polled
+/// every `SECS` seconds and hot-swapped into the running worker pool
+/// when it changes; `POST /reload` forces a swap at any time.
+/// `--queue-depth` bounds the acceptor→worker request queue (overflow is
+/// shed with a `503` carrying `Retry-After`); `--keep-alive` sets the
+/// idle horizon for connection reuse, and `--keep-alive 0` disables reuse
+/// entirely (one response per connection). Only returns on error.
 pub fn serve(args: &[String]) -> Result<String, String> {
     let parsed = Parsed::parse(args)?;
     let [model_path] = parsed.positional() else {
@@ -476,28 +477,7 @@ pub fn serve(args: &[String]) -> Result<String, String> {
     if threads == 0 {
         return Err("--threads must be at least 1".into());
     }
-    let shards = match parsed.get_str("shards") {
-        None => None,
-        Some(_) => {
-            let s: usize = parsed.get("shards", 0)?;
-            if s == 0 {
-                return Err("--shards must be at least 1".into());
-            }
-            Some(s)
-        }
-    };
-    let remote_shards = remote_shards_from_flags(&parsed, shards.is_some())?;
-    let tree = tree_from_flags(&parsed, shards.is_some(), !remote_shards.is_empty())?;
-    let remote_deadline = match parsed.get_str("remote-deadline-ms") {
-        None => ServeOptions::default().remote_deadline,
-        Some(_) => {
-            let ms: u64 = parsed.get("remote-deadline-ms", 0)?;
-            if ms == 0 {
-                return Err("--remote-deadline-ms must be at least 1".into());
-            }
-            std::time::Duration::from_millis(ms)
-        }
-    };
+    let layout = layout_from_flags(&parsed)?;
     let watch = match parsed.get_str("watch") {
         None => None,
         Some(_) => {
@@ -522,32 +502,26 @@ pub fn serve(args: &[String]) -> Result<String, String> {
         }
     };
     let model = read_model(model_path)?;
-    let remote_count = remote_shards.len();
+    let k = model.k();
+    let described = match &layout {
+        Layout::Indexed { shards } => format!("one shared index per epoch over {shards} shard(s)"),
+        Layout::Tree(cfg) => format!(
+            "representative tree (branch {}, beam {})",
+            cfg.branch, cfg.beam
+        ),
+        Layout::Remote { replicas, .. } => format!(
+            "{} remote shards (scatter/gather over the cxk_p2p fabric)",
+            replicas.len()
+        ),
+    };
     let opts = ServeOptions {
         threads,
-        brute_force: parsed.has("brute"),
-        shards,
+        layout,
         model_path: Some(PathBuf::from(model_path)),
         watch,
         queue_depth,
         keep_alive,
-        remote_shards,
-        remote_deadline,
-        tree,
         ..ServeOptions::default()
-    };
-    let k = model.k();
-    let layout = if remote_count > 0 {
-        format!(", {remote_count} remote shards (scatter/gather over the cxk_p2p fabric)")
-    } else {
-        match (shards, tree) {
-            (Some(s), _) => format!(", {s} shards (one shared index per epoch)"),
-            (None, Some(cfg)) => format!(
-                ", representative tree (branch {}, beam {})",
-                cfg.branch, cfg.beam
-            ),
-            (None, None) => String::new(),
-        }
     };
     let watching = match watch {
         Some(interval) => format!(", watching {model_path} every {}s", interval.as_secs()),
@@ -556,7 +530,7 @@ pub fn serve(args: &[String]) -> Result<String, String> {
     let server = Server::start(model, ("127.0.0.1", port), opts)
         .map_err(|e| format!("cannot bind 127.0.0.1:{port}: {e}"))?;
     eprintln!(
-        "cxk: serving k={k} model on http://{} with {threads} threads (POST /classify, POST /reload, GET /model, GET /stats){layout}{watching}",
+        "cxk: serving k={k} model on http://{} with {threads} threads (POST /classify, POST /reload, GET /model, GET /stats), {described}{watching}",
         server.addr()
     );
     server.join();
@@ -618,15 +592,51 @@ fn parse_rep_range(raw: &str) -> Result<std::ops::Range<u32>, String> {
     Ok(start..end)
 }
 
+/// Maps the layout flags onto one [`Layout`]: at most one of `--shards S`,
+/// `--tree [--branch B] [--beam W]` and `--remote-shards … [--replicas …]
+/// [--remote-deadline-ms N]`, the default being one shared index. A flag
+/// whose layout was not chosen, and `--brute` (a `classify` diagnostic),
+/// are rejected rather than silently ignored.
+fn layout_from_flags(parsed: &Parsed) -> Result<Layout, String> {
+    if parsed.has("brute") {
+        return Err(
+            "--brute: not a serve option; use `cxk classify --brute` to score every representative"
+                .into(),
+        );
+    }
+    let shards = match parsed.get_str("shards") {
+        None => None,
+        Some(_) => {
+            let s: usize = parsed.get("shards", 0)?;
+            if s == 0 {
+                return Err("--shards must be at least 1".into());
+            }
+            Some(s)
+        }
+    };
+    let tree = tree_from_flags(parsed)?;
+    let remote = remote_from_flags(parsed)?;
+    match (shards, tree, remote) {
+        (shards, None, None) => Ok(Layout::Indexed {
+            shards: shards.unwrap_or(1),
+        }),
+        (None, Some(config), None) => Ok(Layout::Tree(config)),
+        (None, None, Some(remote)) => Ok(remote),
+        (Some(_), None, Some(_)) => {
+            Err("--remote-shards: cannot be combined with --shards (pick one shard layout)".into())
+        }
+        (Some(_), Some(_), _) => {
+            Err("--tree: cannot be combined with --shards (pick one engine layout)".into())
+        }
+        (None, Some(_), Some(_)) => {
+            Err("--tree: cannot be combined with --remote-shards (pick one engine layout)".into())
+        }
+    }
+}
+
 /// Parses `--tree [--branch B] [--beam W]` into a [`TreeConfig`]. The
-/// tree is approximate below full beam, so combining it with either
-/// exact shard layout is rejected rather than silently resolved; the
 /// shape knobs require `--tree` so a typo cannot pass unnoticed.
-fn tree_from_flags(
-    parsed: &Parsed,
-    in_process_shards: bool,
-    remote_shards: bool,
-) -> Result<Option<TreeConfig>, String> {
+fn tree_from_flags(parsed: &Parsed) -> Result<Option<TreeConfig>, String> {
     if !parsed.has("tree") {
         if parsed.get_str("branch").is_some() {
             return Err("--branch: requires --tree".into());
@@ -635,14 +645,6 @@ fn tree_from_flags(
             return Err("--beam: requires --tree".into());
         }
         return Ok(None);
-    }
-    if in_process_shards {
-        return Err("--tree: cannot be combined with --shards (pick one engine layout)".into());
-    }
-    if remote_shards {
-        return Err(
-            "--tree: cannot be combined with --remote-shards (pick one engine layout)".into(),
-        );
     }
     let defaults = TreeConfig::default();
     let branch: usize = parsed.get("branch", defaults.branch)?;
@@ -657,25 +659,19 @@ fn tree_from_flags(
 }
 
 /// Parses `--remote-shards addr1,addr2,…` plus the optional parallel
-/// `--replicas` list into one replica set per shard slot. `--replicas`
-/// must have exactly one comma-separated entry per remote shard: `-` for
-/// no replica, or `addr` (with `|` separating several alternates). The
-/// in-process and remote layouts are mutually exclusive.
-fn remote_shards_from_flags(
-    parsed: &Parsed,
-    in_process_shards: bool,
-) -> Result<Vec<Vec<String>>, String> {
+/// `--replicas` list and `--remote-deadline-ms` into a [`Layout::Remote`]
+/// with one replica set per shard slot. `--replicas` must have exactly
+/// one comma-separated entry per remote shard: `-` for no replica, or
+/// `addr` (with `|` separating several alternates).
+fn remote_from_flags(parsed: &Parsed) -> Result<Option<Layout>, String> {
     let Some(raw) = parsed.get_str("remote-shards") else {
-        if parsed.get_str("replicas").is_some() {
-            return Err("--replicas: requires --remote-shards".into());
+        for flag in ["replicas", "remote-deadline-ms"] {
+            if parsed.get_str(flag).is_some() {
+                return Err(format!("--{flag}: requires --remote-shards"));
+            }
         }
-        return Ok(Vec::new());
+        return Ok(None);
     };
-    if in_process_shards {
-        return Err(
-            "--remote-shards: cannot be combined with --shards (pick one shard layout)".into(),
-        );
-    }
     let mut sets: Vec<Vec<String>> = Vec::new();
     for addr in raw.split(',') {
         let addr = addr.trim();
@@ -707,7 +703,20 @@ fn remote_shards_from_flags(
             }
         }
     }
-    Ok(sets)
+    let deadline = match parsed.get_str("remote-deadline-ms") {
+        None => cxk_serve::remote::DEFAULT_DEADLINE,
+        Some(_) => {
+            let ms: u64 = parsed.get("remote-deadline-ms", 0)?;
+            if ms == 0 {
+                return Err("--remote-deadline-ms must be at least 1".into());
+            }
+            std::time::Duration::from_millis(ms)
+        }
+    };
+    Ok(Some(Layout::Remote {
+        replicas: sets,
+        deadline,
+    }))
 }
 
 /// Loads and validates a `.cxkmodel` snapshot, surfacing I/O and decode
@@ -1330,6 +1339,11 @@ mod tests {
         ]))
         .unwrap_err()
         .contains("cannot read"));
+        // The brute-force diagnostic is offline only: `serve` rejects the
+        // flag instead of ignoring it, pointing at `classify`.
+        let e = serve(&args(&["/nonexistent.cxkmodel".into(), "--brute".into()])).unwrap_err();
+        assert!(e.contains("--brute"), "{e}");
+        assert!(e.contains("cxk classify --brute"), "{e}");
     }
 
     #[test]
@@ -1363,6 +1377,15 @@ mod tests {
             "127.0.0.1:7273".into(),
         ]))
         .unwrap_err();
+        assert!(e.contains("requires --remote-shards"), "{e}");
+        // So is a deadline: without a remote layout it would bound nothing.
+        let e = serve(&args(&[
+            "/nonexistent.cxkmodel".into(),
+            "--remote-deadline-ms".into(),
+            "500".into(),
+        ]))
+        .unwrap_err();
+        assert!(e.contains("--remote-deadline-ms"), "{e}");
         assert!(e.contains("requires --remote-shards"), "{e}");
         // Empty addresses are rejected, not silently skipped.
         let e = serve(&args(&[

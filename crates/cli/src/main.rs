@@ -58,16 +58,19 @@ commands:
            assign new documents to a trained model's clusters
            (--jsonl prints one JSON object per document; --stream
            classifies newline-delimited corpus files line by line)
-  serve    <model.cxkmodel> [--port 7070] [--threads 4] [--shards S]
-           [--remote-shards a1,a2,…] [--replicas r1|r1b,-,…]
-           [--remote-deadline-ms 2000] [--brute] [--watch SECS]
-           [--queue-depth 256] [--keep-alive 30]
-           run the HTTP classification server (POST /classify);
-           --shards partitions the representatives across S shards
-           sharing one scatter/gather index per model epoch (same
-           assignments, memory constant in --threads);
-           --remote-shards instead scatters every classification to
-           shard daemons (see shard-serve) listed in ascending range
+  serve    <model.cxkmodel> [--port 7070] [--threads 4]
+           [--shards S | --tree [--branch 8] [--beam 3]
+            | --remote-shards a1,a2,… [--replicas r1|r1b,-,…]
+              [--remote-deadline-ms 2000]]
+           [--watch SECS] [--queue-depth 256] [--keep-alive 30]
+           run the HTTP classification server (POST /classify); the
+           worker pool shares one index per model epoch, and the
+           layout flags are mutually exclusive: --shards partitions
+           it across S shards (same assignments); --tree descends a
+           shared representative tree with branching factor --branch,
+           keeping --beam subtrees per level (exact at full beam);
+           --remote-shards scatters every classification to shard
+           daemons (see shard-serve) listed in ascending range
            order — --replicas names failover alternates per shard
            (`-` = none, `|` separates several) and
            --remote-deadline-ms bounds each shard's answer;
@@ -142,6 +145,26 @@ mod tests {
     fn unknown_command_errors() {
         let e = run(&args(&["frobnicate"])).unwrap_err();
         assert!(e.contains("unknown command"));
+    }
+
+    #[test]
+    fn help_lists_every_serve_layout_flag() {
+        let out = run(&args(&["--help"])).expect("help works");
+        let start = out.find("  serve ").expect("serve section");
+        let end = out.find("  shard-serve").expect("shard-serve section");
+        let serve = &out[start..end];
+        for flag in [
+            "--shards",
+            "--tree",
+            "--branch",
+            "--beam",
+            "--remote-shards",
+            "--replicas",
+            "--remote-deadline-ms",
+        ] {
+            assert!(serve.contains(flag), "{flag} missing from:\n{serve}");
+        }
+        assert!(!serve.contains("--brute"), "{serve}");
     }
 
     #[test]

@@ -21,26 +21,28 @@
 //! * The [`TrainedModel`], its representatives prepared for the `simγJ`
 //!   kernel ([`TrainedModel::prepare_reps`]) and any index built over them
 //!   are **immutable** once published, so they can sit behind an `Arc` and
-//!   be shared by every worker — the memory model the sharded engine
-//!   (`crate::shard`) is built on.
+//!   be shared by every worker — the memory model every serving engine
+//!   (`crate::shard`, `crate::tree`) is built on.
 //!
 //! Each tree tuple is assigned by the paper's relocation rule — argmax of
 //! `simγJ` over the representatives, trash when every similarity is zero
 //! (`argmax_prepared`, the rule training uses) — and the document
 //! aggregates its tuples by summed similarity per cluster.
-//! [`Classifier::classify`] consults the index first;
+//! [`Classifier`] is the standalone classifier (`cxk classify`, and the
+//! reference the serving engines are tested against):
+//! [`Classifier::classify`] consults its own index first;
 //! [`Classifier::classify_brute`] scores every representative. The two are
 //! guaranteed to agree exactly (see the `index` module docs), and the
 //! sharded scatter/gather path ([`crate::shard::ShardedClassifier`])
 //! agrees with both (see the `shard` module docs). [`ClassifyEngine`] is
-//! the seam servers hold: one enum over the replicated and sharded
-//! execution strategies with a single classify surface.
+//! the seam server workers hold: one enum over the serving layouts'
+//! per-worker sessions with a single classify surface.
 
 use crate::index::{Candidates, TagPathIndex};
-use crate::remote::{RemoteClassifier, RemoteEngine};
-use crate::shard::{ShardedClassifier, ShardedEngine};
-use crate::slot::EpochModel;
-use crate::tree::{TreeClassifier, TreeEngine};
+use crate::remote::RemoteClassifier;
+use crate::shard::ShardedClassifier;
+use crate::slot::{EpochEngine, EpochModel};
+use crate::tree::TreeClassifier;
 use cxk_core::rep::RepItem;
 use cxk_core::TrainedModel;
 use cxk_p2p::NetworkError;
@@ -480,19 +482,19 @@ pub(crate) fn aggregate_document(
     }
 }
 
-/// A classification session over a trained model, scoring against its
-/// **own full index** — the replicated strategy: every worker that builds
-/// one carries a private copy of the postings.
+/// A standalone classification session over a trained model, scoring
+/// against its **own full index** and its own prepared representatives.
 ///
 /// The classifier is single-threaded by design (`&mut self`: its session's
-/// interners grow as unseen markup arrives); servers give each worker its
-/// own instance. The model itself is behind an `Arc` and never mutated, so
-/// instances built via [`Classifier::shared`] duplicate only the postings
-/// and the session, not the representatives.
+/// interners grow as unseen markup arrives). The model itself is behind an
+/// `Arc` and never mutated, so instances built via [`Classifier::shared`]
+/// duplicate only the postings, the prepared slab and the session, not the
+/// representatives. Servers instead share one engine per epoch across
+/// their workers (see [`ClassifyEngine`]).
 pub struct Classifier {
     model: Arc<TrainedModel>,
-    /// The model's representatives prepared for scoring, shared per epoch.
-    reps: Arc<PreparedSlab>,
+    /// The model's representatives prepared for scoring.
+    reps: PreparedSlab,
     session: QuerySession,
     index: TagPathIndex,
 }
@@ -503,18 +505,11 @@ impl Classifier {
         Self::shared(Arc::new(model))
     }
 
-    /// Builds a classifier over an already shared model (hot-reload
-    /// workers: the model `Arc` is cloned, the index and session are this
-    /// worker's own).
+    /// Builds a classifier over an already shared model: the model `Arc`
+    /// is cloned, the index, prepared slab and session are this
+    /// classifier's own.
     pub fn shared(model: Arc<TrainedModel>) -> Self {
-        let reps = Arc::new(model.prepare_reps());
-        Self::with_reps(model, reps)
-    }
-
-    /// Builds a classifier over a shared model and the epoch's prepared
-    /// representatives (`model.prepare_reps()`, built once per epoch by
-    /// the slot).
-    pub(crate) fn with_reps(model: Arc<TrainedModel>, reps: Arc<PreparedSlab>) -> Self {
+        let reps = model.prepare_reps();
         let session = QuerySession::new(&model);
         let index = TagPathIndex::build(&model.reps, &model.paths, model.params);
         Self {
@@ -591,142 +586,76 @@ impl Classifier {
 }
 
 /// The serving-layer seam over the classify execution strategies: a
-/// worker holds one `ClassifyEngine` per model epoch and drives it through
-/// a single surface, regardless of how scoring is laid out.
+/// worker holds one `ClassifyEngine` per model epoch — its own session over
+/// the one engine the epoch publishes for the server's
+/// [`Layout`](crate::Layout) — and drives it through a single surface.
 ///
-/// * [`ClassifyEngine::Replicated`] — the worker owns a full
-///   [`Classifier`] (its own postings copy). Memory scales with the worker
-///   count; no cross-worker sharing.
-/// * [`ClassifyEngine::Sharded`] — the worker holds a lightweight
-///   [`ShardedClassifier`] over the epoch's shared
-///   [`ShardedEngine`]: one immutable index per epoch for the
-///   whole pool, representatives partitioned across shards, queries
-///   scattered and gathered (bit-identical to brute force; see the `shard`
-///   module docs).
-/// * [`ClassifyEngine::Remote`] — the worker holds a
-///   [`RemoteClassifier`] over the server's shared [`RemoteEngine`]
-///   topology: the same scatter/gather, but the shards are daemons in
-///   other processes and only postings for *their* ranges are resident
-///   anywhere (bit-identical too; see the `remote` module docs).
-/// * [`ClassifyEngine::Tree`] — the worker holds a [`TreeClassifier`]
-///   over the epoch's shared [`TreeEngine`]: assignment descends a
+/// * [`ClassifyEngine::Indexed`] — a [`ShardedClassifier`] over the
+///   epoch's shared [`ShardedEngine`](crate::ShardedEngine): one immutable
+///   index per epoch for the whole pool, representatives partitioned
+///   across `S ≥ 1` shards, queries scattered and gathered (bit-identical
+///   to brute force; see the `shard` module docs).
+/// * [`ClassifyEngine::Tree`] — a [`TreeClassifier`] over the epoch's
+///   shared [`TreeEngine`](crate::TreeEngine): assignment descends a
 ///   hierarchical representative tree under a beam-width knob, then
-///   exactly re-ranks the reached leaves. The only *approximate*
-///   strategy — bit-identical to brute force at full beam, a measured
+///   exactly re-ranks the reached leaves. The only *approximate* strategy
+///   — bit-identical to brute force at full beam, a measured
 ///   accuracy/latency trade-off below it (see the `tree` module docs).
+/// * [`ClassifyEngine::Remote`] — a [`RemoteClassifier`] over the server's
+///   shared [`RemoteEngine`](crate::RemoteEngine) topology: the same
+///   scatter/gather, but the shards are daemons in other processes and
+///   only postings for *their* ranges are resident anywhere (bit-identical
+///   too; see the `remote` module docs).
 pub enum ClassifyEngine {
-    /// One private full-index classifier (the historical layout).
-    Replicated(Box<Classifier>),
-    /// A per-worker session over the epoch's shared sharded engine.
-    Sharded(Box<ShardedClassifier>),
-    /// A per-worker session over the shared remote shard topology.
-    Remote(Box<RemoteClassifier>),
+    /// A per-worker session over the epoch's shared sharded index.
+    Indexed(Box<ShardedClassifier>),
     /// A per-worker session over the epoch's shared representative tree.
     Tree(Box<TreeClassifier>),
+    /// A per-worker session over the shared remote shard topology.
+    Remote(Box<RemoteClassifier>),
 }
 
 impl ClassifyEngine {
-    /// Builds the engine for one epoch: remote when the server was
-    /// configured with a remote topology (which outlives epochs), sharded
-    /// when the epoch published a shared sharded engine, tree when it
-    /// published a shared representative tree, replicated (over the
-    /// epoch's shared prepared representatives) otherwise.
-    pub fn for_epoch(epoch: &EpochModel, remote: Option<&Arc<RemoteEngine>>) -> Self {
-        match (remote, &epoch.sharded, &epoch.tree) {
-            (Some(topology), _, _) => ClassifyEngine::Remote(Box::new(RemoteClassifier::new(
-                Arc::clone(topology),
-                Arc::clone(&epoch.model),
-            ))),
-            (None, Some(engine), _) => {
-                ClassifyEngine::Sharded(Box::new(ShardedClassifier::new(Arc::clone(engine))))
+    /// Builds a worker's session over `epoch`'s engine.
+    pub fn for_epoch(epoch: &EpochModel) -> Self {
+        match &epoch.engine {
+            EpochEngine::Indexed(engine) => {
+                ClassifyEngine::Indexed(Box::new(ShardedClassifier::new(Arc::clone(engine))))
             }
-            (None, None, Some(engine)) => {
+            EpochEngine::Tree(engine) => {
                 ClassifyEngine::Tree(Box::new(TreeClassifier::new(Arc::clone(engine))))
             }
-            (None, None, None) => ClassifyEngine::Replicated(Box::new(Classifier::with_reps(
-                Arc::clone(&epoch.model),
-                Arc::clone(&epoch.reps),
-            ))),
+            EpochEngine::Remote(topology) => ClassifyEngine::Remote(Box::new(
+                RemoteClassifier::new(Arc::clone(topology), Arc::clone(&epoch.model)),
+            )),
         }
     }
 
-    /// Classifies one XML document (index-pruned).
+    /// Classifies one XML document.
     ///
     /// # Errors
     /// [`ClassifyError::Xml`] on parse failure; the network variants only
     /// when running remote. The engine stays usable either way.
     pub fn classify(&mut self, xml: &str) -> Result<DocumentAssignment, ClassifyError> {
         match self {
-            ClassifyEngine::Replicated(c) => c.classify(xml).map_err(ClassifyError::Xml),
-            ClassifyEngine::Sharded(c) => c.classify(xml).map_err(ClassifyError::Xml),
-            ClassifyEngine::Remote(c) => c.classify(xml),
+            ClassifyEngine::Indexed(c) => c.classify(xml).map_err(ClassifyError::Xml),
             ClassifyEngine::Tree(c) => c.classify(xml).map_err(ClassifyError::Xml),
-        }
-    }
-
-    /// Classifies one XML document scoring every representative.
-    ///
-    /// # Errors
-    /// As [`ClassifyEngine::classify`].
-    pub fn classify_brute(&mut self, xml: &str) -> Result<DocumentAssignment, ClassifyError> {
-        match self {
-            ClassifyEngine::Replicated(c) => c.classify_brute(xml).map_err(ClassifyError::Xml),
-            ClassifyEngine::Sharded(c) => c.classify_brute(xml).map_err(ClassifyError::Xml),
-            ClassifyEngine::Remote(c) => c.classify_brute(xml),
-            ClassifyEngine::Tree(c) => c.classify_brute(xml).map_err(ClassifyError::Xml),
+            ClassifyEngine::Remote(c) => c.classify(xml),
         }
     }
 
     /// The underlying model.
     pub fn model(&self) -> &TrainedModel {
         match self {
-            ClassifyEngine::Replicated(c) => c.model(),
-            ClassifyEngine::Sharded(c) => c.model(),
-            ClassifyEngine::Remote(c) => c.model(),
+            ClassifyEngine::Indexed(c) => c.model(),
             ClassifyEngine::Tree(c) => c.model(),
+            ClassifyEngine::Remote(c) => c.model(),
         }
     }
 
     /// The trash cluster's id (`k`).
     pub fn trash_id(&self) -> u32 {
         self.model().trash_id()
-    }
-
-    /// Total posting entries resident in *this* process behind the engine
-    /// (the worker's own index, or the shared shard set; zero when remote
-    /// — the postings live in the daemons — and when running the tree,
-    /// which holds merged representatives instead of postings).
-    pub fn posting_entries(&self) -> usize {
-        match self {
-            ClassifyEngine::Replicated(c) => c.index().posting_entries(),
-            ClassifyEngine::Sharded(c) => c.engine().posting_entries(),
-            ClassifyEngine::Remote(_) => 0,
-            ClassifyEngine::Tree(_) => 0,
-        }
-    }
-
-    /// The shared sharded engine, when running sharded.
-    pub fn sharded_engine(&self) -> Option<&Arc<ShardedEngine>> {
-        match self {
-            ClassifyEngine::Sharded(c) => Some(c.engine()),
-            _ => None,
-        }
-    }
-
-    /// The shared remote topology, when running remote.
-    pub fn remote_engine(&self) -> Option<&Arc<RemoteEngine>> {
-        match self {
-            ClassifyEngine::Remote(c) => Some(c.engine()),
-            _ => None,
-        }
-    }
-
-    /// The shared representative tree, when running the tree strategy.
-    pub fn tree_engine(&self) -> Option<&Arc<TreeEngine>> {
-        match self {
-            ClassifyEngine::Tree(c) => Some(c.engine()),
-            _ => None,
-        }
     }
 }
 
@@ -887,45 +816,42 @@ mod tests {
         assert_eq!(Arc::strong_count(&model), 3);
     }
 
-    /// An epoch publishing `model` with the given shared engines.
-    fn epoch(
-        model: &Arc<TrainedModel>,
-        sharded: Option<&Arc<ShardedEngine>>,
-        tree: Option<&Arc<TreeEngine>>,
-    ) -> EpochModel {
+    /// An epoch publishing `model` with `engine`.
+    fn epoch(model: &Arc<TrainedModel>, engine: EpochEngine) -> EpochModel {
         EpochModel {
             epoch: 1,
             model: Arc::clone(model),
-            reps: Arc::new(model.prepare_reps()),
-            sharded: sharded.cloned(),
-            tree: tree.cloned(),
+            engine,
         }
     }
 
     #[test]
     fn engine_seam_agrees_across_strategies() {
+        use crate::shard::ShardedEngine;
         let model = Arc::new(model());
-        let engine = Arc::new(ShardedEngine::build(Arc::clone(&model), 3));
-        let mut replicated = ClassifyEngine::for_epoch(&epoch(&model, None, None), None);
-        let mut sharded = ClassifyEngine::for_epoch(&epoch(&model, Some(&engine), None), None);
-        assert!(replicated.sharded_engine().is_none());
-        assert!(sharded.sharded_engine().is_some());
-        assert!(sharded.remote_engine().is_none());
-        assert!(sharded.tree_engine().is_none());
-        for doc in [mining_doc(2), networking_doc(4)] {
-            let a = replicated.classify(&doc).expect("replicated");
-            let b = sharded.classify(&doc).expect("sharded");
-            assert_eq!(a, b, "strategies must be bit-identical");
-            let brute = sharded.classify_brute(&doc).expect("sharded brute");
-            assert_eq!(a.cluster, brute.cluster);
-            assert_eq!(a.score, brute.score);
+        let mut replicated = Classifier::shared(Arc::clone(&model));
+        for shards in [1, 3] {
+            let engine = Arc::new(ShardedEngine::build(Arc::clone(&model), shards));
+            let mut sharded = ClassifyEngine::for_epoch(&epoch(
+                &model,
+                EpochEngine::Indexed(Arc::clone(&engine)),
+            ));
+            assert!(matches!(sharded, ClassifyEngine::Indexed(_)));
+            for doc in [mining_doc(2), networking_doc(4)] {
+                let a = replicated.classify(&doc).expect("replicated");
+                let b = sharded.classify(&doc).expect("sharded");
+                assert_eq!(a, b, "strategies must be bit-identical (S={shards})");
+                let brute = replicated.classify_brute(&doc).expect("brute");
+                assert_eq!(b.cluster, brute.cluster);
+                assert_eq!(b.score, brute.score);
+            }
+            assert!(replicated.index().posting_entries() > 0);
+            assert_eq!(
+                replicated.index().posting_entries(),
+                EpochEngine::Indexed(engine).posting_entries(),
+                "sharding repartitions the postings without changing their total"
+            );
         }
-        assert!(replicated.posting_entries() > 0);
-        assert_eq!(
-            replicated.posting_entries(),
-            sharded.posting_entries(),
-            "sharding repartitions the postings without changing their total"
-        );
     }
 
     #[test]
@@ -939,11 +865,15 @@ mod tests {
             Arc::clone(&model),
             TreeConfig { branch: 2, beam: 2 },
         ));
-        let mut engine = ClassifyEngine::for_epoch(&epoch(&model, None, Some(&tree)), None);
-        assert!(engine.tree_engine().is_some());
-        assert!(engine.sharded_engine().is_none());
-        assert_eq!(engine.posting_entries(), 0, "the tree holds no postings");
-        let mut brute = ClassifyEngine::for_epoch(&epoch(&model, None, None), None);
+        let published = epoch(&model, EpochEngine::Tree(Arc::clone(&tree)));
+        let mut engine = ClassifyEngine::for_epoch(&published);
+        assert!(matches!(engine, ClassifyEngine::Tree(_)));
+        assert_eq!(
+            published.engine.posting_entries(),
+            0,
+            "the tree holds no postings"
+        );
+        let mut brute = Classifier::shared(Arc::clone(&model));
         for doc in [mining_doc(2), networking_doc(4)] {
             let a = engine.classify(&doc).expect("tree");
             let b = brute.classify_brute(&doc).expect("brute");

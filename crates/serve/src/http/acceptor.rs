@@ -25,8 +25,7 @@
 use super::conn::{render_response, Conn, Limits};
 use super::queue::{BoundedQueue, PushError};
 use super::{json_escape, Completion, Job, ServerStats};
-use crate::remote::RemoteEngine;
-use crate::slot::{EpochModel, ModelSlot};
+use crate::slot::{EpochEngine, EpochModel, ModelSlot};
 use cxk_core::MODEL_FORMAT_VERSION;
 use mio::{Events, Interest, Poll, Registry, Token};
 use std::net::TcpListener;
@@ -61,10 +60,6 @@ pub(crate) struct Acceptor {
     /// off, so a connect-and-say-nothing socket still goes away).
     pub idle_horizon: Duration,
     pub io_timeout: Duration,
-    pub brute: bool,
-    /// The remote shard topology, when serving through shard daemons —
-    /// `GET /stats` reports its per-shard counters.
-    pub remote: Option<Arc<RemoteEngine>>,
 }
 
 /// Runs the loop until shutdown. Closing the queue on the way out is the
@@ -82,8 +77,6 @@ pub(crate) fn run(acceptor: Acceptor) {
         force_close,
         idle_horizon,
         io_timeout,
-        brute,
-        remote,
     } = acceptor;
     let registry = poll.registry().clone();
     let mut events = Events::with_capacity(256);
@@ -125,8 +118,6 @@ pub(crate) fn run(acceptor: Acceptor) {
                 &stats,
                 &limits,
                 force_close,
-                brute,
-                remote.as_deref(),
                 now,
             );
             settle(&mut conns, &mut free, done.token, &registry, keep);
@@ -158,18 +149,7 @@ pub(crate) fn run(acceptor: Acceptor) {
                         keep = conn.flush(now).is_ok();
                     }
                     if keep {
-                        keep = pump(
-                            conn,
-                            idx,
-                            &queue,
-                            &slot,
-                            &stats,
-                            &limits,
-                            force_close,
-                            brute,
-                            remote.as_deref(),
-                            now,
-                        );
+                        keep = pump(conn, idx, &queue, &slot, &stats, &limits, force_close, now);
                     }
                     settle(&mut conns, &mut free, idx, &registry, keep);
                 }
@@ -246,8 +226,6 @@ fn pump(
     stats: &ServerStats,
     limits: &Limits,
     force_close: bool,
-    brute: bool,
-    remote: Option<&RemoteEngine>,
     now: Instant,
 ) -> bool {
     let before = conn.requests_parsed;
@@ -258,20 +236,17 @@ fn pump(
             stats.reused.fetch_add(1, Ordering::Relaxed);
         }
     }
-    dispatch(conn, idx, queue, slot, stats, brute, remote);
+    dispatch(conn, idx, queue, slot, stats);
     conn.flush(now).is_ok()
 }
 
 /// Answers or forwards every dispatchable pending request, in order.
-#[allow(clippy::too_many_arguments)]
 fn dispatch(
     conn: &mut Conn,
     idx: usize,
     queue: &BoundedQueue<Job>,
     slot: &ModelSlot,
     stats: &ServerStats,
-    brute: bool,
-    remote: Option<&RemoteEngine>,
 ) {
     while !conn.in_flight && !conn.close_after_flush {
         let Some(request) = conn.pending.pop_front() else {
@@ -325,7 +300,7 @@ fn dispatch(
             }
             ("GET", "/stats") => {
                 let current = slot.current();
-                let body = stats_json(&current, stats, queue, brute, remote);
+                let body = stats_json(&current, stats, queue);
                 conn.queue_bytes(&render_response(200, current.epoch, &body, close, None));
                 if close {
                     conn.close_after_flush = true;
@@ -505,75 +480,67 @@ fn model_json(current: &EpochModel) -> String {
     )
 }
 
-/// `GET /stats`: counters, queue state and engine layout. Scalar fields
-/// stay ahead of the engine detail so flat `"field":value` scrapers keep
-/// working on everything before the arrays.
-fn stats_json(
-    current: &EpochModel,
-    stats: &ServerStats,
-    queue: &BoundedQueue<Job>,
-    brute: bool,
-    remote: Option<&RemoteEngine>,
-) -> String {
-    // Per-shard detail: one object per shard, in range order. Remote
-    // counters live outside the epoch (the topology survives reloads);
-    // sharded counters count since this epoch's engine was built.
-    let engine_detail = if let Some(remote) = remote {
-        let shards: Vec<String> = remote
-            .shard_stats()
-            .iter()
-            .enumerate()
-            .map(|(i, s)| {
-                format!(
-                    r#"{{"shard":{i},"replicas":{},"requests":{},"retries":{},"failovers":{},"bytes":{},"rtt_micros":{}}}"#,
-                    s.replicas, s.requests, s.retries, s.failovers, s.bytes, s.rtt_micros
-                )
-            })
-            .collect();
-        format!(
-            r#""engine":"remote","remote_shards":{},"remote_shard_stats":[{}]"#,
-            remote.shard_count(),
-            shards.join(",")
-        )
-    } else {
-        match (current.sharded.as_ref(), current.tree.as_ref()) {
-            (Some(sharded), _) => {
-                let shards: Vec<String> = sharded
-                    .shard_stats()
-                    .iter()
-                    .map(|s| {
-                        format!(
-                            r#"{{"reps":{},"postings":{},"queries":{},"scored":{}}}"#,
-                            s.reps, s.postings, s.queries, s.scored
-                        )
-                    })
-                    .collect();
-                format!(
-                    r#""engine":"sharded","shards":{},"postings_bytes":{},"shard_stats":[{}]"#,
-                    sharded.shard_count(),
-                    sharded.postings_bytes(),
-                    shards.join(",")
-                )
-            }
-            (None, Some(tree)) => {
-                let s = tree.stats();
-                format!(
-                    r#""engine":"tree","branch":{},"beam":{},"tree_depth":{},"tree_nodes":{},"tuples":{},"nodes_visited":{},"reps_scored":{},"fallbacks":{}"#,
-                    s.branch,
-                    s.beam,
-                    s.depth,
-                    s.nodes,
-                    s.tuples,
-                    s.nodes_visited,
-                    s.reps_scored,
-                    s.fallbacks
-                )
-            }
-            (None, None) => r#""engine":"replicated""#.to_string(),
+/// `GET /stats`: counters, queue state and the live epoch's engine.
+/// Scalar fields stay ahead of the engine detail so flat `"field":value`
+/// scrapers keep working on everything before the arrays.
+fn stats_json(current: &EpochModel, stats: &ServerStats, queue: &BoundedQueue<Job>) -> String {
+    // Per-shard detail: one object per shard, in range order. Sharded and
+    // tree counters count since this epoch's engine was built; remote
+    // counters since the server started (the topology survives reloads).
+    let engine_detail = match &current.engine {
+        EpochEngine::Indexed(engine) => {
+            let shards: Vec<String> = engine
+                .shard_stats()
+                .iter()
+                .map(|s| {
+                    format!(
+                        r#"{{"reps":{},"postings":{},"queries":{},"scored":{}}}"#,
+                        s.reps, s.postings, s.queries, s.scored
+                    )
+                })
+                .collect();
+            format!(
+                r#""engine":"indexed","shards":{},"postings_bytes":{},"shard_stats":[{}]"#,
+                engine.shard_count(),
+                engine.postings_bytes(),
+                shards.join(",")
+            )
+        }
+        EpochEngine::Tree(tree) => {
+            let s = tree.stats();
+            format!(
+                r#""engine":"tree","branch":{},"beam":{},"tree_depth":{},"tree_nodes":{},"tuples":{},"nodes_visited":{},"reps_scored":{},"fallbacks":{}"#,
+                s.branch,
+                s.beam,
+                s.depth,
+                s.nodes,
+                s.tuples,
+                s.nodes_visited,
+                s.reps_scored,
+                s.fallbacks
+            )
+        }
+        EpochEngine::Remote(topology) => {
+            let shards: Vec<String> = topology
+                .shard_stats()
+                .iter()
+                .enumerate()
+                .map(|(i, s)| {
+                    format!(
+                        r#"{{"shard":{i},"replicas":{},"requests":{},"retries":{},"failovers":{},"bytes":{},"rtt_micros":{}}}"#,
+                        s.replicas, s.requests, s.retries, s.failovers, s.bytes, s.rtt_micros
+                    )
+                })
+                .collect();
+            format!(
+                r#""engine":"remote","remote_shards":{},"remote_shard_stats":[{}]"#,
+                topology.shard_count(),
+                shards.join(",")
+            )
         }
     };
     format!(
-        r#"{{"epoch":{},"connections":{},"requests":{},"classified":{},"trash":{},"capped":{},"errors":{},"reloads":{},"reload_errors":{},"rejected":{},"reused":{},"queue_depth":{},"queue_len":{},"index_postings":{},"service_p50_micros":{},"service_p99_micros":{},"service_p999_micros":{},"brute_force":{},{engine_detail}}}"#,
+        r#"{{"epoch":{},"connections":{},"requests":{},"classified":{},"trash":{},"capped":{},"errors":{},"reloads":{},"reload_errors":{},"rejected":{},"reused":{},"queue_depth":{},"queue_len":{},"index_postings":{},"service_p50_micros":{},"service_p99_micros":{},"service_p999_micros":{},{engine_detail}}}"#,
         current.epoch,
         stats.connections.load(Ordering::Relaxed),
         stats.requests.load(Ordering::Relaxed),
@@ -587,10 +554,9 @@ fn stats_json(
         stats.reused.load(Ordering::Relaxed),
         queue.capacity(),
         queue.len(),
-        stats.index_postings.load(Ordering::Relaxed),
+        current.engine.posting_entries(),
         stats.service_hist.percentile(0.5),
         stats.service_hist.percentile(0.99),
         stats.service_hist.percentile(0.999),
-        brute,
     )
 }

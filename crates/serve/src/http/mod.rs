@@ -18,18 +18,17 @@
 //! unbounded work. Read-only endpoints (`GET /model`, `GET /stats`)
 //! answer inline from shared state, so diagnostics stay responsive even
 //! while the queue is jammed. Each worker owns its **own**
-//! [`ClassifyEngine`] so request handling is lock-free (the engine needs
-//! `&mut self` because its session interners grow with unseen markup —
-//! per the `classify` module docs that growth never changes scores). The
-//! engine's layout is picked by [`ServeOptions::shards`]: replicated
-//! (each worker carries a full private index — the default) or sharded
-//! (the pool shares **one** immutable scatter/gather engine per model
-//! epoch; see the `shard` module). Workers hand rendered responses back
-//! to the acceptor over a channel paired with a poller [`Waker`].
+//! [`ClassifyEngine`] — a session over the one immutable engine the live
+//! epoch publishes for [`ServeOptions::layout`] (see the `slot` module) —
+//! so request handling is lock-free and resident index memory is per
+//! epoch, not per worker (the session needs `&mut self` because its
+//! interners grow with unseen markup — per the `classify` module docs that
+//! growth never changes scores). Workers hand rendered responses back to
+//! the acceptor over a channel paired with a poller [`Waker`].
 //!
 //! The model is *not* fixed for the server's lifetime: all workers share
 //! a [`ModelSlot`] (see the `slot` module) and lazily rebuild their
-//! classifier when they observe a newer epoch, so a freshly trained
+//! session when they observe a newer epoch, so a freshly trained
 //! `.cxkmodel` swaps in without dropping a single request — including
 //! requests pipelined on connections that stay open across the swap.
 //! Three surfaces drive it: `POST /reload`, an opt-in mtime poller
@@ -56,8 +55,9 @@
 //! * `GET /model` — model metadata (epoch, k, parameters, sizes).
 //! * `GET /stats` — server counters (connections, requests,
 //!   classifications, errors, reloads, shed requests, reused
-//!   connections, queue depth/length, trash rate) and index diagnostics;
-//!   in sharded mode also the engine layout and per-shard statistics.
+//!   connections, queue depth/length, trash rate) and the live epoch's
+//!   engine: its layout, resident posting entries, and per-shard or tree
+//!   statistics.
 //!
 //! The protocol subset is deliberately tiny: request line + headers,
 //! `Content-Length` bodies only. Framing hygiene is strict — duplicate
@@ -82,8 +82,7 @@ mod conn;
 mod queue;
 
 use crate::classify::{ClassifyEngine, ClassifyError, DocumentAssignment};
-use crate::remote::RemoteEngine;
-use crate::slot::ModelSlot;
+use crate::slot::{Layout, ModelSlot};
 use conn::{Limits, Request};
 use cxk_core::{
     load_model, peek_format_version, snapshot_digest, TrainedModel, MODEL_FORMAT_VERSION,
@@ -106,42 +105,19 @@ const WATCH_TICK: Duration = Duration::from_millis(50);
 /// Server configuration.
 #[derive(Debug, Clone)]
 pub struct ServeOptions {
-    /// Worker threads (each with its own classifier). Clamped to ≥ 1.
+    /// Worker threads (each with its own classify session). Clamped to
+    /// ≥ 1.
     pub threads: usize,
-    /// Score every representative instead of consulting the index
-    /// (diagnostics / benchmarking the index's benefit).
-    pub brute_force: bool,
     /// Stall budget per connection: a request head or body that stops
     /// arriving for this long answers `408` and closes; a peer that
     /// stops reading its responses for this long is dropped. (With the
     /// event-driven transport a slow client pins a buffer, never a
     /// thread — this bounds the buffer's lifetime.)
     pub io_timeout: Duration,
-    /// Partition the representatives across this many shards and share
-    /// **one** immutable scatter/gather engine per model epoch across the
-    /// whole worker pool (`cxk serve --shards <n>`). `None` (the default)
-    /// replicates a full index into every worker instead. Sharded
-    /// assignment is bit-identical to replicated and brute-force
-    /// assignment — see the `shard` module docs.
-    pub shards: Option<usize>,
-    /// Scatter queries to shard daemons in other processes instead of
-    /// scoring anything locally (`cxk serve --remote-shards a1,a2,...`).
-    /// `remote_shards[i]` is shard slot `i`'s replica set, in ascending
-    /// representative-range order; each replica is a `host:port` of a
-    /// `cxk shard-serve` daemon holding the same model snapshot. Takes
-    /// precedence over `shards`. Remote assignment is bit-identical to
-    /// every local strategy — see the `remote` module docs.
-    pub remote_shards: Vec<Vec<String>>,
-    /// Per-shard scatter deadline before failing over to the next
-    /// replica (`cxk serve --remote-deadline-ms <n>`).
-    pub remote_deadline: Duration,
-    /// Serve through a hierarchical representative tree (`cxk serve
-    /// --tree --branch <B> --beam <W>`): one shared [`crate::TreeEngine`]
-    /// per epoch, assignment descends by `simγJ` under the beam and
-    /// exactly re-ranks the reached leaves. The only approximate layout
-    /// (exact at full beam); `remote_shards` and `shards` take
-    /// precedence. See the `tree` module docs.
-    pub tree: Option<crate::tree::TreeConfig>,
+    /// How classification is executed: the engine every epoch publishes
+    /// for the whole worker pool. Defaults to one shared index
+    /// ([`Layout::Indexed`] with one shard).
+    pub layout: Layout,
     /// The snapshot path behind the model, if it came from disk: the
     /// default `POST /reload` target and the file the watcher polls.
     pub model_path: Option<PathBuf>,
@@ -176,12 +152,8 @@ impl Default for ServeOptions {
     fn default() -> Self {
         Self {
             threads: 4,
-            brute_force: false,
             io_timeout: Duration::from_secs(10),
-            shards: None,
-            remote_shards: Vec::new(),
-            remote_deadline: Duration::from_secs(2),
-            tree: None,
+            layout: Layout::default(),
             model_path: None,
             watch: None,
             queue_depth: 256,
@@ -219,10 +191,6 @@ pub struct ServerStats {
     /// Connections that served a second request — keep-alive reuse
     /// actually happening, not just being offered.
     pub reused: AtomicU64,
-    /// Posting-list entries in the index the workers currently serve
-    /// from (refreshed on every engine rebuild), mirrored here so
-    /// `GET /stats` can answer without borrowing a worker's engine.
-    pub index_postings: AtomicU64,
     /// Successful classifications whose tree-tuple enumeration hit
     /// `TupleLimits::max_tuples_per_tree` — the answer was computed on a
     /// truncated tuple set (also flagged per response as `"capped"`).
@@ -299,56 +267,34 @@ pub struct Server {
     watcher: Option<JoinHandle<()>>,
 }
 
-/// Everything a worker needs besides its own classifier.
+/// Everything a worker needs besides its own classify session.
 struct WorkerCtx {
     slot: Arc<ModelSlot>,
     stats: Arc<ServerStats>,
-    brute: bool,
     model_path: Option<PathBuf>,
-    /// The shared remote topology; workers classify through shard
-    /// daemons when set.
-    remote: Option<Arc<RemoteEngine>>,
 }
 
 impl Server {
     /// Binds `addr` (e.g. `("127.0.0.1", 0)` for an ephemeral port) and
     /// starts the acceptor's readiness loop plus `opts.threads` workers;
-    /// `model` becomes epoch 1. With `opts.watch` (and a `model_path`) a
-    /// poller thread hot-swaps the snapshot whenever the file changes on
-    /// disk.
+    /// `model` becomes epoch 1, served through `opts.layout`. With
+    /// `opts.watch` (and a `model_path`) a poller thread hot-swaps the
+    /// snapshot whenever the file changes on disk.
     ///
     /// # Errors
-    /// Returns the bind error, or the poller setup error.
+    /// `InvalidInput` for a layout [`ModelSlot::new`] rejects; otherwise
+    /// the bind error, or the poller setup error.
     pub fn start(
         model: TrainedModel,
         addr: impl ToSocketAddrs,
         opts: ServeOptions,
     ) -> std::io::Result<Server> {
+        let slot = Arc::new(ModelSlot::new(model, opts.layout)?);
         let listener = TcpListener::bind(addr)?;
         listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
         let shutdown = Arc::new(AtomicBool::new(false));
         let stats = Arc::new(ServerStats::default());
-        // Remote serving scores nothing locally, so a remote topology
-        // suppresses the in-process shard engine a `shards` setting would
-        // otherwise build on every epoch.
-        let remote = if opts.remote_shards.is_empty() {
-            None
-        } else {
-            Some(Arc::new(RemoteEngine::new(
-                opts.remote_shards.clone(),
-                opts.remote_deadline,
-            )))
-        };
-        let shards = if remote.is_some() { None } else { opts.shards };
-        // The tree is likewise mutually exclusive with both shard layouts
-        // (the CLI rejects the combinations; embedders get precedence).
-        let tree = if remote.is_some() || shards.is_some() {
-            None
-        } else {
-            opts.tree
-        };
-        let slot = Arc::new(ModelSlot::with_layout(model, shards, tree));
         let threads = opts.threads.max(1);
 
         let poll = Poll::new()?;
@@ -359,25 +305,12 @@ impl Server {
         let queue = Arc::new(BoundedQueue::<Job>::new(opts.queue_depth));
         let (completion_tx, completion_rx) = crossbeam_channel::unbounded::<Completion>();
 
-        // Seed the index-size mirror before any request can land, so an
-        // immediate `GET /stats` never reads a zero. (Workers refresh it
-        // on every engine rebuild.)
-        {
-            let current = slot.current();
-            let engine = ClassifyEngine::for_epoch(&current, remote.as_ref());
-            stats
-                .index_postings
-                .store(engine.posting_entries() as u64, Ordering::Relaxed);
-        }
-
         let mut workers = Vec::with_capacity(threads);
         for _ in 0..threads {
             let ctx = WorkerCtx {
                 slot: Arc::clone(&slot),
                 stats: Arc::clone(&stats),
-                brute: opts.brute_force,
                 model_path: opts.model_path.clone(),
-                remote: remote.clone(),
             };
             let queue = Arc::clone(&queue);
             let tx = completion_tx.clone();
@@ -405,8 +338,6 @@ impl Server {
                 force_close: opts.keep_alive.is_none(),
                 idle_horizon: opts.keep_alive.unwrap_or(opts.io_timeout),
                 io_timeout: opts.io_timeout.max(Duration::from_millis(1)),
-                brute: opts.brute_force,
-                remote: remote.clone(),
             };
             std::thread::spawn(move || acceptor::run(ctx))
         };
@@ -523,19 +454,15 @@ fn worker_loop(
     delay: Option<Duration>,
 ) {
     let mut current = ctx.slot.current();
-    let mut engine = ClassifyEngine::for_epoch(&current, ctx.remote.as_ref());
+    let mut engine = ClassifyEngine::for_epoch(&current);
     while let Some(job) = queue.pop() {
         // Hot reload: observe a newer epoch *between* requests, so
         // in-flight work always finishes on the model it started with
-        // and no lock is held while classifying. In sharded mode the
-        // rebuild is a cheap session — the postings were built once, at
-        // swap time.
+        // and no lock is held while classifying. The rebuild is a cheap
+        // session — the epoch's engine was built once, at swap time.
         if ctx.slot.epoch() != current.epoch {
             current = ctx.slot.current();
-            engine = ClassifyEngine::for_epoch(&current, ctx.remote.as_ref());
-            ctx.stats
-                .index_postings
-                .store(engine.posting_entries() as u64, Ordering::Relaxed);
+            engine = ClassifyEngine::for_epoch(&current);
         }
         if let Some(delay) = delay {
             std::thread::sleep(delay);
@@ -600,38 +527,26 @@ fn handle_request(
                 };
                 let entries: Vec<String> = docs
                     .iter()
-                    .map(|xml| {
-                        let result = if ctx.brute {
-                            engine.classify_brute(xml)
-                        } else {
-                            engine.classify(xml)
-                        };
-                        match result {
-                            Ok(report) => {
-                                stats.classified.fetch_add(1, Ordering::Relaxed);
-                                if report.cluster == engine.trash_id() {
-                                    stats.trash.fetch_add(1, Ordering::Relaxed);
-                                }
-                                if report.capped {
-                                    stats.capped.fetch_add(1, Ordering::Relaxed);
-                                }
-                                assignment_json(&report, engine.trash_id())
+                    .map(|xml| match engine.classify(xml) {
+                        Ok(report) => {
+                            stats.classified.fetch_add(1, Ordering::Relaxed);
+                            if report.cluster == engine.trash_id() {
+                                stats.trash.fetch_add(1, Ordering::Relaxed);
                             }
-                            Err(e) => {
-                                stats.errors.fetch_add(1, Ordering::Relaxed);
-                                format!(r#"{{"error":"{}"}}"#, json_escape(&e.to_string()))
+                            if report.capped {
+                                stats.capped.fetch_add(1, Ordering::Relaxed);
                             }
+                            assignment_json(&report, engine.trash_id())
+                        }
+                        Err(e) => {
+                            stats.errors.fetch_add(1, Ordering::Relaxed);
+                            format!(r#"{{"error":"{}"}}"#, json_escape(&e.to_string()))
                         }
                     })
                     .collect();
                 return (200, epoch, format!("[{}]", entries.join(",")));
             }
-            let result = if ctx.brute {
-                engine.classify_brute(body)
-            } else {
-                engine.classify(body)
-            };
-            match result {
+            match engine.classify(body) {
                 Ok(report) => {
                     stats.classified.fetch_add(1, Ordering::Relaxed);
                     if report.cluster == engine.trash_id() {

@@ -34,16 +34,17 @@
 //!   brute force (see the module docs for the wire argument).
 //! * [`http`] — a dependency-free multi-threaded HTTP/1.1 server
 //!   ([`Server`]) exposing `POST /classify`, `POST /reload`, `GET /model`
-//!   and `GET /stats`, with one [`ClassifyEngine`] (replicated, sharded
-//!   or remote, per [`ServeOptions::shards`] /
-//!   [`ServeOptions::remote_shards`]) per worker thread.
+//!   and `GET /stats`, with one [`ClassifyEngine`] session per worker
+//!   thread over the engine the live epoch publishes for
+//!   [`ServeOptions::layout`] (indexed, tree or remote; see [`Layout`]).
 //! * [`slot`] — the hot-reload seam: a [`ModelSlot`] holding an
-//!   epoch-versioned `Arc<TrainedModel>` that [`Server::reload`], the
-//!   `POST /reload` endpoint and the opt-in file watcher
-//!   ([`ServeOptions::watch`]) swap atomically while workers keep
-//!   serving. Each worker lazily rebuilds its classifier when it observes
-//!   a newer epoch, so in-flight requests finish on the model they
-//!   started with and nothing is dropped across a swap.
+//!   epoch-versioned `Arc<TrainedModel>` plus the one engine the whole
+//!   pool shares for it, which [`Server::reload`], the `POST /reload`
+//!   endpoint and the opt-in file watcher ([`ServeOptions::watch`]) swap
+//!   atomically while workers keep serving. Each worker lazily rebuilds
+//!   its session when it observes a newer epoch, so in-flight requests
+//!   finish on the model they started with and nothing is dropped across
+//!   a swap.
 //!
 //! Model snapshots themselves (`*.cxkmodel`) live in `cxk_core::model`;
 //! this crate consumes a [`cxk_core::TrainedModel`] however it was
@@ -97,5 +98,5 @@ pub use http::{assignment_json, json_escape, ServeOptions, Server, ServerStats, 
 pub use index::{CandidateIds, Candidates, TagPathIndex};
 pub use remote::{RemoteClassifier, RemoteEngine, RemoteShardStats, ShardDaemon};
 pub use shard::{Shard, ShardStats, ShardedClassifier, ShardedEngine};
-pub use slot::{EpochModel, ModelSlot};
+pub use slot::{EpochEngine, EpochModel, Layout, ModelSlot};
 pub use tree::{TreeClassifier, TreeConfig, TreeEngine, TreeStats};

@@ -83,6 +83,9 @@ use std::time::{Duration, Instant};
 /// peer `i + 1`.
 pub const FRONTEND: PeerId = PeerId(0);
 
+/// Default per-shard scatter deadline (`cxk serve --remote-deadline-ms`).
+pub const DEFAULT_DEADLINE: Duration = Duration::from_secs(2);
+
 /// How often daemon connection handlers wake to check the shutdown flag.
 const DAEMON_POLL: Duration = Duration::from_millis(200);
 
@@ -679,6 +682,7 @@ pub struct RemoteShardStats {
 /// (replica sets in ascending range order), the per-request deadline, the
 /// per-shard counters, and the fabric's traffic ledger. Lives outside the
 /// model epoch — counters and topology survive hot reloads.
+#[derive(Debug)]
 pub struct RemoteEngine {
     shards: Vec<Vec<String>>,
     deadline: Duration,

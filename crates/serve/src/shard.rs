@@ -1,17 +1,17 @@
 //! Sharded scatter/gather classification: the representative set
 //! partitioned across shards, one shared immutable index per model epoch.
 //!
-//! The replicated strategy (`crate::classify::Classifier`) gives every
-//! worker its own full `TagPathIndex`, duplicating the postings `threads`
-//! times and capping the representative set at what one worker's memory
-//! holds. This module mirrors the paper's decomposition on the serving
-//! side instead: the `k` representatives are partitioned into `S`
-//! contiguous **shards**, each owning the postings slice and candidate
-//! pruning for its id range. A query *scatters* to every shard, each shard
-//! answers its local `(simγJ, id)` argmax over its pruned candidates, and
-//! a *gather* step takes the global argmax — after which assignment
-//! assembly (trash rule, document aggregation) is exactly the code the
-//! replicated path runs.
+//! A standalone `crate::classify::Classifier` owns a full `TagPathIndex`;
+//! a worker pool of them would duplicate the postings `threads` times.
+//! This module is the server's indexed layout instead, and it mirrors the
+//! paper's decomposition on the serving side: the `k` representatives are
+//! partitioned into `S ≥ 1` contiguous **shards**, each owning the
+//! postings slice and candidate pruning for its id range. A query
+//! *scatters* to every shard, each shard answers its local `(simγJ, id)`
+//! argmax over its pruned candidates, and a *gather* step takes the global
+//! argmax — after which assignment assembly (trash rule, document
+//! aggregation) is exactly the code the standalone classifier runs. With
+//! `S = 1` the one shard is the full index.
 //!
 //! # Why the gather is provably bit-identical to brute force
 //!
@@ -48,9 +48,9 @@
 //! but no postings — that is what makes resident index memory ~constant
 //! in the worker count.
 //!
-//! The shards of this engine run in-process today; the scatter loop is the
-//! seam a cross-process transport would replace (see `ROADMAP.md`,
-//! "Async transport").
+//! The shards of this engine run in-process; the `remote` module carries
+//! the same scatter/gather across processes, to shard daemons over the
+//! `cxk_p2p` fabric.
 
 use crate::classify::{aggregate_document, DocumentAssignment, QuerySession, TupleAssignment};
 use crate::index::TagPathIndex;
@@ -186,8 +186,8 @@ impl ShardedEngine {
     }
 
     /// Estimated resident postings bytes across all shards — the memory
-    /// the whole worker pool shares per epoch (compare with the replicated
-    /// layout's per-worker copy; see `TagPathIndex::postings_bytes`).
+    /// the whole worker pool shares per epoch (see
+    /// `TagPathIndex::postings_bytes`).
     pub fn postings_bytes(&self) -> usize {
         self.shards.iter().map(|s| s.index.postings_bytes()).sum()
     }

@@ -12,31 +12,134 @@
 //! * [`ModelSlot::epoch`] is a lock-free atomic load — cheap enough for
 //!   workers to poll once per connection.
 //! * [`ModelSlot::current`] clones the `Arc` of the live
-//!   [`EpochModel`] (epoch + model, immutable once published).
+//!   [`EpochModel`] (epoch, model and engine, immutable once published).
 //!
-//! An epoch publishes the model behind an `Arc` and — when the slot was
-//! built with [`ModelSlot::with_shards`] — **one** shared
-//! [`ShardedEngine`] over it: the whole worker pool scatters against the
-//! same immutable shard set, so resident index memory is per-epoch, not
-//! per-worker. The engine for the next epoch is built *before* the slot's
-//! mutex is taken, so the critical section still only moves `Arc`s and a
-//! swap never stalls concurrent readers behind an index build.
+//! An epoch publishes the model behind an `Arc` plus **one** engine
+//! ([`EpochEngine`]) built from the server's [`Layout`] and shared by the
+//! whole worker pool: the indexed layout's [`ShardedEngine`], the tree
+//! layout's [`TreeEngine`], or the remote layout's [`RemoteEngine`]
+//! topology — the one engine that outlives epochs, so its counters survive
+//! reloads. Resident index memory is therefore per epoch, not per worker,
+//! and each epoch's engine owns its only prepared representative slab
+//! (remote epochs hold none). The engine for the next epoch is built
+//! *before* the slot's mutex is taken, so the critical section still only
+//! moves `Arc`s and a swap never stalls concurrent readers behind an index
+//! build.
 //!
 //! Workers keep their own `(epoch, ClassifyEngine)` pair and lazily
-//! rebuild their engine (a full classifier in replicated mode, a
-//! lightweight session over the shared shard set in sharded mode) when
-//! the polled epoch moves: an in-flight request always finishes on the
-//! model it started with, the next request on that worker picks up the
+//! rebuild it — a lightweight session over the epoch's shared engine —
+//! when the polled epoch moves: an in-flight request always finishes on
+//! the model it started with, the next request on that worker picks up the
 //! new one, and no lock is held while classifying. A request's response
 //! is therefore self-consistent with exactly one epoch — never a mix of
 //! old and new representatives.
 
+use crate::remote::RemoteEngine;
 use crate::shard::ShardedEngine;
 use crate::tree::{TreeConfig, TreeEngine};
 use cxk_core::TrainedModel;
-use cxk_transact::PreparedSlab;
+use std::io::{Error, ErrorKind};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
+use std::time::Duration;
+
+/// How the server executes classification: one arm per layout it can run.
+/// Every arm answers bit-identically to brute force, except the tree
+/// below full beam.
+#[derive(Debug, Clone)]
+pub enum Layout {
+    /// The exact inverted index, partitioned across `shards` contiguous
+    /// representative ranges (`cxk serve --shards S`, clamped to ≥ 1): one
+    /// shared scatter/gather [`ShardedEngine`] per epoch. The default
+    /// layout, with one shard.
+    Indexed {
+        /// Shards the representatives are partitioned across.
+        shards: usize,
+    },
+    /// A hierarchical representative tree (`cxk serve --tree --branch B
+    /// --beam W`): one shared [`TreeEngine`] per epoch, descended by
+    /// `simγJ` under the beam before an exact re-rank of the reached
+    /// leaves. Exact at full beam; see the `tree` module docs.
+    Tree(TreeConfig),
+    /// Scatter every query to shard daemons in other processes (`cxk
+    /// serve --remote-shards a1,a2,...`), scoring nothing locally. See the
+    /// `remote` module docs.
+    Remote {
+        /// `replicas[i]` is shard slot `i`'s replica set, in ascending
+        /// representative-range order; each replica is a `host:port` of a
+        /// `cxk shard-serve` daemon holding the same model snapshot.
+        replicas: Vec<Vec<String>>,
+        /// Per-shard scatter deadline before failing over to the next
+        /// replica (`--remote-deadline-ms`).
+        deadline: Duration,
+    },
+}
+
+impl Default for Layout {
+    fn default() -> Self {
+        Layout::Indexed { shards: 1 }
+    }
+}
+
+/// The one engine an epoch publishes, shared by every worker.
+#[derive(Debug)]
+pub enum EpochEngine {
+    /// The indexed layout's scatter/gather engine over the epoch's model.
+    Indexed(Arc<ShardedEngine>),
+    /// The tree layout's representative tree over the epoch's model.
+    Tree(Arc<TreeEngine>),
+    /// The remote layout's shard topology: the same `Arc` in every epoch.
+    Remote(Arc<RemoteEngine>),
+}
+
+impl EpochEngine {
+    /// Builds `layout`'s engine over `model`.
+    fn new(layout: Layout, model: &Arc<TrainedModel>) -> std::io::Result<Self> {
+        Ok(match layout {
+            Layout::Indexed { shards } => {
+                Self::Indexed(Arc::new(ShardedEngine::build(Arc::clone(model), shards)))
+            }
+            Layout::Tree(config) => {
+                Self::Tree(Arc::new(TreeEngine::build(Arc::clone(model), config)))
+            }
+            Layout::Remote { replicas, deadline } => {
+                if replicas.is_empty() || replicas.iter().any(Vec::is_empty) || deadline.is_zero() {
+                    return Err(Error::new(
+                        ErrorKind::InvalidInput,
+                        "remote layout needs at least one shard, a replica address for every shard and a non-zero deadline",
+                    ));
+                }
+                Self::Remote(Arc::new(RemoteEngine::new(replicas, deadline)))
+            }
+        })
+    }
+
+    /// The same layout over another epoch's `model`: a fresh shard set or
+    /// tree of the same shape; the remote topology carries over.
+    fn rebuild(&self, model: &Arc<TrainedModel>) -> Self {
+        match self {
+            Self::Indexed(engine) => Self::Indexed(Arc::new(ShardedEngine::build(
+                Arc::clone(model),
+                engine.shard_count(),
+            ))),
+            Self::Tree(tree) => Self::Tree(Arc::new(TreeEngine::build(
+                Arc::clone(model),
+                tree.config(),
+            ))),
+            Self::Remote(topology) => Self::Remote(Arc::clone(topology)),
+        }
+    }
+
+    /// Posting entries resident in this process: the shard set's; zero for
+    /// the tree, which holds merged representatives instead, and for the
+    /// remote topology, whose postings live in the daemons.
+    pub(crate) fn posting_entries(&self) -> usize {
+        match self {
+            Self::Indexed(engine) => engine.posting_entries(),
+            Self::Tree(_) | Self::Remote(_) => 0,
+        }
+    }
+}
 
 /// An immutable, epoch-stamped published model.
 #[derive(Debug)]
@@ -45,18 +148,8 @@ pub struct EpochModel {
     pub epoch: u64,
     /// The model published at this epoch, shared by every worker.
     pub model: Arc<TrainedModel>,
-    /// The model's representatives prepared for the scoring kernel
-    /// ([`TrainedModel::prepare_reps`]), shared by every replicated
-    /// worker: a few KB, built once per epoch.
-    pub reps: Arc<PreparedSlab>,
-    /// The epoch's shared scatter/gather engine, when the slot was built
-    /// with a shard count; `None` means workers replicate a full index
-    /// each.
-    pub sharded: Option<Arc<ShardedEngine>>,
-    /// The epoch's shared representative tree, when the slot was built
-    /// with a [`TreeConfig`]; like the sharded engine it is built
-    /// off-lock per swap and shared by the whole pool.
-    pub tree: Option<Arc<TreeEngine>>,
+    /// The epoch's engine, shared by every worker.
+    pub engine: EpochEngine,
 }
 
 /// The shared swap point for hot model reload (see the module docs).
@@ -70,53 +163,26 @@ pub struct ModelSlot {
     /// always take the authoritative epoch from [`ModelSlot::current`],
     /// so the mirror only ever costs a redundant (idempotent) rebuild.
     epoch: AtomicU64,
-    /// Shard count every epoch's engine is built with; `None` = replicated.
-    shards: Option<usize>,
-    /// Tree shape every epoch's representative tree is built with;
-    /// `None` = no tree.
-    tree: Option<TreeConfig>,
 }
 
 impl ModelSlot {
-    /// Publishes `model` as epoch 1 in replicated mode (each worker builds
-    /// its own full index).
-    pub fn new(model: TrainedModel) -> Self {
-        Self::with_shards(model, None)
-    }
-
-    /// Publishes `model` as epoch 1; with `shards = Some(s)` every epoch
-    /// carries one shared [`ShardedEngine`] partitioning the
-    /// representatives across `s` shards.
-    pub fn with_shards(model: TrainedModel, shards: Option<usize>) -> Self {
-        Self::with_layout(model, shards, None)
-    }
-
-    /// Publishes `model` as epoch 1 under an explicit engine layout:
-    /// a shard count, a [`TreeConfig`], or neither (replicated). The
-    /// layouts are mutually exclusive by construction at the server
-    /// level; if both are passed the sharded engine wins, matching
-    /// [`crate::ClassifyEngine::for_epoch`] precedence.
-    pub fn with_layout(
-        model: TrainedModel,
-        shards: Option<usize>,
-        tree: Option<TreeConfig>,
-    ) -> Self {
-        Self {
-            current: Mutex::new(Arc::new(Self::publish(model, shards, tree, 1))),
+    /// Publishes `model` as epoch 1 with `layout`'s engine; every later
+    /// epoch gets an engine of the same layout.
+    ///
+    /// # Errors
+    /// `InvalidInput` for a remote layout with no shard, a shard with no
+    /// replica address, or a zero deadline.
+    pub fn new(model: TrainedModel, layout: Layout) -> std::io::Result<Self> {
+        let model = Arc::new(model);
+        let engine = EpochEngine::new(layout, &model)?;
+        Ok(Self {
+            current: Mutex::new(Arc::new(EpochModel {
+                epoch: 1,
+                model,
+                engine,
+            })),
             epoch: AtomicU64::new(1),
-            shards,
-            tree,
-        }
-    }
-
-    /// The shard count epochs are built with (`None` = replicated).
-    pub fn shards(&self) -> Option<usize> {
-        self.shards
-    }
-
-    /// The tree shape epochs are built with (`None` = no tree).
-    pub fn tree(&self) -> Option<TreeConfig> {
-        self.tree
+        })
     }
 
     /// The live epoch (lock-free).
@@ -131,38 +197,22 @@ impl ModelSlot {
 
     /// Atomically publishes `model` as the next epoch and returns it.
     /// In-flight work on the previous model keeps its `Arc` alive until
-    /// the last worker drops it. In sharded mode the new epoch's engine is
-    /// built *before* the lock is taken.
+    /// the last worker drops it. The new epoch's engine is built *before*
+    /// the lock is taken.
     pub fn swap(&self, model: TrainedModel) -> u64 {
-        // Build the (potentially expensive) derived state off-lock; only
-        // the publish itself synchronizes.
-        let staged = Self::publish(model, self.shards, self.tree, 0);
+        // Build the (potentially expensive) engine off-lock; only the
+        // publish itself synchronizes.
+        let model = Arc::new(model);
+        let engine = self.current().engine.rebuild(&model);
         let mut current = self.lock();
         let epoch = current.epoch + 1;
-        *current = Arc::new(EpochModel { epoch, ..staged });
-        self.epoch.store(epoch, Ordering::Release);
-        epoch
-    }
-
-    /// Assembles an epoch: the `Arc`ed model plus — in sharded or tree
-    /// mode — the one engine the pool will share.
-    fn publish(
-        model: TrainedModel,
-        shards: Option<usize>,
-        tree: Option<TreeConfig>,
-        epoch: u64,
-    ) -> EpochModel {
-        let model = Arc::new(model);
-        let reps = Arc::new(model.prepare_reps());
-        let sharded = shards.map(|s| Arc::new(ShardedEngine::build(Arc::clone(&model), s)));
-        let tree = tree.map(|cfg| Arc::new(TreeEngine::build(Arc::clone(&model), cfg)));
-        EpochModel {
+        *current = Arc::new(EpochModel {
             epoch,
             model,
-            reps,
-            sharded,
-            tree,
-        }
+            engine,
+        });
+        self.epoch.store(epoch, Ordering::Release);
+        epoch
     }
 
     fn lock(&self) -> std::sync::MutexGuard<'_, Arc<EpochModel>> {
@@ -209,12 +259,34 @@ mod tests {
             .into_model(&ds, BuildOptions::default())
     }
 
+    fn slot(layout: Layout) -> ModelSlot {
+        ModelSlot::new(model(false), layout).expect("valid layout")
+    }
+
+    fn indexed(epoch: &EpochModel) -> &Arc<ShardedEngine> {
+        match &epoch.engine {
+            EpochEngine::Indexed(engine) => engine,
+            other => panic!("indexed epoch expected, got {other:?}"),
+        }
+    }
+
+    fn tree(epoch: &EpochModel) -> &Arc<TreeEngine> {
+        match &epoch.engine {
+            EpochEngine::Tree(tree) => tree,
+            other => panic!("tree epoch expected, got {other:?}"),
+        }
+    }
+
     #[test]
     fn swap_bumps_the_epoch_and_publishes_the_new_model() {
-        let slot = ModelSlot::new(model(false));
+        let slot = slot(Layout::default());
         assert_eq!(slot.epoch(), 1);
         assert_eq!(slot.current().epoch, 1);
-        assert!(slot.current().sharded.is_none(), "replicated by default");
+        assert_eq!(
+            indexed(&slot.current()).shard_count(),
+            1,
+            "one shared index by default"
+        );
         let before_docs = slot.current().model.trained_documents;
 
         let e = slot.swap(model(true));
@@ -227,28 +299,25 @@ mod tests {
 
     #[test]
     fn sharded_slots_publish_one_engine_per_epoch() {
-        let slot = ModelSlot::with_shards(model(false), Some(3));
-        assert_eq!(slot.shards(), Some(3));
+        let slot = slot(Layout::Indexed { shards: 3 });
         let boot = slot.current();
-        let engine = boot.sharded.as_ref().expect("sharded epoch");
+        let engine = indexed(&boot);
         assert_eq!(engine.shard_count(), 3);
         // The engine scores against exactly the published model.
-        assert!(std::sync::Arc::ptr_eq(engine.model(), &boot.model));
+        assert!(Arc::ptr_eq(engine.model(), &boot.model));
         // Every reader of this epoch sees the *same* engine allocation.
-        assert!(std::sync::Arc::ptr_eq(
-            slot.current().sharded.as_ref().unwrap(),
-            engine
-        ));
+        assert!(Arc::ptr_eq(indexed(&slot.current()), engine));
 
         let e = slot.swap(model(true));
         assert_eq!(e, 2);
         let next = slot.current();
-        let next_engine = next.sharded.as_ref().expect("sharded epoch");
+        let next_engine = indexed(&next);
         assert!(
-            !std::sync::Arc::ptr_eq(next_engine, engine),
+            !Arc::ptr_eq(next_engine, engine),
             "a swap rebuilds the shard set"
         );
-        assert!(std::sync::Arc::ptr_eq(next_engine.model(), &next.model));
+        assert_eq!(next_engine.shard_count(), 3, "with the same layout");
+        assert!(Arc::ptr_eq(next_engine.model(), &next.model));
         // The old epoch's engine is still coherent for in-flight holders.
         assert_eq!(engine.model().trained_documents, 2);
     }
@@ -256,34 +325,29 @@ mod tests {
     #[test]
     fn tree_slots_publish_one_tree_per_epoch() {
         let cfg = TreeConfig { branch: 2, beam: 1 };
-        let slot = ModelSlot::with_layout(model(false), None, Some(cfg));
-        assert_eq!(slot.tree(), Some(cfg));
-        assert_eq!(slot.shards(), None);
+        let slot = slot(Layout::Tree(cfg));
         let boot = slot.current();
-        assert!(boot.sharded.is_none());
-        let tree = boot.tree.as_ref().expect("tree epoch");
-        assert_eq!(tree.config(), cfg);
-        assert!(std::sync::Arc::ptr_eq(tree.model(), &boot.model));
-        assert!(std::sync::Arc::ptr_eq(
-            slot.current().tree.as_ref().unwrap(),
-            tree
-        ));
+        let boot_tree = tree(&boot);
+        assert_eq!(boot_tree.config(), cfg);
+        assert!(Arc::ptr_eq(boot_tree.model(), &boot.model));
+        assert!(Arc::ptr_eq(tree(&slot.current()), boot_tree));
 
         let e = slot.swap(model(true));
         assert_eq!(e, 2);
         let next = slot.current();
-        let next_tree = next.tree.as_ref().expect("tree epoch");
+        let next_tree = tree(&next);
         assert!(
-            !std::sync::Arc::ptr_eq(next_tree, tree),
+            !Arc::ptr_eq(next_tree, boot_tree),
             "a swap rebuilds the tree"
         );
-        assert!(std::sync::Arc::ptr_eq(next_tree.model(), &next.model));
-        assert_eq!(tree.model().trained_documents, 2);
+        assert_eq!(next_tree.config(), cfg, "with the same shape");
+        assert!(Arc::ptr_eq(next_tree.model(), &next.model));
+        assert_eq!(boot_tree.model().trained_documents, 2);
     }
 
     #[test]
     fn old_epochs_stay_alive_while_referenced() {
-        let slot = ModelSlot::new(model(false));
+        let slot = slot(Layout::default());
         let old = slot.current();
         slot.swap(model(true));
         // A worker still holding the old Arc keeps classifying against a
@@ -295,12 +359,12 @@ mod tests {
 
     #[test]
     fn concurrent_swaps_and_reads_never_tear() {
-        let slot = std::sync::Arc::new(ModelSlot::with_shards(model(false), Some(2)));
-        let stop = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
+        let slot = Arc::new(slot(Layout::Indexed { shards: 2 }));
+        let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
         let readers: Vec<_> = (0..4)
             .map(|_| {
-                let slot = std::sync::Arc::clone(&slot);
-                let stop = std::sync::Arc::clone(&stop);
+                let slot = Arc::clone(&slot);
+                let stop = Arc::clone(&stop);
                 std::thread::spawn(move || {
                     let mut last = 0u64;
                     while !stop.load(Ordering::Relaxed) {
@@ -314,8 +378,7 @@ mod tests {
                         // shard engine always wraps that same model.
                         let expect = if current.epoch % 2 == 1 { 2 } else { 3 };
                         assert_eq!(current.model.trained_documents, expect);
-                        let engine = current.sharded.as_ref().expect("sharded");
-                        assert!(std::sync::Arc::ptr_eq(engine.model(), &current.model));
+                        assert!(Arc::ptr_eq(indexed(&current).model(), &current.model));
                     }
                 })
             })

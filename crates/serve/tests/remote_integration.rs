@@ -10,7 +10,8 @@ use cxk_core::{save_model, snapshot_digest, CxkConfig, EngineBuilder, TrainedMod
 use cxk_p2p::{FramedConn, PeerId};
 use cxk_serve::remote::{ShardAnswer, ShardMsg};
 use cxk_serve::{
-    Classifier, RemoteClassifier, RemoteEngine, ShardDaemon, ShardedClassifier, ShardedEngine,
+    Classifier, Layout, RemoteClassifier, RemoteEngine, ServeOptions, Server, ShardDaemon,
+    ShardedClassifier, ShardedEngine,
 };
 use cxk_transact::{BuildOptions, DatasetBuilder, SimParams};
 use std::path::PathBuf;
@@ -345,4 +346,29 @@ fn daemon_rejects_out_of_bounds_range() {
         .err()
         .expect("inverted range must fail");
     assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
+}
+
+/// A remote layout the topology cannot run — no shard, a shard without a
+/// replica address, or a zero deadline — is an input error from
+/// `Server::start`, never a panic.
+#[test]
+fn server_rejects_unservable_remote_layouts() {
+    let model = train_on_samples(2, 0.5, 0.5);
+    let daemon = || vec!["127.0.0.1:7271".to_string()];
+    for (replicas, deadline) in [
+        (vec![], DEADLINE),
+        (vec![vec![]], DEADLINE),
+        (vec![daemon(), vec![]], DEADLINE),
+        (vec![daemon()], Duration::ZERO),
+    ] {
+        let layout = Layout::Remote { replicas, deadline };
+        let opts = ServeOptions {
+            layout: layout.clone(),
+            ..ServeOptions::default()
+        };
+        let err = Server::start(model.clone(), ("127.0.0.1", 0), opts)
+            .err()
+            .unwrap_or_else(|| panic!("{layout:?} must be rejected"));
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput, "{layout:?}");
+    }
 }

@@ -5,11 +5,12 @@
 //! over localhost must return the same cluster ids.
 
 use cxk_core::{load_model, save_model, save_model_file, CxkConfig, EngineBuilder, TrainedModel};
-use cxk_serve::{Classifier, ServeOptions, Server};
+use cxk_serve::{Classifier, Layout, ServeOptions, Server, ShardDaemon, TreeConfig, TreeEngine};
 use cxk_transact::{BuildOptions, DatasetBuilder, SimParams};
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::path::PathBuf;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 fn samples_dir() -> PathBuf {
@@ -92,6 +93,28 @@ fn response_epoch(head: &str) -> u64 {
         .expect("numeric epoch")
 }
 
+/// `GET /stats`'s body.
+fn get_stats(addr: std::net::SocketAddr) -> String {
+    let (head, body) = http_request(
+        addr,
+        "GET /stats HTTP/1.1\r\nHost: localhost\r\nConnection: close\r\n\r\n",
+    );
+    assert!(head.starts_with("HTTP/1.1 200"), "{head}");
+    body
+}
+
+/// Every numeric value of `"field":` in `body`, in order (the per-shard
+/// arrays repeat their fields).
+fn field_values(body: &str, field: &str) -> Vec<u64> {
+    body.split(&format!("\"{field}\":"))
+        .skip(1)
+        .map(|rest| {
+            let end = rest.find([',', '}']).expect("delimiter");
+            rest[..end].parse().expect("numeric field")
+        })
+        .collect()
+}
+
 /// Pulls `"field":value` out of the flat JSON the server emits.
 fn json_field(body: &str, field: &str) -> String {
     let key = format!("\"{field}\":");
@@ -153,7 +176,6 @@ fn snapshot_reload_classify_and_serve_round_trip() {
         ("127.0.0.1", 0),
         ServeOptions {
             threads: 2,
-            brute_force: false,
             ..ServeOptions::default()
         },
     )
@@ -279,7 +301,6 @@ fn server_handles_concurrent_clients() {
         ("127.0.0.1", 0),
         ServeOptions {
             threads: 4,
-            brute_force: false,
             ..ServeOptions::default()
         },
     )
@@ -332,6 +353,29 @@ fn train_variant() -> TrainedModel {
     EngineBuilder::from_cxk_config(&config)
         .build()
         .expect("valid variant config")
+        .fit(&ds)
+        .expect("training runs")
+        .into_model(&ds, BuildOptions::default())
+}
+
+/// A model over all twelve samples at k = 4: a different k and a larger
+/// index than [`train_held_out`]'s.
+fn train_all_samples() -> TrainedModel {
+    let mut builder = DatasetBuilder::new(BuildOptions::default());
+    for topic in ["mining", "network"] {
+        for i in 1..=6 {
+            builder
+                .add_xml(&read_sample(&format!("{topic}{i}.xml")))
+                .unwrap();
+        }
+    }
+    let ds = builder.finish();
+    let mut config = CxkConfig::new(4);
+    config.params = SimParams::new(0.5, 0.5);
+    config.seed = 3;
+    EngineBuilder::from_cxk_config(&config)
+        .build()
+        .expect("valid config")
         .fit(&ds)
         .expect("training runs")
         .into_model(&ds, BuildOptions::default())
@@ -684,54 +728,171 @@ fn stream_retrain_feeds_the_running_server() {
     server.shutdown();
 }
 
-/// A sharded server answers exactly like a replicated one, and its
-/// `GET /stats` surfaces the engine layout plus per-shard detail.
+/// One server per layout arm — the default one-shard index, three shards,
+/// the tree at full beam, and remote over loopback daemons: every
+/// held-out answer equals brute force, `GET /stats` names the arm, and
+/// right after `Server::reload` to a model with a different k it
+/// describes the new epoch's engine.
 #[test]
-fn sharded_server_matches_replicated_and_reports_shard_stats() {
+fn every_layout_matches_brute_and_reports_its_engine() {
     let (model, held_out) = train_held_out();
-    let mut classifier = Classifier::new(model.clone());
-    let expected: Vec<u32> = held_out
+    let reloaded = train_all_samples();
+    assert_ne!(model.k(), reloaded.k());
+    let mut reference = Classifier::new(model.clone());
+    let expected: Vec<_> = held_out
         .iter()
-        .map(|(_, xml)| classifier.classify(xml).unwrap().cluster)
+        .map(|(_, xml)| reference.classify_brute(xml).unwrap())
         .collect();
 
+    // The remote arm's daemons: one per representative of the boot model.
+    let shared = Arc::new(model.clone());
+    let daemons: Vec<ShardDaemon> = (0..model.k() as u32)
+        .map(|i| ShardDaemon::start(Arc::clone(&shared), i..i + 1, "127.0.0.1:0").expect("daemon"))
+        .collect();
+    let replicas = daemons.iter().map(|d| vec![d.addr().to_string()]).collect();
+    // A beam at least as wide as any level keeps the tree exact.
+    let full_beam = TreeConfig { branch: 2, beam: 8 };
+
+    for (engine, layout) in [
+        ("indexed", Layout::default()),
+        ("indexed", Layout::Indexed { shards: 3 }),
+        ("tree", Layout::Tree(full_beam)),
+        (
+            "remote",
+            Layout::Remote {
+                replicas,
+                deadline: Duration::from_secs(10),
+            },
+        ),
+    ] {
+        let server = Server::start(
+            model.clone(),
+            ("127.0.0.1", 0),
+            ServeOptions {
+                threads: 3,
+                layout: layout.clone(),
+                ..ServeOptions::default()
+            },
+        )
+        .expect("bind");
+        let addr = server.addr();
+        for ((name, xml), want) in held_out.iter().zip(&expected) {
+            let (head, body) = post_classify(addr, xml);
+            assert!(
+                head.starts_with("HTTP/1.1 200"),
+                "{layout:?} {name}: {head}"
+            );
+            assert_eq!(json_field(&body, "cluster"), want.cluster.to_string());
+            assert_eq!(
+                json_field(&body, "score"),
+                want.score.to_string(),
+                "{layout:?} {name}: bit-identical score"
+            );
+        }
+        let named = format!(r#""engine":"{engine}""#);
+        let body = get_stats(addr);
+        assert!(body.contains(&named), "{body}");
+        assert_eq!(json_field(&body, "epoch"), "1", "{body}");
+        assert_stats_describe(&layout, &model, &body, false);
+
+        server.reload(reloaded.clone());
+        let body = get_stats(addr);
+        assert!(body.contains(&named), "{body}");
+        assert_eq!(json_field(&body, "epoch"), "2", "{body}");
+        assert_stats_describe(&layout, &reloaded, &body, true);
+        server.shutdown();
+    }
+    for daemon in daemons {
+        daemon.shutdown();
+    }
+}
+
+/// Asserts `GET /stats` describes `layout`'s engine over `model`; a
+/// `fresh` engine (just reloaded) has served nothing yet.
+fn assert_stats_describe(layout: &Layout, model: &TrainedModel, body: &str, fresh: bool) {
+    let postings = Classifier::new(model.clone()).index().posting_entries();
+    match layout {
+        Layout::Indexed { shards } => {
+            assert_eq!(json_field(body, "shards"), shards.to_string(), "{body}");
+            assert_eq!(json_field(body, "index_postings"), postings.to_string());
+            assert!(json_field(body, "postings_bytes").parse::<u64>().unwrap() > 0);
+            let reps = field_values(body, "reps");
+            assert_eq!(reps.len(), *shards, "one object per shard: {body}");
+            assert_eq!(reps.iter().sum::<u64>(), model.k() as u64, "{body}");
+            let queries: u64 = field_values(body, "queries").iter().sum();
+            assert_eq!(queries == 0, fresh, "{body}");
+        }
+        Layout::Tree(config) => {
+            let tree = TreeEngine::build(Arc::new(model.clone()), *config);
+            assert_eq!(
+                json_field(body, "tree_nodes"),
+                tree.node_count().to_string()
+            );
+            assert_eq!(json_field(body, "tree_depth"), tree.depth().to_string());
+            assert_eq!(json_field(body, "index_postings"), "0", "{body}");
+            assert_eq!(json_field(body, "tuples") == "0", fresh, "{body}");
+        }
+        Layout::Remote { replicas, .. } => {
+            assert_eq!(
+                json_field(body, "remote_shards"),
+                replicas.len().to_string()
+            );
+            assert_eq!(json_field(body, "index_postings"), "0", "{body}");
+            // The topology and its counters outlive epochs.
+            let requests: u64 = field_values(body, "requests").iter().sum();
+            assert!(requests > 0, "{body}");
+        }
+    }
+}
+
+/// `GET /stats` reports the live epoch's index the moment a reload lands,
+/// before any worker has served a request on the new model.
+#[test]
+fn stats_report_the_live_index_right_after_a_reload() {
+    let (model, _) = train_held_out();
+    let reloaded = train_all_samples();
+    let postings = |m: &TrainedModel| {
+        Classifier::new(m.clone())
+            .index()
+            .posting_entries()
+            .to_string()
+    };
+    assert_ne!(
+        postings(&model),
+        postings(&reloaded),
+        "the index size moves"
+    );
     let server = Server::start(
-        model,
+        model.clone(),
         ("127.0.0.1", 0),
         ServeOptions {
-            threads: 3,
-            shards: Some(3),
+            threads: 2,
             ..ServeOptions::default()
         },
     )
     .expect("bind");
-    let addr = server.addr();
-
-    for ((name, xml), &want) in held_out.iter().zip(&expected) {
-        let (head, body) = post_classify(addr, xml);
-        assert!(head.starts_with("HTTP/1.1 200"), "{name}: {head}");
-        assert_eq!(json_field(&body, "cluster"), want.to_string(), "{name}");
-    }
-
-    let (head, body) = http_request(
-        addr,
-        "GET /stats HTTP/1.1\r\nHost: localhost\r\nConnection: close\r\n\r\n",
+    let body = get_stats(server.addr());
+    assert_eq!(
+        json_field(&body, "index_postings"),
+        postings(&model),
+        "{body}"
     );
-    assert!(head.starts_with("HTTP/1.1 200"), "{head}");
-    assert!(body.contains(r#""engine":"sharded""#), "{body}");
-    assert_eq!(json_field(&body, "shards"), "3", "{body}");
-    assert!(body.contains(r#""shard_stats":[{"#), "{body}");
-    // Three per-shard objects, each reporting its owned representatives.
-    assert_eq!(body.matches(r#""reps":"#).count(), 3, "{body}");
-    assert!(json_field(&body, "postings_bytes").parse::<u64>().unwrap() > 0);
+    server.reload(reloaded.clone());
+    let body = get_stats(server.addr());
+    assert_eq!(json_field(&body, "epoch"), "2", "{body}");
+    assert_eq!(
+        json_field(&body, "index_postings"),
+        postings(&reloaded),
+        "{body}"
+    );
     server.shutdown();
 }
 
-/// Reload under load while scattering: client threads hammer a *sharded*
-/// server while the model is swapped repeatedly, so the shared shard
-/// engine is rebuilt per epoch mid-traffic. Every response must be
-/// self-consistent with exactly one epoch, exactly like the replicated
-/// torture test.
+/// Reload under load while scattering: client threads hammer a
+/// four-shard server while the model is swapped repeatedly, so the shared
+/// shard engine is rebuilt per epoch mid-traffic. Every response must be
+/// self-consistent with exactly one epoch, exactly like the default
+/// layout's torture test.
 #[test]
 fn sharded_reload_under_concurrent_load_stays_epoch_consistent() {
     let (model_a, held_out) = train_held_out();
@@ -755,7 +916,7 @@ fn sharded_reload_under_concurrent_load_stays_epoch_consistent() {
         ("127.0.0.1", 0),
         ServeOptions {
             threads: 4,
-            shards: Some(4),
+            layout: Layout::Indexed { shards: 4 },
             ..ServeOptions::default()
         },
     )
