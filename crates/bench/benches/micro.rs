@@ -14,7 +14,7 @@ use cxk_transact::txsim::{
     ScoreScratch,
 };
 use cxk_transact::{
-    pathsim, BuildOptions, DatasetBuilder, DocumentPipeline, ItemId, ItemWeights, SimParams,
+    pathsim, BuildOptions, DatasetBuilder, DocumentPipeline, ItemId, ItemWeights, SimParams, Terms,
 };
 use cxk_util::{FxHashMap, Interner};
 use cxk_xml::{
@@ -91,13 +91,10 @@ fn bench_document_pipeline(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("document_pipeline_50_dblp_docs");
     group.throughput(Throughput::Elements(docs.len() as u64));
-    // A warm serving session's tables: the model's, grown by the first
-    // iteration's unseen markup and terms.
-    let (mut labels, mut vocabulary, mut paths) = (
-        model.labels.clone(),
-        model.vocabulary.clone(),
-        model.paths.clone(),
-    );
+    // A warm serving session's tables: the model's labels and paths, grown
+    // by the first iteration's unseen markup, and its vocabulary, read as
+    // is.
+    let (mut labels, mut paths) = (model.labels.clone(), model.paths.clone());
     group.bench_function("sax_extract", |b| {
         b.iter(|| {
             for doc in &docs {
@@ -113,11 +110,11 @@ fn bench_document_pipeline(c: &mut Criterion) {
             let mut pipeline = DocumentPipeline {
                 options: &options,
                 labels: &mut labels,
-                vocabulary: &mut vocabulary,
                 paths: &mut paths,
+                terms: Terms::Frozen(&model.vocabulary),
             };
             for doc in &docs {
-                let parsed = pipeline.parse(doc, None).expect("valid document");
+                let parsed = pipeline.parse(doc).expect("valid document");
                 let mut domain = FxHashMap::default();
                 let mut weights = ItemWeights::default();
                 let tuples = parsed.weigh(&model.term_stats, &mut weights, |leaf| {

@@ -381,7 +381,7 @@ fn main() {
     let mut indexed_clusters: Vec<u32> = Vec::with_capacity(stream.len());
     for (mode, brute) in [("indexed", false), ("brute", true)] {
         let mut classifier = Classifier::shared(Arc::clone(&model));
-        let bytes = classifier.index().postings_bytes();
+        let bytes = classifier.engine().postings_bytes();
         let collect = mode == "indexed";
         let trash_id = classifier.trash_id();
         let (seconds, trash, cpd) = run_direct(
@@ -675,7 +675,7 @@ fn main() {
     let mut brute_clusters: Vec<u32> = Vec::with_capacity(large_stream.len());
     for (mode, brute) in [("brute-large", true), ("indexed-large", false)] {
         let mut classifier = Classifier::shared(Arc::clone(&large_model));
-        let bytes = classifier.index().postings_bytes();
+        let bytes = classifier.engine().postings_bytes();
         let trash_id = classifier.trash_id();
         let collect = brute;
         let (seconds, trash, cpd) = run_direct(

@@ -344,7 +344,7 @@ pub fn classify(args: &[String]) -> Result<String, String> {
         .ok_or("classify needs <model.cxkmodel> and XML inputs")?;
     let model = read_model(model_path)?;
     let trash = model.trash_id();
-    let mut classifier = Classifier::new(model);
+    let mut classifier = Classifier::shared(Arc::new(model));
     let files = expand_inputs(inputs)?;
     if files.is_empty() {
         return Err("no input XML files".into());

@@ -21,10 +21,10 @@
 //!   which wraps the familiar [`ClusteringOutcome`] (it derefs to it) and
 //!   flows straight into a servable snapshot via [`FitOutcome::into_model`].
 //!
-//! Engine runs are **bit-identical** to the legacy free functions for the
-//! same configuration and partition (asserted by
-//! `crates/core/tests/engine_properties.rs`); the free functions survive as
-//! thin deprecated shims over this API.
+//! Engine runs are deterministic: repeated fits of one configuration are
+//! bit-identical for every backend and algorithm (asserted by
+//! `crates/core/tests/engine_properties.rs`). The free functions the
+//! engine replaced are gone (see the crate docs).
 //!
 //! # Example
 //!

@@ -34,9 +34,9 @@
 //! synonym-closed postings, which is future work (see ROADMAP).
 //!
 //! The index is immutable derived state over one model: under hot reload
-//! each worker rebuilds its index together with its classifier when it
-//! observes a newer model epoch (see the `slot` module), so postings and
-//! representatives always describe the same snapshot.
+//! the next epoch's engine builds its indexes with the new model (see the
+//! `slot` module), so postings and representatives always describe the
+//! same snapshot.
 
 use cxk_core::Representative;
 use cxk_transact::item::ItemView;

@@ -4,11 +4,14 @@
 //! crate is the layer that makes that result *servable*, the repo's path
 //! from reproduction to production:
 //!
-//! * [`classify`] — an online [`Classifier`] that
-//!   parses an incoming XML document with the trained model's interners,
-//!   weights its TCUs against the frozen corpus statistics, and assigns
-//!   each tree tuple by the relocation rule (argmax `simγJ`, trash when
-//!   nothing γ-matches).
+//! * [`classify`] — one online [`Classifier`] session type, over whichever
+//!   engine the layout publishes: it parses an incoming XML document
+//!   against the trained model's tables (reading its vocabulary in place;
+//!   words the model never saw weigh 0 and are dropped), weights its TCUs
+//!   against the frozen corpus statistics, and assigns each tree tuple by
+//!   the relocation rule (argmax `simγJ`, trash when nothing γ-matches).
+//!   The standalone classifier is a session over a private one-shard
+//!   engine.
 //! * [`index`] — the inverted tag-path/term index
 //!   ([`TagPathIndex`]) that prunes the
 //!   representatives a query must be scored against. Pruning is provably
@@ -57,6 +60,7 @@
 //! use cxk_core::EngineBuilder;
 //! use cxk_serve::Classifier;
 //! use cxk_transact::{BuildOptions, DatasetBuilder};
+//! use std::sync::Arc;
 //!
 //! let mut builder = DatasetBuilder::new(BuildOptions::default());
 //! builder.add_xml(r#"<dblp><inproceedings key="a"><author>M. Zaki</author>
@@ -72,7 +76,7 @@
 //! let fit = engine.fit(&dataset).expect("training runs");
 //! let model = fit.into_model(&dataset, BuildOptions::default());
 //!
-//! let mut classifier = Classifier::new(model);
+//! let mut classifier = Classifier::shared(Arc::new(model));
 //! let report = classifier.classify(
 //!     r#"<dblp><inproceedings key="c"><author>A. Nother</author>
 //!     <title>mining frequent patterns</title></inproceedings></dblp>"#,
@@ -87,12 +91,13 @@ pub mod classify;
 pub mod http;
 pub mod index;
 pub mod remote;
+mod session;
 pub mod shard;
 pub mod slot;
 pub mod tree;
 
 pub use classify::{
-    Classifier, ClassifyEngine, ClassifyError, DocumentAssignment, TupleAssignment,
+    Classifier, ClassifyEngine, ClassifyError, DocumentAssignment, SessionEngine, TupleAssignment,
 };
 pub use http::{assignment_json, json_escape, ServeOptions, Server, ServerStats, StatsSnapshot};
 pub use index::{CandidateIds, Candidates, TagPathIndex};

@@ -24,23 +24,26 @@
 //!   and path tables start as identical clones.
 //! * **Raw symbols, not strings.** Each item ships its tag path as the
 //!   frontend's label-symbol `u32` sequence and its vector as raw
-//!   `(term symbol, f64 bit pattern)` pairs. Model symbols mean the same
-//!   thing on both ends (same model); novel query symbols (`≥` the model's
-//!   interner sizes) cannot collide with model symbols, and equality
-//!   *among themselves* is preserved because one worker owns one
-//!   connection per shard, so a connection only ever sees one session's
-//!   numbering. Structural and content similarity depend only on those
-//!   equalities.
+//!   `(term symbol, f64 bit pattern)` pairs. Term symbols are always the
+//!   model's (extraction drops terms the model's vocabulary does not
+//!   hold), and model symbols mean the same thing on both ends. Novel
+//!   label symbols (`≥` the model's label count) cannot collide with model
+//!   symbols, and equality *among themselves* is preserved because one
+//!   worker owns one connection per shard, so a connection only ever sees
+//!   one session's numbering. Structural and content similarity depend
+//!   only on those equalities.
 //! * **Exact vectors.** Query vectors are built by `SparseVec::from_pairs`
 //!   (sorted, deduplicated, zero weights dropped), so re-running
 //!   `from_pairs` over the shipped `(symbol, bits)` pairs reproduces the
 //!   vector bit-for-bit — no floating-point arithmetic happens in transit,
 //!   and weights are computed once, on the frontend.
-//! * **Unchanged gather.** Daemons score their range under the relocation
-//!   rule (`cxk_transact::txsim::argmax_prepared`: strict `>`, lowest id
-//!   wins ties); the frontend gathers their answers in ascending range
-//!   order with the same rule (`gather_best`), which declares trash
-//!   exactly when the global best is `0.0`.
+//! * **Unchanged gather.** Each daemon is a one-shard `ShardedEngine`
+//!   over its range, and each of its connections a `QuerySession` like a
+//!   frontend worker's: it scores its range under the relocation rule
+//!   (`cxk_transact::txsim::argmax_prepared`: strict `>`, lowest id wins
+//!   ties); the frontend gathers their answers in ascending range order
+//!   with the same rule (`gather_best`), which declares trash exactly when
+//!   the global best is `0.0`.
 //!
 //! # Failover contract
 //!
@@ -61,17 +64,15 @@
 //! accumulates scatter round-trip time.
 
 use crate::classify::{
-    aggregate_document, ClassifyError, DocumentAssignment, QuerySession, Scorer, SessionTagSim,
-    TupleAssignment,
+    aggregate_document, ClassifyError, DocumentAssignment, SessionEngine, TupleAssignment,
 };
-use crate::index::TagPathIndex;
+use crate::session::QuerySession;
+use crate::shard::ShardedEngine;
 use cxk_core::{save_model, snapshot_digest, TrainedModel};
 use cxk_p2p::{FramedConn, NetworkError, PeerId, TrafficLedger, Wire, WireCodec, WireReader};
-use cxk_text::SparseVec;
+use cxk_transact::gather_best;
 use cxk_transact::item::ItemView;
-use cxk_transact::{gather_best, PreparedSlab, SimCtx};
-use cxk_util::Symbol;
-use cxk_xml::path::{PathId, PathTable};
+use std::io::{Error, ErrorKind};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -345,72 +346,11 @@ impl WireCodec for ShardMsg {
     }
 }
 
-/// The daemon side of a [`QuerySession`]: a private path-table clone plus
-/// the lazily extended structural-similarity table (the same
-/// [`SessionTagSim`] the frontend sessions keep, so `sim_S` lookups cover
-/// rep × query pairs and the prepared representatives keep their ranks),
-/// and the connection's scoring buffers. One per connection — a
-/// connection only ever sees one frontend worker's symbol numbering, which
-/// keeps shipped novel symbols consistent.
-struct RangeSession {
-    paths: PathTable,
-    tag_sim: SessionTagSim,
-    scorer: Scorer,
-}
-
-impl RangeSession {
-    fn new(model: &TrainedModel) -> Self {
-        Self {
-            paths: model.paths.clone(),
-            tag_sim: SessionTagSim::new(model),
-            scorer: Scorer::default(),
-        }
-    }
-
-    /// Interns the shipped tuples into this session's tables and rebuilds
-    /// the similarity table when new tag paths arrived — the same
-    /// `SessionTagSim` upkeep as `QuerySession::extract`, minus the
-    /// parsing (the frontend already did that).
-    #[allow(clippy::type_complexity)]
-    fn intern_tuples(&mut self, tuples: &[WireTuple]) -> Vec<Vec<(PathId, SparseVec, u64)>> {
-        let mut fresh = false;
-        let mut request_paths: Vec<PathId> = Vec::new();
-        let decoded: Vec<Vec<(PathId, SparseVec, u64)>> = tuples
-            .iter()
-            .map(|tuple| {
-                tuple
-                    .items
-                    .iter()
-                    .map(|item| {
-                        let labels: Vec<Symbol> =
-                            item.tag_path.iter().map(|&raw| Symbol(raw)).collect();
-                        let tag_path = self.paths.intern(&labels);
-                        request_paths.push(tag_path);
-                        fresh |= self.tag_sim.observe(tag_path);
-                        let pairs: Vec<(Symbol, f64)> = item
-                            .terms
-                            .iter()
-                            .map(|&(term, bits)| (Symbol(term), f64::from_bits(bits)))
-                            .collect();
-                        (tag_path, SparseVec::from_pairs(pairs), item.fingerprint)
-                    })
-                    .collect()
-            })
-            .collect();
-        if fresh {
-            self.tag_sim.rebuild(&self.paths, request_paths);
-        }
-        decoded
-    }
-}
-
 /// State shared between the daemon's accept loop and its handlers.
 struct DaemonShared {
-    model: Arc<TrainedModel>,
+    /// One shard over the served range.
+    engine: ShardedEngine,
     range: Range<u32>,
-    index: TagPathIndex,
-    /// The model's representatives prepared for scoring (global ids).
-    reps: PreparedSlab,
     digest: u64,
     shutdown: AtomicBool,
 }
@@ -451,12 +391,6 @@ impl ShardDaemon {
         let listener = TcpListener::bind(listen)?;
         listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
-        let index = TagPathIndex::build_range(
-            &model.reps[range.start as usize..range.end as usize],
-            &model.paths,
-            model.params,
-            range.start,
-        );
         let digest = snapshot_digest(&save_model(&model)).ok_or_else(|| {
             std::io::Error::new(
                 std::io::ErrorKind::InvalidData,
@@ -464,10 +398,8 @@ impl ShardDaemon {
             )
         })?;
         let shared = Arc::new(DaemonShared {
-            reps: model.prepare_reps(),
-            model,
+            engine: ShardedEngine::for_range(model, range.clone()),
             range: range.clone(),
-            index,
             digest,
             shutdown: AtomicBool::new(false),
         });
@@ -572,7 +504,9 @@ fn handle_conn(stream: TcpStream, shared: &DaemonShared) {
     let Ok(mut conn) = FramedConn::<ShardMsg>::new(stream, PeerId(u32::MAX), None) else {
         return;
     };
-    let mut session = RangeSession::new(&shared.model);
+    // One session per connection: a connection only ever sees one
+    // frontend worker's numbering of novel labels.
+    let mut session = QuerySession::new(shared.engine.model());
     loop {
         if shared.shutdown.load(Ordering::Acquire) {
             return;
@@ -589,7 +523,7 @@ fn handle_conn(stream: TcpStream, shared: &DaemonShared) {
         let reply = match envelope.payload {
             ShardMsg::Hello => ShardMsg::HelloAck {
                 digest: shared.digest,
-                k: shared.model.k() as u32,
+                k: shared.engine.model().k() as u32,
                 start: shared.range.start,
                 end: shared.range.end,
             },
@@ -607,42 +541,34 @@ fn handle_conn(stream: TcpStream, shared: &DaemonShared) {
     }
 }
 
-/// Scores shipped tuples against this daemon's range — the remote half of
-/// `ShardedEngine::assign_tuple`, answer triples instead of shared memory.
+/// Scores shipped tuples against this daemon's range: the one-shard
+/// engine's tuple step, answered as triples instead of gathered.
 fn answer_scatter(
     shared: &DaemonShared,
-    session: &mut RangeSession,
+    session: &mut QuerySession,
     brute: bool,
     tuples: &[WireTuple],
 ) -> Vec<ShardAnswer> {
-    let decoded = session.intern_tuples(tuples);
-    let RangeSession {
-        paths,
-        tag_sim,
-        scorer,
-    } = session;
-    let ctx = SimCtx::new(tag_sim.table(), shared.model.params);
-    let trash = shared.model.trash_id();
+    let decoded = session.decode(tuples);
+    let mut views = Vec::new();
     decoded
         .iter()
         .map(|items| {
-            let views = || {
+            views.clear();
+            views.extend(
                 items
                     .iter()
                     .map(|(tag_path, vector, fingerprint)| ItemView {
                         tag_path: *tag_path,
                         vector,
                         fingerprint: *fingerprint,
-                    })
-            };
-            scorer.prepare(tag_sim.table(), views());
-            scorer.select((!brute).then_some(&shared.index), views(), paths);
-            let (id, sim, scored) =
-                scorer.argmax_selected(&ctx, &shared.reps, shared.range.clone(), trash);
+                    }),
+            );
+            let answer = shared.engine.assign_tuple(session, &views, !brute);
             ShardAnswer {
-                sim_bits: sim.to_bits(),
-                id,
-                scored: scored as u32,
+                sim_bits: answer.similarity.to_bits(),
+                id: answer.cluster,
+                scored: answer.candidates as u32,
             }
         })
         .collect()
@@ -696,25 +622,24 @@ impl RemoteEngine {
     /// at handshake time); slots must be configured in ascending range
     /// order (validated on first use).
     ///
-    /// # Panics
-    /// When `shards` is empty or any replica set is empty.
-    pub fn new(shards: Vec<Vec<String>>, deadline: Duration) -> Self {
-        assert!(
-            !shards.is_empty(),
-            "remote topology needs at least one shard"
-        );
-        assert!(
-            shards.iter().all(|replicas| !replicas.is_empty()),
-            "every shard slot needs at least one replica address"
-        );
+    /// # Errors
+    /// `InvalidInput` when `shards` is empty, a replica set is empty, or
+    /// `deadline` is zero.
+    pub fn new(shards: Vec<Vec<String>>, deadline: Duration) -> std::io::Result<Self> {
+        if shards.is_empty() || shards.iter().any(Vec::is_empty) || deadline.is_zero() {
+            return Err(Error::new(
+                ErrorKind::InvalidInput,
+                "remote layout needs at least one shard, a replica address for every shard and a non-zero deadline",
+            ));
+        }
         let counters = shards.iter().map(|_| ShardNetCounters::default()).collect();
         let ledger = Arc::new(TrafficLedger::new(shards.len() + 1));
-        Self {
+        Ok(Self {
             shards,
             deadline,
             counters,
             ledger,
-        }
+        })
     }
 
     /// Number of shard slots.
@@ -751,7 +676,7 @@ impl RemoteEngine {
 }
 
 /// The per-worker remote classify strategy: extracts query tuples locally
-/// (the session owns the interners), scatters them to every shard daemon,
+/// through its own `QuerySession`, scatters them to every shard daemon,
 /// and gathers the per-range argmaxes under the unchanged brute-force
 /// tie-break/trash rules.
 ///
@@ -835,7 +760,7 @@ impl RemoteClassifier {
     ) -> Result<DocumentAssignment, ClassifyError> {
         let query = self
             .session
-            .extract(xml, &self.model.term_stats)
+            .extract(&self.model, xml)
             .map_err(ClassifyError::Xml)?;
         let tuples = query.transactions;
         let k = self.model.k();
@@ -1208,5 +1133,29 @@ impl RemoteClassifier {
         }
         self.coverage_ok = true;
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn new_rejects_unservable_topologies() {
+        let one = || vec!["127.0.0.1:1".to_string()];
+        for (shards, deadline, what) in [
+            (vec![], DEFAULT_DEADLINE, "no shard"),
+            (
+                vec![one(), vec![]],
+                DEFAULT_DEADLINE,
+                "a shard with no replica",
+            ),
+            (vec![one()], Duration::ZERO, "a zero deadline"),
+        ] {
+            let err = RemoteEngine::new(shards, deadline).expect_err(what);
+            assert_eq!(err.kind(), ErrorKind::InvalidInput, "{what}");
+        }
+        let engine = RemoteEngine::new(vec![one(), one()], DEFAULT_DEADLINE).expect("servable");
+        assert_eq!(engine.shard_count(), 2);
     }
 }

@@ -1,17 +1,16 @@
 //! Sharded scatter/gather classification: the representative set
 //! partitioned across shards, one shared immutable index per model epoch.
 //!
-//! A standalone `crate::classify::Classifier` owns a full `TagPathIndex`;
-//! a worker pool of them would duplicate the postings `threads` times.
-//! This module is the server's indexed layout instead, and it mirrors the
-//! paper's decomposition on the serving side: the `k` representatives are
+//! This module is the server's indexed layout, and it mirrors the paper's
+//! decomposition on the serving side: the `k` representatives are
 //! partitioned into `S ≥ 1` contiguous **shards**, each owning the
 //! postings slice and candidate pruning for its id range. A query
 //! *scatters* to every shard, each shard answers its local `(simγJ, id)`
 //! argmax over its pruned candidates, and a *gather* step takes the global
 //! argmax — after which assignment assembly (trash rule, document
-//! aggregation) is exactly the code the standalone classifier runs. With
-//! `S = 1` the one shard is the full index.
+//! aggregation) is the code every `crate::Classifier` session runs. With
+//! `S = 1` the one shard is the full index: the standalone classifier is a
+//! session over a private one-shard engine.
 //!
 //! # Why the gather is provably bit-identical to brute force
 //!
@@ -44,20 +43,20 @@
 //! engine off-lock and swaps the `Arc` atomically (see the `slot`
 //! module), so in-flight queries keep scattering over the engine they
 //! started with. Each worker's mutable parsing state lives in its own
-//! [`ShardedClassifier`] (a `QuerySession`), which holds interner copies
-//! but no postings — that is what makes resident index memory ~constant
-//! in the worker count.
+//! [`ShardedClassifier`] session, which holds label and path-table copies
+//! but no postings and no vocabulary — that is what makes resident index
+//! memory ~constant in the worker count.
 //!
 //! The shards of this engine run in-process; the `remote` module carries
 //! the same scatter/gather across processes, to shard daemons over the
-//! `cxk_p2p` fabric.
+//! `cxk_p2p` fabric, each daemon a one-shard engine over its range.
 
-use crate::classify::{aggregate_document, DocumentAssignment, QuerySession, TupleAssignment};
+use crate::classify::{Classifier, SessionEngine, TupleAssignment};
 use crate::index::TagPathIndex;
-use cxk_core::rep::RepItem;
+use crate::session::QuerySession;
 use cxk_core::TrainedModel;
+use cxk_transact::item::ItemView;
 use cxk_transact::{gather_best, PreparedSlab};
-use cxk_xml::parser::XmlError;
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -140,20 +139,26 @@ impl ShardedEngine {
     pub fn build(model: Arc<TrainedModel>, shards: usize) -> Self {
         let s = shards.max(1);
         let k = model.k();
-        let shards: Vec<Shard> = (0..s)
-            .map(|i| {
-                let start = i * k / s;
-                let end = (i + 1) * k / s;
-                let index = TagPathIndex::build_range(
-                    &model.reps[start..end],
+        let ranges = (0..s).map(|i| (i * k / s) as u32..((i + 1) * k / s) as u32);
+        Self::over(model, ranges)
+    }
+
+    /// One shard over `range` of `model`'s representatives, which must lie
+    /// within `0..k`: a shard daemon's engine.
+    pub(crate) fn for_range(model: Arc<TrainedModel>, range: Range<u32>) -> Self {
+        Self::over(model, std::iter::once(range))
+    }
+
+    fn over(model: Arc<TrainedModel>, ranges: impl Iterator<Item = Range<u32>>) -> Self {
+        let shards: Vec<Shard> = ranges
+            .map(|range| Shard {
+                index: TagPathIndex::build_range(
+                    &model.reps[range.start as usize..range.end as usize],
                     &model.paths,
                     model.params,
-                    start as u32,
-                );
-                Shard {
-                    range: start as u32..end as u32,
-                    index,
-                }
+                    range.start,
+                ),
+                range,
             })
             .collect();
         let counters = shards.iter().map(|_| ShardCounters::default()).collect();
@@ -163,11 +168,6 @@ impl ShardedEngine {
             shards,
             counters,
         }
-    }
-
-    /// The shared model.
-    pub fn model(&self) -> &Arc<TrainedModel> {
-        &self.model
     }
 
     /// Number of shards (including empty ones when `k < S`).
@@ -205,6 +205,12 @@ impl ShardedEngine {
             })
             .collect()
     }
+}
+
+impl SessionEngine for ShardedEngine {
+    fn model(&self) -> &Arc<TrainedModel> {
+        &self.model
+    }
 
     /// Scatter/gather for one query transaction: every shard reports its
     /// local argmax over its (pruned, unless `!indexed`) candidates, and
@@ -212,7 +218,7 @@ impl ShardedEngine {
     fn assign_tuple(
         &self,
         session: &mut QuerySession,
-        tuple: &[RepItem],
+        tuple: &[ItemView<'_>],
         indexed: bool,
     ) -> TupleAssignment {
         let k = self.model.k() as u32;
@@ -258,77 +264,14 @@ impl std::fmt::Debug for ShardedEngine {
     }
 }
 
-/// A per-worker classification session over a shared [`ShardedEngine`]:
-/// the worker's own mutable `QuerySession` (interners, tag-path
-/// similarity table) plus an `Arc` of the epoch's engine. Building one is
-/// cheap — no postings are copied — which is what a hot reload amortizes
-/// across the pool.
-pub struct ShardedClassifier {
-    engine: Arc<ShardedEngine>,
-    session: QuerySession,
-}
-
-impl ShardedClassifier {
-    /// Builds a worker session over `engine`.
-    pub fn new(engine: Arc<ShardedEngine>) -> Self {
-        let session = QuerySession::new(engine.model());
-        Self { engine, session }
-    }
-
-    /// The shared engine.
-    pub fn engine(&self) -> &Arc<ShardedEngine> {
-        &self.engine
-    }
-
-    /// The underlying model.
-    pub fn model(&self) -> &TrainedModel {
-        self.engine.model()
-    }
-
-    /// Number of proper clusters `k`.
-    pub fn k(&self) -> usize {
-        self.model().k()
-    }
-
-    /// The trash cluster's id (`k`).
-    pub fn trash_id(&self) -> u32 {
-        self.model().trash_id()
-    }
-
-    /// Classifies one XML document by scattering each tuple across the
-    /// shards and gathering the global argmax.
-    ///
-    /// # Errors
-    /// Returns the XML parse error; the classifier stays usable.
-    pub fn classify(&mut self, xml: &str) -> Result<DocumentAssignment, XmlError> {
-        self.classify_impl(xml, true)
-    }
-
-    /// Classifies one XML document scoring every representative in every
-    /// shard (the reference the pruned scatter must agree with).
-    ///
-    /// # Errors
-    /// Returns the XML parse error; the classifier stays usable.
-    pub fn classify_brute(&mut self, xml: &str) -> Result<DocumentAssignment, XmlError> {
-        self.classify_impl(xml, false)
-    }
-
-    fn classify_impl(&mut self, xml: &str, indexed: bool) -> Result<DocumentAssignment, XmlError> {
-        let model = self.engine.model();
-        let query = self.session.extract(xml, &model.term_stats)?;
-        let assignments = query
-            .transactions
-            .iter()
-            .map(|tuple| self.engine.assign_tuple(&mut self.session, tuple, indexed))
-            .collect();
-        Ok(aggregate_document(model.k(), assignments, query.capped))
-    }
-}
+/// A per-worker classification session over a shared [`ShardedEngine`]
+/// (see [`Classifier`]).
+pub type ShardedClassifier = Classifier<ShardedEngine>;
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::classify::Classifier;
+    use crate::classify::DocumentAssignment;
     use cxk_core::{CxkConfig, EngineBuilder};
     use cxk_transact::{BuildOptions, DatasetBuilder, SimParams};
 

@@ -38,7 +38,6 @@ use crate::remote::RemoteEngine;
 use crate::shard::ShardedEngine;
 use crate::tree::{TreeConfig, TreeEngine};
 use cxk_core::TrainedModel;
-use std::io::{Error, ErrorKind};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
@@ -103,13 +102,7 @@ impl EpochEngine {
                 Self::Tree(Arc::new(TreeEngine::build(Arc::clone(model), config)))
             }
             Layout::Remote { replicas, deadline } => {
-                if replicas.is_empty() || replicas.iter().any(Vec::is_empty) || deadline.is_zero() {
-                    return Err(Error::new(
-                        ErrorKind::InvalidInput,
-                        "remote layout needs at least one shard, a replica address for every shard and a non-zero deadline",
-                    ));
-                }
-                Self::Remote(Arc::new(RemoteEngine::new(replicas, deadline)))
+                Self::Remote(Arc::new(RemoteEngine::new(replicas, deadline)?))
             }
         })
     }
@@ -229,6 +222,7 @@ impl ModelSlot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::classify::SessionEngine;
     use cxk_core::{CxkConfig, EngineBuilder, TrainedModel};
     use cxk_transact::{BuildOptions, DatasetBuilder, SimParams};
 

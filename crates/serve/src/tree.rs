@@ -79,15 +79,16 @@
 //! Exactly the sharded engine's: a [`TreeEngine`] is immutable once
 //! built, lives behind an `Arc` published per epoch by the `slot`
 //! module, and is shared by every worker; each worker's mutable parsing
-//! state is its own [`TreeClassifier`] (a `QuerySession`), so resident
-//! tree memory is constant in the worker count.
+//! state is its own [`TreeClassifier`] session, so resident tree memory is
+//! constant in the worker count.
 
-use crate::classify::{aggregate_document, DocumentAssignment, QuerySession, TupleAssignment};
+use crate::classify::{Classifier, SessionEngine, TupleAssignment};
+use crate::session::QuerySession;
 use cxk_core::rep::{RepItem, Representative};
 use cxk_core::{merge_representatives, TrainedModel};
+use cxk_transact::item::ItemView;
 use cxk_transact::txsim::{sim_gamma_j_prepared, PreparedSlab, ScoreScratch};
 use cxk_transact::{SimCtx, TagPathSimTable};
-use cxk_xml::parser::XmlError;
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -335,11 +336,6 @@ impl TreeEngine {
         order
     }
 
-    /// The shared model.
-    pub fn model(&self) -> &Arc<TrainedModel> {
-        &self.model
-    }
-
     /// The (clamped) tree shape.
     pub fn config(&self) -> TreeConfig {
         self.config
@@ -430,6 +426,12 @@ impl TreeEngine {
         // rather than silently returning no candidates.
         ((0..self.model.k() as u32).collect(), visited)
     }
+}
+
+impl SessionEngine for TreeEngine {
+    fn model(&self) -> &Arc<TrainedModel> {
+        &self.model
+    }
 
     /// Assigns one query tuple: beam descent + exact re-rank when
     /// `pruned`, the full-range exact scan otherwise (and always for
@@ -437,7 +439,7 @@ impl TreeEngine {
     fn assign_tuple(
         &self,
         session: &mut QuerySession,
-        tuple: &[RepItem],
+        tuple: &[ItemView<'_>],
         pruned: bool,
     ) -> TupleAssignment {
         let k = self.model.k() as u32;
@@ -508,75 +510,14 @@ impl std::fmt::Debug for TreeEngine {
     }
 }
 
-/// A per-worker classification session over a shared [`TreeEngine`]:
-/// the worker's own mutable `QuerySession` plus an `Arc` of the epoch's
-/// tree. Building one copies no tree state.
-pub struct TreeClassifier {
-    engine: Arc<TreeEngine>,
-    session: QuerySession,
-}
-
-impl TreeClassifier {
-    /// Builds a worker session over `engine`.
-    pub fn new(engine: Arc<TreeEngine>) -> Self {
-        let session = QuerySession::new(engine.model());
-        Self { engine, session }
-    }
-
-    /// The shared engine.
-    pub fn engine(&self) -> &Arc<TreeEngine> {
-        &self.engine
-    }
-
-    /// The underlying model.
-    pub fn model(&self) -> &TrainedModel {
-        self.engine.model()
-    }
-
-    /// Number of proper clusters `k`.
-    pub fn k(&self) -> usize {
-        self.model().k()
-    }
-
-    /// The trash cluster's id (`k`).
-    pub fn trash_id(&self) -> u32 {
-        self.model().trash_id()
-    }
-
-    /// Classifies one XML document by beam descent + exact re-rank per
-    /// tuple.
-    ///
-    /// # Errors
-    /// Returns the XML parse error; the classifier stays usable.
-    pub fn classify(&mut self, xml: &str) -> Result<DocumentAssignment, XmlError> {
-        self.classify_impl(xml, true)
-    }
-
-    /// Classifies one XML document scoring every representative (the
-    /// reference the descent's agreement is measured against).
-    ///
-    /// # Errors
-    /// Returns the XML parse error; the classifier stays usable.
-    pub fn classify_brute(&mut self, xml: &str) -> Result<DocumentAssignment, XmlError> {
-        self.classify_impl(xml, false)
-    }
-
-    fn classify_impl(&mut self, xml: &str, pruned: bool) -> Result<DocumentAssignment, XmlError> {
-        let model = self.engine.model();
-        let query = self.session.extract(xml, &model.term_stats)?;
-        let assignments = query
-            .transactions
-            .iter()
-            .map(|tuple| self.engine.assign_tuple(&mut self.session, tuple, pruned))
-            .collect();
-        Ok(aggregate_document(model.k(), assignments, query.capped))
-    }
-}
+/// A per-worker classification session over a shared [`TreeEngine`] (see
+/// [`Classifier`]).
+pub type TreeClassifier = Classifier<TreeEngine>;
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::classify::Classifier;
+    use crate::classify::DocumentAssignment;
     use cxk_core::{CxkConfig, EngineBuilder};
     use cxk_transact::{BuildOptions, DatasetBuilder, SimParams};
 

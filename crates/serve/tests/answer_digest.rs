@@ -154,14 +154,14 @@ fn digest(mut classify: impl FnMut(&str) -> Result<DocumentAssignment, XmlError>
 
 #[test]
 fn indexed_answers_are_pinned() {
-    let mut c = Classifier::new(model());
+    let mut c = Classifier::shared(Arc::new(model()));
     let got = digest(|doc| c.classify(doc));
     assert_eq!(got, 0x277b_00de_3ca0_b072, "digest {got:#018x}");
 }
 
 #[test]
 fn brute_answers_are_pinned() {
-    let mut c = Classifier::new(model());
+    let mut c = Classifier::shared(Arc::new(model()));
     let got = digest(|doc| c.classify_brute(doc));
     assert_eq!(got, 0x1b17_d9e1_917d_5d7b, "digest {got:#018x}");
 }
@@ -188,7 +188,7 @@ fn capped_answers_are_pinned() {
     model.build.limits = TupleLimits {
         max_tuples_per_tree: 2,
     };
-    let mut c = Classifier::new(model);
+    let mut c = Classifier::shared(Arc::new(model));
     let mut capped = 0usize;
     let got = digest(|doc| {
         let answer = c.classify(doc);

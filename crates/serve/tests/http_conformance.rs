@@ -22,6 +22,7 @@ use cxk_transact::{BuildOptions, DatasetBuilder, SimParams};
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
+use std::sync::Arc;
 use std::time::Duration;
 
 fn samples_dir() -> PathBuf {
@@ -251,7 +252,7 @@ fn refusal_table_answers_each_hostile_request_with_its_status() {
 #[test]
 fn pipelined_requests_answer_in_order_on_one_connection() {
     let (model, held_out) = train_held_out();
-    let expected = Classifier::new(model.clone())
+    let expected = Classifier::shared(Arc::new(model.clone()))
         .classify(&held_out[0])
         .unwrap()
         .cluster;
@@ -301,7 +302,7 @@ fn pipelined_requests_answer_in_order_on_one_connection() {
 #[test]
 fn byte_at_a_time_delivery_is_reassembled() {
     let (model, held_out) = train_held_out();
-    let expected = Classifier::new(model.clone())
+    let expected = Classifier::shared(Arc::new(model.clone()))
         .classify(&held_out[1])
         .unwrap()
         .cluster;
@@ -419,8 +420,8 @@ fn keep_alive_pipelines_survive_twenty_hot_reloads() {
     let (model_a, docs) = train_held_out();
     let model_b = train_variant();
 
-    let mut classifier_a = Classifier::new(model_a.clone());
-    let mut classifier_b = Classifier::new(model_b.clone());
+    let mut classifier_a = Classifier::shared(Arc::new(model_a.clone()));
+    let mut classifier_b = Classifier::shared(Arc::new(model_b.clone()));
     let expected: Vec<(u32, u32)> = docs
         .iter()
         .map(|xml| {

@@ -11,6 +11,7 @@ use cxk_util::{Interner, Symbol};
 use cxk_xml::path::{PathId, PathTable};
 use proptest::prelude::*;
 use std::path::PathBuf;
+use std::sync::Arc;
 
 /// One generated representative item:
 /// `(path_idx, tag_path_idx, vector pairs (term_idx, weight), fingerprint,
@@ -204,8 +205,8 @@ proptest! {
         let f = f64::from(f_step) * 0.25;
         let gamma = f64::from(gamma_step) * 0.2 + 0.1;
         let model = train_on_samples(k, f, gamma);
-        let mut indexed = Classifier::new(model.clone());
-        let mut brute = Classifier::new(model);
+        let mut indexed = Classifier::shared(Arc::new(model.clone()));
+        let mut brute = Classifier::shared(Arc::new(model));
         let alien = r#"<recipes><recipe id="r1"><chef>Q. Cook</chef><dish>braised seitan stew</dish></recipe></recipes>"#;
         for (name, text) in sample_docs()
             .iter()

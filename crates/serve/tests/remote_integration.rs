@@ -109,7 +109,7 @@ fn remote_equals_sharded_and_brute_on_samples() {
     ] {
         let model = Arc::new(train_on_samples(k, 0.5, gamma));
         let (daemons, shards) = spawn_daemons(&model, s);
-        let topology = Arc::new(RemoteEngine::new(shards, DEADLINE));
+        let topology = Arc::new(RemoteEngine::new(shards, DEADLINE).expect("valid topology"));
         let mut remote = RemoteClassifier::new(Arc::clone(&topology), Arc::clone(&model));
         let mut sharded =
             ShardedClassifier::new(Arc::new(ShardedEngine::build(Arc::clone(&model), s)));
@@ -166,13 +166,16 @@ fn killed_daemon_fails_over_to_replica_with_identical_answer() {
     let primary = ShardDaemon::start(Arc::clone(&model), 0..1, "127.0.0.1:0").expect("primary");
     let replica = ShardDaemon::start(Arc::clone(&model), 0..1, "127.0.0.1:0").expect("replica");
     let other = ShardDaemon::start(Arc::clone(&model), 1..2, "127.0.0.1:0").expect("other");
-    let topology = Arc::new(RemoteEngine::new(
-        vec![
-            vec![primary.addr().to_string(), replica.addr().to_string()],
-            vec![other.addr().to_string()],
-        ],
-        DEADLINE,
-    ));
+    let topology = Arc::new(
+        RemoteEngine::new(
+            vec![
+                vec![primary.addr().to_string(), replica.addr().to_string()],
+                vec![other.addr().to_string()],
+            ],
+            DEADLINE,
+        )
+        .expect("valid topology"),
+    );
     let mut remote = RemoteClassifier::new(Arc::clone(&topology), Arc::clone(&model));
     let mut brute = Classifier::shared(Arc::clone(&model));
 
@@ -220,13 +223,16 @@ fn dead_first_replica_is_skipped_on_first_contact() {
     };
     let live0 = ShardDaemon::start(Arc::clone(&model), 0..1, "127.0.0.1:0").expect("live0");
     let live1 = ShardDaemon::start(Arc::clone(&model), 1..2, "127.0.0.1:0").expect("live1");
-    let topology = Arc::new(RemoteEngine::new(
-        vec![
-            vec![dead, live0.addr().to_string()],
-            vec![live1.addr().to_string()],
-        ],
-        DEADLINE,
-    ));
+    let topology = Arc::new(
+        RemoteEngine::new(
+            vec![
+                vec![dead, live0.addr().to_string()],
+                vec![live1.addr().to_string()],
+            ],
+            DEADLINE,
+        )
+        .expect("valid topology"),
+    );
     let mut remote = RemoteClassifier::new(Arc::clone(&topology), Arc::clone(&model));
     let mut brute = Classifier::shared(Arc::clone(&model));
     for (name, text) in &sample_docs() {
@@ -305,13 +311,16 @@ fn wrong_seq_answer_is_rejected_and_fails_over() {
     let (impostor_addr, impostor) = spawn_wrong_seq_impostor(&model, 0, 1);
     let honest = ShardDaemon::start(Arc::clone(&model), 0..1, "127.0.0.1:0").expect("honest");
     let other = ShardDaemon::start(Arc::clone(&model), 1..2, "127.0.0.1:0").expect("other");
-    let topology = Arc::new(RemoteEngine::new(
-        vec![
-            vec![impostor_addr, honest.addr().to_string()],
-            vec![other.addr().to_string()],
-        ],
-        DEADLINE,
-    ));
+    let topology = Arc::new(
+        RemoteEngine::new(
+            vec![
+                vec![impostor_addr, honest.addr().to_string()],
+                vec![other.addr().to_string()],
+            ],
+            DEADLINE,
+        )
+        .expect("valid topology"),
+    );
     let mut remote = RemoteClassifier::new(Arc::clone(&topology), Arc::clone(&model));
     let mut brute = Classifier::shared(Arc::clone(&model));
     for (name, text) in &sample_docs() {

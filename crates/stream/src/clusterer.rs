@@ -8,7 +8,8 @@ use cxk_core::{
 use cxk_transact::item::ItemId;
 use cxk_transact::txsim::{argmax_prepared, PreparedSlab, ScoreScratch};
 use cxk_transact::{
-    BuildOptions, Dataset, DatasetBuilder, DocumentPipeline, ExactMatch, ItemWeights, Transaction,
+    BuildOptions, Dataset, DatasetBuilder, DocumentPipeline, ExactMatch, ItemWeights, Terms,
+    Transaction,
 };
 use cxk_util::{FxHashMap, FxHashSet};
 use cxk_xml::parser::XmlError;
@@ -183,10 +184,13 @@ impl StreamClusterer {
         let doc = DocumentPipeline {
             options: &self.opts.build,
             labels: &mut self.ds.labels,
-            vocabulary: &mut self.ds.vocabulary,
             paths: &mut self.ds.paths,
+            terms: Terms::Join {
+                vocabulary: &mut self.ds.vocabulary,
+                stats: &mut self.ds.term_stats,
+            },
         }
-        .parse(xml, Some(&mut self.ds.term_stats))?;
+        .parse(xml)?;
         let doc_index = self.docs.len();
         self.docs.push(xml.to_string());
 

@@ -11,7 +11,8 @@
 //! * [`stopwords`] — a standard English stopword list.
 //! * [`porter`] — a full implementation of the Porter (1980) stemmer.
 //! * [`pipeline`] — the composed TCU preprocessing pipeline producing
-//!   interned term sequences.
+//!   interned term sequences, or known-term sequences over a frozen
+//!   vocabulary.
 //! * [`sparse`] — sorted sparse vectors with dot product, norms and the
 //!   cosine similarity used for `sim_C`.
 //! * [`weighting`] — the `ttf.itf` term weighting function (§4.1.2).
@@ -25,7 +26,7 @@ pub mod stopwords;
 pub mod tokenize;
 pub mod weighting;
 
-pub use pipeline::{preprocess, PipelineOptions};
+pub use pipeline::{preprocess, preprocess_known, PipelineOptions};
 pub use porter::stem;
 pub use sparse::SparseVec;
 pub use stopwords::is_stopword;

@@ -1,8 +1,9 @@
 //! The composed TCU preprocessing pipeline.
 //!
 //! `raw text → tokenize → stopword filter → Porter stem → intern`, producing
-//! the term sequence of one textual content unit. Terms are interned into a
-//! caller-supplied vocabulary [`Interner`] shared across a corpus.
+//! the term sequence of one textual content unit. [`preprocess`] interns
+//! terms into a caller-supplied vocabulary [`Interner`] shared across a
+//! corpus; [`preprocess_known`] only looks them up in a frozen one.
 
 use crate::porter::stem;
 use crate::stopwords::is_stopword;
@@ -30,15 +31,30 @@ impl Default for PipelineOptions {
 /// Preprocesses one TCU's raw text into interned terms (with duplicates —
 /// term frequency is meaningful downstream).
 pub fn preprocess(text: &str, vocabulary: &mut Interner, options: &PipelineOptions) -> Vec<Symbol> {
-    let mut terms = Vec::new();
-    for token in tokenize(text) {
-        if options.remove_stopwords && is_stopword(&token) {
-            continue;
-        }
-        let term = if options.stem { stem(&token) } else { token };
-        terms.push(vocabulary.intern(&term));
-    }
-    terms
+    terms(text, options)
+        .map(|term| vocabulary.intern(&term))
+        .collect()
+}
+
+/// [`preprocess`] against a vocabulary that must not grow: the terms
+/// `vocabulary` already holds, in order and with duplicates; every other
+/// term is dropped.
+pub fn preprocess_known(
+    text: &str,
+    vocabulary: &Interner,
+    options: &PipelineOptions,
+) -> Vec<Symbol> {
+    terms(text, options)
+        .filter_map(|term| vocabulary.get(&term))
+        .collect()
+}
+
+/// The TCU's terms before interning: tokens minus stopwords, stemmed.
+fn terms<'a>(text: &str, options: &'a PipelineOptions) -> impl Iterator<Item = String> + 'a {
+    tokenize(text)
+        .into_iter()
+        .filter(|token| !(options.remove_stopwords && is_stopword(token)))
+        .map(|token| if options.stem { stem(&token) } else { token })
 }
 
 #[cfg(test)]
@@ -88,6 +104,29 @@ mod tests {
         let b = preprocess("clusters", &mut vocab, &PipelineOptions::default());
         assert_eq!(a, b); // both stem to "cluster"
         assert_eq!(vocab.len(), 1);
+    }
+
+    #[test]
+    fn known_terms_are_preprocess_filtered_to_the_vocabulary() {
+        let options = PipelineOptions::default();
+        let mut vocab = Interner::new();
+        preprocess("clustering xml documents", &mut vocab, &options);
+        let frozen = vocab.clone();
+        for text in [
+            "The effective clustering of the XML documents",
+            "zebra clusters quagga xml xml",
+            "",
+            "unseen words only",
+        ] {
+            let known = preprocess_known(text, &frozen, &options);
+            let interned = preprocess(text, &mut vocab, &options);
+            let filtered: Vec<Symbol> = interned
+                .into_iter()
+                .filter(|t| t.index() < frozen.len())
+                .collect();
+            assert_eq!(known, filtered, "{text}");
+        }
+        assert_eq!(frozen.len(), 3);
     }
 
     #[test]

@@ -10,7 +10,7 @@
 use crate::item::{Item, ItemId};
 use crate::itemsim::{SimCtx, SimParams};
 use crate::pathsim::TagPathSimTable;
-use crate::pipeline::{DocumentPipeline, ItemWeights, ParsedDocument};
+use crate::pipeline::{DocumentPipeline, ItemWeights, ParsedDocument, Terms};
 use crate::transaction::Transaction;
 use cxk_text::{PipelineOptions, TermStatsBuilder};
 use cxk_util::{FxHashMap, Interner};
@@ -148,17 +148,24 @@ impl DatasetBuilder {
         self.docs.iter().filter(|d| d.capped()).count() as u64
     }
 
+    /// The live pipeline: documents intern into, and join, this collection.
+    fn pipeline(&mut self) -> DocumentPipeline<'_> {
+        DocumentPipeline {
+            options: &self.options,
+            labels: &mut self.labels,
+            paths: &mut self.paths,
+            terms: Terms::Join {
+                vocabulary: &mut self.vocabulary,
+                stats: &mut self.term_stats,
+            },
+        }
+    }
+
     /// Parses one XML document and adds it to the collection. Returns the
     /// document index. A rejected document leaves the collection as it
     /// was.
     pub fn add_xml(&mut self, xml: &str) -> Result<usize, XmlError> {
-        let doc = DocumentPipeline {
-            options: &self.options,
-            labels: &mut self.labels,
-            vocabulary: &mut self.vocabulary,
-            paths: &mut self.paths,
-        }
-        .parse(xml, Some(&mut self.term_stats))?;
+        let doc = self.pipeline().parse(xml)?;
         self.docs.push(doc);
         Ok(self.docs.len() - 1)
     }
@@ -174,13 +181,7 @@ impl DatasetBuilder {
         let mut extractor =
             StreamingTupleExtractor::new(input, self.options.parse.clone(), self.options.limits);
         while let Some(doc) = extractor.next_document(&mut self.labels)? {
-            let doc = DocumentPipeline {
-                options: &self.options,
-                labels: &mut self.labels,
-                vocabulary: &mut self.vocabulary,
-                paths: &mut self.paths,
-            }
-            .parse_streamed(doc, Some(&mut self.term_stats));
+            let doc = self.pipeline().parse_streamed(doc);
             self.docs.push(doc);
         }
         Ok(extractor.stats())

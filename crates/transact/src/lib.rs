@@ -64,7 +64,7 @@ pub use pathsim::{
     tag_path_similarity, tag_path_similarity_with, ExactMatch, TagMatcher, TagPathSimTable,
 };
 pub use persist::{load as load_dataset, save as save_dataset, PersistError};
-pub use pipeline::{DocumentPipeline, ItemWeights, ParsedDocument, ParsedLeaf};
+pub use pipeline::{DocumentPipeline, ItemWeights, ParsedDocument, ParsedLeaf, Terms};
 pub use transaction::Transaction;
 pub use txsim::{
     argmax_prepared, gamma_shared, gather_best, sim_gamma_j, sim_gamma_j_prepared,

@@ -9,9 +9,12 @@
 //! [`ItemWeights`]. The term statistics are all the callers set, in two
 //! choices:
 //!
-//! * **Does the document's TCUs join the statistics first?** Training
-//!   (live) and streaming (arrival-time) pass their statistics to `parse`;
-//!   serving (the model's, frozen) does not.
+//! * **Do the document's TCUs join the statistics first?** That is the
+//!   pipeline's [`Terms`]. Training (live) and streaming (arrival-time)
+//!   [`Terms::Join`] theirs, interning every term. Serving reads the
+//!   model's statistics [`Terms::Frozen`]: a term the model's vocabulary
+//!   does not hold has `n_{j,T} = 0` and would weigh 0, so it is dropped
+//!   at preprocessing and the vocabulary is only read.
 //! * **Over what scope is an item's weight averaged?** One `ItemWeights`
 //!   for the whole collection when training; one per pushed document,
 //!   from the first item it is first to show, when streaming; one per
@@ -24,7 +27,7 @@
 
 use crate::dataset::BuildOptions;
 use crate::item::{item_fingerprint, Item, ItemId};
-use cxk_text::{preprocess, ttf_itf, SparseVec, TermStatsBuilder};
+use cxk_text::{preprocess, preprocess_known, ttf_itf, SparseVec, TermStatsBuilder};
 use cxk_util::{FxHashMap, Interner, Symbol};
 use cxk_xml::parser::XmlError;
 use cxk_xml::path::{PathId, PathTable};
@@ -77,52 +80,62 @@ pub struct ParsedDocument {
 }
 
 /// The pipeline over one set of symbol tables: the options a document is
-/// read with and the interners its symbols land in.
+/// read with and the tables its symbols land in.
 pub struct DocumentPipeline<'a> {
     /// Parse, preprocessing and tuple-cap options.
     pub options: &'a BuildOptions,
     /// Tags, attribute names and `S`.
     pub labels: &'a mut Interner,
-    /// Terms.
-    pub vocabulary: &'a mut Interner,
     /// Complete and tag paths.
     pub paths: &'a mut PathTable,
+    /// The vocabulary, and whether the document joins the statistics.
+    pub terms: Terms<'a>,
+}
+
+/// How a [`DocumentPipeline`] treats terms. A vocabulary grows only
+/// together with the statistics its terms are weighted against.
+pub enum Terms<'a> {
+    /// Intern every term into `vocabulary`, and add each of the document's
+    /// TCUs to `stats` (training and streaming).
+    Join {
+        /// The vocabulary, grown by unseen terms.
+        vocabulary: &'a mut Interner,
+        /// The statistics the document joins.
+        stats: &'a mut TermStatsBuilder,
+    },
+    /// Keep only the terms this vocabulary holds (serving against a model).
+    Frozen(&'a Interner),
 }
 
 impl DocumentPipeline<'_> {
     /// Reads one XML document. Accepts and rejects exactly what
     /// `cxk_xml::parse_document` does; a rejected document leaves the
-    /// vocabulary, the path table and `join` untouched (only labels met
-    /// before the error are interned). When `join` is given, the
-    /// document's TCUs join those statistics.
-    pub fn parse(
-        &mut self,
-        xml: &str,
-        join: Option<&mut TermStatsBuilder>,
-    ) -> Result<ParsedDocument, XmlError> {
+    /// vocabulary, the path table and the statistics untouched (only
+    /// labels met before the error are interned).
+    pub fn parse(&mut self, xml: &str) -> Result<ParsedDocument, XmlError> {
         let doc = extract_document(xml, self.labels, &self.options.parse, &self.options.limits)?;
-        Ok(self.parse_streamed(doc, join))
+        Ok(self.parse_streamed(doc))
     }
 
     /// The rest of [`Self::parse`], for a document an extractor pulled off
     /// a stream into this pipeline's labels. Paths are interned leaf by
     /// leaf (complete, then tag path), terms in leaf order.
-    pub(crate) fn parse_streamed(
-        &mut self,
-        doc: StreamedDocument,
-        mut join: Option<&mut TermStatsBuilder>,
-    ) -> ParsedDocument {
+    pub(crate) fn parse_streamed(&mut self, doc: StreamedDocument) -> ParsedDocument {
         let mut term_doc_counts: FxHashMap<Symbol, u32> = FxHashMap::default();
         let mut leaves = Vec::with_capacity(doc.leaves.len());
         for leaf in doc.leaves {
             let path = self.paths.intern(&leaf.path);
             let tag = leaf.path.split_last().map_or(&[][..], |(_, tag)| tag);
             let tag_path = self.paths.intern(tag);
-            let terms = preprocess(&leaf.value, self.vocabulary, &self.options.pipeline);
+            let pipeline = &self.options.pipeline;
+            let terms = match &mut self.terms {
+                Terms::Join { vocabulary, .. } => preprocess(&leaf.value, vocabulary, pipeline),
+                Terms::Frozen(vocabulary) => preprocess_known(&leaf.value, vocabulary, pipeline),
+            };
             let mut distinct = terms.clone();
             distinct.sort_unstable();
             distinct.dedup();
-            if let Some(stats) = join.as_deref_mut() {
+            if let Terms::Join { stats, .. } = &mut self.terms {
                 stats.add_tcu(&distinct);
             }
             for &t in &distinct {

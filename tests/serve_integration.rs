@@ -146,7 +146,7 @@ fn snapshot_reload_classify_and_serve_round_trip() {
     // Classify the held-out documents from the *reloaded* model: indexed
     // and brute-force assignments agree exactly, and the two topics land
     // in two distinct proper clusters.
-    let mut classifier = Classifier::new(reloaded);
+    let mut classifier = Classifier::shared(Arc::new(reloaded));
     let mut clusters = Vec::new();
     for (name, xml) in &held_out {
         let indexed = classifier.classify(xml).expect("classify");
@@ -290,7 +290,7 @@ fn snapshot_reload_classify_and_serve_round_trip() {
 #[test]
 fn server_handles_concurrent_clients() {
     let (model, held_out) = train_held_out();
-    let mut classifier = Classifier::new(model.clone());
+    let mut classifier = Classifier::shared(Arc::new(model.clone()));
     let expected: Vec<u32> = held_out
         .iter()
         .map(|(_, xml)| classifier.classify(xml).unwrap().cluster)
@@ -390,11 +390,11 @@ fn post_reload_swaps_and_rejects_incompatible_snapshots() {
     let (model_a, held_out) = train_held_out();
     let model_b = train_variant();
     let (_, xml) = &held_out[0];
-    let expected_a = Classifier::new(model_a.clone())
+    let expected_a = Classifier::shared(Arc::new(model_a.clone()))
         .classify(xml)
         .unwrap()
         .cluster;
-    let expected_b = Classifier::new(model_b.clone())
+    let expected_b = Classifier::shared(Arc::new(model_b.clone()))
         .classify(xml)
         .unwrap()
         .cluster;
@@ -567,8 +567,8 @@ fn hot_reload_under_concurrent_load_drops_nothing() {
 
     // Per-document expectations under each model, computed locally.
     let docs: Vec<String> = held_out.iter().map(|(_, xml)| xml.clone()).collect();
-    let mut classifier_a = Classifier::new(model_a.clone());
-    let mut classifier_b = Classifier::new(model_b.clone());
+    let mut classifier_a = Classifier::shared(Arc::new(model_a.clone()));
+    let mut classifier_b = Classifier::shared(Arc::new(model_b.clone()));
     let expected: Vec<(u32, u32)> = docs
         .iter()
         .map(|xml| {
@@ -738,7 +738,7 @@ fn every_layout_matches_brute_and_reports_its_engine() {
     let (model, held_out) = train_held_out();
     let reloaded = train_all_samples();
     assert_ne!(model.k(), reloaded.k());
-    let mut reference = Classifier::new(model.clone());
+    let mut reference = Classifier::shared(Arc::new(model.clone()));
     let expected: Vec<_> = held_out
         .iter()
         .map(|(_, xml)| reference.classify_brute(xml).unwrap())
@@ -810,7 +810,9 @@ fn every_layout_matches_brute_and_reports_its_engine() {
 /// Asserts `GET /stats` describes `layout`'s engine over `model`; a
 /// `fresh` engine (just reloaded) has served nothing yet.
 fn assert_stats_describe(layout: &Layout, model: &TrainedModel, body: &str, fresh: bool) {
-    let postings = Classifier::new(model.clone()).index().posting_entries();
+    let postings = Classifier::shared(Arc::new(model.clone()))
+        .engine()
+        .posting_entries();
     match layout {
         Layout::Indexed { shards } => {
             assert_eq!(json_field(body, "shards"), shards.to_string(), "{body}");
@@ -852,8 +854,8 @@ fn stats_report_the_live_index_right_after_a_reload() {
     let (model, _) = train_held_out();
     let reloaded = train_all_samples();
     let postings = |m: &TrainedModel| {
-        Classifier::new(m.clone())
-            .index()
+        Classifier::shared(Arc::new(m.clone()))
+            .engine()
             .posting_entries()
             .to_string()
     };
@@ -899,8 +901,8 @@ fn sharded_reload_under_concurrent_load_stays_epoch_consistent() {
     let model_b = train_variant();
 
     let docs: Vec<String> = held_out.iter().map(|(_, xml)| xml.clone()).collect();
-    let mut classifier_a = Classifier::new(model_a.clone());
-    let mut classifier_b = Classifier::new(model_b.clone());
+    let mut classifier_a = Classifier::shared(Arc::new(model_a.clone()));
+    let mut classifier_b = Classifier::shared(Arc::new(model_b.clone()));
     let expected: Vec<(u32, u32)> = docs
         .iter()
         .map(|xml| {
