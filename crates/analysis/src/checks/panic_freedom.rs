@@ -4,7 +4,7 @@
 //! `unimplemented!` are denied in non-test code of the configured crates.
 
 use super::{followed_by_empty_parens, followed_by_paren};
-use crate::lex::Kind;
+use crate::lex::{Kind, Tok};
 use crate::report::{Report, Severity};
 use crate::scan::ScannedFile;
 use crate::Config;
@@ -25,7 +25,7 @@ pub fn run(files: &[ScannedFile<'_>], cfg: &Config, rep: &mut Report) {
             let prev_dot = i > 0 && f.toks[i - 1].is_punct(b'.');
             let found = if t.text == "unwrap" && prev_dot && followed_by_empty_parens(&f.toks, i) {
                 Some("`.unwrap()`")
-            } else if t.text == "expect" && prev_dot && followed_by_paren(&f.toks, i) {
+            } else if t.text == "expect" && prev_dot && takes_message(&f.toks, i) {
                 Some("`.expect(...)`")
             } else if PANIC_MACROS.contains(&t.text)
                 && f.toks.get(i + 1).map(|n| n.is_punct(b'!')).unwrap_or(false)
@@ -55,4 +55,15 @@ pub fn run(files: &[ScannedFile<'_>], cfg: &Config, rep: &mut Report) {
             }
         }
     }
+}
+
+/// True for a call `expect (` that can be `Option::expect` or
+/// `Result::expect`. Both take a `&str`, so a lone char or byte literal
+/// argument (the XML readers' `self.expect(b'>')`; a lifetime `'a` does
+/// not end in a quote) names some other method.
+fn takes_message(toks: &[Tok<'_>], idx: usize) -> bool {
+    let char_arg = |a: &Tok<'_>| a.kind == Kind::Lit && a.text.len() > 2 && a.text.ends_with('\'');
+    followed_by_paren(toks, idx)
+        && !(toks.get(idx + 2).is_some_and(char_arg)
+            && toks.get(idx + 3).is_some_and(|t| t.is_punct(b')')))
 }

@@ -16,7 +16,7 @@ pub enum Kind {
     /// Single punctuation byte; `ch` holds it.
     Punct,
     /// String / raw string / byte string / char / number / lifetime.
-    /// Content is deliberately opaque to the checks.
+    /// Checks read at most its spelling's delimiters, never its content.
     Lit,
 }
 
@@ -24,7 +24,7 @@ pub enum Kind {
 #[derive(Debug, Clone, Copy)]
 pub struct Tok<'a> {
     pub kind: Kind,
-    /// Spelling for `Ident` tokens, empty otherwise.
+    /// Spelling for `Ident` and `Lit` tokens, empty for `Punct`.
     pub text: &'a str,
     /// The byte for `Punct` tokens, 0 otherwise.
     pub ch: u8,
@@ -75,6 +75,7 @@ pub fn lex(src: &str) -> Lexed<'_> {
     let mut line = 1u32;
     while i < b.len() {
         let c = b[i];
+        let start = i;
         match c {
             b'\n' => {
                 line += 1;
@@ -82,7 +83,6 @@ pub fn lex(src: &str) -> Lexed<'_> {
             }
             b' ' | b'\t' | b'\r' => i += 1,
             b'/' if i + 1 < b.len() && b[i + 1] == b'/' => {
-                let start = i;
                 while i < b.len() && b[i] != b'\n' {
                     i += 1;
                 }
@@ -93,7 +93,6 @@ pub fn lex(src: &str) -> Lexed<'_> {
                 });
             }
             b'/' if i + 1 < b.len() && b[i + 1] == b'*' => {
-                let start = i;
                 let start_line = line;
                 let mut depth = 1u32;
                 i += 2;
@@ -120,7 +119,7 @@ pub fn lex(src: &str) -> Lexed<'_> {
             b'"' => {
                 let tok_line = line;
                 i = skip_string(b, i, &mut line);
-                out.toks.push(lit(tok_line));
+                out.toks.push(lit(src, start..i, tok_line));
             }
             b'\'' => {
                 let tok_line = line;
@@ -128,21 +127,21 @@ pub fn lex(src: &str) -> Lexed<'_> {
                 // 'a (no closing quote right after) is a lifetime.
                 if i + 1 < b.len() && b[i + 1] == b'\\' {
                     i = skip_char_literal(b, i, &mut line);
-                    out.toks.push(lit(tok_line));
+                    out.toks.push(lit(src, start..i, tok_line));
                 } else if i + 2 < b.len() && is_ident_start(b[i + 1]) && b[i + 2] != b'\'' {
                     // Lifetime: consume the quote and the identifier.
                     i += 1;
                     while i < b.len() && is_ident_continue(b[i]) {
                         i += 1;
                     }
-                    out.toks.push(lit(tok_line));
+                    out.toks.push(lit(src, start..i, tok_line));
                 } else if i + 2 < b.len() && b[i + 2] == b'\'' {
                     // Simple one-byte char literal like 'x' or '''.
                     i += 3;
-                    out.toks.push(lit(tok_line));
+                    out.toks.push(lit(src, start..i, tok_line));
                 } else {
                     i = skip_char_literal(b, i, &mut line);
-                    out.toks.push(lit(tok_line));
+                    out.toks.push(lit(src, start..i, tok_line));
                 }
             }
             _ if c.is_ascii_digit() => {
@@ -165,10 +164,9 @@ pub fn lex(src: &str) -> Lexed<'_> {
                         break;
                     }
                 }
-                out.toks.push(lit(tok_line));
+                out.toks.push(lit(src, start..i, tok_line));
             }
             _ if is_ident_start(c) => {
-                let start = i;
                 let tok_line = line;
                 while i < b.len() && is_ident_continue(b[i]) {
                     i += 1;
@@ -180,14 +178,14 @@ pub fn lex(src: &str) -> Lexed<'_> {
                 if raw_capable && (next == b'"' || next == b'#' || next == b'\'') {
                     if next == b'\'' && text == "b" {
                         i = skip_char_literal(b, i, &mut line);
-                        out.toks.push(lit(tok_line));
+                        out.toks.push(lit(src, start..i, tok_line));
                     } else if next == b'"' && !text.contains('r') {
                         i = skip_string(b, i, &mut line);
-                        out.toks.push(lit(tok_line));
+                        out.toks.push(lit(src, start..i, tok_line));
                     } else if next == b'#' || (next == b'"' && text.contains('r')) {
                         if let Some(end) = skip_raw_string(b, i, &mut line) {
                             i = end;
-                            out.toks.push(lit(tok_line));
+                            out.toks.push(lit(src, start..i, tok_line));
                         } else {
                             // `r#ident` raw identifier or stray `#`: keep the ident.
                             out.toks.push(Tok {
@@ -221,10 +219,12 @@ pub fn lex(src: &str) -> Lexed<'_> {
     out
 }
 
-fn lit(line: u32) -> Tok<'static> {
+/// A literal token spelled `src[span]`; an unterminated literal at the
+/// end of a malformed file may overrun it, and is spelled empty.
+fn lit(src: &str, span: std::ops::Range<usize>, line: u32) -> Tok<'_> {
     Tok {
         kind: Kind::Lit,
-        text: "",
+        text: src.get(span).unwrap_or(""),
         ch: 0,
         line,
     }

@@ -53,7 +53,9 @@ pub struct Config {
 impl Default for Config {
     fn default() -> Self {
         Config {
-            panic_deny_crates: vec!["serve".to_string(), "p2p".to_string(), "mio".to_string()],
+            panic_deny_crates: ["serve", "p2p", "mio", "xml", "text", "transact", "util"]
+                .map(String::from)
+                .to_vec(),
             event_loop_files: vec!["serve/src/http/acceptor.rs".to_string()],
         }
     }

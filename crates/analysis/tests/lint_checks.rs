@@ -74,6 +74,24 @@ fn panic_freedom_ignores_unlisted_crates_and_lookalikes() {
 }
 
 #[test]
+fn panic_freedom_passes_expect_with_a_char_or_byte_argument() {
+    // `Option::expect` and `Result::expect` take a `&str`: a char or byte
+    // literal argument names some other method, such as the XML readers'
+    // byte-consuming `expect`. A string or a named message still counts.
+    let rep = lint_one(
+        "crates/xml/src/reader.rs",
+        r#"
+pub fn a(&mut self) -> Result<(), E> { self.expect(b'>')?; self.expect('\'')?; Ok(()) }
+pub fn b(r: Result<u32, ()>) -> u32 { r.expect("boom") }
+pub fn c(o: Option<u8>) -> u8 { o.expect(MESSAGE) }
+pub fn d<'a>(o: Option<&'a u8>) -> &'a u8 { o.expect(&'a') }
+"#,
+    );
+    let lines: Vec<u32> = rep.diagnostics.iter().map(|d| d.line).collect();
+    assert_eq!(lines, vec![3, 4, 5], "{:?}", rep.diagnostics);
+}
+
+#[test]
 fn strings_and_comments_never_trigger() {
     let rep = lint_one(
         "crates/serve/src/x.rs",

@@ -18,7 +18,6 @@
 pub mod args;
 pub mod data;
 pub mod experiments;
-pub mod loadgen;
 pub mod table_runner;
 
 pub use data::{prepare, CorpusKind, Prepared};

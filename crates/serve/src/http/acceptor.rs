@@ -540,7 +540,7 @@ fn stats_json(current: &EpochModel, stats: &ServerStats, queue: &BoundedQueue<Jo
         }
     };
     format!(
-        r#"{{"epoch":{},"connections":{},"requests":{},"classified":{},"trash":{},"capped":{},"errors":{},"reloads":{},"reload_errors":{},"rejected":{},"reused":{},"queue_depth":{},"queue_len":{},"index_postings":{},"service_p50_micros":{},"service_p99_micros":{},"service_p999_micros":{},{engine_detail}}}"#,
+        r#"{{"epoch":{},"connections":{},"requests":{},"classified":{},"trash":{},"capped":{},"errors":{},"worker_panics":{},"reloads":{},"reload_errors":{},"rejected":{},"reused":{},"queue_depth":{},"queue_len":{},"index_postings":{},"service_p50_micros":{},"service_p99_micros":{},"service_p999_micros":{},{engine_detail}}}"#,
         current.epoch,
         stats.connections.load(Ordering::Relaxed),
         stats.requests.load(Ordering::Relaxed),
@@ -548,6 +548,7 @@ fn stats_json(current: &EpochModel, stats: &ServerStats, queue: &BoundedQueue<Jo
         stats.trash.load(Ordering::Relaxed),
         stats.capped.load(Ordering::Relaxed),
         stats.errors.load(Ordering::Relaxed),
+        stats.worker_panics.load(Ordering::Relaxed),
         stats.reloads.load(Ordering::Relaxed),
         stats.reload_errors.load(Ordering::Relaxed),
         stats.rejected.load(Ordering::Relaxed),

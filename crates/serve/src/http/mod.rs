@@ -54,8 +54,8 @@
 //!   live model is untouched. Success answers `200` with the new epoch.
 //! * `GET /model` — model metadata (epoch, k, parameters, sizes).
 //! * `GET /stats` — server counters (connections, requests,
-//!   classifications, errors, reloads, shed requests, reused
-//!   connections, queue depth/length, trash rate) and the live epoch's
+//!   classifications, errors, worker panics, reloads, shed requests,
+//!   reused connections, queue depth/length, trash rate) and the live epoch's
 //!   engine: its layout, resident posting entries, and per-shard or tree
 //!   statistics.
 //!
@@ -92,6 +92,7 @@ use cxk_util::LogHistogram;
 use mio::{Interest, Poll, Waker};
 use queue::BoundedQueue;
 use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
+use std::panic::AssertUnwindSafe;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -180,6 +181,9 @@ pub struct ServerStats {
     pub trash: AtomicU64,
     /// Requests answered with a 4xx/5xx status.
     pub errors: AtomicU64,
+    /// Requests whose handling panicked: answered `500` (also counted in
+    /// `errors`), after which the worker rebuilt its session and lived on.
+    pub worker_panics: AtomicU64,
     /// Successful model swaps (any surface: endpoint, watcher, library).
     pub reloads: AtomicU64,
     /// Rejected swap attempts (unreadable, corrupt or incompatible
@@ -216,6 +220,8 @@ pub struct StatsSnapshot {
     pub trash: u64,
     /// Requests answered with a 4xx/5xx status.
     pub errors: u64,
+    /// Requests whose handling panicked (answered `500`).
+    pub worker_panics: u64,
     /// Successful model swaps.
     pub reloads: u64,
     /// Rejected swap attempts.
@@ -395,6 +401,7 @@ impl Server {
             classified: self.stats.classified.load(Ordering::Relaxed),
             trash: self.stats.trash.load(Ordering::Relaxed),
             errors: self.stats.errors.load(Ordering::Relaxed),
+            worker_panics: self.stats.worker_panics.load(Ordering::Relaxed),
             reloads: self.stats.reloads.load(Ordering::Relaxed),
             reload_errors: self.stats.reload_errors.load(Ordering::Relaxed),
             rejected: self.stats.rejected.load(Ordering::Relaxed),
@@ -445,7 +452,9 @@ impl Drop for Server {
 
 /// A worker: pull jobs from the bounded queue, keep the engine on the
 /// live epoch, render complete responses and hand them back to the
-/// acceptor (channel + waker). Exits when the queue closes.
+/// acceptor (channel + waker). A job that panics is answered `500` and
+/// counted, and the worker goes on with a fresh session. Exits when the
+/// queue closes.
 fn worker_loop(
     ctx: WorkerCtx,
     queue: &BoundedQueue<Job>,
@@ -456,19 +465,31 @@ fn worker_loop(
     let mut current = ctx.slot.current();
     let mut engine = ClassifyEngine::for_epoch(&current);
     while let Some(job) = queue.pop() {
-        // Hot reload: observe a newer epoch *between* requests, so
-        // in-flight work always finishes on the model it started with
-        // and no lock is held while classifying. The rebuild is a cheap
-        // session — the epoch's engine was built once, at swap time.
-        if ctx.slot.epoch() != current.epoch {
-            current = ctx.slot.current();
-            engine = ClassifyEngine::for_epoch(&current);
-        }
         if let Some(delay) = delay {
             std::thread::sleep(delay);
         }
         let started = Instant::now();
-        let (status, epoch, body) = handle_request(&job.request, &mut engine, current.epoch, &ctx);
+        // Unwind safe: a panic discards the session, the only state a job
+        // mutates besides atomics and the slot's poison-tolerant mutex.
+        let answered = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            // Hot reload: observe a newer epoch *between* requests, so
+            // in-flight work always finishes on the model it started with
+            // and no lock is held while classifying. The rebuild is a cheap
+            // session — the epoch's engine was built once, at swap time.
+            if ctx.slot.epoch() != current.epoch {
+                current = ctx.slot.current();
+                engine = ClassifyEngine::for_epoch(&current);
+            }
+            handle_request(&job.request, &mut engine, current.epoch, &ctx)
+        }));
+        let (status, epoch, body) = answered.unwrap_or_else(|_| {
+            ctx.stats.worker_panics.fetch_add(1, Ordering::Relaxed);
+            ctx.stats.errors.fetch_add(1, Ordering::Relaxed);
+            current = ctx.slot.current();
+            engine = ClassifyEngine::for_epoch(&current);
+            let body = r#"{"error":"the request's handler panicked"}"#;
+            (500, current.epoch, body.to_string())
+        });
         let micros = u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX);
         ctx.stats.service_hist.record(micros);
         let bytes = conn::render_response(status, epoch, &body, job.request.close, None);
@@ -507,6 +528,8 @@ fn handle_request(
     epoch: u64,
     ctx: &WorkerCtx,
 ) -> (u16, u64, String) {
+    #[cfg(test)]
+    tests::inject_fault(request);
     let stats = &*ctx.stats;
     match (request.method.as_str(), request.path.as_str()) {
         ("POST", "/classify") => {
@@ -908,6 +931,74 @@ pub fn assignment_json(report: &DocumentAssignment, trash_id: u32) -> String {
 mod tests {
     use super::*;
     use crate::classify::TupleAssignment;
+    use cxk_core::{CxkConfig, EngineBuilder};
+    use cxk_transact::{BuildOptions, DatasetBuilder, SimParams};
+    use std::io::{Read, Write};
+
+    /// The request body that makes [`inject_fault`] panic.
+    const FAULT: &[u8] = b"inject a worker panic";
+
+    /// The fault path of this unit-test build: a request whose body is
+    /// [`FAULT`] panics inside `handle_request`.
+    pub(super) fn inject_fault(request: &Request) {
+        if request.body == FAULT {
+            panic!("injected worker fault");
+        }
+    }
+
+    /// One request on a fresh connection; returns the whole response.
+    fn request(addr: SocketAddr, method_path: &str, body: &[u8]) -> String {
+        let mut stream = std::net::TcpStream::connect(addr).unwrap();
+        // A dead worker must fail the test, not hang it.
+        stream
+            .set_read_timeout(Some(Duration::from_secs(20)))
+            .unwrap();
+        let head = format!(
+            "{method_path} HTTP/1.1\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
+            body.len()
+        );
+        stream.write_all(head.as_bytes()).unwrap();
+        stream.write_all(body).unwrap();
+        let mut response = String::new();
+        stream.read_to_string(&mut response).unwrap();
+        response
+    }
+
+    #[test]
+    fn a_panicking_request_is_answered_and_its_worker_survives() {
+        let doc = r#"<dblp><article key="m1"><author>A. Miner</author><title>mining clustering patterns</title></article></dblp>"#;
+        let mut builder = DatasetBuilder::new(BuildOptions::default());
+        builder.add_xml(doc).unwrap();
+        let ds = builder.finish();
+        let mut config = CxkConfig::new(1);
+        config.params = SimParams::new(0.5, 0.5);
+        let model = EngineBuilder::from_cxk_config(&config)
+            .build()
+            .unwrap()
+            .fit(&ds)
+            .unwrap()
+            .into_model(&ds, BuildOptions::default());
+        let options = ServeOptions {
+            threads: 1,
+            ..ServeOptions::default()
+        };
+        let server = Server::start(model, ("127.0.0.1", 0), options).unwrap();
+
+        let response = request(server.addr(), "POST /classify", FAULT);
+        assert!(response.starts_with("HTTP/1.1 500"), "{response}");
+        assert!(response.contains(r#""error":"#), "{response}");
+        // The only worker answers the next request.
+        let response = request(server.addr(), "POST /classify", doc.as_bytes());
+        assert!(response.starts_with("HTTP/1.1 200"), "{response}");
+        let response = request(server.addr(), "GET /stats", b"");
+        assert!(response.contains(r#""worker_panics":1,"#), "{response}");
+
+        let stats = server.stats();
+        assert_eq!(stats.worker_panics, 1);
+        assert_eq!(stats.errors, 1);
+        assert_eq!(stats.classified, 1);
+        server.shutdown();
+    }
 
     #[test]
     fn json_escaping_handles_hostile_strings() {

@@ -188,11 +188,11 @@ impl ExactSizeIterator for CandidateIds<'_> {}
 
 /// Inverted index over the items of a model's representatives.
 ///
-/// The index may cover the *whole* representative set (the replicated
-/// classifier) or a contiguous *range* of it (one shard of the sharded
-/// engine, built with [`TagPathIndex::build_range`]): postings always
-/// store **global** representative ids, so shard-local candidate lists
-/// merge into the global argmax without translation.
+/// The index covers a contiguous *range* of the representatives (one
+/// shard of a `ShardedEngine`, built with [`TagPathIndex::build_range`];
+/// a one-shard engine's range is all of them). Postings always store
+/// **global** representative ids, so shard-local candidate lists merge
+/// into the global argmax without translation.
 #[derive(Debug, Clone, Default)]
 pub struct TagPathIndex {
     /// First global representative id covered (0 for a full index).
@@ -305,9 +305,8 @@ impl TagPathIndex {
 
     /// Estimated resident heap bytes of the postings (ids plus per-key
     /// `Vec` headers and the empty-item buckets). An estimate — hash-map
-    /// bucket overhead is excluded — but a consistent one, so the
-    /// replicated-vs-sharded memory comparison in `serve_throughput` and
-    /// `GET /stats` measures what duplication actually costs.
+    /// bucket overhead is excluded — but a consistent one, so `GET /stats`
+    /// and cxkbench's `index.postings_bytes` compare across layouts.
     pub fn postings_bytes(&self) -> usize {
         let id = std::mem::size_of::<u32>();
         let key = std::mem::size_of::<Symbol>() + std::mem::size_of::<Vec<u32>>();

@@ -69,10 +69,8 @@
 //!   trash verdict from the tree is therefore always backed by an
 //!   exhaustive scan, at any beam width.
 //!
-//! The accuracy/latency trade-off at small beams is a *measured curve*,
-//! not a claim: `serve_throughput` emits `tree-*` rows recording
-//! docs/sec, agreement-vs-brute, and `cxk_eval::f_measure` against
-//! synthetic ground truth.
+//! The accuracy side of the trade-off at small beams is pinned by
+//! `tests/large_k.rs` (k = 64); cxkbench measures the latency side.
 //!
 //! # Memory model
 //!
@@ -96,9 +94,8 @@ use std::sync::Arc;
 /// Default branching factor `B` for `--tree`.
 pub const DEFAULT_BRANCH: usize = 8;
 /// Default beam width `W` for `--tree`, the measured knee of the
-/// accuracy curve: ≥ 0.95 agreement-vs-brute on the `serve_throughput`
-/// large-k configuration while still scoring well under `k`
-/// representatives per document.
+/// accuracy curve: ≥ 0.95 agreement-vs-brute on `tests/large_k.rs`'s
+/// k = 64 model while scoring well under `k` representatives per tuple.
 pub const DEFAULT_BEAM: usize = 3;
 
 /// Shape of the representative tree: branching factor `B` and beam

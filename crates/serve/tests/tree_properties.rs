@@ -145,7 +145,7 @@ fn narrow_beam_invariants_and_agreement_on_samples() {
     }
     // Pinned floor: the measured minimum over the grid for the
     // narrowest possible beam (W=1, B=2). Wider beams only improve it;
-    // the serve_throughput bench pins ≥ 0.95 for the default beam.
+    // `large_k.rs` pins ≥ 0.95 for the default beam at k = 64.
     assert!(
         min_agreement >= 0.53,
         "beam-1 agreement minimum {min_agreement:.4} fell below the pinned floor"

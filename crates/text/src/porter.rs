@@ -25,7 +25,8 @@ pub fn stem(word: &str) -> String {
     step_4(&mut w);
     step_5a(&mut w);
     step_5b(&mut w);
-    String::from_utf8(w).expect("stemmer operates on ASCII")
+    // The steps write only ASCII; a failure would leave the word unstemmed.
+    String::from_utf8(w).unwrap_or_else(|_| word.to_string())
 }
 
 /// Is `w[i]` a consonant (Porter's definition: `y` is a consonant when it

@@ -30,11 +30,12 @@ impl SparseVec {
             if weight == 0.0 {
                 continue;
             }
-            if indices.last() == Some(&term.0) {
-                *values.last_mut().expect("values parallel to indices") += weight;
-            } else {
-                indices.push(term.0);
-                values.push(weight);
+            match values.last_mut() {
+                Some(sum) if indices.last() == Some(&term.0) => *sum += weight,
+                _ => {
+                    indices.push(term.0);
+                    values.push(weight);
+                }
             }
         }
         Self { indices, values }

@@ -45,6 +45,7 @@ impl PathTable {
         if let Some(&id) = self.map.get(path) {
             return id;
         }
+        // cxk-lint: allow(panic-freedom) -- guards 2^32 distinct paths, far beyond any corpus
         let id = PathId(u32::try_from(self.paths.len()).expect("path table overflow"));
         self.paths.push(path.to_vec());
         self.map.insert(path.to_vec(), id);

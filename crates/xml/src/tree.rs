@@ -134,6 +134,7 @@ impl XmlTree {
             matches!(self.nodes[parent.index()].kind, NodeKind::Element),
             "only elements may have children"
         );
+        // cxk-lint: allow(panic-freedom) -- guards 2^32 nodes, far beyond any document
         let id = NodeId(u32::try_from(self.nodes.len()).expect("tree too large"));
         self.nodes.push(Node {
             label,

@@ -93,6 +93,24 @@ fn response_epoch(head: &str) -> u64 {
         .expect("numeric epoch")
 }
 
+/// Reads one `Content-Length`-framed response off a keep-alive
+/// connection: the head byte by byte to the blank line, then the body.
+fn read_response(stream: &mut TcpStream) -> (String, String) {
+    let mut head = Vec::new();
+    let mut byte = [0u8; 1];
+    while !head.ends_with(b"\r\n\r\n") {
+        stream.read_exact(&mut byte).expect("response head");
+        head.push(byte[0]);
+    }
+    let head = String::from_utf8(head).expect("UTF-8 head");
+    let length: usize = header_field(&head, "Content-Length")
+        .parse()
+        .expect("numeric Content-Length");
+    let mut body = vec![0u8; length];
+    stream.read_exact(&mut body).expect("response body");
+    (head, String::from_utf8(body).expect("UTF-8 body"))
+}
+
 /// `GET /stats`'s body.
 fn get_stats(addr: std::net::SocketAddr) -> String {
     let (head, body) = http_request(
@@ -730,7 +748,9 @@ fn stream_retrain_feeds_the_running_server() {
 
 /// One server per layout arm — the default one-shard index, three shards,
 /// the tree at full beam, and remote over loopback daemons: every
-/// held-out answer equals brute force, `GET /stats` names the arm, and
+/// held-out answer equals brute force, one request at a time and from
+/// concurrent keep-alive clients, with no error, nothing dropped and
+/// every client's connection reused. `GET /stats` names the arm, and
 /// right after `Server::reload` to a model with a different k it
 /// describes the new epoch's engine.
 #[test]
@@ -789,6 +809,44 @@ fn every_layout_matches_brute_and_reports_its_engine() {
                 "{layout:?} {name}: bit-identical score"
             );
         }
+
+        const CLIENTS: usize = 4;
+        const REQUESTS_PER_CLIENT: usize = 6;
+        let (docs, want, arm) = (&held_out, &expected, &layout);
+        std::thread::scope(|scope| {
+            for c in 0..CLIENTS {
+                scope.spawn(move || {
+                    let mut conn = TcpStream::connect(addr).expect("connect");
+                    conn.set_read_timeout(Some(Duration::from_secs(20)))
+                        .expect("read timeout");
+                    for r in 0..REQUESTS_PER_CLIENT {
+                        let i = (c + r) % docs.len();
+                        let xml = &docs[i].1;
+                        let request = format!(
+                            "POST /classify HTTP/1.1\r\nHost: localhost\r\nContent-Length: {}\r\n\r\n{xml}",
+                            xml.len()
+                        );
+                        conn.write_all(request.as_bytes()).expect("send");
+                        let (head, body) = read_response(&mut conn);
+                        assert!(head.starts_with("HTTP/1.1 200"), "{arm:?}: {head}");
+                        assert_eq!(json_field(&body, "cluster"), want[i].cluster.to_string());
+                        assert_eq!(json_field(&body, "score"), want[i].score.to_string());
+                    }
+                });
+            }
+        });
+        let stats = server.stats();
+        assert_eq!(stats.errors, 0, "{layout:?}");
+        assert_eq!(
+            stats.classified as usize,
+            held_out.len() + CLIENTS * REQUESTS_PER_CLIENT,
+            "{layout:?}: every request sent is classified"
+        );
+        assert_eq!(
+            stats.reused, CLIENTS as u64,
+            "{layout:?}: every keep-alive client reuses its connection"
+        );
+
         let named = format!(r#""engine":"{engine}""#);
         let body = get_stats(addr);
         assert!(body.contains(&named), "{body}");
