@@ -2,7 +2,7 @@
 
 use crate::data::{CorpusKind, Prepared};
 use cxk_core::{
-    Backend, ChurnOutcome, ChurnSchedule, ClusteringOutcome, CxkConfig, EngineBuilder, PkConfig,
+    Algorithm, Backend, ChurnOutcome, ChurnSchedule, ClusteringOutcome, CxkConfig, EngineBuilder,
 };
 use cxk_corpus::{partition_equal, partition_unequal, ClusteringSetting};
 use cxk_eval::{f_measure, RunStats};
@@ -38,9 +38,11 @@ fn fit_centralized(ds: &Dataset, config: &CxkConfig) -> ClusteringOutcome {
         .into_outcome()
 }
 
-/// Engine-backed PK-means over an explicit partition.
-fn fit_pk(ds: &Dataset, partition: &[Vec<usize>], config: &PkConfig) -> ClusteringOutcome {
-    EngineBuilder::from_pk_config(config)
+/// Engine-backed PK-means over an explicit partition, on the same
+/// configuration CXK-means reads.
+fn fit_pk(ds: &Dataset, partition: &[Vec<usize>], config: &CxkConfig) -> ClusteringOutcome {
+    EngineBuilder::from_cxk_config(config)
+        .algorithm(Algorithm::PkMeans)
         .backend(Backend::SimulatedP2p {
             peers: partition.len(),
         })
@@ -297,7 +299,9 @@ pub struct Fig8Row {
 }
 
 /// Runs the Fig. 8 comparison (structure/content-driven, equal partition):
-/// both algorithms start from the same initial representatives, per §5.5.3.
+/// both algorithms read one configuration — the same inner-pass cap,
+/// round cap and seed — and so start from the same initial
+/// representatives, per §5.5.3.
 pub fn fig8(prepared: &Prepared, ms: &[usize], opts: &ExperimentOptions) -> Vec<Fig8Row> {
     let (labels, k) = prepared.setting(ClusteringSetting::Hybrid);
     let n = prepared.dataset.stats.transactions;
@@ -314,17 +318,9 @@ pub fn fig8(prepared: &Prepared, ms: &[usize], opts: &ExperimentOptions) -> Vec<
             for (fi, &f) in fs.iter().enumerate() {
                 let run_seed = opts.seed + (run * fs.len() + fi) as u64;
                 let partition = partition_equal(n, m, run_seed);
-                let cxk_config = make_config(k, f, run_seed, opts);
-                let pk_config = PkConfig {
-                    k,
-                    params: SimParams::new(f, opts.gamma),
-                    max_rounds: opts.max_rounds,
-                    max_inner: 2,
-                    seed: run_seed,
-                    cost: opts.cost,
-                };
-                let cxk = fit_collaborative(&prepared.dataset, &partition, &cxk_config);
-                let pk = fit_pk(&prepared.dataset, &partition, &pk_config);
+                let config = make_config(k, f, run_seed, opts);
+                let cxk = fit_collaborative(&prepared.dataset, &partition, &config);
+                let pk = fit_pk(&prepared.dataset, &partition, &config);
                 cxk_secs.push(cxk.simulated_seconds);
                 pk_secs.push(pk.simulated_seconds);
                 cxk_bytes.push(cxk.total_bytes as f64);

@@ -2,10 +2,11 @@
 //!
 //! The paper's P2P framing credits collaborativeness with *reliability*
 //! ("no centralized index server needs to be maintained", §1.1) but
-//! evaluates only static networks. This driver quantifies that claim: it
-//! runs the same per-round mathematics as the simulated-clock driver in
-//! [`crate::cxk`] ([`crate::engine::Backend::SimulatedP2p`]) while peers
-//! leave and rejoin at round boundaries according to a [`ChurnSchedule`].
+//! evaluates only static networks. A [`ChurnSchedule`] quantifies that
+//! claim: the one simulated-clock driver in [`crate::cxk`]
+//! ([`crate::engine::Backend::Churn`]) runs the same per-round mathematics
+//! as for a static network while peers leave and rejoin at round
+//! boundaries.
 //!
 //! Semantics of a departure: the peer's local data becomes unavailable —
 //! its transactions keep their last-known assignment but stop contributing
@@ -14,23 +15,16 @@
 //! peer already holds the latest global representatives, so no state is
 //! lost with the owner — exactly the reliability argument made by the
 //! paper. A rejoin brings the peer's data back; its stale assignments are
-//! corrected by its next local clustering pass.
+//! corrected by its next local clustering pass. The protocol is a
+//! continuous service: no round declares convergence before the last
+//! scheduled event, so every event must fall within `max_rounds`
+//! (`EngineBuilder::build` rejects one that does not).
 //!
-//! With an empty schedule this driver is bit-identical to the churn-free
-//! simulated-clock driver (asserted by tests), so measured churn effects
-//! are attributable to membership changes alone.
+//! With an empty schedule the run is bit-identical to
+//! [`crate::engine::Backend::SimulatedP2p`] (asserted by tests), so
+//! measured churn effects are attributable to membership changes alone.
 
-use crate::cxk::{local_clustering_phase, select_initial_reps, CxkConfig};
-use crate::error::CxkError;
-use crate::globalrep::compute_global_representative;
-use crate::outcome::{ClusteringOutcome, RoundTrace};
-use crate::rep::{prepare_representatives, Representative};
-use cxk_p2p::{RoundSample, SimClock};
-use cxk_transact::Dataset;
-use rayon::prelude::*;
-
-/// Wire size of a bare status flag message (kept equal to `cxk.rs`).
-const STATUS_BYTES: u64 = 16;
+use crate::outcome::ClusteringOutcome;
 
 /// One membership change, applied at the start of `round`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -57,6 +51,12 @@ impl ChurnEvent {
             ChurnEvent::Leave { round, .. } | ChurnEvent::Rejoin { round, .. } => round,
         }
     }
+
+    pub(crate) fn peer(&self) -> usize {
+        match *self {
+            ChurnEvent::Leave { peer, .. } | ChurnEvent::Rejoin { peer, .. } => peer,
+        }
+    }
 }
 
 /// A membership-change schedule.
@@ -80,10 +80,6 @@ impl ChurnSchedule {
                 .map(|&peer| ChurnEvent::Leave { round, peer })
                 .collect(),
         }
-    }
-
-    fn applicable(&self, round: usize) -> impl Iterator<Item = &ChurnEvent> {
-        self.events.iter().filter(move |e| e.round() == round)
     }
 }
 
@@ -110,324 +106,12 @@ impl ChurnOutcome {
     }
 }
 
-struct PeerState {
-    local: Vec<usize>,
-    assignments: Vec<u32>,
-    local_reps: Vec<Representative>,
-    weights: Vec<u64>,
-    done: bool,
-    work: u64,
-    relocations: u64,
-    objective: f64,
-    alive: bool,
-}
-
-/// Runs collaborative CXK-means under a churn schedule. This is the driver
-/// behind [`crate::engine::Backend::Churn`]; schedule consistency (peer
-/// bounds, leave/rejoin ordering) is validated by `EngineBuilder::build`,
-/// and the driver re-checks the invariants it depends on.
-pub(crate) fn drive_churn(
-    ds: &Dataset,
-    partition: &[Vec<usize>],
-    config: &CxkConfig,
-    schedule: &ChurnSchedule,
-) -> Result<ChurnOutcome, CxkError> {
-    let m = partition.len();
-    let k = config.k;
-    if m == 0 {
-        return Err(CxkError::config("peers", "need at least one peer, got 0"));
-    }
-    if k == 0 {
-        return Err(CxkError::config(
-            "k",
-            "need at least one cluster, got k = 0",
-        ));
-    }
-    for event in &schedule.events {
-        let peer = match *event {
-            ChurnEvent::Leave { peer, .. } | ChurnEvent::Rejoin { peer, .. } => peer,
-        };
-        if peer >= m {
-            return Err(CxkError::config(
-                "schedule",
-                format!("schedule names peer {peer} of {m}"),
-            ));
-        }
-    }
-    let ctx = ds.sim_ctx(config.params);
-
-    let mut global_reps = select_initial_reps(ds, partition, k, config.seed);
-    let mut peers: Vec<PeerState> = partition
-        .iter()
-        .map(|local| PeerState {
-            assignments: vec![k as u32; local.len()],
-            local: local.clone(),
-            local_reps: vec![Representative::empty(); k],
-            weights: vec![0; k],
-            done: false,
-            work: 0,
-            relocations: 0,
-            objective: 0.0,
-            alive: true,
-        })
-        .collect();
-
-    let mut clock = SimClock::new(config.cost);
-    clock.advance_serial(k as u64 + m as u64);
-
-    // Initial broadcast of the selected global representatives (same
-    // accounting as the plain driver: everyone is alive at round 0).
-    if m > 1 {
-        let mut init_samples = vec![RoundSample::default(); m];
-        for (j, rep) in global_reps.iter().enumerate() {
-            let o = j % m;
-            let sz = rep.wire_size() as u64;
-            init_samples[o].comm_bytes += sz * (m as u64 - 1);
-            init_samples[o].messages += m as u64 - 1;
-            for (i, sample) in init_samples.iter_mut().enumerate() {
-                if i != o {
-                    sample.comm_bytes += sz;
-                }
-            }
-        }
-        clock.advance_round(&init_samples);
-    }
-
-    // The protocol is a continuous service: a round may only declare
-    // convergence once no further membership changes are scheduled.
-    let last_event_round = schedule
-        .events
-        .iter()
-        .map(ChurnEvent::round)
-        .max()
-        .unwrap_or(0);
-
-    let mut traces: Vec<RoundTrace> = Vec::new();
-    let mut converged = false;
-    let mut rounds = 0;
-    let mut best_objective = f64::NEG_INFINITY;
-    let mut stale_rounds = 0usize;
-
-    for round in 1..=config.max_rounds {
-        rounds = round;
-
-        // Apply this round's membership changes before any phase.
-        let mut membership_changed = false;
-        for event in schedule.applicable(round) {
-            match *event {
-                ChurnEvent::Leave { peer, .. } => {
-                    assert!(peers[peer].alive, "peer {peer} left twice");
-                    peers[peer].alive = false;
-                    membership_changed = true;
-                }
-                ChurnEvent::Rejoin { peer, .. } => {
-                    assert!(!peers[peer].alive, "peer {peer} rejoined while alive");
-                    peers[peer].alive = true;
-                    peers[peer].done = false;
-                    membership_changed = true;
-                }
-            }
-        }
-        if membership_changed {
-            // Objectives are not comparable across memberships; restart the
-            // stale-objective guard.
-            best_objective = f64::NEG_INFINITY;
-            stale_rounds = 0;
-        }
-
-        let alive_ids: Vec<usize> = (0..m).filter(|&i| peers[i].alive).collect();
-        let m_alive = alive_ids.len();
-        if m_alive == 0 {
-            if round < last_event_round {
-                // The network is momentarily empty but peers are scheduled
-                // to return; idle through the round.
-                traces.push(RoundTrace {
-                    round,
-                    ..RoundTrace::default()
-                });
-                continue;
-            }
-            // Nobody left to carry the computation.
-            converged = false;
-            break;
-        }
-        let owner = |j: usize| alive_ids[j % m_alive];
-
-        // Phase 1+2 on alive peers only.
-        let global = prepare_representatives(ctx.tag_sim, &global_reps);
-        peers.par_iter_mut().filter(|p| p.alive).for_each(|peer| {
-            peer.work = 0;
-            let phase = local_clustering_phase(
-                ds,
-                &ctx,
-                &peer.local,
-                &mut peer.assignments,
-                &global,
-                k,
-                config.max_inner,
-                &mut peer.work,
-            );
-            peer.relocations = phase.relocations;
-            peer.objective = phase.objective;
-            let changed = phase
-                .local_reps
-                .iter()
-                .zip(&peer.local_reps)
-                .any(|(new, old)| !new.same_items(old));
-            peer.weights = phase.weights;
-            peer.local_reps = phase.local_reps;
-            peer.done = !changed;
-        });
-
-        let mut samples: Vec<RoundSample> = peers
-            .iter()
-            .map(|p| RoundSample {
-                work_units: if p.alive { p.work } else { 0 },
-                comm_bytes: 0,
-                messages: 0,
-            })
-            .collect();
-        let mut round_bytes = 0u64;
-
-        // Phase 3: status broadcast among alive peers.
-        if m_alive > 1 {
-            for &i in &alive_ids {
-                samples[i].comm_bytes += 2 * STATUS_BYTES * (m_alive as u64 - 1);
-                samples[i].messages += m_alive as u64 - 1;
-            }
-            round_bytes += STATUS_BYTES * (m_alive as u64) * (m_alive as u64 - 1);
-        }
-
-        let all_done = alive_ids.iter().all(|&i| peers[i].done);
-        let done_count = alive_ids.iter().filter(|&&i| peers[i].done).count();
-
-        let global_objective: f64 = alive_ids.iter().map(|&i| peers[i].objective).sum();
-        if global_objective > best_objective * (1.0 + 1e-3) + 1e-9 {
-            best_objective = global_objective;
-            stale_rounds = 0;
-        } else {
-            stale_rounds += 1;
-        }
-
-        if (all_done || stale_rounds >= 2) && round >= last_event_round {
-            clock.advance_round(&samples);
-            traces.push(RoundTrace {
-                round,
-                relocations: alive_ids.iter().map(|&i| peers[i].relocations).sum(),
-                max_work: samples.iter().map(|s| s.work_units).max().unwrap_or(0),
-                bytes: round_bytes,
-                done_peers: done_count,
-            });
-            converged = true;
-            break;
-        }
-
-        // Phase 4: alive peers ship local representatives to owners.
-        if m_alive > 1 {
-            for &i in &alive_ids {
-                let mut destinations = vec![false; m];
-                for (j, rep) in peers[i].local_reps.iter().enumerate() {
-                    let o = owner(j);
-                    if o == i {
-                        continue;
-                    }
-                    let sz = rep.wire_size() as u64;
-                    samples[i].comm_bytes += sz;
-                    samples[o].comm_bytes += sz;
-                    round_bytes += sz;
-                    destinations[o] = true;
-                }
-                samples[i].messages += destinations.iter().filter(|&&d| d).count() as u64;
-            }
-        }
-
-        // Phase 5: owners combine alive peers' local representatives.
-        let new_globals: Vec<(Representative, u64)> = (0..k)
-            .into_par_iter()
-            .map(|j| {
-                let locals: Vec<(Representative, u64)> = alive_ids
-                    .iter()
-                    .map(|&i| {
-                        let p = &peers[i];
-                        let weight = if config.weighted_merge {
-                            p.weights[j]
-                        } else {
-                            u64::from(p.weights[j] > 0)
-                        };
-                        (p.local_reps[j].clone(), weight)
-                    })
-                    .collect();
-                let mut work = 0u64;
-                let g = compute_global_representative(&ctx, &locals, &mut work);
-                (g, work)
-            })
-            .collect();
-        for (j, (_, work)) in new_globals.iter().enumerate() {
-            samples[owner(j)].work_units += work;
-        }
-
-        // Phase 5b: owner broadcast.
-        if m_alive > 1 {
-            for (j, (rep, _)) in new_globals.iter().enumerate() {
-                let o = owner(j);
-                let sz = rep.wire_size() as u64;
-                samples[o].comm_bytes += sz * (m_alive as u64 - 1);
-                round_bytes += sz * (m_alive as u64 - 1);
-                for &i in &alive_ids {
-                    if i != o {
-                        samples[i].comm_bytes += sz;
-                    }
-                }
-            }
-            for &i in &alive_ids {
-                samples[i].messages += m_alive as u64 - 1;
-            }
-        }
-
-        global_reps = new_globals.into_iter().map(|(g, _)| g).collect();
-        clock.advance_round(&samples);
-        traces.push(RoundTrace {
-            round,
-            relocations: alive_ids.iter().map(|&i| peers[i].relocations).sum(),
-            max_work: samples.iter().map(|s| s.work_units).max().unwrap_or(0),
-            bytes: round_bytes,
-            done_peers: done_count,
-        });
-    }
-
-    let mut assignments = vec![k as u32; ds.transactions.len()];
-    let mut covered = vec![false; ds.transactions.len()];
-    for peer in &peers {
-        for (li, &t) in peer.local.iter().enumerate() {
-            assignments[t] = peer.assignments[li];
-            covered[t] = peer.alive;
-        }
-    }
-    let final_alive = peers.iter().filter(|p| p.alive).count();
-
-    Ok(ChurnOutcome {
-        outcome: ClusteringOutcome {
-            assignments,
-            k,
-            m,
-            rounds,
-            converged,
-            simulated_seconds: clock.elapsed_seconds(),
-            total_work: clock.total_work(),
-            total_bytes: clock.total_bytes() / 2,
-            total_messages: clock.total_messages(),
-            per_round: traces,
-        },
-        covered,
-        final_alive,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cxk::CxkConfig;
     use crate::engine::{Backend, EngineBuilder};
-    use cxk_transact::{BuildOptions, DatasetBuilder, SimParams};
+    use cxk_transact::{BuildOptions, Dataset, DatasetBuilder, SimParams};
 
     /// Engine-backed churned run over an explicit partition.
     fn fit_churn(

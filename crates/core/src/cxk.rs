@@ -1,5 +1,6 @@
-//! The CXK-means driver (Fig. 5) — centralized and collaborative execution
-//! with the simulated clock.
+//! The CXK-means driver (Fig. 5) under the simulated clock — centralized,
+//! collaborative, and collaborative under churn — plus the round
+//! scaffolding the PK-means baseline shares with it.
 //!
 //! One collaborative **round** comprises, per peer: (1) relocation of the
 //! local transactions against the current global representatives, with
@@ -11,10 +12,20 @@
 //! terminates when every peer reports `done` in the same round (no local
 //! representative changed), or at the round cap.
 //!
+//! `drive_collaborative` is the one simulated-clock CXK-means loop. A
+//! [`ChurnSchedule`] adds an alive mask: peers leave and rejoin at round
+//! boundaries, ownership is recomputed over the alive peers, and an empty
+//! schedule is the static network (see [`crate::churn`] for the
+//! semantics). `SimRun` holds what every simulated-clock driver shares,
+//! PK-means included: the startup (initial representatives, the N0 charge
+//! and the initial broadcast), phases 1+2 over the peers, the status
+//! charge, closing a round on the clock, and the gather.
+//!
 //! Every phase's main-memory work and traffic is metered into the
 //! `cxk_p2p` [`SimClock`], whose per-round time is the maximum over peers —
 //! the quantity the paper's Fig. 7/8 report.
 
+use crate::churn::{ChurnEvent, ChurnOutcome, ChurnSchedule};
 use crate::error::CxkError;
 use crate::globalrep::compute_global_representative;
 use crate::localrep::compute_local_representative;
@@ -29,7 +40,8 @@ use rayon::prelude::*;
 /// Wire size of a bare status flag message.
 const STATUS_BYTES: u64 = 16;
 
-/// CXK-means configuration.
+/// CXK-means configuration. The PK-means baseline reads the same
+/// configuration and ignores `weighted_merge`.
 #[derive(Debug, Clone)]
 pub struct CxkConfig {
     /// Desired number of clusters `k` (a `(k+1)`-th trash cluster is added).
@@ -67,35 +79,10 @@ impl CxkConfig {
     }
 }
 
-/// Per-peer mutable state.
-struct PeerState {
-    local: Vec<usize>,
-    /// Cluster per local transaction; `k` = trash.
-    assignments: Vec<u32>,
-    local_reps: Vec<Representative>,
-    /// `|C_j^i|` weights.
-    weights: Vec<u64>,
-    done: bool,
-    /// Work units accumulated this round.
-    work: u64,
-    relocations: u64,
-    /// Local clustering objective of the last relocation pass.
-    objective: f64,
-}
-
-/// Runs collaborative CXK-means over an explicit peer partition (lists of
-/// transaction indices). `partition.len()` is the network size `m`;
-/// `m = 1` is the centralized baseline. This is the simulated-clock driver
-/// behind [`crate::engine::Backend::SimulatedP2p`]; input validation
-/// happens in `EngineBuilder::build`, but the driver re-checks the
-/// invariants it depends on and reports them as typed errors.
-pub(crate) fn drive_collaborative(
-    ds: &Dataset,
-    partition: &[Vec<usize>],
-    config: &CxkConfig,
-) -> Result<ClusteringOutcome, CxkError> {
-    let m = partition.len();
-    let k = config.k;
+/// The shape every driver depends on: at least one peer and one cluster.
+/// `EngineBuilder::build` validates it first; drivers re-check it and
+/// report a violation as a typed error.
+pub(crate) fn check_shape(m: usize, k: usize) -> Result<(), CxkError> {
     if m == 0 {
         return Err(CxkError::config("peers", "need at least one peer, got 0"));
     }
@@ -105,48 +92,255 @@ pub(crate) fn drive_collaborative(
             "need at least one cluster, got k = 0",
         ));
     }
-    let ctx = ds.sim_ctx(config.params);
+    Ok(())
+}
 
-    // N0 startup: Z_i = {j : j mod m = i} (trivial, charged as serial work).
-    let owner = |j: usize| j % m;
+/// One peer under the simulated clock.
+pub(crate) struct SimPeer {
+    /// Its transactions (indices into the dataset).
+    pub local: Vec<usize>,
+    /// Cluster per local transaction; `k` = trash.
+    pub assignments: Vec<u32>,
+    /// The `k` local representatives of its last local phase.
+    pub local_reps: Vec<Representative>,
+    /// `|C_j^i|` weights.
+    pub weights: Vec<u64>,
+    /// No local representative changed in its last local phase.
+    pub done: bool,
+    /// Work units of its last local phase.
+    pub work: u64,
+    /// Relocations of the first pass of its last local phase.
+    pub relocations: u64,
+    /// Local clustering objective of that pass.
+    pub objective: f64,
+    /// Whether it is in the network (only a churn schedule clears it).
+    pub alive: bool,
+}
 
-    let mut global_reps = select_initial_reps(ds, partition, k, config.seed);
+/// The state and round accounting every simulated-clock driver shares.
+/// The drivers own only what distinguishes them: the exchange, the merge
+/// and the stopping rule.
+pub(crate) struct SimRun<'a> {
+    ds: &'a Dataset,
+    pub ctx: SimCtx<'a>,
+    k: usize,
+    max_inner: usize,
+    pub peers: Vec<SimPeer>,
+    pub global_reps: Vec<Representative>,
+    clock: SimClock,
+    traces: Vec<RoundTrace>,
+}
 
-    let mut peers: Vec<PeerState> = partition
-        .iter()
-        .map(|local| PeerState {
-            assignments: vec![k as u32; local.len()],
-            local: local.clone(),
-            local_reps: vec![Representative::empty(); k],
-            weights: vec![0; k],
-            done: false,
-            work: 0,
-            relocations: 0,
-            objective: 0.0,
-        })
-        .collect();
+impl<'a> SimRun<'a> {
+    /// The N0 startup: checks the shape, selects the initial global
+    /// representatives, charges the ownership bookkeeping as serial work,
+    /// and meters each representative's broadcast from its owner
+    /// (`j mod m`) to every other peer.
+    pub fn start(
+        ds: &'a Dataset,
+        partition: &[Vec<usize>],
+        config: &CxkConfig,
+    ) -> Result<Self, CxkError> {
+        let (m, k) = (partition.len(), config.k);
+        check_shape(m, k)?;
+        let global_reps = select_initial_reps(ds, partition, k, config.seed);
+        let peers = partition
+            .iter()
+            .map(|local| SimPeer {
+                assignments: vec![k as u32; local.len()],
+                local: local.clone(),
+                local_reps: vec![Representative::empty(); k],
+                weights: vec![0; k],
+                done: false,
+                work: 0,
+                relocations: 0,
+                objective: 0.0,
+                alive: true,
+            })
+            .collect();
 
-    let mut clock = SimClock::new(config.cost);
-    clock.advance_serial(k as u64 + m as u64); // N0 startup bookkeeping
-
-    // Initial broadcast of the selected global representatives.
-    if m > 1 {
-        let mut init_samples = vec![RoundSample::default(); m];
-        for (j, rep) in global_reps.iter().enumerate() {
-            let o = owner(j);
-            let sz = rep.wire_size() as u64;
-            init_samples[o].comm_bytes += sz * (m as u64 - 1);
-            init_samples[o].messages += m as u64 - 1;
-            for (i, sample) in init_samples.iter_mut().enumerate() {
-                if i != o {
-                    sample.comm_bytes += sz;
+        let mut clock = SimClock::new(config.cost);
+        clock.advance_serial(k as u64 + m as u64);
+        if m > 1 {
+            let mut init_samples = vec![RoundSample::default(); m];
+            for (j, rep) in global_reps.iter().enumerate() {
+                let o = j % m;
+                let sz = rep.wire_size() as u64;
+                init_samples[o].comm_bytes += sz * (m as u64 - 1);
+                init_samples[o].messages += m as u64 - 1;
+                for (i, sample) in init_samples.iter_mut().enumerate() {
+                    if i != o {
+                        sample.comm_bytes += sz;
+                    }
                 }
             }
+            clock.advance_round(&init_samples);
         }
-        clock.advance_round(&init_samples);
+
+        Ok(Self {
+            ds,
+            ctx: ds.sim_ctx(config.params),
+            k,
+            max_inner: config.max_inner,
+            peers,
+            global_reps,
+            clock,
+            traces: Vec::new(),
+        })
     }
 
-    let mut traces: Vec<RoundTrace> = Vec::new();
+    /// Indices of the peers in the network, ascending.
+    pub fn alive(&self) -> Vec<usize> {
+        (0..self.peers.len())
+            .filter(|&i| self.peers[i].alive)
+            .collect()
+    }
+
+    /// Phases 1+2: every alive peer's local clustering against the current
+    /// global representatives, genuinely parallel across peers
+    /// (deterministic: peers touch only their own state). A peer is `done`
+    /// when none of its local representatives changed. Returns the round's
+    /// samples, one per peer, carrying each alive peer's work.
+    pub fn local_phase(&mut self) -> Vec<RoundSample> {
+        let (ds, ctx, k, max_inner) = (self.ds, &self.ctx, self.k, self.max_inner);
+        let global = prepare_representatives(ctx.tag_sim, &self.global_reps);
+        self.peers
+            .par_iter_mut()
+            .filter(|p| p.alive)
+            .for_each(|peer| {
+                peer.work = 0;
+                let phase = local_clustering_phase(
+                    ds,
+                    ctx,
+                    &peer.local,
+                    &mut peer.assignments,
+                    &global,
+                    k,
+                    max_inner,
+                    &mut peer.work,
+                );
+                peer.relocations = phase.relocations;
+                peer.objective = phase.objective;
+                peer.done = phase
+                    .local_reps
+                    .iter()
+                    .zip(&peer.local_reps)
+                    .all(|(new, old)| new.same_items(old));
+                peer.weights = phase.weights;
+                peer.local_reps = phase.local_reps;
+            });
+        self.peers
+            .iter()
+            .map(|p| RoundSample {
+                work_units: if p.alive { p.work } else { 0 },
+                comm_bytes: 0,
+                messages: 0,
+            })
+            .collect()
+    }
+
+    /// Phase 3: every alive peer tells every other alive peer its status.
+    /// Charges `samples` (send + receive) and returns the bytes on the
+    /// wire.
+    pub fn charge_status(&self, samples: &mut [RoundSample]) -> u64 {
+        let alive = self.alive();
+        let others = alive.len().saturating_sub(1) as u64;
+        if others == 0 {
+            return 0;
+        }
+        for &i in &alive {
+            samples[i].comm_bytes += 2 * STATUS_BYTES * others;
+            samples[i].messages += others;
+        }
+        STATUS_BYTES * alive.len() as u64 * others
+    }
+
+    /// Ends round `round`: advances the clock by the slowest peer's sample
+    /// and records the round's trace.
+    pub fn close_round(
+        &mut self,
+        round: usize,
+        samples: &[RoundSample],
+        bytes: u64,
+        relocations: u64,
+        done_peers: usize,
+    ) {
+        self.clock.advance_round(samples);
+        self.traces.push(RoundTrace {
+            round,
+            relocations,
+            max_work: samples.iter().map(|s| s.work_units).max().unwrap_or(0),
+            bytes,
+            done_peers,
+        });
+    }
+
+    /// Gathers the distributed partition into a dataset-wide assignment,
+    /// with per-transaction coverage by alive peers.
+    pub fn gather(self, rounds: usize, converged: bool) -> ChurnOutcome {
+        let n = self.ds.transactions.len();
+        let mut assignments = vec![self.k as u32; n];
+        let mut covered = vec![false; n];
+        for peer in &self.peers {
+            for (li, &t) in peer.local.iter().enumerate() {
+                assignments[t] = peer.assignments[li];
+                covered[t] = peer.alive;
+            }
+        }
+        ChurnOutcome {
+            outcome: ClusteringOutcome {
+                assignments,
+                k: self.k,
+                m: self.peers.len(),
+                rounds,
+                converged,
+                simulated_seconds: self.clock.elapsed_seconds(),
+                total_work: self.clock.total_work(),
+                total_bytes: self.clock.total_bytes() / 2, // samples count send + receive
+                total_messages: self.clock.total_messages(),
+                per_round: self.traces,
+            },
+            covered,
+            final_alive: self.peers.iter().filter(|p| p.alive).count(),
+        }
+    }
+}
+
+/// Runs collaborative CXK-means over an explicit peer partition (lists of
+/// transaction indices) under a churn schedule. `partition.len()` is the
+/// network size `m`; `m = 1` is the centralized baseline, and
+/// [`ChurnSchedule::none`] the static network. This is the driver behind
+/// [`crate::engine::Backend::Centralized`],
+/// [`crate::engine::Backend::SimulatedP2p`] and
+/// [`crate::engine::Backend::Churn`]; input validation happens in
+/// `EngineBuilder::build`, but the driver re-checks the invariants it
+/// depends on and reports them as typed errors.
+pub(crate) fn drive_collaborative(
+    ds: &Dataset,
+    partition: &[Vec<usize>],
+    config: &CxkConfig,
+    schedule: &ChurnSchedule,
+) -> Result<ChurnOutcome, CxkError> {
+    let mut run = SimRun::start(ds, partition, config)?;
+    let (m, k) = (partition.len(), config.k);
+    for event in &schedule.events {
+        let peer = event.peer();
+        if peer >= m {
+            return Err(CxkError::config(
+                "schedule",
+                format!("schedule names peer {peer} of {m}"),
+            ));
+        }
+    }
+    // The protocol is a continuous service: a round may only declare
+    // convergence once no further membership changes are scheduled.
+    let last_event_round = schedule
+        .events
+        .iter()
+        .map(ChurnEvent::round)
+        .max()
+        .unwrap_or(0);
+
     let mut converged = false;
     let mut rounds = 0;
     let mut best_objective = f64::NEG_INFINITY;
@@ -155,66 +349,62 @@ pub(crate) fn drive_collaborative(
     for round in 1..=config.max_rounds {
         rounds = round;
 
-        // Phase 1+2: local relocation and representative computation,
-        // genuinely parallel across peers (deterministic: peers touch only
-        // their own state).
-        let global = prepare_representatives(ctx.tag_sim, &global_reps);
-        peers.par_iter_mut().for_each(|peer| {
-            peer.work = 0;
-            let phase = local_clustering_phase(
-                ds,
-                &ctx,
-                &peer.local,
-                &mut peer.assignments,
-                &global,
-                k,
-                config.max_inner,
-                &mut peer.work,
-            );
-            peer.relocations = phase.relocations;
-            peer.objective = phase.objective;
-            let changed = phase
-                .local_reps
-                .iter()
-                .zip(&peer.local_reps)
-                .any(|(new, old)| !new.same_items(old));
-            peer.weights = phase.weights;
-            peer.local_reps = phase.local_reps;
-            peer.done = !changed;
-        });
-
-        let mut samples: Vec<RoundSample> = peers
-            .iter()
-            .map(|p| RoundSample {
-                work_units: p.work,
-                comm_bytes: 0,
-                messages: 0,
-            })
-            .collect();
-        let mut round_bytes = 0u64;
-
-        // Phase 3: status broadcast (every peer tells every other peer
-        // whether it is done).
-        if m > 1 {
-            for (i, sample) in samples.iter_mut().enumerate() {
-                let _ = i;
-                sample.comm_bytes += 2 * STATUS_BYTES * (m as u64 - 1); // send + receive
-                sample.messages += m as u64 - 1;
+        // Apply this round's membership changes before any phase.
+        let mut membership_changed = false;
+        for event in schedule.events.iter().filter(|e| e.round() == round) {
+            let peer = &mut run.peers[event.peer()];
+            match *event {
+                ChurnEvent::Leave { .. } => {
+                    assert!(peer.alive, "peer {} left twice", event.peer());
+                    peer.alive = false;
+                }
+                ChurnEvent::Rejoin { .. } => {
+                    assert!(!peer.alive, "peer {} rejoined while alive", event.peer());
+                    peer.alive = true;
+                    peer.done = false;
+                }
             }
-            round_bytes += STATUS_BYTES * (m as u64) * (m as u64 - 1);
+            membership_changed = true;
+        }
+        if membership_changed {
+            // Objectives are not comparable across memberships; restart the
+            // stale-objective guard.
+            best_objective = f64::NEG_INFINITY;
+            stale_rounds = 0;
         }
 
-        let all_done = peers.iter().all(|p| p.done);
-        let done_count = peers.iter().filter(|p| p.done).count();
+        let alive = run.alive();
+        let m_alive = alive.len();
+        if m_alive == 0 {
+            if round < last_event_round {
+                // The network is momentarily empty but peers are scheduled
+                // to return; idle through the round.
+                run.traces.push(RoundTrace {
+                    round,
+                    ..RoundTrace::default()
+                });
+                continue;
+            }
+            // Nobody left to carry the computation.
+            break;
+        }
+        // Cluster ownership over the alive peers.
+        let owner = |j: usize| alive[j % m_alive];
+
+        let mut samples = run.local_phase();
+        let mut round_bytes = run.charge_status(&mut samples);
+        let peers = &run.peers;
+        let done_count = alive.iter().filter(|&&i| peers[i].done).count();
+        let relocations = alive.iter().map(|&i| peers[i].relocations).sum();
 
         // Secondary stopping rule mirroring the PK-means objective guard:
         // the greedy tree-tuple representatives do not maximize simGammaJ
         // exactly, so representative sets can limit-cycle without the
         // per-peer `done` flags ever aligning. The globally summed
         // relocation objective travels with the status broadcast; when it
-        // has not improved for three rounds every peer stops with its
+        // has not improved for two rounds every peer stops with its
         // current (stable-quality) solution.
-        let global_objective: f64 = peers.iter().map(|p| p.objective).sum();
+        let global_objective: f64 = alive.iter().map(|&i| peers[i].objective).sum();
         if global_objective > best_objective * (1.0 + 1e-3) + 1e-9 {
             best_objective = global_objective;
             stale_rounds = 0;
@@ -222,24 +412,17 @@ pub(crate) fn drive_collaborative(
             stale_rounds += 1;
         }
 
-        if all_done || stale_rounds >= 2 {
-            clock.advance_round(&samples);
-            traces.push(RoundTrace {
-                round,
-                relocations: peers.iter().map(|p| p.relocations).sum(),
-                max_work: samples.iter().map(|s| s.work_units).max().unwrap_or(0),
-                bytes: round_bytes,
-                done_peers: done_count,
-            });
+        if (done_count == m_alive || stale_rounds >= 2) && round >= last_event_round {
+            run.close_round(round, &samples, round_bytes, relocations, done_count);
             converged = true;
             break;
         }
 
         // Phase 4: ship local representatives to cluster owners.
-        if m > 1 {
-            for (i, peer) in peers.iter().enumerate() {
+        if m_alive > 1 {
+            for &i in &alive {
                 let mut destinations = vec![false; m];
-                for (j, rep) in peer.local_reps.iter().enumerate() {
+                for (j, rep) in peers[i].local_reps.iter().enumerate() {
                     let o = owner(j);
                     if o == i {
                         continue;
@@ -254,13 +437,15 @@ pub(crate) fn drive_collaborative(
             }
         }
 
-        // Phase 5: owners compute the new global representatives.
+        // Phase 5: owners combine the alive peers' local representatives
+        // into the new global representatives.
         let new_globals: Vec<(Representative, u64)> = (0..k)
             .into_par_iter()
             .map(|j| {
-                let locals: Vec<(Representative, u64)> = peers
+                let locals: Vec<(Representative, u64)> = alive
                     .iter()
-                    .map(|p| {
+                    .map(|&i| {
+                        let p = &peers[i];
                         let weight = if config.weighted_merge {
                             p.weights[j]
                         } else {
@@ -270,7 +455,7 @@ pub(crate) fn drive_collaborative(
                     })
                     .collect();
                 let mut work = 0u64;
-                let g = compute_global_representative(&ctx, &locals, &mut work);
+                let g = compute_global_representative(&run.ctx, &locals, &mut work);
                 (g, work)
             })
             .collect();
@@ -279,54 +464,28 @@ pub(crate) fn drive_collaborative(
         }
 
         // Phase 5b: owners broadcast the fresh global representatives.
-        if m > 1 {
+        if m_alive > 1 {
             for (j, (rep, _)) in new_globals.iter().enumerate() {
                 let o = owner(j);
                 let sz = rep.wire_size() as u64;
-                samples[o].comm_bytes += sz * (m as u64 - 1);
-                round_bytes += sz * (m as u64 - 1);
-                for (i, sample) in samples.iter_mut().enumerate() {
+                samples[o].comm_bytes += sz * (m_alive as u64 - 1);
+                round_bytes += sz * (m_alive as u64 - 1);
+                for &i in &alive {
                     if i != o {
-                        sample.comm_bytes += sz;
+                        samples[i].comm_bytes += sz;
                     }
                 }
             }
-            for sample in samples.iter_mut() {
-                sample.messages += m as u64 - 1;
+            for &i in &alive {
+                samples[i].messages += m_alive as u64 - 1;
             }
         }
 
-        global_reps = new_globals.into_iter().map(|(g, _)| g).collect();
-        clock.advance_round(&samples);
-        traces.push(RoundTrace {
-            round,
-            relocations: peers.iter().map(|p| p.relocations).sum(),
-            max_work: samples.iter().map(|s| s.work_units).max().unwrap_or(0),
-            bytes: round_bytes,
-            done_peers: done_count,
-        });
+        run.global_reps = new_globals.into_iter().map(|(g, _)| g).collect();
+        run.close_round(round, &samples, round_bytes, relocations, done_count);
     }
 
-    // Gather the distributed partition into a dataset-wide assignment.
-    let mut assignments = vec![k as u32; ds.transactions.len()];
-    for peer in &peers {
-        for (li, &t) in peer.local.iter().enumerate() {
-            assignments[t] = peer.assignments[li];
-        }
-    }
-
-    Ok(ClusteringOutcome {
-        assignments,
-        k,
-        m,
-        rounds,
-        converged,
-        simulated_seconds: clock.elapsed_seconds(),
-        total_work: clock.total_work(),
-        total_bytes: clock.total_bytes() / 2, // samples count send + receive
-        total_messages: clock.total_messages(),
-        per_round: traces,
-    })
+    Ok(run.gather(rounds, converged))
 }
 
 /// Initial global representatives: the owner of cluster `j` (`j mod m`)
@@ -402,9 +561,6 @@ pub(crate) struct LocalPhase {
     /// Objective of the first pass (against the global representatives) —
     /// the globally comparable quantity for the stale-objective guard.
     pub objective: f64,
-    /// Inner passes executed (diagnostic; surfaced by tests).
-    #[allow(dead_code)]
-    pub inner_passes: usize,
 }
 
 /// One peer's local clustering for one collaborative round: the first
@@ -425,53 +581,43 @@ pub(crate) fn local_clustering_phase(
     work: &mut u64,
 ) -> LocalPhase {
     let first = relocate_slice(ds, ctx, local, assignments, global, k, work);
-    let mut clusters: Vec<Vec<usize>> = vec![Vec::new(); k];
-    for (li, &t) in local.iter().enumerate() {
-        let a = assignments[li] as usize;
-        if a < k {
-            clusters[a].push(t);
-        }
-    }
+    let mut clusters = clusters_of(local, assignments, k);
     let mut local_reps: Vec<Representative> = clusters
         .iter()
         .map(|c| compute_local_representative(ds, ctx, c, work))
         .collect();
 
-    let mut inner_passes = 1;
     for _ in 1..max_inner {
         let prepared = prepare_representatives(ctx.tag_sim, &local_reps);
         let pass = relocate_slice(ds, ctx, local, assignments, &prepared, k, work);
-        inner_passes += 1;
         if pass.relocations == 0 {
             break;
         }
-        let mut clusters: Vec<Vec<usize>> = vec![Vec::new(); k];
-        for (li, &t) in local.iter().enumerate() {
-            let a = assignments[li] as usize;
-            if a < k {
-                clusters[a].push(t);
-            }
-        }
+        clusters = clusters_of(local, assignments, k);
         local_reps = clusters
             .iter()
             .map(|c| compute_local_representative(ds, ctx, c, work))
             .collect();
     }
 
-    let mut final_clusters: Vec<Vec<usize>> = vec![Vec::new(); k];
-    for (li, &t) in local.iter().enumerate() {
-        let a = assignments[li] as usize;
-        if a < k {
-            final_clusters[a].push(t);
-        }
-    }
     LocalPhase {
         local_reps,
-        weights: final_clusters.iter().map(|c| c.len() as u64).collect(),
+        weights: clusters.iter().map(|c| c.len() as u64).collect(),
         relocations: first.relocations,
         objective: first.objective,
-        inner_passes,
     }
+}
+
+/// The local transactions of each proper cluster, in local order (the
+/// trash cluster `k` is left out).
+fn clusters_of(local: &[usize], assignments: &[u32], k: usize) -> Vec<Vec<usize>> {
+    let mut clusters: Vec<Vec<usize>> = vec![Vec::new(); k];
+    for (&t, &a) in local.iter().zip(assignments) {
+        if let Some(cluster) = clusters.get_mut(a as usize) {
+            cluster.push(t);
+        }
+    }
+    clusters
 }
 
 /// Assigns each transaction in `local` to the best representative: trash

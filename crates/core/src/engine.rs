@@ -8,8 +8,9 @@
 //! * [`EngineBuilder`] — validated construction. `build()` returns a typed
 //!   [`CxkError::Config`] for every invalid axis (`k = 0`, `peers = 0`,
 //!   `f`/`γ` outside `[0, 1]`, `max_rounds = 0`, a schedule naming a
-//!   missing peer, an algorithm/backend pair that makes no sense) instead
-//!   of the `assert!`s the free functions used to carry.
+//!   missing peer or an event after `max_rounds`, an algorithm/backend
+//!   pair that makes no sense) instead of the `assert!`s the free
+//!   functions used to carry.
 //! * [`Backend`] — *where* the protocol runs: [`Backend::Centralized`],
 //!   [`Backend::SimulatedP2p`] (the Fig. 7/8 simulated clock),
 //!   [`Backend::ThreadedP2p`] (real peer threads and messages), or
@@ -20,6 +21,14 @@
 //! * [`Engine::fit`] — one dispatch point returning a [`FitOutcome`],
 //!   which wraps the familiar [`ClusteringOutcome`] (it derefs to it) and
 //!   flows straight into a servable snapshot via [`FitOutcome::into_model`].
+//!
+//! Behind the seam sit four drivers. CXK-means on the centralized,
+//! simulated-p2p and churn backends is one simulated-clock round loop in
+//! [`crate::cxk`], run with an empty schedule or the backend's; PK-means
+//! runs on that loop's scaffolding with its own exchange and stopping rule
+//! ([`crate::pkmeans`]); the threaded backend ([`crate::threaded`]) and
+//! VSM ([`crate::vsm`]) are separate. Every driver but VSM reads the same
+//! [`CxkConfig`].
 //!
 //! Engine runs are deterministic: repeated fits of one configuration are
 //! bit-identical for every backend and algorithm (asserted by
@@ -51,12 +60,12 @@
 //! # Ok::<(), cxk_xml::parser::XmlError>(())
 //! ```
 
-use crate::churn::{drive_churn, ChurnEvent, ChurnSchedule};
+use crate::churn::{ChurnEvent, ChurnSchedule};
 use crate::cxk::{drive_collaborative, CxkConfig};
 use crate::error::CxkError;
 use crate::model::TrainedModel;
 use crate::outcome::ClusteringOutcome;
-use crate::pkmeans::{drive_pk_means, PkConfig};
+use crate::pkmeans::drive_pk_means;
 use crate::threaded::drive_threaded;
 use crate::vsm::{drive_vsm, VsmConfig};
 use cxk_p2p::CostModel;
@@ -180,7 +189,9 @@ impl EngineBuilder {
     }
 
     /// A builder primed from an existing [`CxkConfig`] (CXK-means,
-    /// centralized backend until told otherwise).
+    /// centralized backend until told otherwise). For the PK-means
+    /// baseline on the same settings, add
+    /// `.algorithm(Algorithm::PkMeans)`; it ignores `weighted_merge`.
     pub fn from_cxk_config(config: &CxkConfig) -> Self {
         Self {
             algorithm: Algorithm::CxkMeans,
@@ -195,19 +206,6 @@ impl EngineBuilder {
             weighted_merge: config.weighted_merge,
             partition: None,
         }
-    }
-
-    /// A builder primed from a [`PkConfig`] ([`Algorithm::PkMeans`]).
-    pub fn from_pk_config(config: &PkConfig) -> Self {
-        let mut builder = Self::new(config.k);
-        builder.algorithm = Algorithm::PkMeans;
-        builder.f = config.params.f;
-        builder.gamma = config.params.gamma;
-        builder.max_rounds = config.max_rounds;
-        builder.max_inner = config.max_inner;
-        builder.seed = config.seed;
-        builder.cost = config.cost;
-        builder
     }
 
     /// A builder primed from a [`VsmConfig`] ([`Algorithm::VsmKmeans`],
@@ -347,7 +345,7 @@ impl EngineBuilder {
             _ => {}
         }
         if let Backend::Churn { peers, schedule } = &self.backend {
-            validate_schedule(schedule, *peers)?;
+            validate_schedule(schedule, *peers, self.max_rounds)?;
         }
         if let Some(partition) = &self.partition {
             if matches!(self.algorithm, Algorithm::VsmKmeans) {
@@ -384,17 +382,30 @@ impl EngineBuilder {
     }
 }
 
-/// Statically checks a churn schedule against the peer count: every event
-/// must name an existing peer, no peer may leave while absent or rejoin
-/// while alive.
-fn validate_schedule(schedule: &ChurnSchedule, peers: usize) -> Result<(), CxkError> {
-    // Rounds are 1-based; the churn driver's round loop starts at 1, so a
+/// Statically checks a churn schedule against the peer count and the
+/// round cap: every event must name an existing peer and fall in
+/// `1..=max_rounds`, no peer may leave while absent or rejoin while alive.
+fn validate_schedule(
+    schedule: &ChurnSchedule,
+    peers: usize,
+    max_rounds: usize,
+) -> Result<(), CxkError> {
+    // Rounds are 1-based; the driver's round loop starts at 1, so a
     // round-0 event would never be applied. Rejecting it here keeps the
     // static simulation below in lockstep with what the driver executes.
     if let Some(event) = schedule.events.iter().find(|e| e.round() == 0) {
         return Err(CxkError::config(
             "schedule",
             format!("event {event:?} uses round 0; rounds are 1-based"),
+        ));
+    }
+    // The driver never reaches an event after the round cap, and no round
+    // may declare convergence before the last event, so such an event
+    // would silently run every round and report no convergence.
+    if let Some(event) = schedule.events.iter().find(|e| e.round() > max_rounds) {
+        return Err(CxkError::config(
+            "schedule",
+            format!("event {event:?} comes after the last round, max_rounds = {max_rounds}"),
         ));
     }
     let mut rounds: Vec<usize> = schedule.events.iter().map(ChurnEvent::round).collect();
@@ -518,13 +529,14 @@ impl Engine {
         match self.algorithm {
             Algorithm::CxkMeans => match &self.backend {
                 Backend::Centralized | Backend::SimulatedP2p { .. } => {
-                    drive_collaborative(ds, &partition, &self.config).map(wrap)
+                    drive_collaborative(ds, &partition, &self.config, &ChurnSchedule::none())
+                        .map(|churned| wrap(churned.outcome))
                 }
                 Backend::ThreadedP2p { .. } => {
                     drive_threaded(ds, &partition, &self.config).map(wrap)
                 }
                 Backend::Churn { schedule, .. } => {
-                    let churned = drive_churn(ds, &partition, &self.config, schedule)?;
+                    let churned = drive_collaborative(ds, &partition, &self.config, schedule)?;
                     Ok(FitOutcome {
                         outcome: churned.outcome,
                         covered: Some(churned.covered),
@@ -533,17 +545,7 @@ impl Engine {
                     })
                 }
             },
-            Algorithm::PkMeans => {
-                let config = PkConfig {
-                    k: self.config.k,
-                    params,
-                    max_rounds: self.config.max_rounds,
-                    max_inner: self.config.max_inner,
-                    seed: self.config.seed,
-                    cost: self.config.cost,
-                };
-                drive_pk_means(ds, &partition, &config).map(wrap)
-            }
+            Algorithm::PkMeans => drive_pk_means(ds, &partition, &self.config).map(wrap),
             Algorithm::VsmKmeans => {
                 let config = VsmConfig {
                     k: self.config.k,

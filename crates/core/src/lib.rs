@@ -30,17 +30,20 @@
 //! * [`localrep`] — `ComputeLocalRepresentative` and `GenerateTreeTuple`.
 //! * [`globalrep`] — `ComputeGlobalRepresentative` (weighted
 //!   meta-representatives).
-//! * [`cxk`] — the CXK-means driver: centralized (`m = 1`) and
-//!   collaborative simulated-clock execution with full work/traffic
-//!   accounting ([`Backend::Centralized`] / [`Backend::SimulatedP2p`]).
+//! * [`cxk`] — the one simulated-clock CXK-means driver with full
+//!   work/traffic accounting: centralized (`m = 1`), collaborative, and
+//!   collaborative under a churn schedule ([`Backend::Centralized`] /
+//!   [`Backend::SimulatedP2p`] / [`Backend::Churn`]), plus the round
+//!   scaffolding PK-means shares.
 //! * [`threaded`] — the same protocol over real peer threads and the
 //!   `cxk_p2p` message network ([`Backend::ThreadedP2p`]).
 //! * [`pkmeans`] — the non-collaborative parallel K-means baseline of
-//!   §5.5.3 ([`Algorithm::PkMeans`]).
+//!   §5.5.3 ([`Algorithm::PkMeans`]): its own exchange, merge and stopping
+//!   rule on the simulated driver's scaffolding, reading [`CxkConfig`].
 //! * [`vsm`] — the flat vector-space K-means baseline of the related-work
 //!   family (\[13\]/\[34\]) ([`Algorithm::VsmKmeans`]).
-//! * [`churn`] — the collaborative protocol under peer departures and
-//!   rejoins ([`Backend::Churn`]).
+//! * [`churn`] — peer departure and rejoin schedules and their outcome
+//!   ([`Backend::Churn`]), run by the simulated driver.
 //! * [`outcome`] — shared result types.
 //! * [`model`] — servable model snapshots: the converged representatives
 //!   plus the frozen preprocessing context, with a versioned binary
@@ -95,6 +98,5 @@ pub use model::{
     ModelError, TrainedModel, MODEL_FORMAT_VERSION,
 };
 pub use outcome::{ClusteringOutcome, RoundTrace};
-pub use pkmeans::PkConfig;
 pub use rep::{conflate_items, RepItem, Representative};
 pub use vsm::{transaction_vectors, VsmConfig};

@@ -7,7 +7,9 @@
 
 pub use crate::model::{load_model, save_model, ModelError, TrainedModel};
 
-/// Per-round diagnostics.
+/// Per-round diagnostics. The simulated-clock drivers fill every field;
+/// the threaded backend fills only `round` and `relocations` (its other
+/// fields are 0).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RoundTrace {
     /// Round number (1-based).

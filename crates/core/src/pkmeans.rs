@@ -18,120 +18,34 @@
 //!   (the plain mean of \[11\] treats every processor's contribution alike
 //!   once normalized), costing PK-means the small accuracy edge CXK-means'
 //!   weighted global representatives provide (§5.5.3 reports ≈ 0.03 F).
+//!
+//! Everything else in a round is shared with CXK-means through the
+//! simulated-clock scaffolding of [`crate::cxk`]: the start from the same
+//! initial representatives, the local clustering phase, the status charge
+//! and the gather. Both algorithms read one [`CxkConfig`], so they run at
+//! the same inner-pass cap.
 
-use crate::cxk::{local_clustering_phase, select_initial_reps};
+use crate::cxk::{CxkConfig, SimRun};
 use crate::error::CxkError;
 use crate::globalrep::compute_global_representative;
-use crate::outcome::{ClusteringOutcome, RoundTrace};
-use crate::rep::{prepare_representatives, Representative};
-use cxk_p2p::{CostModel, RoundSample, SimClock};
-use cxk_transact::{Dataset, SimParams};
+use crate::outcome::ClusteringOutcome;
+use crate::rep::Representative;
+use cxk_transact::Dataset;
 use rayon::prelude::*;
 
-/// Wire size of a bare status flag message.
-const STATUS_BYTES: u64 = 16;
-
-/// PK-means configuration (mirrors `CxkConfig`).
-#[derive(Debug, Clone)]
-pub struct PkConfig {
-    /// Number of clusters `k` (plus the trash cluster, kept for parity with
-    /// CXK-means so the two solutions are comparable).
-    pub k: usize,
-    /// Similarity parameters.
-    pub params: SimParams,
-    /// Round cap.
-    pub max_rounds: usize,
-    /// Inner local-refinement passes per round, matched to CXK-means so the
-    /// §5.5.3 comparison isolates the exchange scheme (both algorithms run
-    /// the same per-round local clustering).
-    pub max_inner: usize,
-    /// Seed for the shared initialization.
-    pub seed: u64,
-    /// Cost model.
-    pub cost: CostModel,
-}
-
-impl PkConfig {
-    /// Creates a configuration with defaults matching [`crate::CxkConfig`].
-    pub fn new(k: usize) -> Self {
-        Self {
-            k,
-            params: SimParams::default(),
-            max_rounds: 30,
-            max_inner: 2,
-            seed: 0xC1C,
-            cost: CostModel::default(),
-        }
-    }
-}
-
-struct PkPeer {
-    local: Vec<usize>,
-    assignments: Vec<u32>,
-    summaries: Vec<Representative>,
-    weights: Vec<u64>,
-    work: u64,
-    relocations: u64,
-    objective: f64,
-}
-
 /// Runs PK-means over an explicit peer partition. This is the driver
-/// behind [`crate::engine::Algorithm::PkMeans`].
+/// behind [`crate::engine::Algorithm::PkMeans`]. It reads the same
+/// [`CxkConfig`] as CXK-means — round cap, inner passes, seed and cost
+/// model matched, so the §5.5.3 comparison isolates the exchange scheme —
+/// and ignores `weighted_merge`: its pooling is always unweighted.
 pub(crate) fn drive_pk_means(
     ds: &Dataset,
     partition: &[Vec<usize>],
-    config: &PkConfig,
+    config: &CxkConfig,
 ) -> Result<ClusteringOutcome, CxkError> {
-    let m = partition.len();
-    let k = config.k;
-    if m == 0 {
-        return Err(CxkError::config("peers", "need at least one peer, got 0"));
-    }
-    if k == 0 {
-        return Err(CxkError::config(
-            "k",
-            "need at least one cluster, got k = 0",
-        ));
-    }
-    let ctx = ds.sim_ctx(config.params);
+    let mut run = SimRun::start(ds, partition, config)?;
+    let (m, k) = (partition.len(), config.k);
 
-    let mut global_reps = select_initial_reps(ds, partition, k, config.seed);
-
-    let mut peers: Vec<PkPeer> = partition
-        .iter()
-        .map(|local| PkPeer {
-            assignments: vec![k as u32; local.len()],
-            local: local.clone(),
-            summaries: vec![Representative::empty(); k],
-            weights: vec![0; k],
-            work: 0,
-            relocations: 0,
-            objective: 0.0,
-        })
-        .collect();
-
-    let mut clock = SimClock::new(config.cost);
-    clock.advance_serial(k as u64 + m as u64);
-
-    // Initial broadcast of the shared representatives (same cost shape as
-    // CXK-means: the selecting peer ships each to everyone).
-    if m > 1 {
-        let mut init_samples = vec![RoundSample::default(); m];
-        for (j, rep) in global_reps.iter().enumerate() {
-            let o = j % m;
-            let sz = rep.wire_size() as u64;
-            init_samples[o].comm_bytes += sz * (m as u64 - 1);
-            init_samples[o].messages += m as u64 - 1;
-            for (i, sample) in init_samples.iter_mut().enumerate() {
-                if i != o {
-                    sample.comm_bytes += sz;
-                }
-            }
-        }
-        clock.advance_round(&init_samples);
-    }
-
-    let mut traces = Vec::new();
     let mut converged = false;
     let mut rounds = 0;
     let mut best_objective = f64::NEG_INFINITY;
@@ -140,45 +54,12 @@ pub(crate) fn drive_pk_means(
     for round in 1..=config.max_rounds {
         rounds = round;
 
-        let global = prepare_representatives(ctx.tag_sim, &global_reps);
-        peers.par_iter_mut().for_each(|peer| {
-            peer.work = 0;
-            let phase = local_clustering_phase(
-                ds,
-                &ctx,
-                &peer.local,
-                &mut peer.assignments,
-                &global,
-                k,
-                config.max_inner,
-                &mut peer.work,
-            );
-            peer.relocations = phase.relocations;
-            peer.objective = phase.objective;
-            peer.summaries = phase.local_reps;
-            peer.weights = phase.weights;
-        });
-
-        let mut samples: Vec<RoundSample> = peers
-            .iter()
-            .map(|p| RoundSample {
-                work_units: p.work,
-                comm_bytes: 0,
-                messages: 0,
-            })
-            .collect();
-        let mut round_bytes = 0u64;
-
+        let mut samples = run.local_phase();
         // Convergence signal exchange (the global-SSE reduction of [11]):
         // every peer shares its relocation count with every other peer.
-        if m > 1 {
-            for sample in samples.iter_mut() {
-                sample.comm_bytes += 2 * STATUS_BYTES * (m as u64 - 1);
-                sample.messages += m as u64 - 1;
-            }
-            round_bytes += STATUS_BYTES * (m as u64) * (m as u64 - 1);
-        }
+        let mut round_bytes = run.charge_status(&mut samples);
 
+        let peers = &run.peers;
         let total_relocations: u64 = peers.iter().map(|p| p.relocations).sum();
         // [11]'s stopping rule is "global SSE unchanged"; the XML adaptation
         // loses SSE monotonicity (representatives are greedy tree tuples,
@@ -193,14 +74,7 @@ pub(crate) fn drive_pk_means(
             stale_rounds += 1;
         }
         if total_relocations == 0 || stale_rounds >= 3 {
-            clock.advance_round(&samples);
-            traces.push(RoundTrace {
-                round,
-                relocations: 0,
-                max_work: samples.iter().map(|s| s.work_units).max().unwrap_or(0),
-                bytes: round_bytes,
-                done_peers: m,
-            });
+            run.close_round(round, &samples, round_bytes, 0, m);
             converged = true;
             break;
         }
@@ -209,7 +83,7 @@ pub(crate) fn drive_pk_means(
         // every other peer.
         if m > 1 {
             for (i, peer) in peers.iter().enumerate() {
-                let payload: u64 = peer.summaries.iter().map(|r| r.wire_size() as u64).sum();
+                let payload: u64 = peer.local_reps.iter().map(|r| r.wire_size() as u64).sum();
                 samples[i].comm_bytes += payload * (m as u64 - 1);
                 samples[i].messages += m as u64 - 1;
                 round_bytes += payload * (m as u64 - 1);
@@ -223,19 +97,15 @@ pub(crate) fn drive_pk_means(
 
         // Replicated global computation: every peer recomputes all k
         // representatives from the pooled, unweighted summaries.
-        let pooled: Vec<Vec<(Representative, u64)>> = (0..k)
-            .map(|j| {
-                peers
-                    .iter()
-                    .map(|p| (p.summaries[j].clone(), u64::from(p.weights[j] > 0)))
-                    .collect()
-            })
-            .collect();
         let per_cluster_work: Vec<(Representative, u64)> = (0..k)
             .into_par_iter()
             .map(|j| {
+                let pooled: Vec<(Representative, u64)> = peers
+                    .iter()
+                    .map(|p| (p.local_reps[j].clone(), u64::from(p.weights[j] > 0)))
+                    .collect();
                 let mut work = 0u64;
-                let g = compute_global_representative(&ctx, &pooled[j], &mut work);
+                let g = compute_global_representative(&run.ctx, &pooled, &mut work);
                 (g, work)
             })
             .collect();
@@ -252,54 +122,30 @@ pub(crate) fn drive_pk_means(
         // the next pass, so a pure relocation-count test would limit-cycle.
         let reps_stable = new_globals
             .iter()
-            .zip(&global_reps)
+            .zip(&run.global_reps)
             .all(|(new, old)| new.same_items(old));
-        global_reps = new_globals;
-        clock.advance_round(&samples);
-        traces.push(RoundTrace {
-            round,
-            relocations: total_relocations,
-            max_work: samples.iter().map(|s| s.work_units).max().unwrap_or(0),
-            bytes: round_bytes,
-            done_peers: 0,
-        });
+        run.global_reps = new_globals;
+        run.close_round(round, &samples, round_bytes, total_relocations, 0);
         if reps_stable {
             converged = true;
             break;
         }
     }
 
-    let mut assignments = vec![k as u32; ds.transactions.len()];
-    for peer in &peers {
-        for (li, &t) in peer.local.iter().enumerate() {
-            assignments[t] = peer.assignments[li];
-        }
-    }
-
-    Ok(ClusteringOutcome {
-        assignments,
-        k,
-        m,
-        rounds,
-        converged,
-        simulated_seconds: clock.elapsed_seconds(),
-        total_work: clock.total_work(),
-        total_bytes: clock.total_bytes() / 2,
-        total_messages: clock.total_messages(),
-        per_round: traces,
-    })
+    Ok(run.gather(rounds, converged).outcome)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cxk::CxkConfig;
-    use crate::engine::{Backend, EngineBuilder};
-    use cxk_transact::{BuildOptions, DatasetBuilder};
+    use crate::engine::{Algorithm, Backend, EngineBuilder};
+    use cxk_p2p::CostModel;
+    use cxk_transact::{BuildOptions, DatasetBuilder, SimParams};
 
     /// Engine-backed PK-means over an explicit partition.
-    fn fit_pk(ds: &Dataset, partition: &[Vec<usize>], config: &PkConfig) -> ClusteringOutcome {
-        EngineBuilder::from_pk_config(config)
+    fn fit_pk(ds: &Dataset, partition: &[Vec<usize>], config: &CxkConfig) -> ClusteringOutcome {
+        EngineBuilder::from_cxk_config(config)
+            .algorithm(Algorithm::PkMeans)
             .backend(Backend::SimulatedP2p {
                 peers: partition.len(),
             })
@@ -341,14 +187,15 @@ mod tests {
         (builder.finish(), labels)
     }
 
-    fn pk_config(k: usize) -> PkConfig {
-        PkConfig {
+    fn pk_config(k: usize) -> CxkConfig {
+        CxkConfig {
             k,
             params: SimParams::new(0.5, 0.6),
             max_rounds: 20,
             max_inner: 2,
             seed: 7,
             cost: CostModel::default(),
+            weighted_merge: true,
         }
     }
 

@@ -15,7 +15,7 @@
 //! identical seeds they produce identical partitions — asserted by the
 //! protocol integration tests.
 
-use crate::cxk::{local_clustering_phase, select_initial_reps, CxkConfig};
+use crate::cxk::{check_shape, local_clustering_phase, select_initial_reps, CxkConfig};
 use crate::error::CxkError;
 use crate::globalrep::compute_global_representative;
 use crate::outcome::{ClusteringOutcome, RoundTrace};
@@ -87,15 +87,7 @@ pub(crate) fn drive_threaded(
 ) -> Result<ClusteringOutcome, CxkError> {
     let m = partition.len();
     let k = config.k;
-    if m == 0 {
-        return Err(CxkError::config("peers", "need at least one peer, got 0"));
-    }
-    if k == 0 {
-        return Err(CxkError::config(
-            "k",
-            "need at least one cluster, got k = 0",
-        ));
-    }
+    check_shape(m, k)?;
 
     let initial = select_initial_reps(ds, partition, k, config.seed);
     let (net, peer_handles) = Network::create::<CxkMsg>(m);

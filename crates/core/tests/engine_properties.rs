@@ -7,8 +7,8 @@
 //!    bit-identical across repeated fits of the same configuration on the
 //!    repository's `samples/` corpus, for every backend and algorithm.
 //! 3. The config-translation entry points (`from_cxk_config`,
-//!    `from_pk_config`, `from_vsm_config`) and the default round-robin
-//!    partition behave exactly like their explicit spellings.
+//!    `from_vsm_config`) and the default round-robin partition behave
+//!    exactly like their explicit spellings.
 //!
 //! The deprecated free functions (`run_centralized`, `run_collaborative`,
 //! …) that these tests historically compared against are gone; behavioral
@@ -19,7 +19,7 @@
 
 use cxk_core::{
     Algorithm, Backend, ChurnSchedule, ClusteringOutcome, CxkConfig, CxkError, EngineBuilder,
-    PkConfig, VsmConfig,
+    VsmConfig,
 };
 use cxk_corpus::partition_equal;
 use cxk_transact::{BuildOptions, Dataset, DatasetBuilder, SimParams};
@@ -173,16 +173,10 @@ fn pk_means_is_deterministic() {
     let n = ds.transactions.len();
     for m in [1, 3] {
         let partition = partition_equal(n, m, 4);
-        let cfg = PkConfig {
-            k: 2,
-            params: SimParams::new(0.5, 0.5),
-            max_rounds: 15,
-            max_inner: 2,
-            seed: 3,
-            cost: Default::default(),
-        };
+        let cfg = config(2, 0.5, 0.5, 3);
         let run = |_: usize| {
-            EngineBuilder::from_pk_config(&cfg)
+            EngineBuilder::from_cxk_config(&cfg)
+                .algorithm(Algorithm::PkMeans)
                 .backend(Backend::SimulatedP2p { peers: m })
                 .partition(partition.clone())
                 .build()
@@ -311,13 +305,23 @@ fn builder_rejects_every_invalid_axis() {
         "partition",
     );
     // Schedule consistency: round-0 events (the driver's round loop is
-    // 1-based and would silently skip them), unknown peer, double leave,
-    // rejoin-while-alive.
+    // 1-based and would silently skip them), events after the round cap
+    // (never applied, yet they would block convergence), unknown peer,
+    // double leave, rejoin-while-alive.
     assert_rejected(
         EngineBuilder::new(2).backend(Backend::Churn {
             peers: 2,
             schedule: ChurnSchedule::mass_departure(0, &[0]),
         }),
+        "schedule",
+    );
+    assert_rejected(
+        EngineBuilder::new(2)
+            .max_rounds(30)
+            .backend(Backend::Churn {
+                peers: 2,
+                schedule: ChurnSchedule::mass_departure(50, &[0]),
+            }),
         "schedule",
     );
     assert_rejected(

@@ -102,6 +102,15 @@ fn fig8_pk_traffic_dominates_cxk() {
             row.pk_kbytes,
             row.cxk_kbytes
         );
+        // The clock is simulated, so this is deterministic: at matched
+        // inner passes the all-to-all exchange makes PK-means slower.
+        assert!(
+            row.pk_seconds > row.cxk_seconds,
+            "PK must be slower than CXK at m = {}: {} vs {} s",
+            row.m,
+            row.pk_seconds,
+            row.cxk_seconds
+        );
     }
 }
 
