@@ -190,7 +190,7 @@ impl<'a> SimRun<'a> {
     }
 
     /// Indices of the peers in the network, ascending.
-    pub fn alive(&self) -> Vec<usize> {
+    pub fn alive_ids(&self) -> Vec<usize> {
         (0..self.peers.len())
             .filter(|&i| self.peers[i].alive)
             .collect()
@@ -243,7 +243,7 @@ impl<'a> SimRun<'a> {
     /// Charges `samples` (send + receive) and returns the bytes on the
     /// wire.
     pub fn charge_status(&self, samples: &mut [RoundSample]) -> u64 {
-        let alive = self.alive();
+        let alive = self.alive_ids();
         let others = alive.len().saturating_sub(1) as u64;
         if others == 0 {
             return 0;
@@ -373,7 +373,7 @@ pub(crate) fn drive_collaborative(
             stale_rounds = 0;
         }
 
-        let alive = run.alive();
+        let alive = run.alive_ids();
         let m_alive = alive.len();
         if m_alive == 0 {
             if round < last_event_round {

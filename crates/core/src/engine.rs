@@ -414,14 +414,15 @@ fn validate_schedule(
     let mut alive = vec![true; peers];
     for round in rounds {
         for event in schedule.events.iter().filter(|e| e.round() == round) {
+            let peer = event.peer();
+            if peer >= peers {
+                return Err(CxkError::config(
+                    "schedule",
+                    format!("schedule names peer {peer} of {peers}"),
+                ));
+            }
             match *event {
-                ChurnEvent::Leave { peer, .. } => {
-                    if peer >= peers {
-                        return Err(CxkError::config(
-                            "schedule",
-                            format!("schedule names peer {peer} of {peers}"),
-                        ));
-                    }
+                ChurnEvent::Leave { .. } => {
                     if !alive[peer] {
                         return Err(CxkError::config(
                             "schedule",
@@ -430,13 +431,7 @@ fn validate_schedule(
                     }
                     alive[peer] = false;
                 }
-                ChurnEvent::Rejoin { peer, .. } => {
-                    if peer >= peers {
-                        return Err(CxkError::config(
-                            "schedule",
-                            format!("schedule names peer {peer} of {peers}"),
-                        ));
-                    }
+                ChurnEvent::Rejoin { .. } => {
                     if alive[peer] {
                         return Err(CxkError::config(
                             "schedule",
