@@ -111,6 +111,7 @@ mod tests {
     use super::*;
     use crate::cxk::CxkConfig;
     use crate::engine::{Backend, EngineBuilder};
+    use crate::outcome::RoundTrace;
     use cxk_transact::{BuildOptions, Dataset, DatasetBuilder, SimParams};
 
     /// Engine-backed churned run over an explicit partition.
@@ -291,6 +292,41 @@ mod tests {
         assert!(!churned.outcome.converged);
         assert_eq!(churned.final_alive, 0);
         assert!((churned.coverage() - 0.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn emptied_network_idles_until_a_scheduled_rejoin() {
+        let (ds, _) = dataset();
+        let partition = cxk_corpus::partition_equal(ds.transactions.len(), 2, 2);
+        let schedule = ChurnSchedule {
+            events: vec![
+                ChurnEvent::Leave { round: 2, peer: 0 },
+                ChurnEvent::Leave { round: 2, peer: 1 },
+                ChurnEvent::Rejoin { round: 4, peer: 0 },
+            ],
+        };
+        let churned = fit_churn(&ds, &partition, &config(2), &schedule);
+        assert!(churned.outcome.converged);
+        assert!(
+            churned.outcome.rounds >= 4,
+            "no convergence before the rejoin"
+        );
+        assert_eq!(churned.final_alive, 1);
+        // Nobody is alive in rounds 2 and 3: they are traced but cost nothing.
+        for round in [2, 3] {
+            assert_eq!(
+                churned.outcome.per_round[round - 1],
+                RoundTrace {
+                    round,
+                    ..RoundTrace::default()
+                }
+            );
+        }
+        for (peer, part) in partition.iter().enumerate() {
+            for &t in part {
+                assert_eq!(churned.covered[t], peer == 0, "transaction {t}");
+            }
+        }
     }
 
     #[test]

@@ -361,7 +361,6 @@ pub(crate) fn drive_collaborative(
                 ChurnEvent::Rejoin { .. } => {
                     assert!(!peer.alive, "peer {} rejoined while alive", event.peer());
                     peer.alive = true;
-                    peer.done = false;
                 }
             }
             membership_changed = true;
