@@ -1,14 +1,18 @@
 //! Criterion micro-benchmarks for the pipeline stages: parsing, tree-tuple
 //! extraction (the DOM oracle's numbers), the document pipeline every
 //! production path reads documents through, the similarity kernels
-//! (Eqs. 1-4), scoring a tuple against k representatives and
-//! representative computation.
+//! (Eqs. 1-4), scoring a tuple against k representatives,
+//! representative computation, and the stages of a hot model swap.
 
-use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
+use criterion::{black_box, criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use cxk_bench::data::prepare_dblp_dialects;
 use cxk_bench::{prepare, CorpusKind};
-use cxk_core::{compute_local_representative, rep::prepare_representatives, EngineBuilder};
+use cxk_core::{
+    compute_local_representative, load_model, rep::prepare_representatives, save_model, Backend,
+    EngineBuilder,
+};
 use cxk_corpus::dblp::{generate, DblpConfig};
+use cxk_serve::{ShardedClassifier, ShardedEngine};
 use cxk_transact::txsim::{
     gamma_shared, sim_gamma_j, sim_gamma_j_prepared, sim_gamma_j_reference, PreparedSlab,
     ScoreScratch,
@@ -21,6 +25,7 @@ use cxk_xml::{
     count_tree_tuples, extract_document, extract_tree_tuples, parse_document, ParseOptions,
     TupleLimits,
 };
+use std::sync::Arc;
 
 fn bench_parser(c: &mut Criterion) {
     let corpus = generate(&DblpConfig {
@@ -257,12 +262,68 @@ fn bench_local_representative(c: &mut Criterion) {
     });
 }
 
+/// The stages of a hot model swap on a snapshot of cxkbench serve-reload's
+/// model A (1,000 DBLP documents in three dialects, k = 64, four simulated
+/// peers, f = 0.5, γ = 0.4, engine seed 0xA): decoding the snapshot
+/// (`load_model`), building the epoch's one-shard index
+/// (`ShardedEngine::build`), a worker's session over it
+/// (`ShardedClassifier::new`), and freeing the replaced model.
+fn bench_model_swap(c: &mut Criterion) {
+    let docs = generate(&DblpConfig {
+        documents: 1000,
+        seed: 0xC0_12B5,
+        dialects: 3,
+    })
+    .documents;
+    let mut builder = DatasetBuilder::new(BuildOptions::default());
+    for doc in &docs {
+        builder.add_xml(doc).expect("valid document");
+    }
+    let ds = builder.finish();
+    let model = EngineBuilder::new(64)
+        .backend(Backend::SimulatedP2p { peers: 4 })
+        .similarity(0.5, 0.4)
+        .seed(0xA)
+        .build()
+        .expect("valid config")
+        .fit(&ds)
+        .expect("fit succeeds")
+        .into_model(&ds, BuildOptions::default());
+    let snapshot = save_model(&model);
+    let load = || load_model(&snapshot).expect("valid snapshot");
+    let model = Arc::new(load());
+    let engine = Arc::new(ShardedEngine::build(Arc::clone(&model), 1));
+
+    let mut group = c.benchmark_group("model_swap_k64");
+    group.bench_function("load_model", |b| {
+        b.iter_batched(|| (), |()| load(), BatchSize::SmallInput)
+    });
+    group.bench_function("sharded_engine_build", |b| {
+        b.iter_batched(
+            || Arc::clone(&model),
+            |model| ShardedEngine::build(model, 1),
+            BatchSize::SmallInput,
+        )
+    });
+    group.bench_function("classifier_new", |b| {
+        b.iter_batched(
+            || Arc::clone(&engine),
+            ShardedClassifier::new,
+            BatchSize::SmallInput,
+        )
+    });
+    group.bench_function("drop_model", |b| {
+        b.iter_batched(load, drop, BatchSize::SmallInput)
+    });
+    group.finish();
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
     targets = bench_parser, bench_tuple_extraction, bench_document_pipeline,
               bench_path_similarity,
               bench_transaction_similarity, bench_tuple_vs_representatives,
-              bench_local_representative
+              bench_local_representative, bench_model_swap
 }
 criterion_main!(benches);

@@ -83,7 +83,8 @@ impl Bencher<'_> {
         *self.mean_nanos = start.elapsed().as_nanos() as f64 / self.samples as f64;
     }
 
-    /// Times `routine` over inputs produced by `setup`; setup time excluded.
+    /// Times `routine` over inputs produced by `setup`. As in criterion,
+    /// neither running `setup` nor dropping the routine's output is timed.
     pub fn iter_batched<I, O>(
         &mut self,
         mut setup: impl FnMut() -> I,
@@ -98,8 +99,9 @@ impl Bencher<'_> {
         for _ in 0..self.samples {
             let input = setup();
             let start = Instant::now();
-            black_box(routine(input));
+            let output = black_box(routine(input));
             total += start.elapsed();
+            drop(output);
         }
         *self.mean_nanos = total.as_nanos() as f64 / self.samples as f64;
     }
@@ -109,6 +111,9 @@ impl Bencher<'_> {
 pub struct Criterion {
     sample_size: u64,
     bench_mode: bool,
+    /// Only benchmarks whose id contains it run, as with criterion's
+    /// positional filter (`cargo bench -- <filter>`).
+    filter: Option<String>,
 }
 
 impl Default for Criterion {
@@ -118,6 +123,7 @@ impl Default for Criterion {
             // cargo bench invokes bench targets with `--bench`; cargo test
             // invokes them without it. Matching real criterion's detection.
             bench_mode: std::env::args().any(|a| a == "--bench"),
+            filter: std::env::args().skip(1).find(|a| !a.starts_with('-')),
         }
     }
 }
@@ -149,6 +155,13 @@ impl Criterion {
         samples: u64,
         f: &mut dyn FnMut(&mut Bencher<'_>),
     ) {
+        if self
+            .filter
+            .as_ref()
+            .is_some_and(|filter| !id.contains(filter))
+        {
+            return;
+        }
         let mut mean_nanos = 0.0;
         let mut bencher = Bencher {
             samples,
@@ -286,6 +299,7 @@ mod tests {
         let mut c = Criterion {
             sample_size: 10,
             bench_mode: false,
+            filter: None,
         };
         let mut runs = 0;
         c.bench_function("smoke", |b| b.iter(|| runs += 1));
@@ -297,6 +311,7 @@ mod tests {
         let mut c = Criterion {
             sample_size: 4,
             bench_mode: true,
+            filter: None,
         };
         let mut runs = 0;
         c.bench_function("timed", |b| b.iter(|| runs += 1));
@@ -308,6 +323,7 @@ mod tests {
         let mut c = Criterion {
             sample_size: 3,
             bench_mode: true,
+            filter: None,
         };
         let mut group = c.benchmark_group("g");
         group.throughput(Throughput::Bytes(128));
@@ -317,6 +333,21 @@ mod tests {
         });
         group.finish();
         assert_eq!(total, 21);
+    }
+
+    #[test]
+    fn a_filter_skips_other_benchmarks() {
+        let mut c = Criterion {
+            sample_size: 2,
+            bench_mode: false,
+            filter: Some("swap".to_string()),
+        };
+        let mut runs = Vec::new();
+        let mut group = c.benchmark_group("model_swap");
+        group.bench_function("load", |b| b.iter(|| runs.push("load")));
+        group.finish();
+        c.bench_function("parser", |b| b.iter(|| runs.push("parser")));
+        assert_eq!(runs, vec!["load"]);
     }
 
     #[test]

@@ -270,7 +270,10 @@ pub fn save_model(model: &TrainedModel) -> Vec<u8> {
 }
 
 /// Deserializes a model snapshot, verifying the magic, version, checksum
-/// and the internal consistency of every id.
+/// and the internal consistency of every id. No label, term or path may be
+/// listed twice: the decoder builds each table in one sized pass and
+/// rejects a repeated entry, which would otherwise collapse onto the first
+/// and shift every later id onto the next entry's key.
 pub fn load_model(bytes: &[u8]) -> Result<TrainedModel, ModelError> {
     if bytes.len() < MAGIC.len() + 4 + 8 {
         return Err(err(0, "truncated snapshot"));
@@ -315,23 +318,9 @@ pub fn load_model(bytes: &[u8]) -> Result<TrainedModel, ModelError> {
     let trained_documents = r.u64()?;
     let trained_transactions = r.u64()?;
 
-    let labels = r.interner()?;
-    let vocabulary = r.interner()?;
-
-    let path_count = r.len(4)?;
-    let mut paths = PathTable::new();
-    for _ in 0..path_count {
-        let len = r.len(4)?;
-        let mut symbols = Vec::with_capacity(len);
-        for _ in 0..len {
-            let sym = r.u32()?;
-            if sym as usize >= labels.len() {
-                return Err(err(r.pos, format!("path label symbol {sym} out of range")));
-            }
-            symbols.push(Symbol(sym));
-        }
-        paths.intern(&symbols);
-    }
+    let labels = r.interner("labels")?;
+    let vocabulary = r.interner("vocabulary")?;
+    let paths = r.paths(labels.len())?;
 
     let total_tcus = r.u64()?;
     let count_len = r.len(8)?;
@@ -505,18 +494,80 @@ impl<'a> Reader<'a> {
         Ok(count)
     }
 
-    fn interner(&mut self) -> Result<Interner, ModelError> {
-        let count = self.len(4)?;
-        let mut interner = Interner::with_capacity(count);
+    /// Measures the `count` entries that follow, each a length-prefixed
+    /// run of `unit`-byte elements, without consuming them: their total
+    /// and their longest length, in elements.
+    fn extent(&mut self, count: usize, unit: usize) -> Result<(usize, usize), ModelError> {
+        let start = self.pos;
+        let (mut total, mut longest) = (0, 0);
         for _ in 0..count {
+            let len = self.len(unit)?;
+            self.take(unit * len)?;
+            total += len;
+            longest = longest.max(len);
+        }
+        self.pos = start;
+        Ok((total, longest))
+    }
+
+    /// Reads a string table section: a count, then length-prefixed UTF-8
+    /// strings, interned in order into an interner sized from the
+    /// section's extent.
+    fn interner(&mut self, section: &str) -> Result<Interner, ModelError> {
+        let count = self.len(4)?;
+        let (bytes, _) = self.extent(count, 1)?;
+        let mut interner = Interner::with_capacity_and_bytes(count, bytes);
+        for _ in 0..count {
+            let at = self.pos;
             let len = self.len(1)?;
             let bytes = self.take(len)?;
             let text = std::str::from_utf8(bytes)
                 .map_err(|_| err(self.pos, "interned string is not UTF-8"))?;
-            interner.intern(text);
+            interner
+                .insert_new(text)
+                .map_err(|first| duplicate(at, section, first.0))?;
         }
         Ok(interner)
     }
+
+    /// Reads the path section: a count, then length-prefixed label
+    /// sequences over `labels` labels, interned in order into a table
+    /// sized from the section's extent.
+    fn paths(&mut self, labels: usize) -> Result<PathTable, ModelError> {
+        let count = self.len(4)?;
+        let (total, longest) = self.extent(count, 4)?;
+        let mut paths = PathTable::with_capacity_and_labels(count, total);
+        let mut symbols = Vec::with_capacity(longest);
+        for _ in 0..count {
+            let at = self.pos;
+            let len = self.len(4)?;
+            symbols.clear();
+            for _ in 0..len {
+                let sym = self.u32()?;
+                if sym as usize >= labels {
+                    return Err(err(
+                        self.pos,
+                        format!("path label symbol {sym} out of range"),
+                    ));
+                }
+                symbols.push(Symbol(sym));
+            }
+            paths
+                .insert_new(&symbols)
+                .map_err(|first| duplicate(at, "paths", first.0))?;
+        }
+        Ok(paths)
+    }
+}
+
+/// The error for the entry at byte `at` of `section`, which repeats entry
+/// `first`: interning it would collapse the two and shift every later id
+/// onto the next entry's key.
+fn duplicate(at: usize, section: &str, first: u32) -> ModelError {
+    err(
+        at,
+        format!("duplicated entry in the {section} section (entry {first} again)"),
+    )
 }
 
 #[cfg(test)]
@@ -648,6 +699,79 @@ mod tests {
         let digest = checksum(&vers[..body_len]);
         vers[body_len..].copy_from_slice(&digest.to_le_bytes());
         assert!(load_model(&vers).unwrap_err().message.contains("version"));
+    }
+
+    /// `model`'s snapshot with the one occurrence of `from` replaced by
+    /// `to` (as long), its checksum recomputed; also returns where.
+    fn patched(model: &TrainedModel, from: &[u8], to: &[u8]) -> (Vec<u8>, usize) {
+        let mut bytes = save_model(model);
+        let found: Vec<usize> = (0..bytes.len() - from.len())
+            .filter(|&at| bytes[at..].starts_with(from))
+            .collect();
+        assert_eq!(found.len(), 1, "the pattern occurs once");
+        bytes[found[0]..found[0] + to.len()].copy_from_slice(to);
+        let body_len = bytes.len() - 8;
+        let digest = checksum(&bytes[..body_len]);
+        bytes[body_len..].copy_from_slice(&digest.to_le_bytes());
+        (bytes, found[0])
+    }
+
+    /// A length-prefixed string entry, as the snapshot stores it.
+    fn entry(text: &str) -> Vec<u8> {
+        let mut out = Vec::new();
+        put_u32(&mut out, text.len() as u32);
+        out.extend_from_slice(text.as_bytes());
+        out
+    }
+
+    #[test]
+    fn rejects_a_duplicated_label() {
+        let mut model = trained();
+        for label in ["zzdupa", "zzdupb", "zzlast"] {
+            model.labels.intern(label);
+        }
+        let (bytes, at) = patched(&model, &entry("zzdupb"), &entry("zzdupa"));
+        let e = load_model(&bytes).unwrap_err();
+        assert_eq!(e.offset, at);
+        assert!(e.message.contains("labels section"), "{e}");
+    }
+
+    #[test]
+    fn rejects_a_duplicated_term() {
+        let mut model = trained();
+        for term in ["zzdupa", "zzdupb", "zzlast"] {
+            model.vocabulary.intern(term);
+        }
+        let (bytes, at) = patched(&model, &entry("zzdupb"), &entry("zzdupa"));
+        let e = load_model(&bytes).unwrap_err();
+        assert_eq!(e.offset, at);
+        assert!(e.message.contains("vocabulary section"), "{e}");
+    }
+
+    #[test]
+    fn rejects_a_duplicated_path() {
+        let mut model = trained();
+        let label = model.labels.intern("zzonly");
+        let next = Symbol(label.0 + 1);
+        model.labels.intern("zznext");
+        // Two new paths that differ in their last label only, then one
+        // more whose id the duplicate would shift.
+        let encode = |labels: &[Symbol]| {
+            let mut out = Vec::new();
+            put_u32(&mut out, labels.len() as u32);
+            for sym in labels {
+                put_u32(&mut out, sym.0);
+            }
+            out
+        };
+        let (dup, twin) = ([label, label, label], [label, label, next]);
+        model.paths.intern(&dup);
+        model.paths.intern(&twin);
+        model.paths.intern(&[next]);
+        let (bytes, at) = patched(&model, &encode(&twin), &encode(&dup));
+        let e = load_model(&bytes).unwrap_err();
+        assert_eq!(e.offset, at);
+        assert!(e.message.contains("paths section"), "{e}");
     }
 
     #[test]

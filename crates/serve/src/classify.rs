@@ -15,8 +15,9 @@
 //! The state splits along the sharing boundary the serving layer needs:
 //!
 //! * the per-worker **mutable** half, the crate-private `QuerySession`:
-//!   copies of the model's label interner and path table (parsing interns
-//!   unseen markup), the lazily extended tag-path similarity table, and
+//!   copies of the model's label interner and path table (three buffer
+//!   copies each; parsing interns unseen markup), the lazily extended
+//!   tag-path similarity table, and
 //!   the worker's scoring buffers. It is cheap relative to the model: no
 //!   representatives, no postings, no vocabulary.
 //! * the epoch's **immutable** engine — a [`ShardedEngine`] or a

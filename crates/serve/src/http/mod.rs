@@ -27,8 +27,9 @@
 //! the acceptor over a channel paired with a poller [`Waker`].
 //!
 //! The model is *not* fixed for the server's lifetime: all workers share
-//! a [`ModelSlot`] (see the `slot` module) and lazily rebuild their
-//! session when they observe a newer epoch, so a freshly trained
+//! a [`ModelSlot`] (see the `slot` module); a worker drops its session
+//! when it observes a newer epoch and builds the next one on its next
+//! classify job (a reload job builds none), so a freshly trained
 //! `.cxkmodel` swaps in without dropping a single request — including
 //! requests pipelined on connections that stay open across the swap.
 //! Three surfaces drive it: `POST /reload`, an opt-in mtime poller
@@ -182,7 +183,7 @@ pub struct ServerStats {
     /// Requests answered with a 4xx/5xx status.
     pub errors: AtomicU64,
     /// Requests whose handling panicked: answered `500` (also counted in
-    /// `errors`), after which the worker rebuilt its session and lived on.
+    /// `errors`), after which the worker dropped its session and lived on.
     pub worker_panics: AtomicU64,
     /// Successful model swaps (any surface: endpoint, watcher, library).
     pub reloads: AtomicU64,
@@ -205,6 +206,9 @@ pub struct ServerStats {
     /// plus transport. Drives the `service_p*_micros` fields of
     /// `GET /stats`.
     pub service_hist: LogHistogram,
+    /// Classify sessions the workers built.
+    #[cfg(test)]
+    sessions_built: AtomicU64,
 }
 
 /// A point-in-time copy of the counters plus the live model epoch.
@@ -450,11 +454,17 @@ impl Drop for Server {
     }
 }
 
-/// A worker: pull jobs from the bounded queue, keep the engine on the
+/// A worker's classify session: the epoch it serves and its engine over
+/// that epoch.
+type Session = (u64, ClassifyEngine);
+
+/// A worker: pull jobs from the bounded queue, keep its session on the
 /// live epoch, render complete responses and hand them back to the
-/// acceptor (channel + waker). A job that panics is answered `500` and
-/// counted, and the worker goes on with a fresh session. Exits when the
-/// queue closes.
+/// acceptor (channel + waker). The session is built by the first classify
+/// job of an epoch and dropped as soon as the live epoch moves on, so a
+/// reload job builds nothing and a worker never pins a replaced model. A
+/// job that panics is answered `500` and counted, and the worker goes on
+/// without a session. Exits when the queue closes.
 fn worker_loop(
     ctx: WorkerCtx,
     queue: &BoundedQueue<Job>,
@@ -462,8 +472,7 @@ fn worker_loop(
     waker: &Waker,
     delay: Option<Duration>,
 ) {
-    let mut current = ctx.slot.current();
-    let mut engine = ClassifyEngine::for_epoch(&current);
+    let mut session: Option<Session> = None;
     while let Some(job) = queue.pop() {
         if let Some(delay) = delay {
             std::thread::sleep(delay);
@@ -474,21 +483,24 @@ fn worker_loop(
         let answered = std::panic::catch_unwind(AssertUnwindSafe(|| {
             // Hot reload: observe a newer epoch *between* requests, so
             // in-flight work always finishes on the model it started with
-            // and no lock is held while classifying. The rebuild is a cheap
-            // session — the epoch's engine was built once, at swap time.
-            if ctx.slot.epoch() != current.epoch {
-                current = ctx.slot.current();
-                engine = ClassifyEngine::for_epoch(&current);
+            // and no lock is held while classifying. Dropping the stale
+            // session releases the old epoch; the next classify job builds
+            // a cheap session over the new epoch's engine, which was built
+            // once, at swap time.
+            if session
+                .as_ref()
+                .is_some_and(|(epoch, _)| *epoch != ctx.slot.epoch())
+            {
+                session = None;
             }
-            handle_request(&job.request, &mut engine, current.epoch, &ctx)
+            handle_request(&job.request, &mut session, &ctx)
         }));
         let (status, epoch, body) = answered.unwrap_or_else(|_| {
             ctx.stats.worker_panics.fetch_add(1, Ordering::Relaxed);
             ctx.stats.errors.fetch_add(1, Ordering::Relaxed);
-            current = ctx.slot.current();
-            engine = ClassifyEngine::for_epoch(&current);
+            session = None;
             let body = r#"{"error":"the request's handler panicked"}"#;
-            (500, current.epoch, body.to_string())
+            (500, ctx.slot.epoch(), body.to_string())
         });
         let micros = u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX);
         ctx.stats.service_hist.record(micros);
@@ -521,11 +533,12 @@ fn classify_error_status(e: &ClassifyError) -> u16 {
 }
 
 /// Answers one engine-bound request. Returns `(status, epoch-for-header,
-/// body)` — reload success reports the *new* epoch it just installed.
+/// body)`: a classification reports the epoch of the session it ran on
+/// (built here when the worker has none), a reload success the *new*
+/// epoch it just installed, and anything else the live epoch.
 fn handle_request(
     request: &Request,
-    engine: &mut ClassifyEngine,
-    epoch: u64,
+    session: &mut Option<Session>,
     ctx: &WorkerCtx,
 ) -> (u16, u64, String) {
     #[cfg(test)]
@@ -533,6 +546,13 @@ fn handle_request(
     let stats = &*ctx.stats;
     match (request.method.as_str(), request.path.as_str()) {
         ("POST", "/classify") => {
+            let (epoch, engine) = session.get_or_insert_with(|| {
+                #[cfg(test)]
+                stats.sessions_built.fetch_add(1, Ordering::Relaxed);
+                let current = ctx.slot.current();
+                (current.epoch, ClassifyEngine::for_epoch(&current))
+            });
+            let epoch = *epoch;
             let Ok(body) = std::str::from_utf8(&request.body) else {
                 stats.errors.fetch_add(1, Ordering::Relaxed);
                 return (400, epoch, r#"{"error":"body is not UTF-8"}"#.to_string());
@@ -588,6 +608,7 @@ fn handle_request(
             }
         }
         ("POST", "/reload") => {
+            let epoch = ctx.slot.epoch();
             let Ok(target) = std::str::from_utf8(&request.body) else {
                 stats.errors.fetch_add(1, Ordering::Relaxed);
                 return (
@@ -614,6 +635,9 @@ fn handle_request(
             match load_snapshot(&path) {
                 Ok(model) => {
                     let new_epoch = ctx.slot.swap(model);
+                    // The swap made this worker's session stale: release
+                    // the old epoch now rather than at the next job.
+                    *session = None;
                     stats.reloads.fetch_add(1, Ordering::Relaxed);
                     let body = format!(
                         r#"{{"reloaded":true,"epoch":{new_epoch},"path":"{}"}}"#,
@@ -637,7 +661,7 @@ fn handle_request(
             stats.errors.fetch_add(1, Ordering::Relaxed);
             (
                 404,
-                epoch,
+                ctx.slot.epoch(),
                 r#"{"error":"no such endpoint (POST /classify, POST /reload, GET /model, GET /stats)"}"#.to_string(),
             )
         }
@@ -931,7 +955,7 @@ pub fn assignment_json(report: &DocumentAssignment, trash_id: u32) -> String {
 mod tests {
     use super::*;
     use crate::classify::TupleAssignment;
-    use cxk_core::{CxkConfig, EngineBuilder};
+    use cxk_core::{save_model_file, CxkConfig, EngineBuilder};
     use cxk_transact::{BuildOptions, DatasetBuilder, SimParams};
     use std::io::{Read, Write};
 
@@ -964,11 +988,13 @@ mod tests {
         response
     }
 
-    #[test]
-    fn a_panicking_request_is_answered_and_its_worker_survives() {
-        let doc = r#"<dblp><article key="m1"><author>A. Miner</author><title>mining clustering patterns</title></article></dblp>"#;
+    /// The document the one-worker servers below classify.
+    const DOC: &str = r#"<dblp><article key="m1"><author>A. Miner</author><title>mining clustering patterns</title></article></dblp>"#;
+
+    /// A one-worker server over a k = 1 model of [`DOC`].
+    fn one_worker_server() -> (Server, TrainedModel) {
         let mut builder = DatasetBuilder::new(BuildOptions::default());
-        builder.add_xml(doc).unwrap();
+        builder.add_xml(DOC).unwrap();
         let ds = builder.finish();
         let mut config = CxkConfig::new(1);
         config.params = SimParams::new(0.5, 0.5);
@@ -982,7 +1008,14 @@ mod tests {
             threads: 1,
             ..ServeOptions::default()
         };
-        let server = Server::start(model, ("127.0.0.1", 0), options).unwrap();
+        let server = Server::start(model.clone(), ("127.0.0.1", 0), options).unwrap();
+        (server, model)
+    }
+
+    #[test]
+    fn a_panicking_request_is_answered_and_its_worker_survives() {
+        let doc = DOC;
+        let (server, _) = one_worker_server();
 
         let response = request(server.addr(), "POST /classify", FAULT);
         assert!(response.starts_with("HTTP/1.1 500"), "{response}");
@@ -997,6 +1030,36 @@ mod tests {
         assert_eq!(stats.worker_panics, 1);
         assert_eq!(stats.errors, 1);
         assert_eq!(stats.classified, 1);
+        server.shutdown();
+    }
+
+    #[test]
+    fn a_reload_job_builds_no_session() {
+        let (server, model) = one_worker_server();
+        let path = std::env::temp_dir().join(format!(
+            "cxk-http-reload-session-{}.cxkmodel",
+            std::process::id()
+        ));
+        save_model_file(&model, &path).unwrap();
+        let target = path.to_str().unwrap().as_bytes();
+        for epoch in [2, 3] {
+            let response = request(server.addr(), "POST /reload", target);
+            assert!(response.starts_with("HTTP/1.1 200"), "{response}");
+            assert!(response.contains(&format!("X-Model-Epoch: {epoch}\r\n")));
+        }
+        let response = request(server.addr(), "POST /classify", DOC.as_bytes());
+        assert!(response.starts_with("HTTP/1.1 200"), "{response}");
+        assert!(response.contains("X-Model-Epoch: 3\r\n"), "{response}");
+        // The two reloads built nothing; the classify built one session,
+        // over the newest epoch.
+        assert_eq!(server.stats.sessions_built.load(Ordering::Relaxed), 1);
+
+        // A failed reload names the live epoch.
+        let _ = std::fs::remove_file(&path);
+        let response = request(server.addr(), "POST /reload", target);
+        assert!(response.starts_with("HTTP/1.1 409"), "{response}");
+        assert!(response.contains("X-Model-Epoch: 3\r\n"), "{response}");
+        assert_eq!(server.stats.sessions_built.load(Ordering::Relaxed), 1);
         server.shutdown();
     }
 

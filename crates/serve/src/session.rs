@@ -8,9 +8,12 @@
 //! Unseen tags and paths are interned into the session's own copies of the
 //! model's label interner and path table; they only ever exact-match
 //! themselves, so they cannot affect similarities, and they extend the
-//! session's tag-path similarity table. The scoring buffers are reused
-//! across tuples and requests, so a warm session prepares, prunes and
-//! scores without allocating.
+//! session's tag-path similarity table. Both tables are arena-backed
+//! (`cxk_util::ArenaTable`), so each copy is three buffer copies however
+//! many labels and paths the model holds, and dropping a session frees
+//! three buffers per table. The scoring buffers are reused across tuples
+//! and requests, so a warm session prepares, prunes and scores without
+//! allocating.
 //!
 //! Every session in the crate is one of these: a `Classifier` over its
 //! engine, a `RemoteClassifier` for extraction, and each connection of a

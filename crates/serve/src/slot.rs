@@ -26,11 +26,12 @@
 //! moves `Arc`s and a swap never stalls concurrent readers behind an index
 //! build.
 //!
-//! Workers keep their own `(epoch, ClassifyEngine)` pair and lazily
-//! rebuild it — a lightweight session over the epoch's shared engine —
-//! when the polled epoch moves: an in-flight request always finishes on
-//! the model it started with, the next request on that worker picks up the
-//! new one, and no lock is held while classifying. A request's response
+//! Workers keep their own `(epoch, ClassifyEngine)` pair — a lightweight
+//! session over the epoch's shared engine — drop it when the polled epoch
+//! moves, and build the next one on their next classify request: an
+//! in-flight request always finishes on the model it started with, the
+//! next classify request on that worker picks up the new one, and no lock
+//! is held while classifying. A request's response
 //! is therefore self-consistent with exactly one epoch — never a mix of
 //! old and new representatives.
 

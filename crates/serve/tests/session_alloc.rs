@@ -1,16 +1,19 @@
-//! A serving session reads the model's vocabulary in place: building one
-//! costs the same however many terms the model knows, and a warm session
-//! that keeps meeting words the model never saw keeps its live heap flat
-//! while answering exactly like a fresh one.
+//! A serving session reads the model's vocabulary in place and copies its
+//! label and path tables as a few buffers: building one costs the same
+//! however many terms, labels and paths the model knows, and so does
+//! decoding a snapshot. A warm session that keeps meeting words the model
+//! never saw keeps its live heap flat while answering exactly like a
+//! fresh one.
 //!
 //! A counting global allocator tallies allocations and live bytes made by
 //! the current thread (thread-local counters, so the test harness's other
 //! threads do not interfere); nothing under test spawns a thread.
 
-use cxk_core::{CxkConfig, EngineBuilder, TrainedModel};
+use cxk_core::{load_model, save_model, CxkConfig, EngineBuilder, TrainedModel};
 use cxk_serve::{Classifier, ShardedClassifier, ShardedEngine, TreeClassifier};
 use cxk_serve::{TreeConfig, TreeEngine};
 use cxk_transact::{BuildOptions, DatasetBuilder, SimParams};
+use cxk_util::Symbol;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::path::PathBuf;
@@ -102,6 +105,24 @@ fn fresh_doc(i: usize) -> String {
     )
 }
 
+/// Entries [`padded`] adds to each of a model's tables.
+const PADDING: usize = 10_000;
+
+/// `model` with [`PADDING`] extra terms, labels and paths that no
+/// representative refers to.
+fn padded(model: &TrainedModel) -> TrainedModel {
+    let mut padded = model.clone();
+    for i in 0..PADDING {
+        padded.vocabulary.intern(&format!("padding{i}"));
+        let label = padded.labels.intern(&format!("padding{i}"));
+        padded.paths.intern(&[Symbol(0), label]);
+    }
+    assert_eq!(padded.vocabulary.len(), model.vocabulary.len() + PADDING);
+    assert_eq!(padded.labels.len(), model.labels.len() + PADDING);
+    assert_eq!(padded.paths.len(), model.paths.len() + PADDING);
+    padded
+}
+
 /// Allocations made while building a session with `build`.
 fn allocations_of<T>(build: impl FnOnce() -> T) -> u64 {
     let before = allocations();
@@ -114,12 +135,7 @@ fn allocations_of<T>(build: impl FnOnce() -> T) -> u64 {
 #[test]
 fn session_build_does_not_depend_on_the_vocabulary() {
     let model = Arc::new(model());
-    let mut padded = (*model).clone();
-    for i in 0..10_000 {
-        padded.vocabulary.intern(&format!("padding{i}"));
-    }
-    let padded = Arc::new(padded);
-    assert_eq!(padded.vocabulary.len(), model.vocabulary.len() + 10_000);
+    let padded = Arc::new(padded(&model));
 
     let sharded = Arc::new(ShardedEngine::build(Arc::clone(&model), 2));
     let padded_sharded = Arc::new(ShardedEngine::build(Arc::clone(&padded), 2));
@@ -142,6 +158,19 @@ fn session_build_does_not_depend_on_the_vocabulary() {
         allocations_of(|| Classifier::shared(Arc::clone(&model))),
         allocations_of(|| Classifier::shared(Arc::clone(&padded))),
         "the standalone classifier, engine included"
+    );
+}
+
+#[test]
+fn load_model_does_not_depend_on_the_tables() {
+    let model = model();
+    let (plain, padded) = (save_model(&model), save_model(&padded(&model)));
+    let loads = |bytes: &[u8]| allocations_of(|| load_model(bytes).expect("valid snapshot"));
+    let (plain, padded) = (loads(&plain), loads(&padded));
+    assert!(
+        padded <= plain + 8,
+        "load_model allocated {plain} times, and {padded} times with {PADDING} more terms, \
+         labels and paths"
     );
 }
 

@@ -195,23 +195,35 @@ pub fn load(text: &str) -> Result<Dataset, PersistError> {
         Ok(rows)
     };
 
-    let mut labels = Interner::new();
-    for (_, l) in read_section(&mut lines, "labels")? {
-        labels.intern(&unescape(&l));
+    // A repeated entry would collapse onto the first and shift every later
+    // id onto the next entry's key, so each table takes new entries only.
+    let duplicate = |n: usize, section: &str| err(n, format!("duplicated entry in [{section}]"));
+    let rows = read_section(&mut lines, "labels")?;
+    let mut labels = Interner::with_capacity(rows.len());
+    for (n, l) in rows {
+        labels
+            .insert_new(&unescape(&l))
+            .map_err(|_| duplicate(n, "labels"))?;
     }
-    let mut vocabulary = Interner::new();
-    for (_, l) in read_section(&mut lines, "vocabulary")? {
-        vocabulary.intern(&unescape(&l));
+    let rows = read_section(&mut lines, "vocabulary")?;
+    let mut vocabulary = Interner::with_capacity(rows.len());
+    for (n, l) in rows {
+        vocabulary
+            .insert_new(&unescape(&l))
+            .map_err(|_| duplicate(n, "vocabulary"))?;
     }
 
-    let mut paths = PathTable::new();
-    for (n, l) in read_section(&mut lines, "paths")? {
+    let rows = read_section(&mut lines, "paths")?;
+    let mut paths = PathTable::with_capacity(rows.len());
+    for (n, l) in rows {
         let symbols: Result<Vec<Symbol>, _> = l
             .split_whitespace()
             .map(|tok| tok.parse::<u32>().map(Symbol))
             .collect();
         let symbols = symbols.map_err(|_| err(n, "bad path symbol"))?;
-        paths.intern(&symbols);
+        paths
+            .insert_new(&symbols)
+            .map_err(|_| duplicate(n, "paths"))?;
     }
 
     let mut items = Vec::new();
@@ -434,6 +446,24 @@ mod tests {
         let text = save(&ds);
         let corrupted = text.replacen("[items]", "[items] ", 1); // breaks count parse
         assert!(load(&corrupted).is_err());
+    }
+
+    #[test]
+    fn rejects_a_duplicated_entry_with_its_line() {
+        let text = save(&sample_dataset());
+        let lines: Vec<&str> = text.lines().collect();
+        for section in ["labels", "vocabulary", "paths"] {
+            // Overwrite the section's second entry with its first.
+            let head = lines
+                .iter()
+                .position(|l| l.starts_with(&format!("[{section}] ")))
+                .expect("section present");
+            let mut patched = lines.clone();
+            patched[head + 2] = lines[head + 1];
+            let e = load(&patched.join("\n")).unwrap_err();
+            assert_eq!(e.line, head + 3, "{section}: {e}");
+            assert!(e.message.contains(&format!("[{section}]")), "{e}");
+        }
     }
 
     #[test]

@@ -5,8 +5,13 @@
 //! rest of the pipeline compares and hashes 4-byte integers instead of
 //! strings. Symbols are only meaningful relative to the [`Interner`] that
 //! produced them.
+//!
+//! An [`Interner`] is an [`ArenaTable`] over one `String`: every string it
+//! holds sits in that buffer, so interning allocates only when the buffer
+//! grows, and cloning or dropping an interner costs three buffer copies or
+//! frees however many strings it holds.
 
-use crate::hash::FxHashMap;
+use crate::arena::ArenaTable;
 
 /// A dense identifier for an interned string.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -20,11 +25,11 @@ impl Symbol {
     }
 }
 
-/// A append-only string interner with O(1) two-way lookup.
+/// An append-only string interner with O(1) two-way lookup; symbols are
+/// dense, in insertion order.
 #[derive(Debug, Default, Clone)]
 pub struct Interner {
-    map: FxHashMap<Box<str>, Symbol>,
-    strings: Vec<Box<str>>,
+    table: ArenaTable<String>,
 }
 
 impl Interner {
@@ -35,29 +40,40 @@ impl Interner {
 
     /// Creates an interner with room for `capacity` distinct strings.
     pub fn with_capacity(capacity: usize) -> Self {
+        Self::with_capacity_and_bytes(capacity, 0)
+    }
+
+    /// Creates an interner with room for `capacity` distinct strings of
+    /// `bytes` bytes in total, so a decoder that knows both fills it
+    /// without growing a buffer.
+    pub fn with_capacity_and_bytes(capacity: usize, bytes: usize) -> Self {
         Self {
-            map: FxHashMap::with_capacity_and_hasher(capacity, Default::default()),
-            strings: Vec::with_capacity(capacity),
+            table: ArenaTable::with_capacity(capacity, bytes),
         }
     }
 
     /// Interns `s`, returning its symbol. Repeated calls with equal strings
     /// return equal symbols.
+    ///
+    /// # Panics
+    /// Panics with `interner overflow` past `u32::MAX` strings or bytes.
     pub fn intern(&mut self, s: &str) -> Symbol {
-        if let Some(&sym) = self.map.get(s) {
-            return sym;
-        }
-        // cxk-lint: allow(panic-freedom) -- guards 2^32 distinct strings, far beyond any corpus
-        let sym = Symbol(u32::try_from(self.strings.len()).expect("interner overflow"));
-        let boxed: Box<str> = s.into();
-        self.strings.push(boxed.clone());
-        self.map.insert(boxed, sym);
-        sym
+        Symbol(self.table.intern(s))
+    }
+
+    /// Interns `s` as a new string: `Ok` with its symbol, or `Err` with the
+    /// symbol it already has (nothing changes). Decoders use it to reject
+    /// a repeated entry, which would otherwise shift every later symbol.
+    ///
+    /// # Panics
+    /// Panics with `interner overflow` past `u32::MAX` strings or bytes.
+    pub fn insert_new(&mut self, s: &str) -> Result<Symbol, Symbol> {
+        self.table.insert_new(s).map(Symbol).map_err(Symbol)
     }
 
     /// Looks up a previously interned string without inserting.
     pub fn get(&self, s: &str) -> Option<Symbol> {
-        self.map.get(s).copied()
+        self.table.get(s).map(Symbol)
     }
 
     /// Resolves a symbol back to its string.
@@ -65,25 +81,22 @@ impl Interner {
     /// # Panics
     /// Panics if `sym` was not produced by this interner.
     pub fn resolve(&self, sym: Symbol) -> &str {
-        &self.strings[sym.index()]
+        self.table.resolve(sym.0)
     }
 
     /// Number of distinct strings interned so far.
     pub fn len(&self) -> usize {
-        self.strings.len()
+        self.table.len()
     }
 
     /// Whether no strings have been interned.
     pub fn is_empty(&self) -> bool {
-        self.strings.is_empty()
+        self.table.is_empty()
     }
 
     /// Iterates over `(Symbol, &str)` pairs in insertion order.
     pub fn iter(&self) -> impl Iterator<Item = (Symbol, &str)> {
-        self.strings
-            .iter()
-            .enumerate()
-            .map(|(i, s)| (Symbol(i as u32), s.as_ref()))
+        self.table.iter().map(|(id, s)| (Symbol(id), s))
     }
 }
 

@@ -7,10 +7,14 @@
 //! set for tag paths and the set of `δ` strings for complete paths.
 //!
 //! [`PathTable`] interns label sequences into dense [`PathId`]s shared across
-//! a corpus so that transactions can refer to paths by integer.
+//! a corpus so that transactions can refer to paths by integer. It is the
+//! same arena-backed table as the label and term interners
+//! ([`cxk_util::ArenaTable`]), keyed by label slices: its labels sit back to
+//! back in one buffer, so copying a model's path table into a serving
+//! session, or freeing it at a hot swap, costs a few buffer copies or frees.
 
 use crate::tree::{NodeId, XmlTree};
-use cxk_util::{FxHashMap, Symbol};
+use cxk_util::{ArenaTable, FxHashMap, Symbol};
 
 /// A path as an owned label sequence.
 pub type LabelPath = Vec<Symbol>;
@@ -27,11 +31,13 @@ impl PathId {
     }
 }
 
-/// Append-only interner for label paths.
+/// Append-only interner for label paths; ids are dense, in insertion
+/// order. An [`ArenaTable`] over one `Vec<Symbol>`: every path's labels
+/// sit back to back in that buffer, so the table is three allocations
+/// however many paths it holds.
 #[derive(Debug, Default, Clone)]
 pub struct PathTable {
-    map: FxHashMap<LabelPath, PathId>,
-    paths: Vec<LabelPath>,
+    table: ArenaTable<LabelPath>,
 }
 
 impl PathTable {
@@ -40,44 +46,64 @@ impl PathTable {
         Self::default()
     }
 
-    /// Interns `path`, returning a stable [`PathId`].
-    pub fn intern(&mut self, path: &[Symbol]) -> PathId {
-        if let Some(&id) = self.map.get(path) {
-            return id;
+    /// Creates a table with room for `capacity` distinct paths.
+    pub fn with_capacity(capacity: usize) -> Self {
+        Self::with_capacity_and_labels(capacity, 0)
+    }
+
+    /// Creates a table with room for `capacity` distinct paths of `labels`
+    /// labels in total, so a decoder that knows both fills it without
+    /// growing a buffer.
+    pub fn with_capacity_and_labels(capacity: usize, labels: usize) -> Self {
+        Self {
+            table: ArenaTable::with_capacity(capacity, labels),
         }
-        // cxk-lint: allow(panic-freedom) -- guards 2^32 distinct paths, far beyond any corpus
-        let id = PathId(u32::try_from(self.paths.len()).expect("path table overflow"));
-        self.paths.push(path.to_vec());
-        self.map.insert(path.to_vec(), id);
-        id
+    }
+
+    /// Interns `path`, returning a stable [`PathId`].
+    ///
+    /// # Panics
+    /// Panics with `interner overflow` past `u32::MAX` paths or labels.
+    pub fn intern(&mut self, path: &[Symbol]) -> PathId {
+        PathId(self.table.intern(path))
+    }
+
+    /// Interns `path` as a new path: `Ok` with its id, or `Err` with the id
+    /// it already has (nothing changes). Decoders use it to reject a
+    /// repeated entry, which would otherwise shift every later id.
+    ///
+    /// # Panics
+    /// Panics with `interner overflow` past `u32::MAX` paths or labels.
+    pub fn insert_new(&mut self, path: &[Symbol]) -> Result<PathId, PathId> {
+        self.table.insert_new(path).map(PathId).map_err(PathId)
     }
 
     /// Looks up a path without inserting it.
     pub fn get(&self, path: &[Symbol]) -> Option<PathId> {
-        self.map.get(path).copied()
+        self.table.get(path).map(PathId)
     }
 
     /// Resolves a [`PathId`] back to its label sequence.
+    ///
+    /// # Panics
+    /// Panics if `id` was not produced by this table.
     pub fn resolve(&self, id: PathId) -> &[Symbol] {
-        &self.paths[id.index()]
+        self.table.resolve(id.0)
     }
 
     /// Number of distinct paths interned.
     pub fn len(&self) -> usize {
-        self.paths.len()
+        self.table.len()
     }
 
     /// Whether the table is empty.
     pub fn is_empty(&self) -> bool {
-        self.paths.is_empty()
+        self.table.is_empty()
     }
 
     /// Iterates `(PathId, &labels)` in insertion order.
     pub fn iter(&self) -> impl Iterator<Item = (PathId, &[Symbol])> {
-        self.paths
-            .iter()
-            .enumerate()
-            .map(|(i, p)| (PathId(i as u32), p.as_slice()))
+        self.table.iter().map(|(id, p)| (PathId(id), p))
     }
 }
 

@@ -1,8 +1,9 @@
 //! Property-based tests for the XML substrate: parser/serializer round
 //! trips and tree-tuple invariants on randomly generated documents.
 
-use cxk_util::Interner;
+use cxk_util::{FxHashMap, Interner, Symbol};
 use cxk_xml::parser::decode_entities;
+use cxk_xml::path::{PathId, PathTable};
 use cxk_xml::tree::{NodeKind, XmlTree, S_LABEL};
 use cxk_xml::tuple::is_tree_tuple;
 use cxk_xml::write::{escape_attr, escape_text, to_xml_string, Layout};
@@ -128,6 +129,104 @@ fn has_adjacent_text(tree: &XmlTree) -> bool {
                 && matches!(tree.node(*w[1]).kind, NodeKind::Text(_))
         })
     })
+}
+
+/// The label paths the path-table model test draws from: the empty path,
+/// paths longer than 16 labels, paths that share their first 8 labels and
+/// differ after them, and enough short ones to cross several growth
+/// boundaries of the table's slots and buffers.
+fn path_pool() -> Vec<Vec<Symbol>> {
+    let mut pool: Vec<Vec<Symbol>> = vec![Vec::new(), vec![Symbol(0)], vec![Symbol(u32::MAX)]];
+    for len in [17, 18, 40] {
+        pool.push((0..len).map(Symbol).collect());
+    }
+    for last in 0..24 {
+        let mut path: Vec<Symbol> = (0..8).map(Symbol).collect();
+        path.push(Symbol(last));
+        pool.push(path);
+    }
+    for i in 0..200u32 {
+        pool.push(vec![Symbol(0), Symbol(i % 7), Symbol(i)]);
+    }
+    pool
+}
+
+/// The reference model of a path table: a map plus the insertion order.
+#[derive(Clone, Default)]
+struct PathModel {
+    ids: FxHashMap<Vec<Symbol>, u32>,
+    order: Vec<Vec<Symbol>>,
+}
+
+impl PathModel {
+    fn intern(&mut self, path: &[Symbol]) -> u32 {
+        if let Some(&id) = self.ids.get(path) {
+            return id;
+        }
+        let id = self.order.len() as u32;
+        self.ids.insert(path.to_vec(), id);
+        self.order.push(path.to_vec());
+        id
+    }
+}
+
+/// Asserts that `table` holds exactly `model`'s paths, in order.
+fn assert_paths_match(table: &PathTable, model: &PathModel) {
+    assert_eq!(table.len(), model.order.len());
+    assert_eq!(table.is_empty(), model.order.is_empty());
+    let listed: Vec<(u32, &[Symbol])> = table.iter().map(|(id, p)| (id.0, p)).collect();
+    let expected: Vec<(u32, &[Symbol])> = model
+        .order
+        .iter()
+        .enumerate()
+        .map(|(i, p)| (i as u32, p.as_slice()))
+        .collect();
+    assert_eq!(listed, expected);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Random interleavings of `intern`, `get`, `resolve`, `iter` and
+    /// `clone` agree with the reference model, and every clone stays as it
+    /// was taken however the original grows afterwards (and vice versa).
+    #[test]
+    fn path_table_matches_a_reference_model(
+        ops in proptest::collection::vec((0u8..8, 0usize..256), 200..500),
+    ) {
+        let pool = path_pool();
+        let mut table = PathTable::new();
+        let mut model = PathModel::default();
+        let mut clones: Vec<(PathTable, PathModel)> = Vec::new();
+        for (op, pick) in ops {
+            let path = pool[pick % pool.len()].as_slice();
+            match op {
+                0..=3 => prop_assert_eq!(table.intern(path).0, model.intern(path)),
+                4 => prop_assert_eq!(
+                    table.get(path).map(|id| id.0),
+                    model.ids.get(path).copied()
+                ),
+                5 if !model.order.is_empty() => {
+                    let id = pick % model.order.len();
+                    prop_assert_eq!(table.resolve(PathId(id as u32)), model.order[id].as_slice());
+                }
+                6 => assert_paths_match(&table, &model),
+                _ => clones.push((table.clone(), model.clone())),
+            }
+        }
+        assert_paths_match(&table, &model);
+        // Past 32 paths the slots have grown from 8 to 128.
+        prop_assert!(table.len() > 32);
+        let only_in_copy = [Symbol(7); 20];
+        for (mut copy, expected) in clones {
+            assert_paths_match(&copy, &expected);
+            copy.intern(&only_in_copy);
+            prop_assert_eq!(table.get(&only_in_copy), None);
+            for (id, path) in expected.order.iter().enumerate() {
+                prop_assert_eq!(copy.get(path), Some(PathId(id as u32)));
+            }
+        }
+    }
 }
 
 proptest! {
