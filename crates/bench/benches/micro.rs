@@ -12,18 +12,17 @@ use cxk_core::{
     EngineBuilder,
 };
 use cxk_corpus::dblp::{generate, DblpConfig};
-use cxk_serve::{ShardedClassifier, ShardedEngine};
+use cxk_serve::{Classifier, ShardedClassifier, ShardedEngine};
+use cxk_text::{preprocess_known, Preprocessor};
 use cxk_transact::txsim::{
     gamma_shared, sim_gamma_j, sim_gamma_j_prepared, sim_gamma_j_reference, PreparedSlab,
     ScoreScratch,
 };
-use cxk_transact::{
-    pathsim, BuildOptions, DatasetBuilder, DocumentPipeline, ItemId, ItemWeights, SimParams, Terms,
-};
-use cxk_util::{FxHashMap, Interner};
+use cxk_transact::{pathsim, BuildOptions, DatasetBuilder, SimParams};
+use cxk_util::Interner;
 use cxk_xml::{
-    count_tree_tuples, extract_document, extract_tree_tuples, parse_document, ParseOptions,
-    TupleLimits,
+    count_tree_tuples, extract_document_into, extract_tree_tuples, parse_document,
+    ExtractedDocument, ParseOptions, SaxScratch, TupleLimits,
 };
 use std::sync::Arc;
 
@@ -79,13 +78,27 @@ fn bench_tuple_extraction(c: &mut Criterion) {
 }
 
 /// The document pipeline over DBLP documents in three dialects, in
-/// documents per second: SAX extraction alone, then the whole pipeline
-/// (extraction, preprocessing, `ttf.itf` weighting) in serving mode —
-/// statistics frozen at a trained collection's, each document its own
-/// averaging scope — and in training mode: `DatasetBuilder`, every
-/// document joining live statistics, weighted as one collection.
+/// documents per second: SAX extraction alone, through buffers reused
+/// from document to document as a serving session reuses them; `serving`,
+/// a warm `Classifier` over a k = 16 model of the same dialects — the whole
+/// in-process request: extraction, preprocessing through the token memo,
+/// `ttf.itf` against the model's frozen statistics, scoring; and
+/// `training`: `DatasetBuilder`, every document joining live statistics,
+/// weighted as one collection. The `preprocess_50_dblp_docs` group times
+/// the documents' TCUs through preprocessing alone: `preprocess_known`
+/// (no memo), a cold token memo (a fresh `Preprocessor` per pass) and a
+/// warm one.
 fn bench_document_pipeline(c: &mut Criterion) {
-    let model = prepare_dblp_dialects(0.3, 7, 3).dataset;
+    let ds = prepare_dblp_dialects(0.3, 7, 3).dataset;
+    let model = EngineBuilder::new(16)
+        .similarity(0.5, 0.4)
+        .seed(7)
+        .build()
+        .expect("valid config")
+        .fit(&ds)
+        .expect("fit succeeds")
+        .into_model(&ds, BuildOptions::default());
+    let model = Arc::new(model);
     let docs = generate(&DblpConfig {
         documents: 50,
         seed: 8,
@@ -96,37 +109,32 @@ fn bench_document_pipeline(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("document_pipeline_50_dblp_docs");
     group.throughput(Throughput::Elements(docs.len() as u64));
-    // A warm serving session's tables: the model's labels and paths, grown
-    // by the first iteration's unseen markup, and its vocabulary, read as
-    // is.
-    let (mut labels, mut paths) = (model.labels.clone(), model.paths.clone());
+    // A warm session's labels: the model's, grown by the first iteration's
+    // unseen markup.
+    let mut labels = model.labels.clone();
+    let (mut scratch, mut extracted) = (SaxScratch::default(), ExtractedDocument::default());
     group.bench_function("sax_extract", |b| {
         b.iter(|| {
             for doc in &docs {
-                black_box(
-                    extract_document(doc, &mut labels, &options.parse, &options.limits)
-                        .expect("valid document"),
-                );
+                let (parse, limits) = (&options.parse, &options.limits);
+                extract_document_into(
+                    doc,
+                    &mut labels,
+                    parse,
+                    limits,
+                    &mut scratch,
+                    &mut extracted,
+                )
+                .expect("valid document");
+                black_box(extracted.tuples().len());
             }
         })
     });
+    let mut classifier = Classifier::shared(Arc::clone(&model));
     group.bench_function("serving", |b| {
         b.iter(|| {
-            let mut pipeline = DocumentPipeline {
-                options: &options,
-                labels: &mut labels,
-                paths: &mut paths,
-                terms: Terms::Frozen(&model.vocabulary),
-            };
             for doc in &docs {
-                let parsed = pipeline.parse(doc).expect("valid document");
-                let mut domain = FxHashMap::default();
-                let mut weights = ItemWeights::default();
-                let tuples = parsed.weigh(&model.term_stats, &mut weights, |leaf| {
-                    let next = ItemId(domain.len() as u32);
-                    *domain.entry(leaf.key()).or_insert(next)
-                });
-                black_box((tuples, weights.into_vectors().count()));
+                black_box(classifier.classify(doc).expect("valid document"));
             }
         })
     });
@@ -137,6 +145,58 @@ fn bench_document_pipeline(c: &mut Criterion) {
                 builder.add_xml(doc).expect("valid document");
             }
             black_box(builder.finish())
+        })
+    });
+    group.finish();
+
+    let values: Vec<String> = docs
+        .iter()
+        .flat_map(|doc| {
+            let (parse, limits) = (&options.parse, &options.limits);
+            extract_document_into(
+                doc,
+                &mut labels,
+                parse,
+                limits,
+                &mut scratch,
+                &mut extracted,
+            )
+            .expect("valid document");
+            extracted
+                .leaves()
+                .map(|leaf| leaf.value.to_string())
+                .collect::<Vec<_>>()
+        })
+        .collect();
+    let (vocabulary, pipeline) = (&model.vocabulary, &options.pipeline);
+    let mut group = c.benchmark_group("preprocess_50_dblp_docs");
+    group.throughput(Throughput::Elements(docs.len() as u64));
+    group.bench_function("preprocess_known", |b| {
+        b.iter(|| {
+            for value in &values {
+                black_box(preprocess_known(value, vocabulary, pipeline));
+            }
+        })
+    });
+    let mut terms = Vec::new();
+    group.bench_function("cold_memo", |b| {
+        b.iter(|| {
+            let mut preprocessor = Preprocessor::default();
+            for value in &values {
+                terms.clear();
+                preprocessor.known(value, vocabulary, pipeline, &mut terms);
+                black_box(&terms);
+            }
+        })
+    });
+    let mut preprocessor = Preprocessor::default();
+    group.bench_function("warm_memo", |b| {
+        b.iter(|| {
+            for value in &values {
+                terms.clear();
+                preprocessor.known(value, vocabulary, pipeline, &mut terms);
+                black_box(&terms);
+            }
         })
     });
     group.finish();

@@ -260,15 +260,16 @@ impl<E: SessionEngine> Classifier<E> {
         let query = self.session.extract(model, xml)?;
         let mut views = Vec::new();
         let assignments = query
-            .transactions
-            .iter()
+            .tuples()
             .map(|tuple| {
                 views.clear();
-                views.extend(tuple.iter().map(RepItem::view));
+                views.extend(tuple.map(RepItem::view));
                 self.engine.assign_tuple(&mut self.session, &views, pruned)
             })
             .collect();
-        Ok(aggregate_document(model.k(), assignments, query.capped))
+        let capped = query.capped;
+        self.session.recycle(query);
+        Ok(aggregate_document(model.k(), assignments, capped))
     }
 }
 
@@ -483,6 +484,27 @@ mod tests {
         // scores.
         let after = c.classify(&mining_doc(1)).unwrap();
         assert_eq!(before, after);
+    }
+
+    #[test]
+    fn the_token_memo_keeps_only_known_words() {
+        let mut c = Classifier::shared(Arc::new(model()));
+        let first = c.classify(&mining_doc(2)).unwrap();
+        for i in 0..20 {
+            let doc = mining_doc(2).replace("</title>", &format!(" zq{i}x wubble{i}</title>"));
+            assert_eq!(c.classify(&doc).unwrap(), first, "{doc}");
+        }
+        let memo = c.session_mut().reading().preprocessor().memo();
+        for known in ["mining", "patterns", "frequent", "miner"] {
+            assert!(memo.contains(known), "{known}");
+        }
+        for i in 0..20 {
+            assert!(!memo.contains(&format!("zq{i}x")));
+            assert!(!memo.contains(&format!("wubble{i}")));
+        }
+        // A parse error leaves a warm session answering as before.
+        assert!(c.classify("<dblp><title>mining</dblp>").is_err());
+        assert_eq!(c.classify(&mining_doc(2)).unwrap(), first);
     }
 
     #[test]

@@ -762,19 +762,12 @@ impl RemoteClassifier {
             .session
             .extract(&self.model, xml)
             .map_err(ClassifyError::Xml)?;
-        let tuples = query.transactions;
+        let (n_tuples, capped) = (query.len(), query.capped);
         let k = self.model.k();
-        if tuples.is_empty() {
-            // Nothing to score: the document is trash without consulting
-            // the network, exactly like the in-process paths.
-            return Ok(aggregate_document(k, Vec::new(), query.capped));
-        }
-
-        let wire_tuples: Vec<WireTuple> = tuples
-            .iter()
+        let wire_tuples: Vec<WireTuple> = query
+            .tuples()
             .map(|tuple| WireTuple {
                 items: tuple
-                    .iter()
                     .map(|item| WireItem {
                         tag_path: self
                             .session
@@ -793,6 +786,12 @@ impl RemoteClassifier {
                     .collect(),
             })
             .collect();
+        self.session.recycle(query);
+        if n_tuples == 0 {
+            // Nothing to score: the document is trash without consulting
+            // the network, exactly like the in-process paths.
+            return Ok(aggregate_document(k, Vec::new(), capped));
+        }
         let seq = self.next_seq;
         self.next_seq += 1;
         let request = ShardMsg::Scatter {
@@ -801,11 +800,11 @@ impl RemoteClassifier {
             tuples: wire_tuples,
         };
 
-        let per_shard = self.scatter(&request, seq, tuples.len())?;
+        let per_shard = self.scatter(&request, seq, n_tuples)?;
 
         let trash = k as u32;
-        let mut assignments = Vec::with_capacity(tuples.len());
-        for t in 0..tuples.len() {
+        let mut assignments = Vec::with_capacity(n_tuples);
+        for t in 0..n_tuples {
             let mut scored = 0usize;
             // Slots ascend by range (coverage-checked), so the relocation
             // rule keeps the lowest winning id — the brute-force tie-break.
@@ -821,7 +820,7 @@ impl RemoteClassifier {
                 candidates: scored,
             });
         }
-        Ok(aggregate_document(k, assignments, query.capped))
+        Ok(aggregate_document(k, assignments, capped))
     }
 
     /// Scatters `request` to every shard and collects one answer vector

@@ -15,6 +15,20 @@
 //! and requests, so a warm session prepares, prunes and scores without
 //! allocating.
 //!
+//! Reading a document reuses the session's buffers too: the SAX reader's
+//! and extractor's (`cxk_xml::sax::SaxScratch`), the parsed document's,
+//! the preprocessor's with its token memo (`cxk_text::Preprocessor`: raw
+//! token → stopword or model symbol, admitting only tokens whose stem the
+//! vocabulary holds, up to a fixed cap), the weighing buffers
+//! (`ItemWeights`), the items keyed by `(path, answer)` (`ItemKeys`), one
+//! item arena whose vectors are reused, and per-tuple item lists
+//! deduplicated through a reused marker. They live for one epoch's
+//! requests and drop with the session, so a hot swap starts cold; none is
+//! sized by the vocabulary up front. A warm session therefore turns a
+//! document no larger than earlier ones into weighted query tuples
+//! without allocating per token, tag, text run, leaf or item
+//! (`tests/session_alloc.rs` pins a warm classify's count).
+//!
 //! Every session in the crate is one of these: a `Classifier` over its
 //! engine, a `RemoteClassifier` for extraction, and each connection of a
 //! `ShardDaemon` for the tuples shipped to it.
@@ -28,8 +42,11 @@ use cxk_transact::item::{item_fingerprint, ItemId, ItemView};
 use cxk_transact::txsim::{
     argmax_prepared, sim_gamma_j_prepared, PreparedSlab, PreparedTx, ScoreScratch,
 };
-use cxk_transact::{DocumentPipeline, ItemWeights, SimCtx, SimParams, TagPathSimTable, Terms};
-use cxk_util::{FxHashMap, FxHashSet, Interner, Symbol};
+use cxk_transact::{
+    DocumentPipeline, ItemKeys, ItemWeights, ParsedDocument, ReadScratch, SimCtx, SimParams,
+    TagPathSimTable, Terms,
+};
+use cxk_util::{FxHashSet, Interner, Symbol};
 use cxk_xml::parser::XmlError;
 use cxk_xml::path::{PathId, PathTable};
 use std::ops::Range;
@@ -107,21 +124,120 @@ impl SessionTagSim {
     }
 }
 
-/// One parsed query document's transactions, plus whether the tree-tuple
-/// cap truncated the enumeration — every classify strategy carries the
-/// flag through to `DocumentAssignment::capped`.
+/// One parsed query document's transactions — per tree tuple, its
+/// distinct weighted items — plus whether the tree-tuple cap truncated the
+/// enumeration, which every classify strategy carries through to
+/// `DocumentAssignment::capped`.
+///
+/// The buffers belong to the session: [`QuerySession::extract`] lends them
+/// out and [`QuerySession::recycle`] takes them back, so the items'
+/// vectors and the tuple lists are reused from request to request.
+#[derive(Debug, Default)]
 pub(crate) struct QueryTuples {
-    /// Per tree tuple, the deduplicated weighted items.
-    pub transactions: Vec<Vec<RepItem>>,
+    items: ItemArena,
+    tuples: TupleLists,
     /// The document exceeded `TupleLimits::max_tuples_per_tree`.
     pub capped: bool,
 }
 
+/// The document's distinct items in first-seen order: `items[..len]` are
+/// this document's, the rest are kept for their vectors' buffers.
+#[derive(Debug, Default)]
+struct ItemArena {
+    items: Vec<RepItem>,
+    len: usize,
+}
+
+impl ItemArena {
+    /// The document's items.
+    fn live(&self) -> &[RepItem] {
+        &self.items[..self.len]
+    }
+
+    /// Appends the document's next item; its vector is filled later.
+    fn push(&mut self, path: PathId, tag_path: PathId, fingerprint: u64) {
+        match self.items.get_mut(self.len) {
+            Some(item) => {
+                item.path = path;
+                item.tag_path = tag_path;
+                item.fingerprint = fingerprint;
+                item.source = None;
+            }
+            None => self.items.push(RepItem {
+                path,
+                tag_path,
+                vector: SparseVec::new(),
+                fingerprint,
+                source: None,
+            }),
+        }
+        self.len += 1;
+    }
+}
+
+/// Each tuple's distinct items, as indices into the [`ItemArena`].
+#[derive(Debug, Default)]
+struct TupleLists {
+    /// Every tuple's items, back to back.
+    members: Vec<u32>,
+    /// Where each tuple ends in `members`.
+    ends: Vec<usize>,
+    /// Per item, the last tuple (counted from 1) it joined: transactions
+    /// are item *sets*, so a repeated item joins a tuple once.
+    seen: Vec<u32>,
+}
+
+impl TupleLists {
+    /// Appends a tuple of `ids`, each item once, in first-occurrence order.
+    fn push(&mut self, ids: &[ItemId]) {
+        let stamp = self.ends.len() as u32 + 1;
+        for id in ids {
+            let i = id.index();
+            if self.seen.len() <= i {
+                self.seen.resize(i + 1, 0);
+            }
+            if self.seen[i] != stamp {
+                self.seen[i] = stamp;
+                self.members.push(id.0);
+            }
+        }
+        self.ends.push(self.members.len());
+    }
+}
+
+impl QueryTuples {
+    /// Number of tuples.
+    pub fn len(&self) -> usize {
+        self.tuples.ends.len()
+    }
+
+    /// The tuples' items, tuple by tuple.
+    pub fn tuples(&self) -> impl Iterator<Item = impl Iterator<Item = &RepItem> + '_> + '_ {
+        let items = self.items.live();
+        let mut start = 0;
+        self.tuples.ends.iter().map(move |&end| {
+            let members = &self.tuples.members[start..end];
+            start = end;
+            members.iter().filter_map(|&i| items.get(i as usize))
+        })
+    }
+
+    /// Forgets the last document, keeping the buffers.
+    fn clear(&mut self) {
+        self.items.len = 0;
+        self.tuples.members.clear();
+        self.tuples.ends.clear();
+        self.tuples.seen.clear();
+        self.capped = false;
+    }
+}
+
 /// A worker's mutable classification state over one model: copies of the
 /// model's label interner and path table, grown by unseen markup, the
-/// tag-path similarity table, and the scoring buffers (see the module
-/// docs). Built from a model it never mutates, so any number of sessions
-/// share one model and one engine across threads.
+/// tag-path similarity table, the reading buffers (with the token memo)
+/// and the scoring buffers (see the module docs). Built from a model it
+/// never mutates, so any number of sessions share one model and one
+/// engine across threads.
 #[derive(Debug)]
 pub struct QuerySession {
     /// Copy of the model's label interner (grows with unseen tags).
@@ -130,6 +246,16 @@ pub struct QuerySession {
     paths: PathTable,
     /// `sim_S` over the representatives' and the queries' tag paths.
     pub(crate) tag_sim: SessionTagSim,
+    /// The SAX, preprocessing and token-memo buffers.
+    reading: ReadScratch,
+    /// The last document read.
+    doc: ParsedDocument,
+    /// The last document's item sums, and the weighing buffers.
+    weights: ItemWeights,
+    /// The last document's items by `(path, answer)`.
+    item_keys: ItemKeys,
+    /// The query tuples' buffers, while not lent out.
+    tuples: QueryTuples,
     /// The prepared query tuple.
     query: PreparedSlab,
     scratch: ScoreScratch,
@@ -137,12 +263,19 @@ pub struct QuerySession {
 }
 
 impl QuerySession {
-    /// A fresh session over `model`.
+    /// A fresh session over `model`. Its reading buffers start empty —
+    /// nothing is sized by the vocabulary — and fill with the first
+    /// requests.
     pub(crate) fn new(model: &TrainedModel) -> Self {
         Self {
             labels: model.labels.clone(),
             paths: model.paths.clone(),
             tag_sim: SessionTagSim::new(model),
+            reading: ReadScratch::default(),
+            doc: ParsedDocument::default(),
+            weights: ItemWeights::default(),
+            item_keys: ItemKeys::default(),
+            tuples: QueryTuples::default(),
             query: PreparedSlab::new(),
             scratch: ScoreScratch::default(),
             candidates: Candidates::new(),
@@ -154,59 +287,63 @@ impl QuerySession {
         &self.paths
     }
 
+    /// The reading buffers (diagnostics).
+    #[cfg(test)]
+    pub(crate) fn reading(&self) -> &ReadScratch {
+        &self.reading
+    }
+
     /// Reads `xml` through the document pipeline and produces its query
     /// transactions: per tree tuple, the deduplicated items weighted
     /// against `model`'s frozen `term_stats` — the document does not join
-    /// them — each averaged over its occurrences in this document.
+    /// them — each averaged over its occurrences in this document. The
+    /// tuples' buffers are the session's: hand them back with
+    /// [`Self::recycle`].
     pub(crate) fn extract(
         &mut self,
         model: &TrainedModel,
         xml: &str,
     ) -> Result<QueryTuples, XmlError> {
-        let doc = DocumentPipeline {
+        DocumentPipeline {
             options: &model.build,
             labels: &mut self.labels,
             paths: &mut self.paths,
             terms: Terms::Frozen(&model.vocabulary),
         }
-        .parse(xml)?;
+        .parse_into(xml, &mut self.reading, &mut self.doc)?;
+        let doc = &self.doc;
         self.tag_sim
-            .cover(&self.paths, doc.leaves().iter().map(|l| l.tag_path));
+            .cover(&self.paths, doc.leaves().map(|leaf| leaf.tag_path));
 
-        let mut domain: FxHashMap<(PathId, Box<str>), ItemId> = FxHashMap::default();
-        let mut items: Vec<RepItem> = Vec::new();
-        let mut weights = ItemWeights::default();
-        let tuples = doc.weigh(&model.term_stats, &mut weights, |leaf| {
-            *domain.entry(leaf.key()).or_insert_with(|| {
-                items.push(RepItem {
-                    path: leaf.path,
-                    tag_path: leaf.tag_path,
-                    vector: SparseVec::new(),
-                    fingerprint: item_fingerprint(leaf.path, &leaf.raw),
-                    source: None,
-                });
-                ItemId(items.len() as u32 - 1)
-            })
-        });
-        for (item, vector) in items.iter_mut().zip(weights.into_vectors()) {
-            item.vector = vector;
+        let mut query = std::mem::take(&mut self.tuples);
+        query.clear();
+        self.item_keys.clear();
+        self.weights.reset(ItemId(0));
+        let keys = &mut self.item_keys;
+        doc.weigh_each(
+            &model.term_stats,
+            &mut self.weights,
+            |leaf| {
+                let (id, new) = keys.id(leaf.path, leaf.raw);
+                if new {
+                    let fingerprint = item_fingerprint(leaf.path, leaf.raw);
+                    query.items.push(leaf.path, leaf.tag_path, fingerprint);
+                }
+                id
+            },
+            |ids| query.tuples.push(ids),
+        );
+        let live = query.items.len;
+        for (i, item) in query.items.items[..live].iter_mut().enumerate() {
+            self.weights.vector_into(ItemId(i as u32), &mut item.vector);
         }
+        query.capped = doc.capped();
+        Ok(query)
+    }
 
-        let transactions = tuples
-            .into_iter()
-            .map(|ids| {
-                // Transactions are item *sets*: deduplicate repeated items.
-                let mut seen: FxHashSet<ItemId> = FxHashSet::default();
-                ids.into_iter()
-                    .filter(|&id| seen.insert(id))
-                    .filter_map(|id| items.get(id.index()).cloned())
-                    .collect()
-            })
-            .collect();
-        Ok(QueryTuples {
-            transactions,
-            capped: doc.capped(),
-        })
+    /// Takes back the buffers [`Self::extract`] lent out.
+    pub(crate) fn recycle(&mut self, tuples: QueryTuples) {
+        self.tuples = tuples;
     }
 
     /// The shard daemon's counterpart of [`Self::extract`]: the shipped

@@ -198,3 +198,26 @@ fn fresh_words_leave_a_warm_session_flat() {
         live_bytes()
     );
 }
+
+/// Heap allocations of one warm `Classifier::classify` of
+/// `samples/mining6.xml` before extraction reused its buffers: 268, in
+/// debug and release builds alike (SAX events, one `String` per tag, text
+/// run and token, a map per element, tuple and item). Since then: 4 (the
+/// answer's tuple assignments and per-cluster totals, and a `Vec` of item
+/// views that grows once).
+const WARM_CLASSIFY_BEFORE: u64 = 268;
+
+#[test]
+fn a_warm_classify_allocates_at_most_half_as_often() {
+    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../samples/mining6.xml");
+    let xml = std::fs::read_to_string(path).expect("sample");
+    let mut classifier = Classifier::shared(Arc::new(model()));
+    let cold = classifier.classify(&xml).expect("valid document");
+    let made = allocations_of(|| classifier.classify(&xml).expect("valid document"));
+    println!("a warm classify of mining6.xml allocated {made} times");
+    assert!(
+        made <= WARM_CLASSIFY_BEFORE / 2,
+        "a warm classify allocated {made} times (before: {WARM_CLASSIFY_BEFORE})"
+    );
+    assert_eq!(classifier.classify(&xml).expect("valid document"), cold);
+}

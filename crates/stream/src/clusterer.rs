@@ -8,10 +8,10 @@ use cxk_core::{
 use cxk_transact::item::ItemId;
 use cxk_transact::txsim::{argmax_prepared, PreparedSlab, ScoreScratch};
 use cxk_transact::{
-    BuildOptions, Dataset, DatasetBuilder, DocumentPipeline, ExactMatch, ItemWeights, Terms,
-    Transaction,
+    BuildOptions, Dataset, DatasetBuilder, DocumentPipeline, ExactMatch, ItemKeys, ItemWeights,
+    ParsedDocument, ReadScratch, Terms, Transaction,
 };
-use cxk_util::{FxHashMap, FxHashSet};
+use cxk_util::FxHashSet;
 use cxk_xml::parser::XmlError;
 use cxk_xml::path::PathId;
 use std::time::Instant;
@@ -93,7 +93,11 @@ pub struct StreamClusterer {
     /// rebuilds the table and so re-ranks its paths).
     prepared: PreparedSlab,
     /// (path, answer) → item id, for item-domain deduplication.
-    item_index: FxHashMap<(PathId, Box<str>), ItemId>,
+    item_index: ItemKeys,
+    /// The buffers reading a pushed document reuses, and the document.
+    reading: (ReadScratch, ParsedDocument),
+    /// The pushed document's item sums, and the weighing buffers.
+    weights: ItemWeights,
     /// Distinct tag paths currently covered by `ds.tag_sim`.
     known_tag_paths: FxHashSet<PathId>,
     stats: StreamStats,
@@ -117,7 +121,9 @@ impl StreamClusterer {
             assignments: Vec::new(),
             reps: Vec::new(),
             prepared: PreparedSlab::new(),
-            item_index: FxHashMap::default(),
+            item_index: ItemKeys::default(),
+            reading: Default::default(),
+            weights: ItemWeights::default(),
             known_tag_paths: FxHashSet::default(),
             stats: StreamStats::default(),
         };
@@ -181,7 +187,8 @@ impl StreamClusterer {
         let k = self.opts.config.k;
         // Arrival-time statistics: the collection-level factors include
         // this document before its own TCUs are weighted.
-        let doc = DocumentPipeline {
+        let (scratch, doc) = &mut self.reading;
+        DocumentPipeline {
             options: &self.opts.build,
             labels: &mut self.ds.labels,
             paths: &mut self.ds.paths,
@@ -190,7 +197,8 @@ impl StreamClusterer {
                 stats: &mut self.ds.term_stats,
             },
         }
-        .parse(xml)?;
+        .parse_into(xml, scratch, doc)?;
+        let doc = &*doc;
         let doc_index = self.docs.len();
         self.docs.push(xml.to_string());
 
@@ -204,17 +212,17 @@ impl StreamClusterer {
         // averaged over their occurrences within it; existing items keep
         // their frozen vectors (the documented streaming approximation).
         let first_new = ItemId(self.ds.items.len() as u32);
-        let mut weights = ItemWeights::from_item(first_new);
-        let tuples = doc.weigh(&self.ds.term_stats, &mut weights, |leaf| {
-            *self.item_index.entry(leaf.key()).or_insert_with(|| {
+        self.weights.reset(first_new);
+        let tuples = doc.weigh(&self.ds.term_stats, &mut self.weights, |leaf| {
+            let (id, new) = self.item_index.id(leaf.path, leaf.raw);
+            if new {
                 self.ds.items.push(leaf.item());
-                ItemId(self.ds.items.len() as u32 - 1)
-            })
+            }
+            id
         });
-        let fresh = self.ds.items[first_new.index()..].iter_mut();
-        for (item, vector) in fresh.zip(weights.into_vectors()) {
-            self.ds.stats.max_tcu_nnz = self.ds.stats.max_tcu_nnz.max(vector.nnz());
-            item.vector = vector;
+        for (i, item) in self.ds.items.iter_mut().enumerate().skip(first_new.index()) {
+            self.weights.vector_into(ItemId(i as u32), &mut item.vector);
+            self.ds.stats.max_tcu_nnz = self.ds.stats.max_tcu_nnz.max(item.vector.nnz());
         }
         let first_transaction = self.ds.transactions.len();
         for ids in tuples {
@@ -316,13 +324,10 @@ impl StreamClusterer {
     /// Returns `(rounds, converged)` of the clustering.
     fn recluster(&mut self) -> (usize, bool) {
         let k = self.opts.config.k;
-        self.item_index = self
-            .ds
-            .items
-            .iter()
-            .enumerate()
-            .map(|(i, item)| ((item.path, item.raw.clone()), ItemId(i as u32)))
-            .collect();
+        self.item_index.clear();
+        for item in &self.ds.items {
+            self.item_index.id(item.path, &item.raw);
+        }
         self.known_tag_paths = self.ds.distinct_tag_paths().into_iter().collect();
 
         let (rounds, converged) = if self.ds.transactions.is_empty() {

@@ -12,7 +12,8 @@
 //! * [`porter`] — a full implementation of the Porter (1980) stemmer.
 //! * [`pipeline`] — the composed TCU preprocessing pipeline producing
 //!   interned term sequences, or known-term sequences over a frozen
-//!   vocabulary.
+//!   vocabulary; a reusable [`Preprocessor`] runs it without allocating
+//!   per token, through a token memo against a frozen vocabulary.
 //! * [`sparse`] — sorted sparse vectors with dot product, norms and the
 //!   cosine similarity used for `sim_C`.
 //! * [`weighting`] — the `ttf.itf` term weighting function (§4.1.2).
@@ -26,9 +27,9 @@ pub mod stopwords;
 pub mod tokenize;
 pub mod weighting;
 
-pub use pipeline::{preprocess, preprocess_known, PipelineOptions};
-pub use porter::stem;
+pub use pipeline::{preprocess, preprocess_known, PipelineOptions, Preprocessor, TokenMemo};
+pub use porter::{stem, stem_into};
 pub use sparse::SparseVec;
 pub use stopwords::is_stopword;
-pub use tokenize::tokenize;
+pub use tokenize::{for_each_token, tokenize};
 pub use weighting::{ttf_itf, TermStatsBuilder};

@@ -13,20 +13,28 @@
 /// Stems `word`, returning the stem. Words shorter than 3 characters are
 /// returned unchanged, per the original algorithm's guard.
 pub fn stem(word: &str) -> String {
-    if word.len() <= 2 || !word.bytes().all(|b| b.is_ascii_lowercase()) {
-        return word.to_string();
+    stem_into(word, &mut Vec::new()).to_string()
+}
+
+/// [`stem`] into `buffer`, which is cleared first and reused: the stem is
+/// returned borrowed from it, so a caller stemming word after word through
+/// one buffer allocates only when a word outgrows it.
+pub fn stem_into<'b>(word: &str, buffer: &'b mut Vec<u8>) -> &'b str {
+    buffer.clear();
+    buffer.extend_from_slice(word.as_bytes());
+    if word.len() > 2 && word.bytes().all(|b| b.is_ascii_lowercase()) {
+        step_1a(buffer);
+        step_1b(buffer);
+        step_1c(buffer);
+        step_2(buffer);
+        step_3(buffer);
+        step_4(buffer);
+        step_5a(buffer);
+        step_5b(buffer);
     }
-    let mut w: Vec<u8> = word.as_bytes().to_vec();
-    step_1a(&mut w);
-    step_1b(&mut w);
-    step_1c(&mut w);
-    step_2(&mut w);
-    step_3(&mut w);
-    step_4(&mut w);
-    step_5a(&mut w);
-    step_5b(&mut w);
-    // The steps write only ASCII; a failure would leave the word unstemmed.
-    String::from_utf8(w).unwrap_or_else(|_| word.to_string())
+    // The buffer holds `word` or the ASCII the steps left of it, so it is
+    // always UTF-8.
+    std::str::from_utf8(buffer).unwrap_or_default()
 }
 
 /// Is `w[i]` a consonant (Porter's definition: `y` is a consonant when it
@@ -209,15 +217,16 @@ fn step_3(w: &mut Vec<u8>) {
     }
 }
 
+/// Porter's step-4 suffixes, longest first; suffixes of equal length keep
+/// the order of Porter's list (`al ance ence er ic able ible ant ement
+/// ment ent ion ou ism ate iti ous ive ize`).
+const STEP_4_SUFFIXES: [&str; 19] = [
+    "ement", "ance", "ence", "able", "ible", "ment", "ant", "ent", "ion", "ism", "ate", "iti",
+    "ous", "ive", "ize", "al", "er", "ic", "ou",
+];
+
 fn step_4(w: &mut Vec<u8>) {
-    const SUFFIXES: &[&str] = &[
-        "al", "ance", "ence", "er", "ic", "able", "ible", "ant", "ement", "ment", "ent", "ion",
-        "ou", "ism", "ate", "iti", "ous", "ive", "ize",
-    ];
-    // Longest match first.
-    let mut candidates: Vec<&str> = SUFFIXES.to_vec();
-    candidates.sort_by_key(|s| std::cmp::Reverse(s.len()));
-    for suffix in candidates {
+    for suffix in STEP_4_SUFFIXES {
         if ends_with(w, suffix) {
             let stem_len = w.len() - suffix.len();
             if measure(w, stem_len) > 1 {
@@ -357,6 +366,35 @@ mod tests {
             ("effective", "effect"),
             ("bowdlerize", "bowdler"),
         ]);
+    }
+
+    #[test]
+    fn step_4_table_is_porters_list_longest_first() {
+        const PORTER: [&str; 19] = [
+            "al", "ance", "ence", "er", "ic", "able", "ible", "ant", "ement", "ment", "ent", "ion",
+            "ou", "ism", "ate", "iti", "ous", "ive", "ize",
+        ];
+        assert!(STEP_4_SUFFIXES
+            .windows(2)
+            .all(|pair| pair[0].len() >= pair[1].len()));
+        // Exactly Porter's 19 suffixes, ties in his order: the stable sort
+        // by length that step 4 used to run on every call.
+        let mut sorted = PORTER.to_vec();
+        sorted.sort_by_key(|s| std::cmp::Reverse(s.len()));
+        assert_eq!(STEP_4_SUFFIXES.to_vec(), sorted);
+    }
+
+    #[test]
+    fn stem_into_reuses_its_buffer() {
+        let mut buffer = Vec::new();
+        for word in ["clustering", "a", "café", "relational", "2003", "documents"] {
+            assert_eq!(stem_into(word, &mut buffer), stem(word), "{word}");
+        }
+        let long = stem("generalizations");
+        assert_eq!(stem_into("generalizations", &mut buffer), long);
+        let capacity = buffer.capacity();
+        assert_eq!(stem_into("mining", &mut buffer), "mine");
+        assert_eq!(buffer.capacity(), capacity);
     }
 
     #[test]

@@ -41,6 +41,21 @@ impl SparseVec {
         Self { indices, values }
     }
 
+    /// Replaces the entries with `pairs`, which must be ascending and
+    /// distinct by term, dropping zero weights — [`SparseVec::from_pairs`]
+    /// of such pairs, reusing this vector's buffers.
+    pub fn assign_sorted(&mut self, pairs: impl IntoIterator<Item = (Symbol, f64)>) {
+        self.indices.clear();
+        self.values.clear();
+        for (term, weight) in pairs {
+            debug_assert!(self.indices.last() < Some(&term.0), "terms must ascend");
+            if weight != 0.0 {
+                self.indices.push(term.0);
+                self.values.push(weight);
+            }
+        }
+    }
+
     /// Number of stored (non-zero) entries.
     pub fn nnz(&self) -> usize {
         self.indices.len()

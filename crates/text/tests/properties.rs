@@ -1,8 +1,12 @@
 //! Property-based tests for the text substrate: tokenizer contracts,
-//! stemmer sanity, sparse-vector algebra and `ttf.itf` monotonicity.
+//! stemmer sanity, the token memo, sparse-vector algebra and `ttf.itf`
+//! monotonicity.
 
-use cxk_text::{stem, tokenize, ttf_itf, SparseVec};
-use cxk_util::Symbol;
+use cxk_text::{
+    is_stopword, preprocess, preprocess_known, stem, tokenize, ttf_itf, PipelineOptions,
+    Preprocessor, SparseVec,
+};
+use cxk_util::{Interner, Symbol};
 use proptest::prelude::*;
 
 proptest! {
@@ -149,5 +153,102 @@ proptest! {
         let rare = ttf_itf(2, 1, 3, 2, 8, nj_t, 1000);
         let common = ttf_itf(2, 1, 3, 2, 8, nj_t + 100, 1000);
         prop_assert!(common <= rare);
+    }
+}
+
+/// One word of a TCU: stopwords in any case, words whose stems the test
+/// vocabulary holds, characters whose lowercase is several characters
+/// (`İ` → `i̇`), digits, runs just inside and past the 40-character limit
+/// (before and after lowercasing) and arbitrary text.
+fn word() -> impl Strategy<Value = String> {
+    prop_oneof![
+        prop_oneof![
+            Just("the"),
+            Just("The"),
+            Just("OF"),
+            Just("and"),
+            Just("were")
+        ]
+        .prop_map(str::to_string),
+        prop_oneof![
+            Just("clustering"),
+            Just("Clusters"),
+            Just("documents"),
+            Just("XML"),
+            Just("mining"),
+            Just("İstanbul"),
+        ]
+        .prop_map(str::to_string),
+        prop_oneof![
+            Just("İ"),
+            Just("İİ"),
+            Just("ẞ"),
+            Just("ΣΑΣ"),
+            Just("ǅ"),
+            Just("ﬃ")
+        ]
+        .prop_map(str::to_string),
+        "[0-9]{1,6}",
+        prop_oneof![Just(39usize), Just(40), Just(41)].prop_map(|n| "a".repeat(n)),
+        prop_oneof![Just(38usize), Just(39)].prop_map(|n| format!("{}İ", "b".repeat(n))),
+        "[a-zA-Z0-9]{1,12}",
+        "\\PC{1,8}",
+    ]
+}
+
+/// A TCU: words joined by separators, the empty one fusing two words.
+fn tcu() -> impl Strategy<Value = String> {
+    let separator = prop_oneof![Just(" "), Just(", "), Just("-"), Just("\n"), Just("")];
+    proptest::collection::vec((word(), separator), 0..8).prop_map(|parts| {
+        parts
+            .into_iter()
+            .map(|(word, separator)| word + separator)
+            .collect()
+    })
+}
+
+/// The vocabulary the memo is tested against.
+fn vocabulary(options: &PipelineOptions) -> Interner {
+    let mut vocabulary = Interner::new();
+    let seed = "the clustering of xml documents mining istanbul İstanbul 2003 42 aaaa ǆ";
+    preprocess(seed, &mut vocabulary, options);
+    vocabulary
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Preprocessing through the memo reads exactly `preprocess_known`'s
+    /// terms, the memo cold and warm, and admits only stopwords and tokens
+    /// whose stem the vocabulary holds.
+    #[test]
+    fn memo_preprocessing_equals_preprocess_known(
+        texts in proptest::collection::vec(tcu(), 1..6),
+        remove_stopwords in any::<bool>(),
+        stem_terms in any::<bool>(),
+    ) {
+        let options = PipelineOptions { remove_stopwords, stem: stem_terms };
+        let vocabulary = vocabulary(&options);
+        let mut preprocessor = Preprocessor::default();
+        for pass in ["cold", "warm"] {
+            for text in &texts {
+                let mut terms = vec![Symbol(u32::MAX)];
+                preprocessor.known(text, &vocabulary, &options, &mut terms);
+                prop_assert_eq!(terms[0], Symbol(u32::MAX));
+                prop_assert_eq!(
+                    &terms[1..],
+                    &preprocess_known(text, &vocabulary, &options)[..],
+                    "{} memo, text {:?}", pass, text
+                );
+            }
+        }
+        let memo = preprocessor.memo();
+        for token in texts.iter().flat_map(|text| tokenize(text)) {
+            let stopword = options.remove_stopwords && is_stopword(&token);
+            let term = if options.stem { stem(&token) } else { token.clone() };
+            let known = vocabulary.get(&term).is_some();
+            prop_assert_eq!(memo.contains(&token), stopword || known, "token {:?}", token);
+        }
+        prop_assert!(memo.len() <= cxk_text::TokenMemo::CAPACITY);
     }
 }

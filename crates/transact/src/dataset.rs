@@ -7,13 +7,15 @@
 //! `(complete path, answer)` (§3.3, Fig. 4) and weights its terms with
 //! `ttf.itf` (§4.1.2) against the whole collection.
 
-use crate::item::{Item, ItemId};
+use crate::item::Item;
 use crate::itemsim::{SimCtx, SimParams};
 use crate::pathsim::TagPathSimTable;
-use crate::pipeline::{DocumentPipeline, ItemWeights, ParsedDocument, Terms};
+use crate::pipeline::{
+    DocumentPipeline, ItemKeys, ItemWeights, ParsedDocument, ReadScratch, Terms,
+};
 use crate::transaction::Transaction;
 use cxk_text::{PipelineOptions, TermStatsBuilder};
-use cxk_util::{FxHashMap, Interner};
+use cxk_util::Interner;
 use cxk_xml::parser::{ParseOptions, XmlError};
 use cxk_xml::path::{PathId, PathTable};
 use cxk_xml::sax::StreamingTupleExtractor;
@@ -121,6 +123,9 @@ pub struct DatasetBuilder {
     options: BuildOptions,
     docs: Vec<ParsedDocument>,
     term_stats: TermStatsBuilder,
+    /// The buffers reading a document reuses, and the document being read
+    /// (the collection keeps a copy of each).
+    reading: (ReadScratch, ParsedDocument),
 }
 
 impl DatasetBuilder {
@@ -133,6 +138,7 @@ impl DatasetBuilder {
             options,
             docs: Vec::new(),
             term_stats: TermStatsBuilder::new(),
+            reading: Default::default(),
         }
     }
 
@@ -148,9 +154,10 @@ impl DatasetBuilder {
         self.docs.iter().filter(|d| d.capped()).count() as u64
     }
 
-    /// The live pipeline: documents intern into, and join, this collection.
-    fn pipeline(&mut self) -> DocumentPipeline<'_> {
-        DocumentPipeline {
+    /// The live pipeline — documents intern into, and join, this
+    /// collection — with the reading buffers.
+    fn pipeline(&mut self) -> (DocumentPipeline<'_>, &mut ReadScratch, &mut ParsedDocument) {
+        let pipeline = DocumentPipeline {
             options: &self.options,
             labels: &mut self.labels,
             paths: &mut self.paths,
@@ -158,14 +165,18 @@ impl DatasetBuilder {
                 vocabulary: &mut self.vocabulary,
                 stats: &mut self.term_stats,
             },
-        }
+        };
+        let (scratch, doc) = &mut self.reading;
+        (pipeline, scratch, doc)
     }
 
     /// Parses one XML document and adds it to the collection. Returns the
     /// document index. A rejected document leaves the collection as it
     /// was.
     pub fn add_xml(&mut self, xml: &str) -> Result<usize, XmlError> {
-        let doc = self.pipeline().parse(xml)?;
+        let (mut pipeline, scratch, doc) = self.pipeline();
+        pipeline.parse_into(xml, scratch, doc)?;
+        let doc = doc.clone();
         self.docs.push(doc);
         Ok(self.docs.len() - 1)
     }
@@ -180,8 +191,13 @@ impl DatasetBuilder {
     pub fn ingest_stream<R: BufRead>(&mut self, input: R) -> Result<IngestStats, XmlError> {
         let mut extractor =
             StreamingTupleExtractor::new(input, self.options.parse.clone(), self.options.limits);
-        while let Some(doc) = extractor.next_document(&mut self.labels)? {
-            let doc = self.pipeline().parse_streamed(doc);
+        loop {
+            let (mut pipeline, scratch, doc) = self.pipeline();
+            if !extractor.next_document_into(pipeline.labels, &mut doc.extracted)? {
+                break;
+            }
+            pipeline.read_leaves(scratch, doc);
+            let doc = doc.clone();
             self.docs.push(doc);
         }
         Ok(extractor.stats())
@@ -192,7 +208,7 @@ impl DatasetBuilder {
     /// similarity table.
     pub fn finish(self) -> Dataset {
         // Item domain keyed by (path, answer), averaged over the collection.
-        let mut domain: FxHashMap<(PathId, Box<str>), ItemId> = FxHashMap::default();
+        let mut keys = ItemKeys::default();
         let mut items: Vec<Item> = Vec::new();
         let mut weights = ItemWeights::default();
         let mut transactions: Vec<Transaction> = Vec::new();
@@ -200,10 +216,11 @@ impl DatasetBuilder {
 
         for (doc_idx, doc) in self.docs.iter().enumerate() {
             let tuples = doc.weigh(&self.term_stats, &mut weights, |leaf| {
-                *domain.entry(leaf.key()).or_insert_with(|| {
+                let (id, new) = keys.id(leaf.path, leaf.raw);
+                if new {
                     items.push(leaf.item());
-                    ItemId(items.len() as u32 - 1)
-                })
+                }
+                id
             });
             for ids in tuples {
                 transactions.push(Transaction::new(ids));

@@ -165,7 +165,18 @@ fn err(line: usize, message: impl Into<String>) -> PersistError {
     }
 }
 
+/// An id that names no entry of the table it points into.
+fn out_of_range(line: usize, what: &str, id: u32, table: &str, len: usize) -> PersistError {
+    err(
+        line,
+        format!("{what} id {id} is past [{table}], which holds {len} entries"),
+    )
+}
+
 /// Deserializes a dataset. The tag-path similarity table is rebuilt.
+/// Every id is checked against the table it points into — a path's
+/// labels, an item's paths and terms, a transaction's items — so a
+/// corrupted file is an error naming its line, never a panic.
 pub fn load(text: &str) -> Result<Dataset, PersistError> {
     let mut lines = text.lines().enumerate().map(|(i, l)| (i + 1, l));
     let (line_no, header) = lines.next().ok_or_else(|| err(0, "empty input"))?;
@@ -221,6 +232,15 @@ pub fn load(text: &str) -> Result<Dataset, PersistError> {
             .map(|tok| tok.parse::<u32>().map(Symbol))
             .collect();
         let symbols = symbols.map_err(|_| err(n, "bad path symbol"))?;
+        if let Some(label) = symbols.iter().find(|s| s.index() >= labels.len()) {
+            return Err(out_of_range(
+                n,
+                "path label",
+                label.0,
+                "labels",
+                labels.len(),
+            ));
+        }
         paths
             .insert_new(&symbols)
             .map_err(|_| duplicate(n, "paths"))?;
@@ -240,16 +260,26 @@ pub fn load(text: &str) -> Result<Dataset, PersistError> {
                 .parse()
                 .map_err(|_| err(n, "bad tag path id"))?,
         );
+        for (what, id) in [("path", path), ("tag path", tag_path)] {
+            if id.index() >= paths.len() {
+                return Err(out_of_range(n, what, id.0, "paths", paths.len()));
+            }
+        }
         let fingerprint: u64 = next("fingerprint")?
             .parse()
             .map_err(|_| err(n, "bad fingerprint"))?;
         let raw = unescape(next("raw")?);
+        let term = |id: u32, what: &str| {
+            if id as usize >= vocabulary.len() {
+                return Err(out_of_range(n, what, id, "vocabulary", vocabulary.len()));
+            }
+            Ok(Symbol(id))
+        };
         let terms: Result<Vec<Symbol>, PersistError> = next("terms")?
             .split_whitespace()
             .map(|tok| {
-                tok.parse::<u32>()
-                    .map(Symbol)
-                    .map_err(|_| err(n, "bad term id"))
+                let id = tok.parse::<u32>().map_err(|_| err(n, "bad term id"))?;
+                term(id, "term")
             })
             .collect();
         let vector_field = next("vector")?;
@@ -258,8 +288,8 @@ pub fn load(text: &str) -> Result<Dataset, PersistError> {
             let (t, w) = tok
                 .split_once(':')
                 .ok_or_else(|| err(n, "bad vector entry"))?;
-            let term: u32 = t.parse().map_err(|_| err(n, "bad vector term"))?;
-            pairs.push((Symbol(term), parse_hex_f64(w, n)?));
+            let id: u32 = t.parse().map_err(|_| err(n, "bad vector term"))?;
+            pairs.push((term(id, "vector term")?, parse_hex_f64(w, n)?));
         }
         items.push(Item {
             path,
@@ -281,9 +311,11 @@ pub fn load(text: &str) -> Result<Dataset, PersistError> {
         let ids: Result<Vec<ItemId>, PersistError> = ids
             .split_whitespace()
             .map(|tok| {
-                tok.parse::<u32>()
-                    .map(ItemId)
-                    .map_err(|_| err(n, "bad item id"))
+                let id = tok.parse::<u32>().map_err(|_| err(n, "bad item id"))?;
+                if id as usize >= items.len() {
+                    return Err(out_of_range(n, "item", id, "items", items.len()));
+                }
+                Ok(ItemId(id))
             })
             .collect();
         transactions.push(Transaction::new(ids?));
@@ -464,6 +496,60 @@ mod tests {
             assert_eq!(e.line, head + 3, "{section}: {e}");
             assert!(e.message.contains(&format!("[{section}]")), "{e}");
         }
+    }
+
+    /// `text` with field `field` (tab-separated) of the first line of
+    /// `section` replaced by `value`, and that line's 1-based number.
+    fn patch_field(text: &str, section: &str, field: usize, value: &str) -> (String, usize) {
+        let mut lines: Vec<String> = text.lines().map(str::to_string).collect();
+        let head = lines
+            .iter()
+            .position(|l| l.starts_with(&format!("[{section}] ")))
+            .expect("section present");
+        let mut fields: Vec<String> = lines[head + 1].split('\t').map(str::to_string).collect();
+        fields[field] = value.to_string();
+        lines[head + 1] = fields.join("\t");
+        (lines.join("\n"), head + 2)
+    }
+
+    /// Loading the sample dataset with `value` in field `field` of the
+    /// first line of `section` fails at that line, naming the id.
+    fn assert_rejected(section: &str, field: usize, value: &str, what: &str) {
+        let (patched, line) = patch_field(&save(&sample_dataset()), section, field, value);
+        let e = load(&patched).expect_err(what);
+        assert_eq!(e.line, line, "{e}");
+        assert!(e.message.starts_with(what), "{e}");
+    }
+
+    #[test]
+    fn rejects_an_out_of_range_tag_path() {
+        assert_rejected("items", 1, "999999", "tag path id 999999");
+    }
+
+    #[test]
+    fn rejects_an_out_of_range_path() {
+        assert_rejected("items", 0, "999999", "path id 999999");
+    }
+
+    #[test]
+    fn rejects_an_out_of_range_path_label() {
+        assert_rejected("paths", 0, "0 999999", "path label id 999999");
+    }
+
+    #[test]
+    fn rejects_an_out_of_range_term() {
+        assert_rejected("items", 4, "999999", "term id 999999");
+        assert_rejected(
+            "items",
+            5,
+            "999999:3ff0000000000000",
+            "vector term id 999999",
+        );
+    }
+
+    #[test]
+    fn rejects_an_out_of_range_item() {
+        assert_rejected("transactions", 1, "0 999999", "item id 999999");
     }
 
     #[test]

@@ -3,9 +3,10 @@
 //! `(complete path, answer)` (§3.3, §4.1.2).
 //!
 //! Training, the stream clusterer and every serving request read a
-//! document in two steps: [`DocumentPipeline::parse`] (or `parse_streamed`
-//! for one document of a stream) makes a [`ParsedDocument`], and
-//! [`ParsedDocument::weigh`] weights its item occurrences into an
+//! document in two steps: [`DocumentPipeline::parse`] (or
+//! [`DocumentPipeline::parse_into`], which reuses a caller's buffers)
+//! makes a [`ParsedDocument`], and [`ParsedDocument::weigh`] (or
+//! [`ParsedDocument::weigh_each`]) weights its item occurrences into an
 //! [`ItemWeights`]. The term statistics are all the callers set, in two
 //! choices:
 //!
@@ -24,59 +25,86 @@
 //! weights: the paper weights a term per occurrence (`w_j` in `u_i` *with
 //! respect to τ*) but gives an item one vector. Each (item, term) sum runs
 //! in occurrence order — document, tuple, leaf — and is divided once.
+//!
+//! # Buffers
+//!
+//! A parsed document is flat: the extracted leaves and tuples
+//! ([`ExtractedDocument`]), each leaf's path ids, and every leaf's terms
+//! back to back. Weighing keeps its per-leaf term frequencies, per-tuple
+//! term counts and per-item sums in flat buffers inside [`ItemWeights`]:
+//! an item's sums are one run of `(term, sum)` entries, laid out at its
+//! first occurrence (every occurrence of an item has the item's answer,
+//! hence its terms). A caller that keeps a [`ReadScratch`], a
+//! `ParsedDocument` and an `ItemWeights` — a serving session — reads and
+//! weighs a document like the ones before it without allocating.
 
 use crate::dataset::BuildOptions;
 use crate::item::{item_fingerprint, Item, ItemId};
-use cxk_text::{preprocess, preprocess_known, ttf_itf, SparseVec, TermStatsBuilder};
-use cxk_util::{FxHashMap, Interner, Symbol};
+use cxk_text::{ttf_itf, Preprocessor, SparseVec, TermStatsBuilder};
+use cxk_util::{ArenaTable, Interner, Symbol};
 use cxk_xml::parser::XmlError;
 use cxk_xml::path::{PathId, PathTable};
-use cxk_xml::sax::{extract_document, StreamedDocument};
+use cxk_xml::sax::{extract_document_into, ExtractedDocument, SaxScratch};
 
-/// One leaf occurrence inside a document, preprocessed.
-#[derive(Debug, Clone)]
-pub struct ParsedLeaf {
+/// One leaf occurrence inside a [`ParsedDocument`], preprocessed.
+#[derive(Debug, Clone, Copy)]
+pub struct ParsedLeaf<'a> {
     /// The complete path.
     pub path: PathId,
     /// The tag path: the complete path minus its attribute or `S` label.
     pub tag_path: PathId,
     /// The raw answer.
-    pub raw: String,
+    pub raw: &'a str,
     /// The preprocessed TCU terms, duplicates preserved.
-    pub terms: Vec<Symbol>,
+    pub terms: &'a [Symbol],
 }
 
-impl ParsedLeaf {
-    /// The leaf's item key, `(complete path, answer)`.
-    pub fn key(&self) -> (PathId, Box<str>) {
-        (self.path, self.raw.as_str().into())
-    }
-
+impl ParsedLeaf<'_> {
     /// A new domain item for this leaf; its vector is left empty for
     /// [`ItemWeights`] to fill.
     pub fn item(&self) -> Item {
         Item {
             path: self.path,
             tag_path: self.tag_path,
-            raw: self.raw.as_str().into(),
-            terms: self.terms.clone(),
+            raw: self.raw.into(),
+            terms: self.terms.to_vec(),
             vector: SparseVec::new(),
-            fingerprint: item_fingerprint(self.path, &self.raw),
+            fingerprint: item_fingerprint(self.path, self.raw),
         }
     }
 }
 
 /// One document after parsing, tuple extraction and preprocessing: the
-/// form every caller weights.
-#[derive(Debug, Clone)]
+/// form every caller weights (see the module docs for its layout).
+#[derive(Debug, Clone, Default)]
 pub struct ParsedDocument {
-    leaves: Vec<ParsedLeaf>,
-    /// Tree tuples as ascending indices into `leaves`.
-    tuples: Vec<Vec<u32>>,
-    /// `n_{j,XT}`: the document's TCUs containing each term.
-    term_doc_counts: FxHashMap<Symbol, u32>,
-    depth: usize,
-    capped: bool,
+    /// Leaves (answers in document order) and tuples.
+    pub(crate) extracted: ExtractedDocument,
+    /// Per leaf: its complete path, its tag path, and where its terms end
+    /// in `terms`.
+    leaves: Vec<(PathId, PathId, usize)>,
+    /// Every leaf's preprocessed terms, back to back.
+    terms: Vec<Symbol>,
+    /// `n_{j,XT}`: the document's TCUs containing each term, ascending by
+    /// term.
+    term_doc_counts: Vec<(Symbol, u32)>,
+}
+
+/// The buffers reading a document reuses: the SAX extractor's, the
+/// preprocessor's (with its token memo, when the vocabulary is frozen)
+/// and a TCU's distinct terms. Keep one per vocabulary.
+#[derive(Debug, Default)]
+pub struct ReadScratch {
+    sax: SaxScratch,
+    text: Preprocessor,
+    distinct: Vec<Symbol>,
+}
+
+impl ReadScratch {
+    /// The preprocessor, whose memo a frozen read fills.
+    pub fn preprocessor(&self) -> &Preprocessor {
+        &self.text
+    }
 }
 
 /// The pipeline over one set of symbol tables: the options a document is
@@ -113,167 +141,361 @@ impl DocumentPipeline<'_> {
     /// vocabulary, the path table and the statistics untouched (only
     /// labels met before the error are interned).
     pub fn parse(&mut self, xml: &str) -> Result<ParsedDocument, XmlError> {
-        let doc = extract_document(xml, self.labels, &self.options.parse, &self.options.limits)?;
-        Ok(self.parse_streamed(doc))
+        let mut doc = ParsedDocument::default();
+        self.parse_into(xml, &mut ReadScratch::default(), &mut doc)?;
+        Ok(doc)
     }
 
-    /// The rest of [`Self::parse`], for a document an extractor pulled off
-    /// a stream into this pipeline's labels. Paths are interned leaf by
+    /// [`Self::parse`] into `doc`, reusing its buffers and `scratch`'s.
+    /// `scratch` must only ever read against this pipeline's vocabulary
+    /// (its memo remembers a frozen vocabulary's symbols). On error `doc`
+    /// holds an unspecified part of the document.
+    pub fn parse_into(
+        &mut self,
+        xml: &str,
+        scratch: &mut ReadScratch,
+        doc: &mut ParsedDocument,
+    ) -> Result<(), XmlError> {
+        let (parse, limits) = (&self.options.parse, &self.options.limits);
+        extract_document_into(
+            xml,
+            self.labels,
+            parse,
+            limits,
+            &mut scratch.sax,
+            &mut doc.extracted,
+        )?;
+        self.read_leaves(scratch, doc);
+        Ok(())
+    }
+
+    /// The rest of [`Self::parse_into`], for a document already extracted
+    /// into `doc` with this pipeline's labels. Paths are interned leaf by
     /// leaf (complete, then tag path), terms in leaf order.
-    pub(crate) fn parse_streamed(&mut self, doc: StreamedDocument) -> ParsedDocument {
-        let mut term_doc_counts: FxHashMap<Symbol, u32> = FxHashMap::default();
-        let mut leaves = Vec::with_capacity(doc.leaves.len());
-        for leaf in doc.leaves {
-            let path = self.paths.intern(&leaf.path);
+    pub(crate) fn read_leaves(&mut self, scratch: &mut ReadScratch, doc: &mut ParsedDocument) {
+        doc.leaves.clear();
+        doc.terms.clear();
+        doc.term_doc_counts.clear();
+        let options = &self.options.pipeline;
+        for leaf in doc.extracted.leaves() {
+            let path = self.paths.intern(leaf.path);
             let tag = leaf.path.split_last().map_or(&[][..], |(_, tag)| tag);
             let tag_path = self.paths.intern(tag);
-            let pipeline = &self.options.pipeline;
-            let terms = match &mut self.terms {
-                Terms::Join { vocabulary, .. } => preprocess(&leaf.value, vocabulary, pipeline),
-                Terms::Frozen(vocabulary) => preprocess_known(&leaf.value, vocabulary, pipeline),
-            };
-            let mut distinct = terms.clone();
+            let start = doc.terms.len();
+            match &mut self.terms {
+                Terms::Join { vocabulary, .. } => {
+                    scratch
+                        .text
+                        .intern(leaf.value, vocabulary, options, &mut doc.terms)
+                }
+                Terms::Frozen(vocabulary) => {
+                    scratch
+                        .text
+                        .known(leaf.value, vocabulary, options, &mut doc.terms)
+                }
+            }
+            let distinct = &mut scratch.distinct;
+            distinct.clear();
+            distinct.extend_from_slice(&doc.terms[start..]);
             distinct.sort_unstable();
             distinct.dedup();
             if let Terms::Join { stats, .. } = &mut self.terms {
-                stats.add_tcu(&distinct);
+                stats.add_tcu(distinct);
             }
-            for &t in &distinct {
-                *term_doc_counts.entry(t).or_insert(0) += 1;
+            doc.term_doc_counts.extend(distinct.iter().map(|&t| (t, 1)));
+            doc.leaves.push((path, tag_path, doc.terms.len()));
+        }
+        doc.term_doc_counts.sort_unstable_by_key(|&(term, _)| term);
+        doc.term_doc_counts.dedup_by(|next, run| {
+            let same = next.0 == run.0;
+            if same {
+                run.1 += next.1;
             }
-            leaves.push(ParsedLeaf {
-                path,
-                tag_path,
-                raw: leaf.value,
-                terms,
-            });
-        }
-        ParsedDocument {
-            leaves,
-            tuples: doc.tuples,
-            term_doc_counts,
-            depth: doc.depth,
-            capped: doc.capped,
-        }
+            same
+        });
     }
 }
 
 impl ParsedDocument {
     /// The leaves, in document order.
-    pub fn leaves(&self) -> &[ParsedLeaf] {
-        &self.leaves
+    pub fn leaves(&self) -> impl ExactSizeIterator<Item = ParsedLeaf<'_>> + Clone + '_ {
+        let mut start = 0;
+        self.leaves.iter().zip(self.extracted.leaves()).map(
+            move |(&(path, tag_path, end), leaf)| {
+                let terms = &self.terms[start..end];
+                start = end;
+                ParsedLeaf {
+                    path,
+                    tag_path,
+                    raw: leaf.value,
+                    terms,
+                }
+            },
+        )
+    }
+
+    /// Leaf `index`, if there is one.
+    fn leaf(&self, index: usize) -> Option<ParsedLeaf<'_>> {
+        let &(path, tag_path, end) = self.leaves.get(index)?;
+        let start = index.checked_sub(1).map_or(0, |prev| self.leaves[prev].2);
+        Some(ParsedLeaf {
+            path,
+            tag_path,
+            raw: self.extracted.leaf(index)?.value,
+            terms: &self.terms[start..end],
+        })
     }
 
     /// Tree depth.
     pub fn depth(&self) -> usize {
-        self.depth
+        self.extracted.depth()
     }
 
     /// Whether tuple enumeration hit `TupleLimits::max_tuples_per_tree`.
     pub fn capped(&self) -> bool {
-        self.capped
+        self.extracted.capped()
     }
 
     /// Weighs every item occurrence — tuple by tuple, leaf by leaf — with
     /// `ttf.itf` against `stats`, adding it to `weights`. `item_of` names
-    /// each occurrence's item, creating it on first sight; occurrences of
-    /// items below `weights`' first id are not weighed. Returns each
-    /// tuple's items, in leaf order.
+    /// each occurrence's item, creating it on first sight; the leaves it
+    /// gives one id must have equal terms, as leaves with one
+    /// `(path, answer)` key ([`ItemKeys`]) do. Occurrences of items below
+    /// `weights`' first id are not weighed. Returns each tuple's items, in
+    /// leaf order.
     pub fn weigh(
         &self,
         stats: &TermStatsBuilder,
         weights: &mut ItemWeights,
-        mut item_of: impl FnMut(&ParsedLeaf) -> ItemId,
+        item_of: impl FnMut(&ParsedLeaf<'_>) -> ItemId,
     ) -> Vec<Vec<ItemId>> {
+        let mut tuples = Vec::with_capacity(self.extracted.tuples().len());
+        self.weigh_each(stats, weights, item_of, |ids| tuples.push(ids.to_vec()));
+        tuples
+    }
+
+    /// [`Self::weigh`], handing each tuple's items to `each_tuple` in
+    /// turn instead of collecting them.
+    pub fn weigh_each(
+        &self,
+        stats: &TermStatsBuilder,
+        weights: &mut ItemWeights,
+        mut item_of: impl FnMut(&ParsedLeaf<'_>) -> ItemId,
+        mut each_tuple: impl FnMut(&[ItemId]),
+    ) {
         let n_xt = self.leaves.len() as u32;
         let n_t = stats.total_tcus();
-        let term_freqs: Vec<Vec<(Symbol, u32)>> = self
-            .leaves
-            .iter()
-            .map(|leaf| term_frequencies(&leaf.terms))
-            .collect();
-        self.tuples
-            .iter()
-            .map(|tuple| {
-                let n_tau = tuple.len() as u32;
-                // n_{j,τ}: the tuple's TCUs containing each term.
-                let mut tuple_counts: FxHashMap<Symbol, u32> = FxHashMap::default();
-                for &leaf in tuple {
-                    for &(term, _) in &term_freqs[leaf as usize] {
-                        *tuple_counts.entry(term).or_insert(0) += 1;
-                    }
+        let ItemWeights { sums, scratch } = weights;
+        scratch.frequencies(self.leaves().map(|leaf| leaf.terms));
+        for tuple in self.extracted.tuples() {
+            let n_tau = tuple.len() as u32;
+            // n_{j,τ}: the tuple's TCUs containing each term.
+            scratch.count_tuple_terms(tuple);
+            scratch.ids.clear();
+            for &index in tuple {
+                let Some(leaf) = self.leaf(index as usize) else {
+                    continue;
+                };
+                let id = item_of(&leaf);
+                scratch.ids.push(id);
+                let freqs = scratch.leaf_frequencies(index as usize);
+                let Some(entries) = sums.occurrence(id, freqs) else {
+                    continue;
+                };
+                // The item's entries hold its terms in `freqs`' order.
+                for (&(term, tf), (entry, sum)) in freqs.iter().zip(entries) {
+                    debug_assert_eq!(term, *entry, "one item, one set of terms");
+                    let nj_tau = count_of(&scratch.tuple_counts, term);
+                    let nj_xt = count_of(&self.term_doc_counts, term);
+                    let nj_t = stats.tcus_containing(term);
+                    *sum += ttf_itf(tf, nj_tau, n_tau, nj_xt, n_xt, nj_t, n_t);
                 }
-                tuple
-                    .iter()
-                    .map(|&leaf| {
-                        let id = item_of(&self.leaves[leaf as usize]);
-                        if let Some(sums) = weights.occurrence(id) {
-                            for &(term, tf) in &term_freqs[leaf as usize] {
-                                let nj_tau = tuple_counts.get(&term).copied().unwrap_or(0);
-                                let nj_xt = self.term_doc_counts.get(&term).copied().unwrap_or(0);
-                                let nj_t = stats.tcus_containing(term);
-                                let w = ttf_itf(tf, nj_tau, n_tau, nj_xt, n_xt, nj_t, n_t);
-                                *sums.entry(term).or_insert(0.0) += w;
-                            }
-                        }
-                        id
-                    })
-                    .collect()
-            })
-            .collect()
+            }
+            each_tuple(&scratch.ids);
+        }
     }
 }
 
-/// A TCU's distinct terms, ascending, each with its frequency in the TCU.
-fn term_frequencies(terms: &[Symbol]) -> Vec<(Symbol, u32)> {
-    let mut sorted = terms.to_vec();
-    sorted.sort_unstable();
-    let mut out: Vec<(Symbol, u32)> = Vec::with_capacity(sorted.len());
-    for term in sorted {
-        match out.last_mut() {
-            Some((last, tf)) if *last == term => *tf += 1,
-            _ => out.push((term, 1)),
-        }
-    }
-    out
+/// The count `counts` (ascending by term) holds for `term`, or 0.
+fn count_of(counts: &[(Symbol, u32)], term: Symbol) -> u32 {
+    counts
+        .binary_search_by_key(&term, |&(t, _)| t)
+        .map_or(0, |i| counts[i].1)
 }
 
 /// Per-item sums of occurrence weights, and occurrence counts, over one
-/// averaging scope, for the items numbered from a first id up.
+/// averaging scope, for the items numbered from a first id up; plus the
+/// buffers weighing reuses (see the module docs).
 #[derive(Debug, Default)]
 pub struct ItemWeights {
+    sums: ItemSums,
+    scratch: WeighScratch,
+}
+
+/// The sums of [`ItemWeights`]: per item, one run of `(term, sum)`
+/// entries ascending by term, and its occurrence count.
+#[derive(Debug, Default)]
+struct ItemSums {
     first: usize,
-    sums: Vec<(FxHashMap<Symbol, f64>, u32)>,
+    /// Per item from `first`: where its entries start and end in
+    /// `entries` (empty until its first occurrence), and its occurrences.
+    items: Vec<(usize, usize, u32)>,
+    entries: Vec<(Symbol, f64)>,
+}
+
+impl ItemSums {
+    /// Counts one occurrence of `id`, whose leaf has the term frequencies
+    /// `freqs`, and returns its entries, or `None` for an item below the
+    /// first. An item's entries are laid out at its first occurrence.
+    fn occurrence(&mut self, id: ItemId, freqs: &[(Symbol, u32)]) -> Option<&mut [(Symbol, f64)]> {
+        let slot = id.index().checked_sub(self.first)?;
+        if slot >= self.items.len() {
+            self.items.resize(slot + 1, (0, 0, 0));
+        }
+        let (start, end, occurrences) = &mut self.items[slot];
+        if *occurrences == 0 {
+            *start = self.entries.len();
+            self.entries
+                .extend(freqs.iter().map(|&(term, _)| (term, 0.0)));
+            *end = self.entries.len();
+        }
+        *occurrences += 1;
+        self.entries.get_mut(*start..*end)
+    }
+
+    /// Item `slot`'s averaged entries: every (item, term) sum divided once
+    /// by the item's occurrence count.
+    fn averaged(&self, slot: usize) -> impl Iterator<Item = (Symbol, f64)> + '_ {
+        let (start, end, occurrences) = self.items.get(slot).copied().unwrap_or_default();
+        let n = f64::from(occurrences.max(1));
+        self.entries[start..end]
+            .iter()
+            .map(move |&(t, w)| (t, w / n))
+    }
+}
+
+/// The per-document buffers of [`ParsedDocument::weigh_each`].
+#[derive(Debug, Default)]
+struct WeighScratch {
+    /// Every leaf's distinct terms, ascending, each with its frequency in
+    /// the leaf.
+    freqs: Vec<(Symbol, u32)>,
+    /// Where each leaf's frequencies end in `freqs`.
+    freq_ends: Vec<usize>,
+    /// The current tuple's `n_{j,τ}`, ascending by term.
+    tuple_counts: Vec<(Symbol, u32)>,
+    /// The current tuple's items.
+    ids: Vec<ItemId>,
+}
+
+impl WeighScratch {
+    /// Fills `freqs` with each leaf's term frequencies.
+    fn frequencies<'a>(&mut self, leaves: impl Iterator<Item = &'a [Symbol]>) {
+        self.freqs.clear();
+        self.freq_ends.clear();
+        for terms in leaves {
+            let start = self.freqs.len();
+            self.freqs.extend(terms.iter().map(|&t| (t, 1)));
+            self.freqs[start..].sort_unstable_by_key(|&(t, _)| t);
+            let mut end = start;
+            for read in start..self.freqs.len() {
+                let (term, _) = self.freqs[read];
+                match end.checked_sub(1).filter(|&last| last >= start) {
+                    Some(last) if self.freqs[last].0 == term => self.freqs[last].1 += 1,
+                    _ => {
+                        self.freqs[end] = (term, 1);
+                        end += 1;
+                    }
+                }
+            }
+            self.freqs.truncate(end);
+            self.freq_ends.push(end);
+        }
+    }
+
+    /// Leaf `index`'s term frequencies.
+    fn leaf_frequencies(&self, index: usize) -> &[(Symbol, u32)] {
+        let start = index.checked_sub(1).map_or(0, |prev| self.freq_ends[prev]);
+        &self.freqs[start..self.freq_ends[index]]
+    }
+
+    /// Fills `tuple_counts` with the number of `tuple`'s leaves containing
+    /// each term.
+    fn count_tuple_terms(&mut self, tuple: &[u32]) {
+        self.tuple_counts.clear();
+        for &leaf in tuple {
+            let start = (leaf as usize)
+                .checked_sub(1)
+                .map_or(0, |prev| self.freq_ends[prev]);
+            let freqs = &self.freqs[start..self.freq_ends[leaf as usize]];
+            self.tuple_counts.extend(freqs.iter().map(|&(t, _)| (t, 1)));
+        }
+        self.tuple_counts.sort_unstable_by_key(|&(t, _)| t);
+        self.tuple_counts.dedup_by(|next, run| {
+            let same = next.0 == run.0;
+            if same {
+                run.1 += next.1;
+            }
+            same
+        });
+    }
 }
 
 impl ItemWeights {
-    /// Weights for items `first` and up; lower-numbered items keep the
-    /// vectors they have. [`ItemWeights::default`] starts at item 0.
-    pub fn from_item(first: ItemId) -> Self {
-        Self {
-            first: first.index(),
-            sums: Vec::new(),
-        }
+    /// Starts a new averaging scope for items `first` and up, keeping the
+    /// buffers; lower-numbered items keep the vectors they have.
+    /// [`ItemWeights::default`] starts at item 0.
+    pub fn reset(&mut self, first: ItemId) {
+        self.sums.first = first.index();
+        self.sums.items.clear();
+        self.sums.entries.clear();
     }
 
-    /// Counts one occurrence of `id` and returns its sums, or `None` for
-    /// an item below the first.
-    fn occurrence(&mut self, id: ItemId) -> Option<&mut FxHashMap<Symbol, f64>> {
-        let slot = id.index().checked_sub(self.first)?;
-        if slot >= self.sums.len() {
-            self.sums.resize_with(slot + 1, Default::default);
-        }
-        let (sums, occurrences) = &mut self.sums[slot];
-        *occurrences += 1;
-        Some(sums)
+    /// Writes item `id`'s averaged vector into `vector`, reusing its
+    /// buffers: every (item, term) sum divided once by the item's
+    /// occurrence count. An item below the first, or never weighed, gets
+    /// the empty vector.
+    pub fn vector_into(&self, id: ItemId, vector: &mut SparseVec) {
+        let slot = id.index().checked_sub(self.sums.first);
+        vector.assign_sorted(slot.into_iter().flat_map(|slot| self.sums.averaged(slot)));
     }
 
-    /// The averaged vectors of items `first..`, in id order: every
-    /// (item, term) sum divided once by the item's occurrence count.
+    /// The averaged vectors of items `first..`, in id order.
     pub fn into_vectors(self) -> impl Iterator<Item = SparseVec> {
-        self.sums.into_iter().map(|(sums, occurrences)| {
-            let n = f64::from(occurrences.max(1));
-            SparseVec::from_pairs(sums.into_iter().map(|(t, w)| (t, w / n)).collect())
+        (0..self.sums.items.len()).map(move |slot| {
+            let mut vector = SparseVec::new();
+            vector.assign_sorted(self.sums.averaged(slot));
+            vector
         })
+    }
+}
+
+/// Item ids keyed by `(complete path, answer)`, dense in first-seen
+/// order. The keys sit back to back in one arena ([`ArenaTable`]), so a
+/// table cleared and refilled with a document's items allocates nothing
+/// once it has held as many.
+#[derive(Debug, Default, Clone)]
+pub struct ItemKeys {
+    table: ArenaTable<Vec<u8>>,
+    /// The key being looked up: the path id's bytes, then the answer's.
+    key: Vec<u8>,
+}
+
+impl ItemKeys {
+    /// The id of the item `(path, raw)`, numbering it next when it is new;
+    /// `true` when it is.
+    pub fn id(&mut self, path: PathId, raw: &str) -> (ItemId, bool) {
+        self.key.clear();
+        self.key.extend_from_slice(&path.0.to_le_bytes());
+        self.key.extend_from_slice(raw.as_bytes());
+        match self.table.insert_new(&self.key) {
+            Ok(id) => (ItemId(id), true),
+            Err(id) => (ItemId(id), false),
+        }
+    }
+
+    /// Forgets every item, keeping the buffers.
+    pub fn clear(&mut self) {
+        self.table.clear();
     }
 }

@@ -11,10 +11,10 @@
 use cxk_corpus::dblp::{generate, DblpConfig};
 use cxk_text::{SparseVec, TermStatsBuilder};
 use cxk_transact::{
-    BuildOptions, Dataset, DatasetBuilder, DocumentPipeline, ItemId, ItemWeights, ParsedDocument,
-    Terms,
+    BuildOptions, Dataset, DatasetBuilder, DocumentPipeline, ItemId, ItemKeys, ItemWeights,
+    ParsedDocument, Terms,
 };
-use cxk_util::{FxHashMap, Interner};
+use cxk_util::Interner;
 use cxk_xml::path::PathTable;
 use cxk_xml::TupleLimits;
 use std::path::PathBuf;
@@ -76,11 +76,10 @@ fn read(
     }
     .parse(xml)
     .expect("valid document");
-    let mut domain = FxHashMap::default();
+    let mut keys = ItemKeys::default();
     let mut weights = ItemWeights::default();
     let tuples = doc.weigh(&ds.term_stats, &mut weights, |leaf| {
-        let next = ItemId(domain.len() as u32);
-        *domain.entry(leaf.key()).or_insert(next)
+        keys.id(leaf.path, leaf.raw).0
     });
     let vectors = weights.into_vectors().collect();
     (doc, tuples, vectors)

@@ -49,6 +49,9 @@ pub trait KeyArena: Default + Clone {
 
     /// The key stored at `range`, which a `push_key` call produced.
     fn key(&self, range: Range<usize>) -> &Self::Key;
+
+    /// Removes every key, keeping the capacity.
+    fn clear(&mut self);
 }
 
 impl KeyArena for String {
@@ -69,6 +72,10 @@ impl KeyArena for String {
     fn key(&self, range: Range<usize>) -> &str {
         &self[range]
     }
+
+    fn clear(&mut self) {
+        String::clear(self);
+    }
 }
 
 impl<T: Copy + Eq + Hash + fmt::Debug> KeyArena for Vec<T> {
@@ -88,6 +95,10 @@ impl<T: Copy + Eq + Hash + fmt::Debug> KeyArena for Vec<T> {
 
     fn key(&self, range: Range<usize>) -> &[T] {
         &self[range]
+    }
+
+    fn clear(&mut self) {
+        Vec::clear(self);
     }
 }
 
@@ -116,8 +127,9 @@ fn slots_for(keys: usize) -> usize {
     keys.saturating_mul(2).next_power_of_two().max(MIN_SLOTS)
 }
 
-/// An append-only table mapping keys to dense `u32` ids in insertion
-/// order, its keys stored back to back in one `A` (see the module docs).
+/// A table mapping keys to dense `u32` ids in insertion order, append-only
+/// until cleared, its keys stored back to back in one `A` (see the module
+/// docs).
 #[derive(Clone, Default)]
 pub struct ArenaTable<A> {
     /// Every key, back to back, in id order.
@@ -207,6 +219,20 @@ impl<A: KeyArena> ArenaTable<A> {
     /// Whether the table holds no key.
     pub fn is_empty(&self) -> bool {
         self.ends.is_empty()
+    }
+
+    /// Removes every key, keeping the buffers, so a table refilled with
+    /// about as many keys as it held allocates nothing. The slots shrink to
+    /// what the removed keys needed, so clearing stays proportional to the
+    /// last fill rather than to the largest.
+    pub fn clear(&mut self) {
+        let fit = slots_for(self.ends.len());
+        if self.slots.len() > fit {
+            self.slots.truncate(fit);
+        }
+        self.slots.fill(Slot::default());
+        self.keys.clear();
+        self.ends.clear();
     }
 
     /// `(id, key)` pairs in id (insertion) order.

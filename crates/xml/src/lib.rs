@@ -34,8 +34,8 @@ pub mod write;
 pub use parser::{parse_document, ParseOptions, XmlError};
 pub use path::{LabelPath, PathAnswer, PathTable};
 pub use sax::{
-    extract_document, IngestStats, SaxEvent, SaxReader, StreamedDocument, StreamedLeaf,
-    StreamingTupleExtractor,
+    extract_document, extract_document_into, ExtractedDocument, IngestStats, LeafRef, SaxEvent,
+    SaxReader, SaxScratch, StreamedDocument, StreamedLeaf, StreamingTupleExtractor,
 };
 pub use tree::{NodeId, NodeKind, XmlTree};
 pub use tuple::{count_tree_tuples, extract_tree_tuples, TreeTuple, TupleLimits};

@@ -392,10 +392,14 @@ fn find_subslice(haystack: &[u8], needle: &[u8]) -> Option<usize> {
 /// references. Unknown entities are an error (this is a parser for
 /// well-formed data, not a recovery tool).
 pub fn decode_entities(raw: &str) -> Result<String, String> {
-    if !raw.contains('&') {
-        return Ok(raw.to_string());
-    }
     let mut out = String::with_capacity(raw.len());
+    decode_entities_into(raw, &mut out)?;
+    Ok(out)
+}
+
+/// [`decode_entities`], appending to `out`: text without `&` is appended
+/// as it is. On error `out` holds an unspecified prefix.
+pub(crate) fn decode_entities_into(raw: &str, out: &mut String) -> Result<(), String> {
     let mut rest = raw;
     while let Some(amp) = rest.find('&') {
         out.push_str(&rest[..amp]);
@@ -432,7 +436,7 @@ pub fn decode_entities(raw: &str) -> Result<String, String> {
         rest = &rest[semi + 1..];
     }
     out.push_str(rest);
-    Ok(out)
+    Ok(())
 }
 
 #[cfg(test)]
