@@ -325,9 +325,11 @@ fn bench_local_representative(c: &mut Criterion) {
 /// The stages of a hot model swap on a snapshot of cxkbench serve-reload's
 /// model A (1,000 DBLP documents in three dialects, k = 64, four simulated
 /// peers, f = 0.5, γ = 0.4, engine seed 0xA): decoding the snapshot
-/// (`load_model`), building the epoch's one-shard index
-/// (`ShardedEngine::build`), a worker's session over it
-/// (`ShardedClassifier::new`), and freeing the replaced model.
+/// (`load_model`), building the epoch's one-shard index with its `sim_S`
+/// table (`ShardedEngine::build`), a worker's session over it
+/// (`ShardedClassifier::new`), a fresh session plus its first document of
+/// a 400-document stream (`first_classify`), and freeing the replaced
+/// model.
 fn bench_model_swap(c: &mut Criterion) {
     let docs = generate(&DblpConfig {
         documents: 1000,
@@ -353,6 +355,12 @@ fn bench_model_swap(c: &mut Criterion) {
     let load = || load_model(&snapshot).expect("valid snapshot");
     let model = Arc::new(load());
     let engine = Arc::new(ShardedEngine::build(Arc::clone(&model), 1));
+    let stream = generate(&DblpConfig {
+        documents: 400,
+        seed: 0x5EED,
+        dialects: 3,
+    })
+    .documents;
 
     let mut group = c.benchmark_group("model_swap_k64");
     group.bench_function("load_model", |b| {
@@ -369,6 +377,19 @@ fn bench_model_swap(c: &mut Criterion) {
         b.iter_batched(
             || Arc::clone(&engine),
             ShardedClassifier::new,
+            BatchSize::SmallInput,
+        )
+    });
+    group.bench_function("first_classify", |b| {
+        let mut docs = stream.iter().cycle();
+        b.iter_batched(
+            || {
+                (
+                    Arc::clone(&engine),
+                    docs.next().expect("a non-empty stream"),
+                )
+            },
+            |(engine, doc)| ShardedClassifier::new(engine).classify(doc),
             BatchSize::SmallInput,
         )
     });

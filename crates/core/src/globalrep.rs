@@ -9,7 +9,7 @@
 //! same `GenerateTreeTuple` refinement runs with the local representatives
 //! playing the role of the member transactions.
 
-use crate::localrep::generate_tree_tuple;
+use crate::localrep::{blended_ranks, generate_tree_tuple};
 use crate::rep::{RepItem, Representative};
 use cxk_transact::item::ItemView;
 use cxk_transact::SimCtx;
@@ -47,37 +47,23 @@ pub fn compute_global_representative(
         return Representative::empty();
     }
 
-    // P_T: distinct complete paths with item counts, as in the local case.
-    let mut path_counts: FxHashMap<PathId, (PathId, u64)> = FxHashMap::default();
-    for fp in &order {
-        let (item, _) = &items[fp];
-        let entry = path_counts.entry(item.path).or_insert((item.tag_path, 0));
-        entry.1 += 1;
-    }
-    let p_t = path_counts.len() as f64;
-
-    let gamma = ctx.params.gamma;
-    let f = ctx.params.f;
-    let mut ranked: Vec<(RepItem, f64)> = Vec::with_capacity(order.len());
-    for fp in &order {
-        let (item, weight) = &items[fp];
-        let mut rank_s_sum = 0u64;
-        for (tag_path, h) in path_counts.values() {
-            if ctx.tag_sim.sim(item.tag_path, *tag_path) >= gamma {
-                rank_s_sum += h;
-            }
-        }
-        let rank_s = rank_s_sum as f64 / p_t;
-        let mut rank_c = 0.0;
-        for other_fp in &order {
-            let (other, _) = &items[other_fp];
-            rank_c += ctx.sim_c(item.view(), other.view());
-        }
-        // g_rank scales the blended rank by the item's summed weight.
-        let g_rank = *weight as f64 * (f * rank_s + (1.0 - f) * rank_c);
-        ranked.push((item.clone(), g_rank));
-    }
-    *work += (order.len() as u64) * (order.len() as u64 + path_counts.len() as u64);
+    let views: Vec<(PathId, ItemView<'_>)> = order
+        .iter()
+        .map(|fp| {
+            let (item, _) = &items[fp];
+            (item.path, item.view())
+        })
+        .collect();
+    let ranks = blended_ranks(ctx, &views, work);
+    // g_rank scales the blended rank by the item's summed weight.
+    let mut ranked: Vec<(RepItem, f64)> = order
+        .iter()
+        .zip(ranks)
+        .map(|(fp, rank)| {
+            let (item, weight) = &items[fp];
+            (item.clone(), *weight as f64 * rank)
+        })
+        .collect();
 
     ranked.sort_by(|a, b| {
         b.1.partial_cmp(&a.1)

@@ -92,7 +92,7 @@ pub use cxk::CxkConfig;
 pub use engine::{Algorithm, Backend, Engine, EngineBuilder, FitOutcome};
 pub use error::CxkError;
 pub use globalrep::{compute_global_representative, merge_representatives};
-pub use localrep::{compute_local_representative, generate_tree_tuple};
+pub use localrep::{cluster_representatives, compute_local_representative, generate_tree_tuple};
 pub use model::{
     load_model, load_model_file, peek_format_version, save_model, save_model_file, snapshot_digest,
     ModelError, TrainedModel, MODEL_FORMAT_VERSION,

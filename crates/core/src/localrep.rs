@@ -17,7 +17,7 @@
 use crate::rep::{conflate_items, RepItem, Representative};
 use cxk_transact::item::ItemView;
 use cxk_transact::txsim::{sim_gamma_j_prepared, PreparedSlab, ScoreScratch};
-use cxk_transact::{Dataset, ItemId, SimCtx};
+use cxk_transact::{Dataset, ItemId, SimCtx, SimParams};
 use cxk_util::FxHashMap;
 use cxk_xml::path::PathId;
 use rayon::prelude::*;
@@ -42,49 +42,15 @@ pub fn compute_local_representative(
     item_ids.sort_unstable();
     item_ids.dedup();
 
-    // P_C: per distinct complete path, the number of I_C items carrying it.
-    // The path determines the tag path, kept alongside for rank_S.
-    let mut path_counts: FxHashMap<PathId, (PathId, u64)> = FxHashMap::default();
-    for &id in &item_ids {
-        let item = &ds.items[id.index()];
-        let entry = path_counts.entry(item.path).or_insert((item.tag_path, 0));
-        entry.1 += 1;
-    }
-    let p_c = path_counts.len() as f64;
-
-    // Ranks. The O(|I_C|²) content ranking is the dominant cost of §4.3.2;
-    // it is charged to the work counter in full but computed with rayon so
-    // wall-clock stays reasonable when m is small and clusters are large.
-    let gamma = ctx.params.gamma;
-    let f = ctx.params.f;
-    let path_count_list: Vec<(PathId, u64)> = path_counts
-        .values()
-        .map(|&(tag_path, h)| (tag_path, h))
-        .collect();
-    let mut ranked: Vec<(ItemId, f64)> = item_ids
-        .par_iter()
-        .map(|&id| {
+    let views: Vec<(PathId, ItemView<'_>)> = item_ids
+        .iter()
+        .map(|id| {
             let item = &ds.items[id.index()];
-            // rank_S: Σ h over distinct paths whose tag path γ-structurally
-            // matches this item, normalized by |P_C|.
-            let mut rank_s_sum = 0u64;
-            for (tag_path, h) in &path_count_list {
-                if ctx.tag_sim.sim(item.tag_path, *tag_path) >= gamma {
-                    rank_s_sum += h;
-                }
-            }
-            let rank_s = rank_s_sum as f64 / p_c;
-            // rank_C: summed cosine to every cluster item (self included,
-            // per Fig. 6's sum over I_C).
-            let mut rank_c = 0.0;
-            for &other in &item_ids {
-                let o = &ds.items[other.index()];
-                rank_c += ctx.sim_c(item.view(), o.view());
-            }
-            (id, f * rank_s + (1.0 - f) * rank_c)
+            (item.path, item.view())
         })
         .collect();
-    *work += (item_ids.len() as u64) * (item_ids.len() as u64 + path_counts.len() as u64);
+    let ranks = blended_ranks(ctx, &views, work);
+    let mut ranked: Vec<(ItemId, f64)> = item_ids.into_iter().zip(ranks).collect();
 
     // Sort by rank descending; ties by item id for determinism.
     ranked.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap().then(a.0.cmp(&b.0)));
@@ -105,6 +71,74 @@ pub fn compute_local_representative(
         .unwrap_or(0);
 
     generate_tree_tuple(ctx, candidates, &members, tr_max, work)
+}
+
+/// The local representative of each of the `k` proper clusters of a
+/// whole-dataset assignment: `assignments[t]` is transaction `t`'s cluster,
+/// and an id of `k` or above (trash) joins none. The work is not metered.
+pub fn cluster_representatives(
+    ds: &Dataset,
+    params: SimParams,
+    assignments: &[u32],
+    k: usize,
+) -> Vec<Representative> {
+    let mut clusters: Vec<Vec<usize>> = vec![Vec::new(); k];
+    for (t, &a) in assignments.iter().enumerate() {
+        if let Some(cluster) = clusters.get_mut(a as usize) {
+            cluster.push(t);
+        }
+    }
+    let ctx = ds.sim_ctx(params);
+    let mut work = 0u64;
+    clusters
+        .iter()
+        .map(|c| compute_local_representative(ds, &ctx, c, &mut work))
+        .collect()
+}
+
+/// Fig. 6's blended rank `f·rank_S + (1 − f)·rank_C` of each distinct item
+/// `I` of a cluster, given as `(complete path, view)`. `rank_S` is the
+/// number of items whose complete path has a tag path γ-structurally
+/// matching the item's, over the number of distinct complete paths `P`;
+/// `rank_C` is the item's summed content similarity to every item of `I`,
+/// itself included, added in `items` order. Charges `|I|·(|I| + |P|)` to
+/// `work`: the O(|I|²) content ranking is the dominant cost of §4.3.2, so
+/// it is charged in full but computed with rayon so wall-clock stays
+/// reasonable when m is small and clusters are large.
+pub(crate) fn blended_ranks(
+    ctx: &SimCtx<'_>,
+    items: &[(PathId, ItemView<'_>)],
+    work: &mut u64,
+) -> Vec<f64> {
+    // Per distinct complete path, its tag path and the number of items
+    // carrying it (the path determines the tag path).
+    let mut path_counts: FxHashMap<PathId, (PathId, u64)> = FxHashMap::default();
+    for (path, item) in items {
+        path_counts.entry(*path).or_insert((item.tag_path, 0)).1 += 1;
+    }
+    let path_counts: Vec<(PathId, u64)> = path_counts.into_values().collect();
+    let p = path_counts.len() as f64;
+    let gamma = ctx.params.gamma;
+    let f = ctx.params.f;
+    let ranks = items
+        .par_iter()
+        .map(|(_, item)| {
+            let mut rank_s_sum = 0u64;
+            for (tag_path, h) in &path_counts {
+                if ctx.tag_sim.sim(item.tag_path, *tag_path) >= gamma {
+                    rank_s_sum += h;
+                }
+            }
+            let rank_s = rank_s_sum as f64 / p;
+            let mut rank_c = 0.0;
+            for (_, other) in items {
+                rank_c += ctx.sim_c(*item, *other);
+            }
+            f * rank_s + (1.0 - f) * rank_c
+        })
+        .collect();
+    *work += (items.len() as u64) * (items.len() as u64 + path_counts.len() as u64);
+    ranks
 }
 
 /// The `GenerateTreeTuple` greedy refinement of Fig. 6. `ranked` must be

@@ -19,16 +19,17 @@
 //! little-endian fields, length-prefixed UTF-8 strings, `f64`s as raw IEEE
 //! bits so weights (and therefore synthetic fingerprints) survive
 //! bit-exactly, and a trailing FxHash checksum over the payload. The
-//! tag-path similarity table is *not* stored — it is derived state, rebuilt
-//! by consumers (`cxk_serve`) over the representative tag paths.
+//! tag-path similarity table is *not* stored — it is derived state:
+//! [`TrainedModel::prepare`] builds it over the representatives' tag paths
+//! once per serving epoch, and every session clones and extends it.
 
 use crate::error::CxkError;
-use crate::localrep::compute_local_representative;
+use crate::localrep::cluster_representatives;
 use crate::outcome::ClusteringOutcome;
-use crate::rep::{empty_slab_for, RepItem, Representative};
+use crate::rep::{prepare_representatives, RepItem, Representative};
 use cxk_text::{SparseVec, TermStatsBuilder};
 use cxk_transact::item::ItemId;
-use cxk_transact::{BuildOptions, Dataset, PreparedSlab, SimParams};
+use cxk_transact::{BuildOptions, Dataset, PreparedSlab, SimParams, TagPathSimTable};
 use cxk_util::{FxHasher, Interner, Symbol};
 use cxk_xml::path::{PathId, PathTable};
 use std::hash::Hasher;
@@ -79,19 +80,7 @@ impl TrainedModel {
         params: SimParams,
         build: BuildOptions,
     ) -> Self {
-        let k = outcome.k;
-        let mut clusters: Vec<Vec<usize>> = vec![Vec::new(); k];
-        for (t, &a) in outcome.assignments.iter().enumerate() {
-            if (a as usize) < k {
-                clusters[a as usize].push(t);
-            }
-        }
-        let ctx = ds.sim_ctx(params);
-        let mut work = 0u64;
-        let reps = clusters
-            .iter()
-            .map(|c| compute_local_representative(ds, &ctx, c, &mut work))
-            .collect();
+        let reps = cluster_representatives(ds, params, &outcome.assignments, outcome.k);
         Self::from_representatives(ds, reps, params, build)
     }
 
@@ -141,18 +130,13 @@ impl TrainedModel {
         tag_paths
     }
 
-    /// The representatives prepared for the `simγJ` kernel (entry `j` is
-    /// representative `j`), each tag path ranked by its position in
-    /// [`TrainedModel::rep_tag_paths`]: the ranks of any tag-path table
-    /// that lists those paths first, in that order, whatever it appends.
-    pub fn prepare_reps(&self) -> PreparedSlab {
-        let base = self.rep_tag_paths();
-        let rank = |path: PathId| base.binary_search(&path).ok().map(|r| r as u32);
-        let mut slab = empty_slab_for(&self.reps);
-        for rep in &self.reps {
-            slab.push_ranked(rank, rep.items.iter().map(RepItem::view));
-        }
-        slab
+    /// The `sim_S` table over [`TrainedModel::rep_tag_paths`], and the
+    /// representatives prepared against it (entry `j` is representative
+    /// `j`): built once per serving epoch, valid under every extension.
+    pub fn prepare(&self) -> (TagPathSimTable, PreparedSlab) {
+        let tag_sim = TagPathSimTable::build(&self.rep_tag_paths(), &self.paths);
+        let reps = prepare_representatives(&tag_sim, &self.reps);
+        (tag_sim, reps)
     }
 }
 

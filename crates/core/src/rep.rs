@@ -121,24 +121,20 @@ impl Representative {
 
 /// Prepares `reps` for the `simγJ` kernel, ranking their tag paths in
 /// `tag_sim`: slab entry `j` is representative `j`. Scores against the
-/// slab must use a table with the same ranks (see `cxk_transact::txsim`).
+/// slab must use `tag_sim` or an extension of it (see
+/// `cxk_transact::txsim`).
 pub fn prepare_representatives(tag_sim: &TagPathSimTable, reps: &[Representative]) -> PreparedSlab {
-    let mut slab = empty_slab_for(reps);
-    for rep in reps {
-        slab.push(tag_sim, rep.items.iter().map(RepItem::view));
-    }
-    slab
-}
-
-/// An empty slab sized to hold `reps` without growing.
-pub(crate) fn empty_slab_for(reps: &[Representative]) -> PreparedSlab {
     let items = reps.iter().map(Representative::len).sum();
     let entries = reps
         .iter()
         .flat_map(|r| &r.items)
         .map(|item| item.vector.nnz())
         .sum();
-    PreparedSlab::with_capacity(reps.len(), items, entries)
+    let mut slab = PreparedSlab::with_capacity(reps.len(), items, entries);
+    for rep in reps {
+        slab.push(tag_sim, rep.items.iter().map(RepItem::view));
+    }
+    slab
 }
 
 /// The `conflateItems` procedure of Fig. 6: merges items sharing a complete

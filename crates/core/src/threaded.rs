@@ -1,12 +1,12 @@
 //! CXK-means over real peer threads and the `cxk_p2p` message network.
 //!
 //! Each peer is an OS thread owning its local transactions; representatives
-//! and status flags travel as typed messages over crossbeam channels, with
-//! wire sizes metered by the network's traffic ledger. This runner
-//! exercises the *actual* distributed protocol — concurrent peers, routed
-//! local representatives, owner-computed global representatives, cached
-//! summaries for `done` peers (which, per Fig. 5, broadcast only their
-//! flag) — and reports real wall-clock time.
+//! and status flags travel as typed messages over `std::sync::mpsc`
+//! channels, with wire sizes metered by the network's traffic ledger. This
+//! runner exercises the *actual* distributed protocol — concurrent peers,
+//! routed local representatives, owner-computed global representatives,
+//! cached summaries for `done` peers (which, per Fig. 5, broadcast only
+//! their flag) — and reports real wall-clock time.
 //!
 //! The figure harnesses use the simulated-clock runner in [`crate::cxk`]
 //! instead (its clock scales to 19 peers regardless of host core count);

@@ -5,7 +5,7 @@
 //! facilities:
 //!
 //! * [`net`] — a typed message-passing network whose peers are real OS
-//!   threads connected by crossbeam channels, with per-edge traffic
+//!   threads connected by `std::sync::mpsc` channels, with per-edge traffic
 //!   accounting. Used by the threaded CXK-means runner to exercise genuine
 //!   concurrency and by the protocol tests.
 //! * [`tcp`] — the same envelope semantics over length-prefixed TCP

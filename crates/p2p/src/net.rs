@@ -1,4 +1,4 @@
-//! Typed peer-to-peer message network over crossbeam channels.
+//! Typed peer-to-peer message network over `std::sync::mpsc` channels.
 //!
 //! A [`Network`] of `m` peers provides every peer a handle with unbounded
 //! channels to every other peer. All traffic is metered in a shared
@@ -7,9 +7,8 @@
 //! *disconnected* to inject failures in tests: sends to a disconnected peer
 //! fail with [`NetworkError::PeerDown`].
 
-use crossbeam_channel::{unbounded, Receiver, RecvTimeoutError, Sender};
-use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -73,7 +72,7 @@ pub struct TrafficLedger {
     total_messages: AtomicU64,
     total_bytes: AtomicU64,
     /// Row-major `m × m` directed edge byte counts.
-    edges: Mutex<Vec<u64>>,
+    edges: Vec<AtomicU64>,
 }
 
 impl TrafficLedger {
@@ -88,7 +87,7 @@ impl TrafficLedger {
             m,
             total_messages: AtomicU64::new(0),
             total_bytes: AtomicU64::new(0),
-            edges: Mutex::new(vec![0; m * m]),
+            edges: (0..m * m).map(|_| AtomicU64::new(0)).collect(),
         }
     }
 
@@ -98,8 +97,9 @@ impl TrafficLedger {
     pub fn record(&self, from: PeerId, to: PeerId, bytes: usize) {
         self.total_messages.fetch_add(1, Ordering::Relaxed);
         self.total_bytes.fetch_add(bytes as u64, Ordering::Relaxed);
-        let mut edges = self.edges.lock();
-        edges[from.index() * self.m + to.index()] += bytes as u64;
+        if let Some(edge) = self.edges.get(from.index() * self.m + to.index()) {
+            edge.fetch_add(bytes as u64, Ordering::Relaxed);
+        }
     }
 
     /// Total messages sent on the network.
@@ -114,27 +114,36 @@ impl TrafficLedger {
 
     /// Bytes sent on the directed edge `from → to`.
     pub fn edge_bytes(&self, from: PeerId, to: PeerId) -> u64 {
-        self.edges.lock()[from.index() * self.m + to.index()]
+        self.edge(from.index() * self.m + to.index())
     }
 
     /// Bytes sent out by one peer.
     pub fn sent_by(&self, peer: PeerId) -> u64 {
-        let edges = self.edges.lock();
-        (0..self.m).map(|j| edges[peer.index() * self.m + j]).sum()
+        (0..self.m)
+            .map(|j| self.edge(peer.index() * self.m + j))
+            .sum()
     }
 
     /// Bytes received by one peer.
     pub fn received_by(&self, peer: PeerId) -> u64 {
-        let edges = self.edges.lock();
-        (0..self.m).map(|i| edges[i * self.m + peer.index()]).sum()
+        (0..self.m)
+            .map(|i| self.edge(i * self.m + peer.index()))
+            .sum()
+    }
+
+    /// The byte count at row-major edge index `i` (0 outside the matrix).
+    fn edge(&self, i: usize) -> u64 {
+        self.edges
+            .get(i)
+            .map_or(0, |edge| edge.load(Ordering::Relaxed))
     }
 
     /// Resets all counters (between experiment repetitions).
     pub fn reset(&self) {
         self.total_messages.store(0, Ordering::Relaxed);
         self.total_bytes.store(0, Ordering::Relaxed);
-        for e in self.edges.lock().iter_mut() {
-            *e = 0;
+        for edge in &self.edges {
+            edge.store(0, Ordering::Relaxed);
         }
     }
 }
@@ -229,7 +238,7 @@ impl Network {
         let mut senders = Vec::with_capacity(m);
         let mut receivers = Vec::with_capacity(m);
         for _ in 0..m {
-            let (tx, rx) = unbounded::<Envelope<M>>();
+            let (tx, rx) = channel::<Envelope<M>>();
             senders.push(tx);
             receivers.push(rx);
         }

@@ -1,11 +1,11 @@
 //! Length-prefixed TCP framing for the `cxk_p2p` fabric.
 //!
 //! The in-process network ([`crate::net`]) routes [`Envelope`]s over
-//! crossbeam channels and meters their [`Wire::wire_size`] in a shared
-//! [`TrafficLedger`]. This module carries the **same envelope semantics
-//! across process boundaries**: a [`FramedConn`] wraps one `TcpStream` and
-//! exchanges envelopes as length-prefixed frames, metering *actual* frame
-//! bytes into a caller-supplied ledger. The fabric stays
+//! `std::sync::mpsc` channels and meters their [`Wire::wire_size`] in a
+//! shared [`TrafficLedger`]. This module carries the **same envelope
+//! semantics across process boundaries**: a [`FramedConn`] wraps one
+//! `TcpStream` and exchanges envelopes as length-prefixed frames, metering
+//! *actual* frame bytes into a caller-supplied ledger. The fabric stays
 //! clustering-agnostic — payloads are anything implementing [`WireCodec`],
 //! and this crate knows nothing about what they mean.
 //!

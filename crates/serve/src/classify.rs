@@ -16,14 +16,15 @@
 //!
 //! * the per-worker **mutable** half, the crate-private `QuerySession`:
 //!   copies of the model's label interner and path table (three buffer
-//!   copies each; parsing interns unseen markup), the lazily extended
-//!   tag-path similarity table, and
-//!   the worker's scoring buffers. It is cheap relative to the model: no
-//!   representatives, no postings, no vocabulary.
+//!   copies each; parsing interns unseen markup), a clone of the engine's
+//!   tag-path similarity table that the session extends with query paths,
+//!   and the worker's scoring buffers. It is cheap relative to the model:
+//!   no representatives, no postings, no vocabulary.
 //! * the epoch's **immutable** engine — a [`ShardedEngine`] or a
-//!   [`TreeEngine`](crate::TreeEngine), holding the [`TrainedModel`], its representatives
-//!   prepared for the `simγJ` kernel and the index or tree over them —
-//!   shared behind an `Arc` by every worker.
+//!   [`TreeEngine`](crate::TreeEngine), holding the [`TrainedModel`], the
+//!   `sim_S` table over its representatives' tag paths, the
+//!   representatives prepared against it for the `simγJ` kernel and the
+//!   index or tree over them — shared behind an `Arc` by every worker.
 //!
 //! Each tree tuple is assigned by the paper's relocation rule — argmax of
 //! `simγJ` over the representatives, trash when every similarity is zero
@@ -48,6 +49,7 @@ use cxk_core::rep::RepItem;
 use cxk_core::TrainedModel;
 use cxk_p2p::NetworkError;
 use cxk_transact::item::ItemView;
+use cxk_transact::TagPathSimTable;
 use cxk_xml::parser::XmlError;
 use std::sync::Arc;
 
@@ -166,6 +168,10 @@ pub trait SessionEngine {
     /// The model the engine serves.
     fn model(&self) -> &Arc<TrainedModel>;
 
+    /// The `sim_S` table the engine's representatives were prepared
+    /// against; every session starts from a clone of it.
+    fn tag_sim(&self) -> &TagPathSimTable;
+
     /// Assigns one of `session`'s query tuples under the relocation rule
     /// (trash when nothing scores above 0): with the engine's pruning when
     /// `pruned`, over every representative otherwise.
@@ -208,7 +214,7 @@ impl Classifier {
 impl<E: SessionEngine> Classifier<E> {
     /// Builds a worker session over `engine`.
     pub fn new(engine: Arc<E>) -> Self {
-        let session = QuerySession::new(engine.model());
+        let session = QuerySession::new(engine.model(), engine.tag_sim());
         Self { engine, session }
     }
 
@@ -258,6 +264,7 @@ impl<E: SessionEngine> Classifier<E> {
     fn classify_impl(&mut self, xml: &str, pruned: bool) -> Result<DocumentAssignment, XmlError> {
         let model = self.engine.model();
         let query = self.session.extract(model, xml)?;
+        self.session.cover(query.tag_paths());
         let mut views = Vec::new();
         let assignments = query
             .tuples()
@@ -465,8 +472,8 @@ mod tests {
     #[test]
     fn tag_path_cache_stays_bounded_under_ever_fresh_markup() {
         let mut c = Classifier::shared(Arc::new(model()));
-        c.session_mut().tag_sim.cap = 8; // shrink to exercise the reset cheaply
-        let cap = c.session_mut().tag_sim.cap;
+        c.session_mut().cap = 8; // shrink to exercise the reset cheaply
+        let cap = c.session_mut().cap;
         let before = c.classify(&mining_doc(1)).unwrap();
         // A hostile stream where every document invents new markup must not
         // grow the dense sim_S table without bound.
@@ -475,15 +482,58 @@ mod tests {
             let report = c.classify(&doc).unwrap();
             assert_eq!(report.cluster, c.trash_id());
             assert!(
-                c.session_mut().tag_sim.known() <= cap + 4,
+                c.session_mut().tag_sim().len() <= cap + 4,
                 "cache must reset: {} paths after doc {i}",
-                c.session_mut().tag_sim.known()
+                c.session_mut().tag_sim().len()
             );
         }
         // Evicted paths re-enter on their next appearance with identical
         // scores.
         let after = c.classify(&mining_doc(1)).unwrap();
         assert_eq!(before, after);
+    }
+
+    #[test]
+    fn a_warm_session_computes_only_the_rows_of_fresh_tag_paths() {
+        let mut c = Classifier::shared(Arc::new(model()));
+        let base = c.engine().tag_sim().len();
+        for i in 0..1000 {
+            c.classify(&format!("<r{i}><leaf{i}>word</leaf{i}></r{i}>"))
+                .unwrap();
+        }
+        let (paths, cells) = {
+            let table = c.session_mut().tag_sim();
+            (table.len(), table.stored_cells())
+        };
+        assert!(paths >= base + 1000, "{paths} paths");
+        c.classify("<fresh><tail>word</tail></fresh>").unwrap();
+        let table = c.session_mut().tag_sim();
+        let new = table.len() - paths;
+        assert!(new >= 1, "the document brings a fresh tag path");
+        // The table only appended: the cells it computed are the new
+        // paths' rows, where a rebuild would have recomputed all of them.
+        assert!(table.stored_cells() - cells <= new * table.len());
+    }
+
+    #[test]
+    fn a_fresh_session_computes_none_of_the_base_cells() {
+        let engine = Arc::new(ShardedEngine::build(Arc::new(model()), 1));
+        let base = engine.tag_sim();
+        let mut c = Classifier::new(Arc::clone(&engine));
+        c.classify(&mining_doc(4).replace("</author>", "</author><note>draft</note>"))
+            .unwrap();
+        let table = c.session_mut().tag_sim();
+        let (b, q) = (base.len(), table.len() - base.len());
+        assert!(q >= 1, "the document brings a fresh tag path");
+        // Cloned, not recomputed: the base keeps its ranks and cells, and
+        // the session computed only the rows of its q query paths.
+        let rows: usize = (b..b + q).map(|r| r + 1).sum();
+        assert_eq!(table.stored_cells(), base.stored_cells() + rows);
+        for i in 0..b as u32 {
+            for j in 0..b as u32 {
+                assert_eq!(table.sim_at(i, j).to_bits(), base.sim_at(i, j).to_bits());
+            }
+        }
     }
 
     #[test]

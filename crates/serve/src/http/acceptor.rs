@@ -47,7 +47,7 @@ const TICK: Duration = Duration::from_millis(100);
 pub(crate) struct Acceptor {
     pub listener: TcpListener,
     pub poll: Poll,
-    pub completions: crossbeam_channel::Receiver<Completion>,
+    pub completions: std::sync::mpsc::Receiver<Completion>,
     pub queue: Arc<BoundedQueue<Job>>,
     pub slot: Arc<ModelSlot>,
     pub stats: Arc<ServerStats>,

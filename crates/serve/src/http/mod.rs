@@ -313,7 +313,7 @@ impl Server {
         let waker = Arc::new(Waker::new(poll.registry(), acceptor::WAKER)?);
 
         let queue = Arc::new(BoundedQueue::<Job>::new(opts.queue_depth));
-        let (completion_tx, completion_rx) = crossbeam_channel::unbounded::<Completion>();
+        let (completion_tx, completion_rx) = std::sync::mpsc::channel::<Completion>();
 
         let mut workers = Vec::with_capacity(threads);
         for _ in 0..threads {
@@ -468,7 +468,7 @@ type Session = (u64, ClassifyEngine);
 fn worker_loop(
     ctx: WorkerCtx,
     queue: &BoundedQueue<Job>,
-    completions: &crossbeam_channel::Sender<Completion>,
+    completions: &std::sync::mpsc::Sender<Completion>,
     waker: &Waker,
     delay: Option<Duration>,
 ) {

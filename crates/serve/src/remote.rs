@@ -70,8 +70,8 @@ use crate::session::QuerySession;
 use crate::shard::ShardedEngine;
 use cxk_core::{save_model, snapshot_digest, TrainedModel};
 use cxk_p2p::{FramedConn, NetworkError, PeerId, TrafficLedger, Wire, WireCodec, WireReader};
-use cxk_transact::gather_best;
 use cxk_transact::item::ItemView;
+use cxk_transact::{gather_best, TagPathSimTable};
 use std::io::{Error, ErrorKind};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::ops::Range;
@@ -506,7 +506,7 @@ fn handle_conn(stream: TcpStream, shared: &DaemonShared) {
     };
     // One session per connection: a connection only ever sees one
     // frontend worker's numbering of novel labels.
-    let mut session = QuerySession::new(shared.engine.model());
+    let mut session = QuerySession::new(shared.engine.model(), shared.engine.tag_sim());
     loop {
         if shared.shutdown.load(Ordering::Acquire) {
             return;
@@ -707,7 +707,9 @@ impl RemoteClassifier {
     /// Builds a classifier over the shared topology and model. Cheap: no
     /// connections are dialed until the first classify.
     pub fn new(engine: Arc<RemoteEngine>, model: Arc<TrainedModel>) -> Self {
-        let session = QuerySession::new(&model);
+        // The frontend only extracts; the daemons score, so its table stays
+        // empty.
+        let session = QuerySession::new(&model, &TagPathSimTable::default());
         let digest = snapshot_digest(&save_model(&model));
         let shards = engine.shard_count();
         Self {
@@ -1156,5 +1158,40 @@ mod tests {
         }
         let engine = RemoteEngine::new(vec![one(), one()], DEFAULT_DEADLINE).expect("servable");
         assert_eq!(engine.shard_count(), 2);
+    }
+
+    #[test]
+    fn the_frontend_sessions_table_stays_empty() {
+        use crate::classify::Classifier;
+        use cxk_core::{CxkConfig, EngineBuilder};
+        use cxk_transact::{BuildOptions, DatasetBuilder};
+
+        let docs = [
+            r#"<dblp><article key="m1"><author>A. Miner</author><title>mining frequent patterns</title></article></dblp>"#,
+            r#"<dblp><article key="m2"><author>A. Miner</author><title>clustering mining trees</title></article></dblp>"#,
+        ];
+        let mut builder = DatasetBuilder::new(BuildOptions::default());
+        for doc in docs {
+            builder.add_xml(doc).expect("valid document");
+        }
+        let ds = builder.finish();
+        let model = Arc::new(
+            EngineBuilder::from_cxk_config(&CxkConfig::new(1))
+                .build()
+                .expect("valid config")
+                .fit(&ds)
+                .expect("fit succeeds")
+                .into_model(&ds, BuildOptions::default()),
+        );
+        let daemon = ShardDaemon::start(Arc::clone(&model), 0..1, "127.0.0.1:0").expect("daemon");
+        let topology = RemoteEngine::new(vec![vec![daemon.addr().to_string()]], DEFAULT_DEADLINE)
+            .expect("servable");
+        let mut remote = RemoteClassifier::new(Arc::new(topology), Arc::clone(&model));
+        let mut local = Classifier::shared(model);
+        // Fresh markup reaches the daemons' tables, never the frontend's.
+        let doc = docs[0].replace("</author>", "</author><note>draft</note>");
+        let answer = remote.classify(&doc).expect("remote");
+        assert_eq!(answer, local.classify(&doc).expect("local"));
+        assert!(remote.session.tag_sim().is_empty());
     }
 }

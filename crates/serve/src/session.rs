@@ -7,13 +7,17 @@
 //! dropped at preprocessing (it has `n_{j,T} = 0` and would weigh 0).
 //! Unseen tags and paths are interned into the session's own copies of the
 //! model's label interner and path table; they only ever exact-match
-//! themselves, so they cannot affect similarities, and they extend the
-//! session's tag-path similarity table. Both tables are arena-backed
-//! (`cxk_util::ArenaTable`), so each copy is three buffer copies however
-//! many labels and paths the model holds, and dropping a session frees
-//! three buffers per table. The scoring buffers are reused across tuples
-//! and requests, so a warm session prepares, prunes and scores without
-//! allocating.
+//! themselves, so they cannot affect similarities. Both tables are
+//! arena-backed (`cxk_util::ArenaTable`), so each copy is three buffer
+//! copies however many labels and paths the model holds, and dropping a
+//! session frees three buffers per table. The scoring buffers are reused
+//! across tuples and requests, so a warm session prepares, prunes and
+//! scores without allocating.
+//!
+//! The `sim_S` table starts as a clone of the engine's, built once per
+//! epoch over the representatives' `B` tag paths. Before a query is
+//! scored it appends the query's missing tag paths, one row each, and no
+//! rank moves; past `(B·4).max(1024)` paths it first truncates to `B`.
 //!
 //! Reading a document reuses the session's buffers too: the SAX reader's
 //! and extractor's (`cxk_xml::sax::SaxScratch`), the parsed document's,
@@ -43,86 +47,13 @@ use cxk_transact::txsim::{
     argmax_prepared, sim_gamma_j_prepared, PreparedSlab, PreparedTx, ScoreScratch,
 };
 use cxk_transact::{
-    DocumentPipeline, ItemKeys, ItemWeights, ParsedDocument, ReadScratch, SimCtx, SimParams,
-    TagPathSimTable, Terms,
+    DocumentPipeline, ExactMatch, ItemKeys, ItemWeights, ParsedDocument, ReadScratch, SimCtx,
+    SimParams, TagPathSimTable, Terms,
 };
-use cxk_util::{FxHashSet, Interner, Symbol};
+use cxk_util::{Interner, Symbol};
 use cxk_xml::parser::XmlError;
 use cxk_xml::path::{PathId, PathTable};
 use std::ops::Range;
-
-/// A session's structural-similarity table over the model's
-/// representative tag paths plus the query paths seen so far.
-///
-/// The representative paths ([`TrainedModel::rep_tag_paths`]) always hold
-/// ranks `0..B`, in that order, and query paths are appended after them:
-/// the epoch's prepared representatives ([`TrainedModel::prepare_reps`])
-/// rank their tag paths the same way, so they stay valid however the
-/// table grows or resets. The table is dense (`P²` cells, `O(P²·d²)` to
-/// rebuild), so a stream of documents with ever-fresh markup must not grow
-/// it without bound: past the cap it restarts from the representatives'
-/// paths plus the current request's.
-#[derive(Debug)]
-pub(crate) struct SessionTagSim {
-    table: TagPathSimTable,
-    /// The representatives' tag paths, sorted: ranks `0..B`.
-    base: Vec<PathId>,
-    /// Tag paths the table covers (base + query paths since the last
-    /// reset).
-    known: FxHashSet<PathId>,
-    /// Cap on `known`.
-    pub(crate) cap: usize,
-}
-
-impl SessionTagSim {
-    /// The table over `model`'s representative tag paths.
-    fn new(model: &TrainedModel) -> Self {
-        let base = model.rep_tag_paths();
-        Self {
-            table: TagPathSimTable::build(&base, &model.paths),
-            known: base.iter().copied().collect(),
-            cap: (base.len() * 4).max(1024),
-            base,
-        }
-    }
-
-    /// Makes the table cover `request` (the tag paths of the request about
-    /// to be scored), rebuilding it over every observed path — the base
-    /// first, then the query paths in id order — when one is new. Past the
-    /// cap the cache first resets to the base plus `request`; evicted
-    /// paths re-enter on their next appearance, and scores are unaffected
-    /// because the table always covers rep × query pairs.
-    fn cover(&mut self, paths: &PathTable, request: impl Iterator<Item = PathId> + Clone) {
-        let mut fresh = false;
-        for path in request.clone() {
-            fresh |= self.known.insert(path);
-        }
-        if !fresh {
-            return;
-        }
-        if self.known.len() > self.cap {
-            self.known = self.base.iter().copied().collect();
-            self.known.extend(request);
-        }
-        let mut queried: Vec<PathId> = self
-            .known
-            .iter()
-            .copied()
-            .filter(|p| self.base.binary_search(p).is_err())
-            .collect();
-        queried.sort_unstable();
-        let mut all = Vec::with_capacity(self.base.len() + queried.len());
-        all.extend_from_slice(&self.base);
-        all.extend(queried);
-        self.table = TagPathSimTable::build(&all, paths);
-    }
-
-    /// Paths currently covered (diagnostics).
-    #[cfg(test)]
-    pub(crate) fn known(&self) -> usize {
-        self.known.len()
-    }
-}
 
 /// One parsed query document's transactions — per tree tuple, its
 /// distinct weighted items — plus whether the tree-tuple cap truncated the
@@ -211,6 +142,11 @@ impl QueryTuples {
         self.tuples.ends.len()
     }
 
+    /// The tag paths of the document's items.
+    pub fn tag_paths(&self) -> impl Iterator<Item = PathId> + Clone + '_ {
+        self.items.live().iter().map(|item| item.tag_path)
+    }
+
     /// The tuples' items, tuple by tuple.
     pub fn tuples(&self) -> impl Iterator<Item = impl Iterator<Item = &RepItem> + '_> + '_ {
         let items = self.items.live();
@@ -233,19 +169,24 @@ impl QueryTuples {
 }
 
 /// A worker's mutable classification state over one model: copies of the
-/// model's label interner and path table, grown by unseen markup, the
-/// tag-path similarity table, the reading buffers (with the token memo)
-/// and the scoring buffers (see the module docs). Built from a model it
-/// never mutates, so any number of sessions share one model and one
-/// engine across threads.
+/// model's label interner and path table, grown by unseen markup, its
+/// engine's tag-path similarity table extended with query paths, the
+/// reading buffers (with the token memo) and the scoring buffers (see the
+/// module docs). Built from a model and a table it never mutates, so any
+/// number of sessions share one model and one engine across threads.
 #[derive(Debug)]
 pub struct QuerySession {
     /// Copy of the model's label interner (grows with unseen tags).
     labels: Interner,
     /// Copy of the model's path table (grows with unseen paths).
     paths: PathTable,
-    /// `sim_S` over the representatives' and the queries' tag paths.
-    pub(crate) tag_sim: SessionTagSim,
+    /// `sim_S` over the representatives' tag paths (ranks `0..base`) and
+    /// the query paths appended since the last truncation.
+    tag_sim: TagPathSimTable,
+    /// The length `B` of the engine's table.
+    base: usize,
+    /// Cap on `tag_sim`'s length.
+    pub(crate) cap: usize,
     /// The SAX, preprocessing and token-memo buffers.
     reading: ReadScratch,
     /// The last document read.
@@ -263,14 +204,18 @@ pub struct QuerySession {
 }
 
 impl QuerySession {
-    /// A fresh session over `model`. Its reading buffers start empty —
+    /// A fresh session over `model`, its `sim_S` table a clone of `base`
+    /// (the engine's table over the representatives' tag paths; empty for
+    /// a session that only extracts). Its reading buffers start empty —
     /// nothing is sized by the vocabulary — and fill with the first
     /// requests.
-    pub(crate) fn new(model: &TrainedModel) -> Self {
+    pub(crate) fn new(model: &TrainedModel, base: &TagPathSimTable) -> Self {
         Self {
             labels: model.labels.clone(),
             paths: model.paths.clone(),
-            tag_sim: SessionTagSim::new(model),
+            tag_sim: base.clone(),
+            base: base.len(),
+            cap: (base.len() * 4).max(1024),
             reading: ReadScratch::default(),
             doc: ParsedDocument::default(),
             weights: ItemWeights::default(),
@@ -293,6 +238,31 @@ impl QuerySession {
         &self.reading
     }
 
+    /// The session's `sim_S` table (diagnostics).
+    #[cfg(test)]
+    pub(crate) fn tag_sim(&self) -> &TagPathSimTable {
+        &self.tag_sim
+    }
+
+    /// Makes the `sim_S` table cover `request`, the tag paths of the query
+    /// about to be scored, by appending the ones it lacks. When that would
+    /// pass the cap, the table first truncates to the base: dropped paths
+    /// re-enter on their next appearance, and scores are unaffected
+    /// because the table always covers representative × query pairs.
+    pub(crate) fn cover(&mut self, request: impl Iterator<Item = PathId> + Clone) {
+        let fresh = request
+            .clone()
+            .filter(|&path| self.tag_sim.rank_of(path).is_none())
+            .count();
+        if fresh == 0 {
+            return;
+        }
+        if self.tag_sim.len() + fresh > self.cap {
+            self.tag_sim.truncate(self.base);
+        }
+        self.tag_sim.extend(request, &self.paths, &ExactMatch);
+    }
+
     /// Reads `xml` through the document pipeline and produces its query
     /// transactions: per tree tuple, the deduplicated items weighted
     /// against `model`'s frozen `term_stats` — the document does not join
@@ -312,8 +282,6 @@ impl QuerySession {
         }
         .parse_into(xml, &mut self.reading, &mut self.doc)?;
         let doc = &self.doc;
-        self.tag_sim
-            .cover(&self.paths, doc.leaves().map(|leaf| leaf.tag_path));
 
         let mut query = std::mem::take(&mut self.tuples);
         query.clear();
@@ -349,7 +317,8 @@ impl QuerySession {
     /// The shard daemon's counterpart of [`Self::extract`]: the shipped
     /// tuples as `(tag path, vector, fingerprint)` items, each tag path
     /// interned from the frontend's label symbols and each vector rebuilt
-    /// bit-for-bit from its raw pairs.
+    /// bit-for-bit from its raw pairs, with the `sim_S` table covering
+    /// their tag paths.
     pub(crate) fn decode(&mut self, tuples: &[WireTuple]) -> Vec<Vec<(PathId, SparseVec, u64)>> {
         let decoded: Vec<Vec<(PathId, SparseVec, u64)>> = tuples
             .iter()
@@ -371,17 +340,16 @@ impl QuerySession {
                     .collect()
             })
             .collect();
-        self.tag_sim
-            .cover(&self.paths, decoded.iter().flatten().map(|item| item.0));
+        self.cover(decoded.iter().flatten().map(|item| item.0));
         decoded
     }
 
     /// Prepares `tuple` as the query the next scores use, ranking its tag
-    /// paths in the session's table (whose ranks agree with the prepared
-    /// representatives').
+    /// paths in the session's table (an extension of the table the
+    /// representatives were prepared against, so their ranks agree).
     pub(crate) fn prepare(&mut self, tuple: &[ItemView<'_>]) {
         self.query.clear();
-        self.query.push(&self.tag_sim.table, tuple.iter().copied());
+        self.query.push(&self.tag_sim, tuple.iter().copied());
     }
 
     /// Scores the prepared `tuple` against the candidates `index` yields
@@ -404,7 +372,7 @@ impl QuerySession {
             None => self.candidates.set_all(),
         }
         let scored = self.candidates.len(range.len());
-        let ctx = SimCtx::new(&self.tag_sim.table, params);
+        let ctx = SimCtx::new(&self.tag_sim, params);
         let (id, sim) = match self.query.get(0) {
             Some(query) => argmax_prepared(
                 &ctx,
@@ -428,7 +396,7 @@ impl QuerySession {
         ids: impl Iterator<Item = u32>,
         trash: u32,
     ) -> (u32, f64) {
-        let ctx = SimCtx::new(&self.tag_sim.table, params);
+        let ctx = SimCtx::new(&self.tag_sim, params);
         match self.query.get(0) {
             Some(query) => argmax_prepared(&ctx, query, reps, ids, trash, &mut self.scratch),
             None => (trash, 0.0),
@@ -437,7 +405,7 @@ impl QuerySession {
 
     /// `simγJ` of the prepared tuple against one prepared representative.
     pub(crate) fn score(&mut self, params: SimParams, rep: PreparedTx<'_>) -> f64 {
-        let ctx = SimCtx::new(&self.tag_sim.table, params);
+        let ctx = SimCtx::new(&self.tag_sim, params);
         match self.query.get(0) {
             Some(query) => sim_gamma_j_prepared(&ctx, query, rep, &mut self.scratch),
             None => 0.0,

@@ -44,8 +44,9 @@
 //! module), so in-flight queries keep scattering over the engine they
 //! started with. Each worker's mutable parsing state lives in its own
 //! [`ShardedClassifier`] session, which holds label and path-table copies
-//! but no postings and no vocabulary — that is what makes resident index
-//! memory ~constant in the worker count.
+//! and a clone of the engine's `sim_S` table, but no postings and no
+//! vocabulary — that is what makes resident index memory ~constant in the
+//! worker count.
 //!
 //! The shards of this engine run in-process; the `remote` module carries
 //! the same scatter/gather across processes, to shard daemons over the
@@ -56,7 +57,7 @@ use crate::index::TagPathIndex;
 use crate::session::QuerySession;
 use cxk_core::TrainedModel;
 use cxk_transact::item::ItemView;
-use cxk_transact::{gather_best, PreparedSlab};
+use cxk_transact::{gather_best, PreparedSlab, TagPathSimTable};
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -125,6 +126,8 @@ pub struct ShardStats {
 /// The shared, immutable scatter/gather engine for one model epoch.
 pub struct ShardedEngine {
     model: Arc<TrainedModel>,
+    /// `sim_S` over the representatives' tag paths, built with `reps`.
+    tag_sim: TagPathSimTable,
     /// The model's representatives prepared for scoring (global ids).
     reps: PreparedSlab,
     shards: Vec<Shard>,
@@ -162,8 +165,10 @@ impl ShardedEngine {
             })
             .collect();
         let counters = shards.iter().map(|_| ShardCounters::default()).collect();
+        let (tag_sim, reps) = model.prepare();
         Self {
-            reps: model.prepare_reps(),
+            tag_sim,
+            reps,
             model,
             shards,
             counters,
@@ -210,6 +215,10 @@ impl ShardedEngine {
 impl SessionEngine for ShardedEngine {
     fn model(&self) -> &Arc<TrainedModel> {
         &self.model
+    }
+
+    fn tag_sim(&self) -> &TagPathSimTable {
+        &self.tag_sim
     }
 
     /// Scatter/gather for one query transaction: every shard reports its

@@ -78,7 +78,8 @@
 //! built, lives behind an `Arc` published per epoch by the `slot`
 //! module, and is shared by every worker; each worker's mutable parsing
 //! state is its own [`TreeClassifier`] session, so resident tree memory is
-//! constant in the worker count.
+//! constant in the worker count. The engine's one `sim_S` table ranks the
+//! leaves and every level's merged nodes; each session clones it.
 
 use crate::classify::{Classifier, SessionEngine, TupleAssignment};
 use crate::session::QuerySession;
@@ -183,6 +184,8 @@ pub struct TreeEngine {
     /// `i` is node `i`). Merged items come from the leaves' item pool, so
     /// they rank in the same representative tag-path table as the leaves.
     prepared_levels: Vec<PreparedSlab>,
+    /// `sim_S` over the representatives' tag paths, built with `reps`.
+    tag_sim: TagPathSimTable,
     /// The leaf representatives prepared for the exact re-rank.
     reps: PreparedSlab,
     counters: TreeCounters,
@@ -198,17 +201,13 @@ impl TreeEngine {
             beam: config.beam.max(1),
         };
         let branch = config.branch;
-        let reps = model.prepare_reps();
+        // Merged items always come from their children's item pool, so the
+        // representatives' tag-path table covers every level.
+        let (tag_sim, reps) = model.prepare();
         let mut levels: Vec<Vec<TreeNode>> = Vec::new();
         let mut prepared_levels: Vec<PreparedSlab> = Vec::new();
         let mut leaf_order: Vec<u32> = Vec::new();
         if model.k() > branch {
-            // Merging needs a similarity context covering the
-            // representatives' tag paths; merged items always come from
-            // their children's item pool, so the model's own tag-path
-            // table covers every level.
-            let rep_tag_paths = model.rep_tag_paths();
-            let tag_sim = TagPathSimTable::build(&rep_tag_paths, &model.paths);
             let ctx = SimCtx::new(&tag_sim, model.params);
 
             leaf_order = Self::group_leaves(&ctx, &reps, branch);
@@ -266,6 +265,7 @@ impl TreeEngine {
             leaf_order,
             levels,
             prepared_levels,
+            tag_sim,
             reps,
             counters: TreeCounters::default(),
         }
@@ -428,6 +428,10 @@ impl TreeEngine {
 impl SessionEngine for TreeEngine {
     fn model(&self) -> &Arc<TrainedModel> {
         &self.model
+    }
+
+    fn tag_sim(&self) -> &TagPathSimTable {
+        &self.tag_sim
     }
 
     /// Assigns one query tuple: beam descent + exact re-rank when

@@ -2,18 +2,14 @@
 
 use crate::policy::RefreshPolicy;
 use cxk_core::rep::prepare_representatives;
-use cxk_core::{
-    compute_local_representative, CxkConfig, EngineBuilder, Representative, TrainedModel,
-};
+use cxk_core::{cluster_representatives, CxkConfig, EngineBuilder, Representative, TrainedModel};
 use cxk_transact::item::ItemId;
 use cxk_transact::txsim::{argmax_prepared, PreparedSlab, ScoreScratch};
 use cxk_transact::{
     BuildOptions, Dataset, DatasetBuilder, DocumentPipeline, ExactMatch, ItemKeys, ItemWeights,
     ParsedDocument, ReadScratch, Terms, Transaction,
 };
-use cxk_util::FxHashSet;
 use cxk_xml::parser::XmlError;
-use cxk_xml::path::PathId;
 use std::time::Instant;
 
 /// Configuration for a [`StreamClusterer`].
@@ -80,6 +76,9 @@ pub struct StreamStats {
 }
 
 /// An incrementally maintained clustering over a growing XML collection.
+/// A push appends its document's new tag paths to the dataset's `sim_S`
+/// table, which keeps every rank, so the prepared representatives stay
+/// valid until a refresh rebuilds the dataset.
 pub struct StreamClusterer {
     opts: StreamOptions,
     /// Every document ever pushed, in arrival order (replayed on refresh).
@@ -88,9 +87,7 @@ pub struct StreamClusterer {
     /// Cluster per transaction (`k` = trash).
     assignments: Vec<u32>,
     reps: Vec<Representative>,
-    /// `reps` prepared for the scoring kernel against `ds.tag_sim`;
-    /// re-prepared whenever either changes (a refresh, or a push that
-    /// rebuilds the table and so re-ranks its paths).
+    /// `reps` prepared for the scoring kernel against `ds.tag_sim`.
     prepared: PreparedSlab,
     /// (path, answer) → item id, for item-domain deduplication.
     item_index: ItemKeys,
@@ -98,8 +95,6 @@ pub struct StreamClusterer {
     reading: (ReadScratch, ParsedDocument),
     /// The pushed document's item sums, and the weighing buffers.
     weights: ItemWeights,
-    /// Distinct tag paths currently covered by `ds.tag_sim`.
-    known_tag_paths: FxHashSet<PathId>,
     stats: StreamStats,
 }
 
@@ -124,7 +119,6 @@ impl StreamClusterer {
             item_index: ItemKeys::default(),
             reading: Default::default(),
             weights: ItemWeights::default(),
-            known_tag_paths: FxHashSet::default(),
             stats: StreamStats::default(),
         };
         this.recluster();
@@ -202,11 +196,11 @@ impl StreamClusterer {
         let doc_index = self.docs.len();
         self.docs.push(xml.to_string());
 
-        let mut new_tag_paths = false;
-        for leaf in doc.leaves() {
-            new_tag_paths |=
-                self.known_tag_paths.insert(leaf.tag_path) && !self.ds.items.is_empty();
-        }
+        self.ds.tag_sim.extend(
+            doc.leaves().map(|leaf| leaf.tag_path),
+            &self.ds.paths,
+            &ExactMatch,
+        );
 
         // Only items this document is the first to show get vectors,
         // averaged over their occurrences within it; existing items keep
@@ -232,14 +226,6 @@ impl StreamClusterer {
             self.ds.doc_of.push(doc_index as u32);
         }
         let new_transactions = first_transaction..self.ds.transactions.len();
-
-        if new_tag_paths {
-            // A markup shape never seen before: extend the precomputed
-            // structural table (small and cheap relative to a refresh);
-            // the rebuilt table re-ranks its paths, so re-prepare.
-            self.ds.rebuild_tag_sim(&ExactMatch);
-            self.prepared = prepare_representatives(&self.ds.tag_sim, &self.reps);
-        }
 
         // Bookkeeping the batch builder would have produced.
         self.ds.stats.documents += 1;
@@ -328,8 +314,6 @@ impl StreamClusterer {
         for item in &self.ds.items {
             self.item_index.id(item.path, &item.raw);
         }
-        self.known_tag_paths = self.ds.distinct_tag_paths().into_iter().collect();
-
         let (rounds, converged) = if self.ds.transactions.is_empty() {
             self.assignments = Vec::new();
             self.reps = vec![Representative::empty(); k];
@@ -343,18 +327,8 @@ impl StreamClusterer {
                 .unwrap_or_else(|e| panic!("{e}"))
                 .into_outcome();
             self.assignments = outcome.assignments;
-            let mut clusters: Vec<Vec<usize>> = vec![Vec::new(); k];
-            for (t, &a) in self.assignments.iter().enumerate() {
-                if (a as usize) < k {
-                    clusters[a as usize].push(t);
-                }
-            }
-            let ctx = self.ds.sim_ctx(self.opts.config.params);
-            let mut work = 0u64;
-            self.reps = clusters
-                .iter()
-                .map(|c| compute_local_representative(&self.ds, &ctx, c, &mut work))
-                .collect();
+            self.reps =
+                cluster_representatives(&self.ds, self.opts.config.params, &self.assignments, k);
             (outcome.rounds, outcome.converged)
         };
         self.prepared = prepare_representatives(&self.ds.tag_sim, &self.reps);
@@ -585,7 +559,8 @@ mod tests {
             &tail,
             &s.dataset().views(&s.dataset().transactions[0]),
         );
-        // The rebuilt table re-ranked its paths: the push's assignment must
+        // The table appended the book's paths behind the ranks the
+        // representatives were prepared with: the push's assignment must
         // still be the reference argmax over the representatives.
         let k = s.representatives().len() as u32;
         let mut expected = (k, 0.0f64);
@@ -597,6 +572,40 @@ mod tests {
         }
         let expected = if expected.1 == 0.0 { k } else { expected.0 };
         assert_eq!(s.assignments()[last], expected);
+    }
+
+    #[test]
+    fn an_empty_bootstrap_registers_pushed_tag_paths() {
+        let mut s = StreamClusterer::new(&[], StreamOptions::new(2)).expect("empty bootstrap");
+        let docs = [networking_doc(0), networking_doc(1)];
+        for doc in &docs {
+            s.push(doc).expect("push");
+        }
+        let ds = s.dataset();
+        let tag_paths = ds.distinct_tag_paths();
+        assert!(!tag_paths.is_empty());
+        assert_eq!(ds.tag_sim.len(), tag_paths.len());
+        // The reference lookup panics on an unregistered path.
+        let ctx = ds.sim_ctx(SimParams::default());
+        let (a, b) = (ds.views(&ds.transactions[0]), ds.views(&ds.transactions[1]));
+        assert!(sim_gamma_j_reference(&ctx, &a, &b) > 0.0);
+        // Clustering the streamed dataset agrees with a batch build.
+        let mut config = CxkConfig::new(1);
+        config.params = SimParams::new(1.0, config.params.gamma);
+        let fit = |ds: &Dataset| {
+            EngineBuilder::from_cxk_config(&config)
+                .build()
+                .and_then(|engine| engine.fit(ds))
+                .expect("fit succeeds")
+                .into_outcome()
+                .assignments
+        };
+        let mut builder = DatasetBuilder::new(BuildOptions::default());
+        for doc in &docs {
+            builder.add_xml(doc).expect("valid document");
+        }
+        assert_eq!(fit(ds), vec![0, 0]);
+        assert_eq!(fit(&builder.finish()), vec![0, 0]);
     }
 
     #[test]

@@ -15,8 +15,9 @@
 //!   tree-tuple extraction, vectorization against the *current* term
 //!   statistics, and assignment of its transactions to the nearest
 //!   representative (or the trash cluster when nothing γ-matches) —
-//!   without touching the existing clustering. Cost is proportional to
-//!   the document, not the corpus.
+//!   without touching the existing clustering. A new tag path appends one
+//!   row to the `sim_S` table and re-ranks nothing. Cost is proportional
+//!   to the document, not the corpus.
 //! * [`StreamClusterer::refresh`] re-runs the exact batch pipeline over
 //!   everything seen so far, replacing the approximation debt; the
 //!   [`RefreshPolicy`] triggers it automatically when enough arrivals

@@ -13,11 +13,11 @@
 //!
 //! The paper's complexity analysis (§4.3.2) observes that the pairwise
 //! similarities between the maximal tag paths of a corpus can be computed
-//! once and reused; [`TagPathSimTable`] is that precomputed dense table.
+//! once and reused; [`TagPathSimTable`] is that precomputed table. It only
+//! appends, so it is extended with new paths without recomputing a cell.
 
 use cxk_util::{FxHashMap, Symbol};
 use cxk_xml::path::{PathId, PathTable};
-use rayon::prelude::*;
 
 /// The tag-level match function `Δ` plugged into Eq. (3).
 ///
@@ -83,16 +83,20 @@ fn directed_sum(from: &[Symbol], other: &[Symbol], matcher: &impl TagMatcher) ->
     sum
 }
 
-/// Precomputed pairwise `sim_S` over the distinct tag paths of a corpus.
+/// Precomputed pairwise `sim_S` over tag paths ranked by insertion order.
 ///
-/// Lookup is O(1) through dense ranks; building is `O(T² · d²)` for `T` tag
-/// paths of depth `d`, parallelized with rayon.
+/// Each unordered pair is stored once, in a packed lower triangle (row `r`
+/// holds the cells against ranks `0..=r`, at `r·(r+1)/2 + c`), so
+/// appending a path appends a row and moves no cell. Eq. (3) adds the same
+/// two directed sums in either orientation and addition commutes, so that
+/// one cell is `sim_S` both ways, to the bit.
 #[derive(Debug, Clone, Default)]
 pub struct TagPathSimTable {
     rank: FxHashMap<PathId, u32>,
-    size: usize,
-    /// Row-major `size × size` similarity matrix.
-    matrix: Vec<f64>,
+    /// The registered paths, in rank order.
+    paths: Vec<PathId>,
+    /// The packed lower triangle.
+    cells: Vec<f64>,
 }
 
 impl TagPathSimTable {
@@ -104,46 +108,65 @@ impl TagPathSimTable {
 
     /// Builds the table with a custom tag matcher (semantic enrichment).
     pub fn build_with(tag_paths: &[PathId], table: &PathTable, matcher: &impl TagMatcher) -> Self {
-        let mut rank = FxHashMap::default();
-        for (i, &p) in tag_paths.iter().enumerate() {
-            rank.insert(p, i as u32);
-        }
-        let size = tag_paths.len();
-        let mut matrix = vec![0.0f64; size * size];
-        // Upper triangle only: Eq. (3) adds the same two directed sums in
-        // either orientation, and addition commutes, so `sim(j, i)` is
-        // bit-for-bit `sim(i, j)` — mirrored below instead of recomputed.
-        matrix
-            .par_chunks_mut(size.max(1))
-            .enumerate()
-            .for_each(|(i, row)| {
-                let pi = table.resolve(tag_paths[i]);
-                for (j, cell) in row.iter_mut().enumerate().skip(i) {
-                    let pj = table.resolve(tag_paths[j]);
-                    *cell = tag_path_similarity_with(pi, pj, matcher);
-                }
-            });
-        for i in 0..size {
-            for j in 0..i {
-                matrix[i * size + j] = matrix[j * size + i];
-            }
-        }
-        Self { rank, size, matrix }
+        let mut sim = Self::default();
+        sim.extend(tag_paths.iter().copied(), table, matcher);
+        sim
     }
 
-    /// The dense rank of a registered tag path.
+    /// Appends, in order, each path of `tag_paths` (registered in `table`)
+    /// the table lacks, computing only its row: O(new × `len`) cells.
+    pub fn extend(
+        &mut self,
+        tag_paths: impl IntoIterator<Item = PathId>,
+        table: &PathTable,
+        matcher: &impl TagMatcher,
+    ) {
+        for path in tag_paths {
+            let rank = self.paths.len() as u32;
+            if *self.rank.entry(path).or_insert(rank) != rank {
+                continue;
+            }
+            self.paths.push(path);
+            let labels = table.resolve(path);
+            self.cells.extend(
+                self.paths.iter().map(|&earlier| {
+                    tag_path_similarity_with(table.resolve(earlier), labels, matcher)
+                }),
+            );
+        }
+    }
+
+    /// Drops every path after the first `n`; the first `n` keep their
+    /// ranks and cells.
+    pub fn truncate(&mut self, n: usize) {
+        if n >= self.paths.len() {
+            return;
+        }
+        for path in self.paths.drain(n..) {
+            self.rank.remove(&path);
+        }
+        self.cells.truncate(n * (n + 1) / 2);
+    }
+
+    /// The rank of a registered tag path: its insertion order.
     pub fn rank_of(&self, path: PathId) -> Option<u32> {
         self.rank.get(&path).copied()
     }
 
     /// Number of registered tag paths.
     pub fn len(&self) -> usize {
-        self.size
+        self.paths.len()
     }
 
     /// Whether the table is empty.
     pub fn is_empty(&self) -> bool {
-        self.size == 0
+        self.paths.is_empty()
+    }
+
+    /// Number of stored cells, `len·(len+1)/2`. The table only appends, so
+    /// between truncations it grows by exactly the cells `extend` computes.
+    pub fn stored_cells(&self) -> usize {
+        self.cells.len()
     }
 
     /// Precomputed `sim_S` between two registered tag paths.
@@ -152,19 +175,17 @@ impl TagPathSimTable {
     /// Panics if either path is not registered.
     #[inline]
     pub fn sim(&self, a: PathId, b: PathId) -> f64 {
-        let i = self.rank[&a] as usize;
-        let j = self.rank[&b] as usize;
-        self.matrix[i * self.size + j]
+        self.sim_at(self.rank[&a], self.rank[&b])
     }
 
-    /// Precomputed `sim_S` between the paths at dense ranks `i` and `j`
-    /// (see [`TagPathSimTable::rank_of`]) — the hash-free lookup of the
-    /// prepared scoring kernel. A rank outside the table scores `0.0`.
+    /// Precomputed `sim_S` between the paths at ranks `i` and `j` (see
+    /// [`TagPathSimTable::rank_of`]) — the hash-free lookup of the prepared
+    /// scoring kernel. A rank outside the table scores `0.0`.
     #[inline]
     pub fn sim_at(&self, i: u32, j: u32) -> f64 {
-        let (i, j) = (i as usize, j as usize);
-        if i < self.size && j < self.size {
-            self.matrix.get(i * self.size + j).copied().unwrap_or(0.0)
+        let (r, c) = (i.max(j) as usize, i.min(j) as usize);
+        if r < self.paths.len() {
+            self.cells.get(r * (r + 1) / 2 + c).copied().unwrap_or(0.0)
         } else {
             0.0
         }
@@ -306,9 +327,9 @@ mod tests {
 
     #[test]
     fn mirrored_cells_equal_direct_computation_bit_for_bit() {
-        // The table computes the upper triangle and mirrors it; the lower
-        // cells must still be exactly what Eq. (3) gives in that
-        // orientation, also under a graded matcher.
+        // The table computes each unordered pair once; the cell must be
+        // exactly what Eq. (3) gives in either orientation, also under a
+        // graded matcher.
         let mut interner = Interner::new();
         let mut table = PathTable::new();
         let specs = [

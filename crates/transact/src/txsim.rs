@@ -44,8 +44,9 @@
 //!
 //! Ranks are relative to the table a transaction was prepared against: a
 //! prepared transaction may only be scored under a context whose table
-//! holds the same paths at the same ranks (a table that *appends* paths
-//! keeps every earlier rank valid).
+//! holds the same paths at the same ranks. Tables only append (a rank is
+//! a path's insertion order), so a transaction prepared against a table
+//! stays valid under every extension of it.
 //!
 //! Every assignment applies one relocation rule, [`gather_best`], to
 //! scores the kernel computed ([`argmax_prepared`]) or to answers gathered
@@ -55,7 +56,6 @@ use crate::item::ItemView;
 use crate::itemsim::SimCtx;
 use crate::pathsim::TagPathSimTable;
 use cxk_util::FxHashSet;
-use cxk_xml::path::PathId;
 
 /// Reference `matchγ(tr1, tr2)` as a fingerprint set: the paper's
 /// definition computed literally. Kept as the oracle the prepared kernel
@@ -282,24 +282,13 @@ impl PreparedSlab {
         tag_sim: &TagPathSimTable,
         items: impl IntoIterator<Item = ItemView<'a>>,
     ) {
-        self.push_ranked(|path| tag_sim.rank_of(path), items);
-    }
-
-    /// [`PreparedSlab::push`] with an explicit rank function, for callers
-    /// that know the ranks a table will assign without building it (e.g.
-    /// a table whose first paths are a known sorted list).
-    pub fn push_ranked<'a>(
-        &mut self,
-        rank_of: impl Fn(PathId) -> Option<u32>,
-        items: impl IntoIterator<Item = ItemView<'a>>,
-    ) {
         let start = self.ends.last().copied().unwrap_or_default();
         self.order.clear();
         self.staging.clear();
         for view in items {
             let item = (self.items.len() - start.items) as u32;
             self.items.push(PreparedItem {
-                rank: rank_of(view.tag_path).unwrap_or(NO_RANK),
+                rank: tag_sim.rank_of(view.tag_path).unwrap_or(NO_RANK),
                 slot: 0,
                 norm: view.vector.norm(),
                 empty: view.vector.is_empty(),

@@ -3,7 +3,9 @@
 
 use cxk_text::SparseVec;
 use cxk_transact::item::ItemView;
-use cxk_transact::pathsim::{tag_path_similarity, TagPathSimTable};
+use cxk_transact::pathsim::{
+    tag_path_similarity, tag_path_similarity_with, ExactMatch, TagMatcher, TagPathSimTable,
+};
 use cxk_transact::txsim::{
     gamma_shared, sim_gamma_j, sim_gamma_j_prepared, sim_gamma_j_reference, union_size,
     PreparedSlab, ScoreScratch,
@@ -52,6 +54,123 @@ proptest! {
         if (tag_path_similarity(&pa, &pb) - 1.0).abs() < 1e-12 {
             prop_assert_eq!(pa, pb);
         }
+    }
+}
+
+/// A symmetric, reflexive graded `Δ`: equal labels match fully, labels of
+/// the same parity half.
+struct Parity;
+
+impl TagMatcher for Parity {
+    fn delta(&self, a: Symbol, b: Symbol) -> f64 {
+        if a == b {
+            1.0
+        } else if a.0 % 2 == b.0 % 2 {
+            0.5
+        } else {
+            0.0
+        }
+    }
+}
+
+/// Tag paths of depth 0–6 over four labels, so that lists repeat paths.
+fn table_path_strategy() -> impl Strategy<Value = Vec<u8>> {
+    proptest::collection::vec(0u8..4, 0..7)
+}
+
+/// `table` holds `ids`' distinct paths in first-seen order, and every
+/// cell is `to_bits`-equal to Eq. (3) in both argument orders.
+fn assert_table_is_eq3(
+    table: &TagPathSimTable,
+    ids: &[PathId],
+    paths: &PathTable,
+    matcher: &impl TagMatcher,
+) {
+    let mut distinct: Vec<PathId> = Vec::new();
+    for &id in ids {
+        if !distinct.contains(&id) {
+            distinct.push(id);
+        }
+    }
+    assert_eq!(table.len(), distinct.len());
+    assert_eq!(
+        table.stored_cells(),
+        distinct.len() * (distinct.len() + 1) / 2
+    );
+    for (rank, &a) in distinct.iter().enumerate() {
+        assert_eq!(table.rank_of(a), Some(rank as u32));
+        for (other, &b) in distinct.iter().enumerate() {
+            let ab = tag_path_similarity_with(paths.resolve(a), paths.resolve(b), matcher);
+            let ba = tag_path_similarity_with(paths.resolve(b), paths.resolve(a), matcher);
+            assert_eq!(table.sim(a, b).to_bits(), ab.to_bits());
+            assert_eq!(table.sim(a, b).to_bits(), ba.to_bits());
+            assert_eq!(
+                table.sim_at(rank as u32, other as u32).to_bits(),
+                ab.to_bits()
+            );
+        }
+        assert_eq!(table.sim_at(rank as u32, distinct.len() as u32), 0.0);
+    }
+}
+
+/// [`assert_table_is_eq3`] for a table built over `ids`, for one grown
+/// from a prefix in `chunks`, and for that one truncated to `keep` paths
+/// and extended again.
+fn check_append_only_table(
+    ids: &[PathId],
+    paths: &PathTable,
+    matcher: &impl TagMatcher,
+    prefix: usize,
+    chunks: &[usize],
+    keep: usize,
+) {
+    let full = TagPathSimTable::build_with(ids, paths, matcher);
+    assert_table_is_eq3(&full, ids, paths, matcher);
+
+    let prefix = prefix.min(ids.len());
+    let mut grown = TagPathSimTable::build_with(&ids[..prefix], paths, matcher);
+    let mut rest = &ids[prefix..];
+    for &chunk in chunks.iter().cycle() {
+        if rest.is_empty() {
+            break;
+        }
+        let (next, tail) = rest.split_at(chunk.min(rest.len()));
+        grown.extend(next.iter().copied(), paths, matcher);
+        rest = tail;
+    }
+    assert_table_is_eq3(&grown, ids, paths, matcher);
+
+    let keep = keep.min(grown.len());
+    let kept: Vec<(PathId, Option<u32>)> = ids.iter().map(|&id| (id, grown.rank_of(id))).collect();
+    grown.truncate(keep);
+    assert_eq!(grown.len(), keep);
+    assert_eq!(grown.stored_cells(), keep * (keep + 1) / 2);
+    for (id, rank) in kept {
+        let expected = rank.filter(|&r| (r as usize) < keep);
+        assert_eq!(grown.rank_of(id), expected);
+    }
+    grown.extend(ids.iter().copied(), paths, matcher);
+    assert_table_is_eq3(&grown, ids, paths, matcher);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    #[test]
+    fn append_only_table_agrees_with_a_full_build(
+        specs in proptest::collection::vec(table_path_strategy(), 0..14),
+        prefix in 0usize..14,
+        chunks in proptest::collection::vec(1usize..5, 1..6),
+        keep in 0usize..14,
+    ) {
+        let mut interner = Interner::new();
+        let mut paths = PathTable::new();
+        let ids: Vec<PathId> = specs
+            .iter()
+            .map(|p| paths.intern(&to_symbols(p, &mut interner)))
+            .collect();
+        check_append_only_table(&ids, &paths, &ExactMatch, prefix, &chunks, keep);
+        check_append_only_table(&ids, &paths, &Parity, prefix, &chunks, keep);
     }
 }
 
