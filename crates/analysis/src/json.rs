@@ -1,199 +1,7 @@
-//! Minimal JSON reader used by `--validate` and the schema round-trip
-//! tests. Accepts the subset cxk-lint itself emits (plus arbitrary
-//! nesting); rejects anything malformed with a byte offset.
+//! The cxk-lint report schema, checked by `--validate` and the schema
+//! round-trip tests. Reading JSON is `cxk_util::json`'s, re-exported here.
 
-use std::collections::BTreeMap;
-
-/// A parsed JSON value.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Value {
-    Null,
-    Bool(bool),
-    Num(f64),
-    Str(String),
-    Arr(Vec<Value>),
-    Obj(BTreeMap<String, Value>),
-}
-
-impl Value {
-    pub fn get(&self, key: &str) -> Option<&Value> {
-        match self {
-            Value::Obj(m) => m.get(key),
-            _ => None,
-        }
-    }
-    pub fn as_arr(&self) -> Option<&[Value]> {
-        match self {
-            Value::Arr(v) => Some(v),
-            _ => None,
-        }
-    }
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Value::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-    pub fn as_num(&self) -> Option<f64> {
-        match self {
-            Value::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-}
-
-/// Parses a complete JSON document.
-pub fn parse(src: &str) -> Result<Value, String> {
-    let b = src.as_bytes();
-    let mut i = 0usize;
-    let v = parse_value(b, &mut i)?;
-    skip_ws(b, &mut i);
-    if i != b.len() {
-        return Err(format!("trailing bytes at offset {i}"));
-    }
-    Ok(v)
-}
-
-fn skip_ws(b: &[u8], i: &mut usize) {
-    while *i < b.len() && matches!(b[*i], b' ' | b'\t' | b'\n' | b'\r') {
-        *i += 1;
-    }
-}
-
-fn parse_value(b: &[u8], i: &mut usize) -> Result<Value, String> {
-    skip_ws(b, i);
-    match b.get(*i) {
-        None => Err("unexpected end of input".to_string()),
-        Some(b'{') => {
-            *i += 1;
-            let mut m = BTreeMap::new();
-            skip_ws(b, i);
-            if b.get(*i) == Some(&b'}') {
-                *i += 1;
-                return Ok(Value::Obj(m));
-            }
-            loop {
-                skip_ws(b, i);
-                let key = match parse_value(b, i)? {
-                    Value::Str(s) => s,
-                    _ => return Err(format!("object key is not a string at offset {i}")),
-                };
-                skip_ws(b, i);
-                if b.get(*i) != Some(&b':') {
-                    return Err(format!("expected ':' at offset {i}"));
-                }
-                *i += 1;
-                let v = parse_value(b, i)?;
-                m.insert(key, v);
-                skip_ws(b, i);
-                match b.get(*i) {
-                    Some(b',') => *i += 1,
-                    Some(b'}') => {
-                        *i += 1;
-                        return Ok(Value::Obj(m));
-                    }
-                    _ => return Err(format!("expected ',' or '}}' at offset {i}")),
-                }
-            }
-        }
-        Some(b'[') => {
-            *i += 1;
-            let mut v = Vec::new();
-            skip_ws(b, i);
-            if b.get(*i) == Some(&b']') {
-                *i += 1;
-                return Ok(Value::Arr(v));
-            }
-            loop {
-                v.push(parse_value(b, i)?);
-                skip_ws(b, i);
-                match b.get(*i) {
-                    Some(b',') => *i += 1,
-                    Some(b']') => {
-                        *i += 1;
-                        return Ok(Value::Arr(v));
-                    }
-                    _ => return Err(format!("expected ',' or ']' at offset {i}")),
-                }
-            }
-        }
-        Some(b'"') => {
-            *i += 1;
-            let mut s = String::new();
-            while *i < b.len() {
-                match b[*i] {
-                    b'"' => {
-                        *i += 1;
-                        return Ok(Value::Str(s));
-                    }
-                    b'\\' => {
-                        *i += 1;
-                        match b.get(*i) {
-                            Some(b'"') => s.push('"'),
-                            Some(b'\\') => s.push('\\'),
-                            Some(b'/') => s.push('/'),
-                            Some(b'n') => s.push('\n'),
-                            Some(b'r') => s.push('\r'),
-                            Some(b't') => s.push('\t'),
-                            Some(b'b') => s.push('\u{8}'),
-                            Some(b'f') => s.push('\u{c}'),
-                            Some(b'u') => {
-                                if *i + 4 >= b.len() {
-                                    return Err("truncated \\u escape".to_string());
-                                }
-                                let hex = std::str::from_utf8(&b[*i + 1..*i + 5])
-                                    .map_err(|_| "bad \\u escape".to_string())?;
-                                let cp = u32::from_str_radix(hex, 16)
-                                    .map_err(|_| "bad \\u escape".to_string())?;
-                                s.push(char::from_u32(cp).unwrap_or('\u{fffd}'));
-                                *i += 4;
-                            }
-                            _ => return Err(format!("bad escape at offset {i}")),
-                        }
-                        *i += 1;
-                    }
-                    c if c < 0x80 => {
-                        s.push(c as char);
-                        *i += 1;
-                    }
-                    _ => {
-                        // Multi-byte UTF-8: copy the whole scalar.
-                        let rest = std::str::from_utf8(&b[*i..])
-                            .map_err(|_| "invalid utf-8 in string".to_string())?;
-                        let c = rest.chars().next().ok_or("truncated string")?;
-                        s.push(c);
-                        *i += c.len_utf8();
-                    }
-                }
-            }
-            Err("unterminated string".to_string())
-        }
-        Some(b't') if b[*i..].starts_with(b"true") => {
-            *i += 4;
-            Ok(Value::Bool(true))
-        }
-        Some(b'f') if b[*i..].starts_with(b"false") => {
-            *i += 5;
-            Ok(Value::Bool(false))
-        }
-        Some(b'n') if b[*i..].starts_with(b"null") => {
-            *i += 4;
-            Ok(Value::Null)
-        }
-        Some(c) if c.is_ascii_digit() || *c == b'-' => {
-            let start = *i;
-            *i += 1;
-            while *i < b.len() && matches!(b[*i], b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-') {
-                *i += 1;
-            }
-            let text = std::str::from_utf8(&b[start..*i]).map_err(|_| "bad number")?;
-            text.parse::<f64>()
-                .map(Value::Num)
-                .map_err(|_| format!("bad number `{text}` at offset {start}"))
-        }
-        Some(c) => Err(format!("unexpected byte {:?} at offset {i}", *c as char)),
-    }
-}
+pub use cxk_util::json::{parse, Value};
 
 /// Checks that a parsed document matches the cxk-lint report schema
 /// (version 1). Returns a human-readable error naming the missing or
@@ -260,27 +68,4 @@ pub fn validate_report(v: &Value) -> Result<(), String> {
         .and_then(Value::as_num)
         .ok_or("missing `lock_graph.cycles`")?;
     Ok(())
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn parses_nested() {
-        let v = parse(r#"{"a": [1, 2.5, "x\n", true, null], "b": {"c": -3}}"#).unwrap();
-        assert_eq!(
-            v.get("a").unwrap().as_arr().unwrap()[2].as_str(),
-            Some("x\n")
-        );
-        assert_eq!(v.get("b").unwrap().get("c").unwrap().as_num(), Some(-3.0));
-    }
-
-    #[test]
-    fn rejects_garbage() {
-        assert!(parse("{").is_err());
-        assert!(parse("[1,]").is_err());
-        assert!(parse("{\"a\" 1}").is_err());
-        assert!(parse("12 34").is_err());
-    }
 }

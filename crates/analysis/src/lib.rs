@@ -1,5 +1,5 @@
-//! `cxk-analysis` — dependency-free static analysis for the cxk-means
-//! workspace (`cxk-lint` binary).
+//! `cxk-analysis` — static analysis for the cxk-means workspace
+//! (`cxk-lint` binary); its only dependency is `cxk_util`, for JSON.
 //!
 //! Five checks over a real token stream (never fooled by strings or
 //! comments):

@@ -64,7 +64,10 @@ fn main() -> ExitCode {
                 return ExitCode::from(2);
             }
         };
-        return match json::parse(&text).and_then(|v| json::validate_report(&v)) {
+        return match json::parse(&text)
+            .map_err(|e| e.to_string())
+            .and_then(|v| json::validate_report(&v))
+        {
             Ok(()) => {
                 println!("{}: valid cxk-lint report", path.display());
                 ExitCode::SUCCESS

@@ -127,7 +127,7 @@ impl Report {
     pub fn to_json(&self) -> String {
         let mut s = String::with_capacity(4096);
         s.push_str("{\n  \"version\": 1,\n");
-        s.push_str(&format!("  \"root\": {},\n", json_str(&self.root)));
+        s.push_str(&format!("  \"root\": {},\n", quoted(&self.root)));
         s.push_str(&format!("  \"files\": {},\n", self.files));
         s.push_str(&format!(
             "  \"errors\": {},\n  \"warnings\": {},\n",
@@ -147,11 +147,11 @@ impl Report {
             }
             s.push_str(&format!(
                 "\n    {{\"check\": {}, \"severity\": {}, \"file\": {}, \"line\": {}, \"message\": {}}}",
-                json_str(d.check),
-                json_str(d.severity.label()),
-                json_str(&d.file),
+                quoted(d.check),
+                quoted(d.severity.label()),
+                quoted(&d.file),
                 d.line,
-                json_str(&d.message)
+                quoted(&d.message)
             ));
         }
         s.push_str("\n  ],\n  \"suppressed\": [");
@@ -161,10 +161,10 @@ impl Report {
             }
             s.push_str(&format!(
                 "\n    {{\"check\": {}, \"file\": {}, \"line\": {}, \"reason\": {}}}",
-                json_str(d.check),
-                json_str(&d.file),
+                quoted(d.check),
+                quoted(&d.file),
                 d.line,
-                json_str(&d.reason)
+                quoted(&d.reason)
             ));
         }
         s.push_str("\n  ],\n  \"unsafe_inventory\": [");
@@ -174,7 +174,7 @@ impl Report {
             }
             s.push_str(&format!(
                 "\n    {{\"crate\": {}, \"blocks\": {}, \"fns\": {}, \"impls\": {}, \"traits\": {}, \"documented\": {}, \"total\": {}}}",
-                json_str(name),
+                quoted(name),
                 u.blocks,
                 u.fns,
                 u.impls,
@@ -191,15 +191,15 @@ impl Report {
             let ords = a
                 .orderings
                 .iter()
-                .map(|(k, v)| format!("{}: {}", json_str(k), v))
+                .map(|(k, v)| format!("{}: {}", quoted(k), v))
                 .collect::<Vec<_>>()
                 .join(", ");
             s.push_str(&format!(
                 "\n    {{\"crate\": {}, \"field\": {}, \"sites\": {}, \"class\": {}, \"orderings\": {{{}}}}}",
-                json_str(&a.crate_name),
-                json_str(&a.field),
+                quoted(&a.crate_name),
+                quoted(&a.field),
                 a.sites,
-                json_str(a.class),
+                quoted(a.class),
                 ords
             ));
         }
@@ -210,11 +210,11 @@ impl Report {
             }
             s.push_str(&format!(
                 "\n      {{\"from\": {}, \"to\": {}, \"file\": {}, \"line\": {}, \"via\": {}}}",
-                json_str(&e.from),
-                json_str(&e.to),
-                json_str(&e.file),
+                quoted(&e.from),
+                quoted(&e.to),
+                quoted(&e.file),
                 e.line,
-                json_str(&e.via)
+                quoted(&e.via)
             ));
         }
         s.push_str(&format!(
@@ -225,21 +225,7 @@ impl Report {
     }
 }
 
-/// Escapes `s` as a JSON string literal (with quotes).
-pub fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
+/// `s` as a JSON string literal, quotes included.
+fn quoted(s: &str) -> String {
+    format!("\"{}\"", cxk_util::json::escape(s))
 }

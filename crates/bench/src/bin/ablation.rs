@@ -1,6 +1,7 @@
 //! Ablation bench: weighted vs. unweighted global-representative
-//! combination — the design choice DESIGN.md §5 calls out as the source of
-//! CXK-means' accuracy edge over the non-collaborative baseline (§5.5.3).
+//! combination — the step where CXK-means' merge differs from the
+//! non-collaborative baseline's (§5.5.3; see ARCHITECTURE.md, *The
+//! collaborative round protocol*).
 //!
 //! ```text
 //! cargo run -p cxk_bench --release --bin ablation -- [--corpus dblp]

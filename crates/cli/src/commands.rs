@@ -12,11 +12,12 @@ use cxk_core::{
 };
 use cxk_corpus::{synthesize_to, CorpusStream, SynthSpec};
 use cxk_serve::{
-    assignment_json, json_escape, Classifier, Layout, ServeOptions, Server, ShardDaemon, TreeConfig,
+    assignment_json, Classifier, Layout, ServeOptions, Server, ShardDaemon, TreeConfig,
 };
 use cxk_transact::{
     load_dataset, save_dataset, BuildOptions, Dataset, DatasetBuilder, IngestStats, SimParams,
 };
+use cxk_util::json;
 use std::fmt::Write as _;
 use std::io::BufRead as _;
 use std::path::{Path, PathBuf};
@@ -374,7 +375,7 @@ pub fn classify(args: &[String]) -> Result<String, String> {
             let _ = writeln!(
                 out,
                 r#"{{"file":"{}",{}"#,
-                json_escape(&file.display().to_string()),
+                json::escape(&file.display().to_string()),
                 &assignment[1..]
             );
         } else {
@@ -427,7 +428,7 @@ fn classify_stream(
                 let _ = writeln!(
                     out,
                     r#"{{"file":"{}",{}"#,
-                    json_escape(&label),
+                    json::escape(&label),
                     &assignment[1..]
                 );
             } else {

@@ -35,7 +35,6 @@ use cxk_p2p::{CostModel, RoundSample, SimClock};
 use cxk_transact::txsim::{argmax_prepared, PreparedSlab, ScoreScratch};
 use cxk_transact::{Dataset, SimCtx, SimParams};
 use cxk_util::DetRng;
-use rayon::prelude::*;
 
 /// Wire size of a bare status flag message.
 const STATUS_BYTES: u64 = 16;
@@ -197,38 +196,35 @@ impl<'a> SimRun<'a> {
     }
 
     /// Phases 1+2: every alive peer's local clustering against the current
-    /// global representatives, genuinely parallel across peers
-    /// (deterministic: peers touch only their own state). A peer is `done`
+    /// global representatives, one peer after another (peers touch only
+    /// their own state, so the order cannot matter). A peer is `done`
     /// when none of its local representatives changed. Returns the round's
     /// samples, one per peer, carrying each alive peer's work.
     pub fn local_phase(&mut self) -> Vec<RoundSample> {
         let (ds, ctx, k, max_inner) = (self.ds, &self.ctx, self.k, self.max_inner);
         let global = prepare_representatives(ctx.tag_sim, &self.global_reps);
-        self.peers
-            .par_iter_mut()
-            .filter(|p| p.alive)
-            .for_each(|peer| {
-                peer.work = 0;
-                let phase = local_clustering_phase(
-                    ds,
-                    ctx,
-                    &peer.local,
-                    &mut peer.assignments,
-                    &global,
-                    k,
-                    max_inner,
-                    &mut peer.work,
-                );
-                peer.relocations = phase.relocations;
-                peer.objective = phase.objective;
-                peer.done = phase
-                    .local_reps
-                    .iter()
-                    .zip(&peer.local_reps)
-                    .all(|(new, old)| new.same_items(old));
-                peer.weights = phase.weights;
-                peer.local_reps = phase.local_reps;
-            });
+        self.peers.iter_mut().filter(|p| p.alive).for_each(|peer| {
+            peer.work = 0;
+            let phase = local_clustering_phase(
+                ds,
+                ctx,
+                &peer.local,
+                &mut peer.assignments,
+                &global,
+                k,
+                max_inner,
+                &mut peer.work,
+            );
+            peer.relocations = phase.relocations;
+            peer.objective = phase.objective;
+            peer.done = phase
+                .local_reps
+                .iter()
+                .zip(&peer.local_reps)
+                .all(|(new, old)| new.same_items(old));
+            peer.weights = phase.weights;
+            peer.local_reps = phase.local_reps;
+        });
         self.peers
             .iter()
             .map(|p| RoundSample {
@@ -439,7 +435,6 @@ pub(crate) fn drive_collaborative(
         // Phase 5: owners combine the alive peers' local representatives
         // into the new global representatives.
         let new_globals: Vec<(Representative, u64)> = (0..k)
-            .into_par_iter()
             .map(|j| {
                 let locals: Vec<(Representative, u64)> = alive
                     .iter()
@@ -635,11 +630,11 @@ pub(crate) fn relocate_slice(
     k: usize,
     work: &mut u64,
 ) -> Relocation {
-    // Work is charged analytically (one unit per item-pair comparison) so
-    // the comparison loop itself can run under rayon.
+    // Work is charged analytically (one unit per item-pair comparison), not
+    // counted inside the comparison loop.
     let rep_len_sum: u64 = reps.iter().map(|rep| rep.len() as u64).sum();
     let choices: Vec<(u32, f64)> = local
-        .par_iter()
+        .iter()
         .map(|&t| {
             // One prepared transaction and one scratch per transaction,
             // shared across its k scores.

@@ -20,7 +20,6 @@ use cxk_transact::txsim::{sim_gamma_j_prepared, PreparedSlab, ScoreScratch};
 use cxk_transact::{Dataset, ItemId, SimCtx, SimParams};
 use cxk_util::FxHashMap;
 use cxk_xml::path::PathId;
-use rayon::prelude::*;
 
 /// Computes the local representative of `cluster` (transaction indices into
 /// `ds`). Empty clusters yield the empty representative.
@@ -103,8 +102,7 @@ pub fn cluster_representatives(
 /// `rank_C` is the item's summed content similarity to every item of `I`,
 /// itself included, added in `items` order. Charges `|I|·(|I| + |P|)` to
 /// `work`: the O(|I|²) content ranking is the dominant cost of §4.3.2, so
-/// it is charged in full but computed with rayon so wall-clock stays
-/// reasonable when m is small and clusters are large.
+/// it is charged in full.
 pub(crate) fn blended_ranks(
     ctx: &SimCtx<'_>,
     items: &[(PathId, ItemView<'_>)],
@@ -121,7 +119,7 @@ pub(crate) fn blended_ranks(
     let gamma = ctx.params.gamma;
     let f = ctx.params.f;
     let ranks = items
-        .par_iter()
+        .iter()
         .map(|(_, item)| {
             let mut rank_s_sum = 0u64;
             for (tag_path, h) in &path_counts {

@@ -30,7 +30,8 @@ use crate::rep::{prepare_representatives, RepItem, Representative};
 use cxk_text::{SparseVec, TermStatsBuilder};
 use cxk_transact::item::ItemId;
 use cxk_transact::{BuildOptions, Dataset, PreparedSlab, SimParams, TagPathSimTable};
-use cxk_util::{FxHasher, Interner, Symbol};
+use cxk_util::bytes::{put_f64, put_u32, put_u64};
+use cxk_util::{ByteError, ByteReader, FxHasher, Interner, Symbol};
 use cxk_xml::path::{PathId, PathTable};
 use std::hash::Hasher;
 use std::path::Path;
@@ -161,6 +162,12 @@ impl std::fmt::Display for ModelError {
 
 impl std::error::Error for ModelError {}
 
+impl From<ByteError> for ModelError {
+    fn from(e: ByteError) -> Self {
+        err(e.offset, e.kind.to_string())
+    }
+}
+
 fn checksum(payload: &[u8]) -> u64 {
     let mut hasher = FxHasher::default();
     hasher.write(payload);
@@ -176,8 +183,7 @@ pub fn snapshot_digest(bytes: &[u8]) -> Option<u64> {
     if bytes.len() < MAGIC.len() + 4 + 8 || !bytes.starts_with(MAGIC) {
         return None;
     }
-    let tail = &bytes[bytes.len() - 8..];
-    Some(u64::from_le_bytes(tail.try_into().expect("8-byte tail")))
+    ByteReader::new(&bytes[bytes.len() - 8..]).u64().ok()
 }
 
 /// The format version a snapshot declares, without decoding the payload.
@@ -189,11 +195,7 @@ pub fn peek_format_version(bytes: &[u8]) -> Option<u32> {
     if bytes.len() < MAGIC.len() + 4 || !bytes.starts_with(MAGIC) {
         return None;
     }
-    Some(u32::from_le_bytes(
-        bytes[MAGIC.len()..MAGIC.len() + 4]
-            .try_into()
-            .expect("4-byte version"),
-    ))
+    ByteReader::new(&bytes[MAGIC.len()..]).u32().ok()
 }
 
 /// Serializes a model to the versioned binary snapshot format.
@@ -263,23 +265,18 @@ pub fn load_model(bytes: &[u8]) -> Result<TrainedModel, ModelError> {
         return Err(err(0, "truncated snapshot"));
     }
     let (payload, tail) = bytes.split_at(bytes.len() - 8);
-    let stored = u64::from_le_bytes(tail.try_into().expect("8-byte tail"));
-    if checksum(payload) != stored {
+    if ByteReader::new(tail).u64().ok() != Some(checksum(payload)) {
         return Err(err(bytes.len() - 8, "checksum mismatch (corrupt snapshot)"));
     }
 
-    let mut r = Reader {
-        bytes: payload,
-        pos: 0,
-    };
-    let magic = r.take(4)?;
-    if magic != MAGIC {
+    let mut r = ByteReader::new(payload);
+    if r.bytes(MAGIC.len())? != MAGIC {
         return Err(err(0, "bad magic (not a .cxkmodel snapshot)"));
     }
     let version = r.u32()?;
     if version != MODEL_FORMAT_VERSION {
         return Err(err(
-            r.pos,
+            r.offset(),
             format!("unsupported format version {version} (expected {MODEL_FORMAT_VERSION})"),
         ));
     }
@@ -287,7 +284,7 @@ pub fn load_model(bytes: &[u8]) -> Result<TrainedModel, ModelError> {
     let f = r.f64()?;
     let gamma = r.f64()?;
     if !(0.0..=1.0).contains(&f) || !(0.0..=1.0).contains(&gamma) {
-        return Err(err(r.pos, "similarity parameters out of [0, 1]"));
+        return Err(err(r.offset(), "similarity parameters out of [0, 1]"));
     }
     let params = SimParams::new(f, gamma);
 
@@ -302,40 +299,40 @@ pub fn load_model(bytes: &[u8]) -> Result<TrainedModel, ModelError> {
     let trained_documents = r.u64()?;
     let trained_transactions = r.u64()?;
 
-    let labels = r.interner("labels")?;
-    let vocabulary = r.interner("vocabulary")?;
-    let paths = r.paths(labels.len())?;
+    let labels = read_interner(&mut r, "labels")?;
+    let vocabulary = read_interner(&mut r, "vocabulary")?;
+    let paths = read_paths(&mut r, labels.len())?;
 
     let total_tcus = r.u64()?;
-    let count_len = r.len(8)?;
-    let mut counts = Vec::with_capacity(count_len);
+    let count_len = r.count(8)?;
+    let mut counts = r.vec_for(count_len);
     for _ in 0..count_len {
         counts.push(r.u64()?);
     }
     if counts.len() > vocabulary.len() {
-        return Err(err(r.pos, "term statistics exceed the vocabulary"));
+        return Err(err(r.offset(), "term statistics exceed the vocabulary"));
     }
     let term_stats = TermStatsBuilder::from_parts(total_tcus, counts);
 
-    let k = r.len(4)?;
-    let mut reps = Vec::with_capacity(k);
+    let k = r.count(4)?;
+    let mut reps = r.vec_for(k);
     for _ in 0..k {
-        let item_count = r.len(24)?;
-        let mut items = Vec::with_capacity(item_count);
+        let item_count = r.count(24)?;
+        let mut items = r.vec_for(item_count);
         for _ in 0..item_count {
             let path = r.u32()?;
             let tag_path = r.u32()?;
             if path as usize >= paths.len() || tag_path as usize >= paths.len() {
-                return Err(err(r.pos, "representative item path id out of range"));
+                return Err(err(r.offset(), "representative item path id out of range"));
             }
             let fingerprint = r.u64()?;
             let source = r.u32()?;
-            let nnz = r.len(12)?;
-            let mut pairs = Vec::with_capacity(nnz);
+            let nnz = r.count(12)?;
+            let mut pairs = r.vec_for(nnz);
             for _ in 0..nnz {
                 let term = r.u32()?;
                 if term as usize >= vocabulary.len() {
-                    return Err(err(r.pos, format!("vector term {term} out of range")));
+                    return Err(err(r.offset(), format!("vector term {term} out of range")));
                 }
                 pairs.push((Symbol(term), r.f64()?));
             }
@@ -350,8 +347,8 @@ pub fn load_model(bytes: &[u8]) -> Result<TrainedModel, ModelError> {
         reps.push(Representative { items });
     }
 
-    if r.pos != payload.len() {
-        return Err(err(r.pos, "trailing bytes after the representatives"));
+    if !r.is_exhausted() {
+        return Err(err(r.offset(), "trailing bytes after the representatives"));
     }
 
     Ok(TrainedModel {
@@ -409,18 +406,6 @@ fn err(offset: usize, message: impl Into<String>) -> ModelError {
     }
 }
 
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_f64(out: &mut Vec<u8>, v: f64) {
-    put_u64(out, v.to_bits());
-}
-
 fn put_interner(out: &mut Vec<u8>, interner: &Interner) {
     put_u32(out, interner.len() as u32);
     for (_, text) in interner.iter() {
@@ -429,119 +414,67 @@ fn put_interner(out: &mut Vec<u8>, interner: &Interner) {
     }
 }
 
-/// Bounds-checked cursor over the snapshot payload.
-struct Reader<'a> {
-    bytes: &'a [u8],
-    pos: usize,
+/// Measures the `count` entries that follow, each a length-prefixed run
+/// of `unit`-byte elements, without consuming them: their total and their
+/// longest length, in elements.
+fn extent(r: &ByteReader<'_>, count: usize, unit: usize) -> Result<(usize, usize), ByteError> {
+    let mut ahead = r.clone();
+    let (mut total, mut longest) = (0, 0);
+    for _ in 0..count {
+        let len = ahead.count(unit)?;
+        ahead.bytes(unit * len)?;
+        total += len;
+        longest = longest.max(len);
+    }
+    Ok((total, longest))
 }
 
-impl<'a> Reader<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], ModelError> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .filter(|&e| e <= self.bytes.len())
-            .ok_or_else(|| err(self.pos, "unexpected end of snapshot"))?;
-        let slice = &self.bytes[self.pos..end];
-        self.pos = end;
-        Ok(slice)
+/// Reads a string table section: a count, then length-prefixed UTF-8
+/// strings, interned in order into an interner sized from the section's
+/// extent.
+fn read_interner(r: &mut ByteReader<'_>, section: &str) -> Result<Interner, ModelError> {
+    let count = r.count(4)?;
+    let (bytes, _) = extent(r, count, 1)?;
+    let mut interner = Interner::with_capacity_and_bytes(count, bytes);
+    for _ in 0..count {
+        let at = r.offset();
+        let len = r.count(1)?;
+        let text = std::str::from_utf8(r.bytes(len)?)
+            .map_err(|_| err(r.offset(), "interned string is not UTF-8"))?;
+        interner
+            .insert_new(text)
+            .map_err(|first| duplicate(at, section, first.0))?;
     }
+    Ok(interner)
+}
 
-    fn u32(&mut self) -> Result<u32, ModelError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4B")))
-    }
-
-    fn u64(&mut self) -> Result<u64, ModelError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8B")))
-    }
-
-    fn f64(&mut self) -> Result<f64, ModelError> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-
-    fn bool(&mut self) -> Result<bool, ModelError> {
-        match self.take(1)?[0] {
-            0 => Ok(false),
-            1 => Ok(true),
-            other => Err(err(self.pos - 1, format!("bad boolean byte {other}"))),
-        }
-    }
-
-    /// Reads an element count and sanity-checks it against the remaining
-    /// payload (`min_elem` bytes per element), so hostile counts cannot
-    /// trigger huge allocations.
-    fn len(&mut self, min_elem: usize) -> Result<usize, ModelError> {
-        let count = self.u32()? as usize;
-        if count.saturating_mul(min_elem) > self.bytes.len() - self.pos {
-            return Err(err(self.pos, format!("count {count} exceeds the payload")));
-        }
-        Ok(count)
-    }
-
-    /// Measures the `count` entries that follow, each a length-prefixed
-    /// run of `unit`-byte elements, without consuming them: their total
-    /// and their longest length, in elements.
-    fn extent(&mut self, count: usize, unit: usize) -> Result<(usize, usize), ModelError> {
-        let start = self.pos;
-        let (mut total, mut longest) = (0, 0);
-        for _ in 0..count {
-            let len = self.len(unit)?;
-            self.take(unit * len)?;
-            total += len;
-            longest = longest.max(len);
-        }
-        self.pos = start;
-        Ok((total, longest))
-    }
-
-    /// Reads a string table section: a count, then length-prefixed UTF-8
-    /// strings, interned in order into an interner sized from the
-    /// section's extent.
-    fn interner(&mut self, section: &str) -> Result<Interner, ModelError> {
-        let count = self.len(4)?;
-        let (bytes, _) = self.extent(count, 1)?;
-        let mut interner = Interner::with_capacity_and_bytes(count, bytes);
-        for _ in 0..count {
-            let at = self.pos;
-            let len = self.len(1)?;
-            let bytes = self.take(len)?;
-            let text = std::str::from_utf8(bytes)
-                .map_err(|_| err(self.pos, "interned string is not UTF-8"))?;
-            interner
-                .insert_new(text)
-                .map_err(|first| duplicate(at, section, first.0))?;
-        }
-        Ok(interner)
-    }
-
-    /// Reads the path section: a count, then length-prefixed label
-    /// sequences over `labels` labels, interned in order into a table
-    /// sized from the section's extent.
-    fn paths(&mut self, labels: usize) -> Result<PathTable, ModelError> {
-        let count = self.len(4)?;
-        let (total, longest) = self.extent(count, 4)?;
-        let mut paths = PathTable::with_capacity_and_labels(count, total);
-        let mut symbols = Vec::with_capacity(longest);
-        for _ in 0..count {
-            let at = self.pos;
-            let len = self.len(4)?;
-            symbols.clear();
-            for _ in 0..len {
-                let sym = self.u32()?;
-                if sym as usize >= labels {
-                    return Err(err(
-                        self.pos,
-                        format!("path label symbol {sym} out of range"),
-                    ));
-                }
-                symbols.push(Symbol(sym));
+/// Reads the path section: a count, then length-prefixed label sequences
+/// over `labels` labels, interned in order into a table sized from the
+/// section's extent.
+fn read_paths(r: &mut ByteReader<'_>, labels: usize) -> Result<PathTable, ModelError> {
+    let count = r.count(4)?;
+    let (total, longest) = extent(r, count, 4)?;
+    let mut paths = PathTable::with_capacity_and_labels(count, total);
+    let mut symbols = Vec::with_capacity(longest);
+    for _ in 0..count {
+        let at = r.offset();
+        let len = r.count(4)?;
+        symbols.clear();
+        for _ in 0..len {
+            let sym = r.u32()?;
+            if sym as usize >= labels {
+                return Err(err(
+                    r.offset(),
+                    format!("path label symbol {sym} out of range"),
+                ));
             }
-            paths
-                .insert_new(&symbols)
-                .map_err(|first| duplicate(at, "paths", first.0))?;
+            symbols.push(Symbol(sym));
         }
-        Ok(paths)
+        paths
+            .insert_new(&symbols)
+            .map_err(|first| duplicate(at, "paths", first.0))?;
     }
+    Ok(paths)
 }
 
 /// The error for the entry at byte `at` of `section`, which repeats entry
@@ -756,6 +689,38 @@ mod tests {
         let e = load_model(&bytes).unwrap_err();
         assert_eq!(e.offset, at);
         assert!(e.message.contains("paths section"), "{e}");
+    }
+
+    #[test]
+    fn a_snapshot_declaring_u32_max_representatives_is_refused_at_its_count() {
+        let model = trained();
+        let mut bytes = save_model(&model);
+        // The representatives section closes the payload: a count, then per
+        // representative an item count and 24 bytes plus 12 per term for
+        // each item.
+        let section: usize = 4 + model
+            .reps
+            .iter()
+            .map(|rep| {
+                4 + rep
+                    .items
+                    .iter()
+                    .map(|item| 24 + 12 * item.vector.nnz())
+                    .sum::<usize>()
+            })
+            .sum::<usize>();
+        let at = bytes.len() - 8 - section;
+        assert_eq!(bytes[at..at + 4], (model.k() as u32).to_le_bytes());
+        bytes[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+        let body_len = bytes.len() - 8;
+        let digest = checksum(&bytes[..body_len]);
+        bytes[body_len..].copy_from_slice(&digest.to_le_bytes());
+        let e = load_model(&bytes).unwrap_err();
+        assert_eq!(e.offset, at + 4);
+        assert_eq!(
+            e.message,
+            format!("count {} exceeds the bytes left", u32::MAX)
+        );
     }
 
     #[test]

@@ -31,7 +31,6 @@ use crate::globalrep::compute_global_representative;
 use crate::outcome::ClusteringOutcome;
 use crate::rep::Representative;
 use cxk_transact::Dataset;
-use rayon::prelude::*;
 
 /// Runs PK-means over an explicit peer partition. This is the driver
 /// behind [`crate::engine::Algorithm::PkMeans`]. It reads the same
@@ -98,7 +97,6 @@ pub(crate) fn drive_pk_means(
         // Replicated global computation: every peer recomputes all k
         // representatives from the pooled, unweighted summaries.
         let per_cluster_work: Vec<(Representative, u64)> = (0..k)
-            .into_par_iter()
             .map(|j| {
                 let pooled: Vec<(Representative, u64)> = peers
                     .iter()

@@ -23,7 +23,6 @@ use crate::outcome::ClusteringOutcome;
 use cxk_text::SparseVec;
 use cxk_transact::Dataset;
 use cxk_util::{DetRng, Symbol};
-use rayon::prelude::*;
 use std::time::Instant;
 
 /// Configuration of the VSM K-means baseline.
@@ -60,7 +59,7 @@ pub fn transaction_vectors(ds: &Dataset, f: f64) -> Vec<SparseVec> {
     // the blocks never collide.
     let base = ds.vocabulary.len() as u32;
     ds.transactions
-        .par_iter()
+        .iter()
         .map(|tr| {
             let mut content = SparseVec::new();
             let mut structure_pairs = Vec::with_capacity(tr.len());
@@ -114,7 +113,7 @@ pub(crate) fn drive_vsm(ds: &Dataset, config: &VsmConfig) -> Result<ClusteringOu
     for round in 1..=config.max_rounds {
         rounds = round;
         let fresh: Vec<u32> = vectors
-            .par_iter()
+            .iter()
             .map(|v| nearest_centroid(v, &centroids) as u32)
             .collect();
         let changed = fresh

@@ -6,7 +6,7 @@
 //! properties the clustering pipeline is sensitive to — the structural
 //! markup classes, the topical term distributions and the relative corpus
 //! sizes — and carries per-document ground-truth labels for the F-measure
-//! evaluation (see `DESIGN.md` §2 for the substitution argument).
+//! evaluation.
 //!
 //! * [`dblp`] — bibliographic records, 4 structural × 6 topical classes,
 //!   16 hybrid classes.

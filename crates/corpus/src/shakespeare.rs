@@ -8,8 +8,7 @@
 //! The real subset has seven plays; seven documents cannot instantiate 12
 //! hybrid classes at document granularity, so the synthetic corpus keeps the
 //! "few very long documents" character while generating one play per
-//! allowed (structure, content) pair — 12 plays by default (recorded in
-//! `DESIGN.md` §2).
+//! allowed (structure, content) pair — 12 plays by default.
 
 use crate::textgen;
 use crate::vocab::{SHAKESPEARE_TOPICS, SURNAMES};

@@ -1,7 +1,7 @@
 //! In-process P2P fabric for `cxkmeans`.
 //!
 //! The paper evaluates CXK-means on a 19-node GigaBit cluster. This crate
-//! substitutes that testbed (see `DESIGN.md` §2) with two complementary
+//! substitutes that testbed with two complementary
 //! facilities:
 //!
 //! * [`net`] — a typed message-passing network whose peers are real OS
@@ -27,4 +27,4 @@ pub mod tcp;
 
 pub use net::{Envelope, Network, NetworkError, Peer, PeerId, TrafficLedger, Wire};
 pub use simclock::{CostModel, RoundSample, SimClock};
-pub use tcp::{FramedConn, WireCodec, WireReader};
+pub use tcp::{FramedConn, WireCodec};

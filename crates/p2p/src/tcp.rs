@@ -74,55 +74,6 @@ pub trait WireCodec: Wire + Sized {
     fn decode(bytes: &[u8]) -> Option<Self>;
 }
 
-/// A cursor over a received payload, with the little-endian readers codec
-/// implementations need. Every reader returns `None` past the end instead
-/// of panicking, so malformed frames fail cleanly.
-#[derive(Debug)]
-pub struct WireReader<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> WireReader<'a> {
-    /// Starts reading at the beginning of `bytes`.
-    pub fn new(bytes: &'a [u8]) -> Self {
-        Self { bytes, pos: 0 }
-    }
-
-    /// Whether every byte has been consumed (decoders should end here).
-    pub fn is_exhausted(&self) -> bool {
-        self.pos == self.bytes.len()
-    }
-
-    /// Reads one byte.
-    pub fn u8(&mut self) -> Option<u8> {
-        let b = *self.bytes.get(self.pos)?;
-        self.pos += 1;
-        Some(b)
-    }
-
-    /// Reads a little-endian `u32`.
-    pub fn u32(&mut self) -> Option<u32> {
-        let raw: [u8; 4] = self.bytes.get(self.pos..self.pos + 4)?.try_into().ok()?;
-        self.pos += 4;
-        Some(u32::from_le_bytes(raw))
-    }
-
-    /// Reads a little-endian `u64`.
-    pub fn u64(&mut self) -> Option<u64> {
-        let raw: [u8; 8] = self.bytes.get(self.pos..self.pos + 8)?.try_into().ok()?;
-        self.pos += 8;
-        Some(u64::from_le_bytes(raw))
-    }
-
-    /// Reads `len` raw bytes.
-    pub fn bytes(&mut self, len: usize) -> Option<&'a [u8]> {
-        let slice = self.bytes.get(self.pos..self.pos.checked_add(len)?)?;
-        self.pos += len;
-        Some(slice)
-    }
-}
-
 /// One framed, metered TCP connection speaking [`Envelope`]s of `M`.
 ///
 /// The connection is symmetric — either end may send or receive — and
@@ -344,10 +295,9 @@ mod tests {
         }
 
         fn decode(bytes: &[u8]) -> Option<Self> {
-            let mut r = WireReader::new(bytes);
-            let len = r.u32()? as usize;
-            let body = r.bytes(len)?.to_vec();
-            r.is_exhausted().then_some(Msg(body))
+            let len = u32::from_le_bytes(bytes.get(..4)?.try_into().ok()?);
+            let body = &bytes[4..];
+            (len as usize == body.len()).then(|| Msg(body.to_vec()))
         }
     }
 
@@ -498,17 +448,5 @@ mod tests {
         let err = conn.recv_timeout(Duration::from_secs(5)).unwrap_err();
         assert_eq!(err, NetworkError::Disconnected);
         writer.join().expect("writer");
-    }
-
-    #[test]
-    fn wire_reader_bounds() {
-        let mut r = WireReader::new(&[1, 0, 0, 0, 9]);
-        assert_eq!(r.u32(), Some(1));
-        assert!(!r.is_exhausted());
-        assert_eq!(r.u8(), Some(9));
-        assert!(r.is_exhausted());
-        assert_eq!(r.u8(), None);
-        assert_eq!(r.u64(), None);
-        assert_eq!(r.bytes(1), None);
     }
 }

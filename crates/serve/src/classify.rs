@@ -496,23 +496,46 @@ mod tests {
     #[test]
     fn a_warm_session_computes_only_the_rows_of_fresh_tag_paths() {
         let mut c = Classifier::shared(Arc::new(model()));
-        let base = c.engine().tag_sim().len();
+        let (base, base_cells) = {
+            let table = c.engine().tag_sim();
+            (table.len(), table.stored_cells())
+        };
         for i in 0..1000 {
             c.classify(&format!("<r{i}><leaf{i}>word</leaf{i}></r{i}>"))
                 .unwrap();
-        }
-        let (paths, cells) = {
+            // The table only appended to the base: the cells it computed
+            // are this document's fresh paths' rows, where a rebuild would
+            // have recomputed all of them. (The previous document's paths
+            // were forgotten when this request started.)
             let table = c.session_mut().tag_sim();
-            (table.len(), table.stored_cells())
-        };
-        assert!(paths >= base + 1000, "{paths} paths");
-        c.classify("<fresh><tail>word</tail></fresh>").unwrap();
-        let table = c.session_mut().tag_sim();
-        let new = table.len() - paths;
-        assert!(new >= 1, "the document brings a fresh tag path");
-        // The table only appended: the cells it computed are the new
-        // paths' rows, where a rebuild would have recomputed all of them.
-        assert!(table.stored_cells() - cells <= new * table.len());
+            let fresh = table.len() - base;
+            assert!(fresh >= 1, "the document brings a fresh tag path");
+            let rows: usize = (base..base + fresh).map(|r| r + 1).sum();
+            assert_eq!(table.stored_cells(), base_cells + rows, "document {i}");
+        }
+    }
+
+    #[test]
+    fn a_session_forgets_the_markup_of_earlier_requests() {
+        let model = Arc::new(model());
+        let known = (model.labels.len(), model.paths.len());
+        let mut c = Classifier::shared(Arc::clone(&model));
+        let doc = |i: usize| format!("<r{i:05}><leaf{i:05}>mining</leaf{i:05}></r{i:05}>");
+        c.classify(&doc(0)).unwrap();
+        let one = c.session_mut().table_lens();
+        assert!(one.0 > known.0 && one.1 > known.1, "{one:?} {known:?}");
+        // However many documents of fresh tags arrive, the tables hold the
+        // model's entries plus one request's.
+        for i in 1..10_000 {
+            c.classify(&doc(i)).unwrap();
+            assert_eq!(c.session_mut().table_lens(), one, "document {i}");
+        }
+        let answer = c.classify(&mining_doc(1)).unwrap();
+        assert_eq!(c.session_mut().table_lens(), known);
+        assert_eq!(
+            answer,
+            Classifier::shared(model).classify(&mining_doc(1)).unwrap()
+        );
     }
 
     #[test]

@@ -24,7 +24,7 @@
 
 use super::conn::{render_response, Conn, Limits};
 use super::queue::{BoundedQueue, PushError};
-use super::{json_escape, Completion, Job, ServerStats};
+use super::{Completion, Job, ServerStats};
 use crate::slot::{EpochEngine, EpochModel, ModelSlot};
 use cxk_core::MODEL_FORMAT_VERSION;
 use mio::{Events, Interest, Poll, Registry, Token};
@@ -322,7 +322,7 @@ fn dispatch(
     if !conn.in_flight && conn.pending.is_empty() && !conn.close_after_flush {
         if let Some(e) = conn.parse_error.take() {
             stats.errors.fetch_add(1, Ordering::Relaxed);
-            let body = format!(r#"{{"error":"{}"}}"#, json_escape(&e.message));
+            let body = format!(r#"{{"error":"{}"}}"#, cxk_util::json::escape(&e.message));
             conn.queue_bytes(&render_response(e.status, slot.epoch(), &body, true, None));
             conn.close_after_flush = true;
         }

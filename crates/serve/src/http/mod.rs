@@ -89,6 +89,7 @@ use cxk_core::{
     load_model, peek_format_version, snapshot_digest, TrainedModel, MODEL_FORMAT_VERSION,
 };
 use cxk_p2p::NetworkError;
+use cxk_util::json::{self, Value};
 use cxk_util::LogHistogram;
 use mio::{Interest, Poll, Waker};
 use queue::BoundedQueue;
@@ -560,11 +561,11 @@ fn handle_request(
             // A leading `[` cannot start well-formed XML, so it reliably
             // selects the batch form: a JSON array of XML document strings.
             if body.trim_start().starts_with('[') {
-                let docs = match parse_json_string_array(body) {
+                let docs = match batch_documents(body) {
                     Ok(docs) => docs,
                     Err(message) => {
                         stats.errors.fetch_add(1, Ordering::Relaxed);
-                        let body = format!(r#"{{"error":"{}"}}"#, json_escape(&message));
+                        let body = format!(r#"{{"error":"{}"}}"#, json::escape(&message));
                         return (400, epoch, body);
                     }
                 };
@@ -583,7 +584,7 @@ fn handle_request(
                         }
                         Err(e) => {
                             stats.errors.fetch_add(1, Ordering::Relaxed);
-                            format!(r#"{{"error":"{}"}}"#, json_escape(&e.to_string()))
+                            format!(r#"{{"error":"{}"}}"#, json::escape(&e.to_string()))
                         }
                     })
                     .collect();
@@ -602,7 +603,7 @@ fn handle_request(
                 }
                 Err(e) => {
                     stats.errors.fetch_add(1, Ordering::Relaxed);
-                    let body = format!(r#"{{"error":"{}"}}"#, json_escape(&e.to_string()));
+                    let body = format!(r#"{{"error":"{}"}}"#, json::escape(&e.to_string()));
                     (classify_error_status(&e), epoch, body)
                 }
             }
@@ -641,7 +642,7 @@ fn handle_request(
                     stats.reloads.fetch_add(1, Ordering::Relaxed);
                     let body = format!(
                         r#"{{"reloaded":true,"epoch":{new_epoch},"path":"{}"}}"#,
-                        json_escape(&path.display().to_string())
+                        json::escape(&path.display().to_string())
                     );
                     (200, new_epoch, body)
                 }
@@ -650,7 +651,7 @@ fn handle_request(
                     // read): conflict with the live model, which stays.
                     stats.reload_errors.fetch_add(1, Ordering::Relaxed);
                     stats.errors.fetch_add(1, Ordering::Relaxed);
-                    let body = format!(r#"{{"error":"{}"}}"#, json_escape(&message));
+                    let body = format!(r#"{{"error":"{}"}}"#, json::escape(&message));
                     (409, epoch, body)
                 }
             }
@@ -767,160 +768,20 @@ fn spawn_watcher(
     })
 }
 
-/// Escapes a string for embedding in a JSON string literal (quotes,
-/// backslashes, control characters). Shared with the CLI's `--jsonl`
-/// output so every JSON the workspace emits escapes identically.
-pub fn json_escape(text: &str) -> String {
-    let mut out = String::with_capacity(text.len());
-    for c in text.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Parses a JSON array of strings — the batch `POST /classify` body — with
-/// a dependency-free cursor. Accepts exactly `[ "s1", "s2", … ]` with the
-/// standard string escapes (`\" \\ \/ \b \f \n \r \t \uXXXX`, including
-/// surrogate pairs); anything else is an error naming the byte offset.
-fn parse_json_string_array(body: &str) -> Result<Vec<String>, String> {
-    let bytes = body.as_bytes();
-    let mut pos = 0usize;
-    let skip_ws = |pos: &mut usize| {
-        while *pos < bytes.len() && bytes[*pos].is_ascii_whitespace() {
-            *pos += 1;
-        }
+/// The batch `POST /classify` body: a JSON array of XML document
+/// strings. Anything else is an error naming the byte offset or entry.
+fn batch_documents(body: &str) -> Result<Vec<String>, String> {
+    let Value::Arr(entries) = json::parse(body).map_err(|e| e.to_string())? else {
+        return Err("batch body must be a JSON array".to_string());
     };
-    skip_ws(&mut pos);
-    if pos >= bytes.len() || bytes[pos] != b'[' {
-        return Err(format!("batch body must be a JSON array (byte {pos})"));
-    }
-    pos += 1;
-    let mut out = Vec::new();
-    loop {
-        skip_ws(&mut pos);
-        if pos < bytes.len() && bytes[pos] == b']' && out.is_empty() {
-            pos += 1;
-            break;
-        }
-        let (text, next) = parse_json_string(body, pos)?;
-        out.push(text);
-        pos = next;
-        skip_ws(&mut pos);
-        match bytes.get(pos) {
-            Some(b',') => pos += 1,
-            Some(b']') => {
-                pos += 1;
-                break;
-            }
-            _ => return Err(format!("expected `,` or `]` at byte {pos}")),
-        }
-    }
-    skip_ws(&mut pos);
-    if pos != bytes.len() {
-        return Err(format!("trailing content after the array (byte {pos})"));
-    }
-    Ok(out)
-}
-
-/// Parses one JSON string literal starting at `pos`; returns the decoded
-/// text and the byte offset past the closing quote.
-fn parse_json_string(body: &str, mut pos: usize) -> Result<(String, usize), String> {
-    let bytes = body.as_bytes();
-    if bytes.get(pos) != Some(&b'"') {
-        return Err(format!("expected a JSON string at byte {pos}"));
-    }
-    pos += 1;
-    let mut out = String::new();
-    let mut chars = body[pos..].char_indices();
-    let mut pending_high: Option<u16> = None;
-    while let Some((offset, c)) = chars.next() {
-        let flush_surrogate = |pending: &mut Option<u16>, out: &mut String| {
-            if pending.take().is_some() {
-                out.push(char::REPLACEMENT_CHARACTER);
-            }
-        };
-        match c {
-            '"' => {
-                flush_surrogate(&mut pending_high, &mut out);
-                return Ok((out, pos + offset + 1));
-            }
-            '\\' => {
-                let Some((esc_offset, esc)) = chars.next() else {
-                    return Err("unterminated escape".into());
-                };
-                let simple = match esc {
-                    '"' => Some('"'),
-                    '\\' => Some('\\'),
-                    '/' => Some('/'),
-                    'b' => Some('\u{8}'),
-                    'f' => Some('\u{c}'),
-                    'n' => Some('\n'),
-                    'r' => Some('\r'),
-                    't' => Some('\t'),
-                    'u' => None,
-                    other => {
-                        return Err(format!(
-                            "unknown escape `\\{other}` at byte {}",
-                            pos + esc_offset
-                        ))
-                    }
-                };
-                if let Some(ch) = simple {
-                    flush_surrogate(&mut pending_high, &mut out);
-                    out.push(ch);
-                    continue;
-                }
-                let mut code = 0u16;
-                for _ in 0..4 {
-                    let Some((_, h)) = chars.next() else {
-                        return Err("truncated \\u escape".into());
-                    };
-                    let digit = h
-                        .to_digit(16)
-                        .ok_or_else(|| format!("bad \\u digit `{h}`"))?;
-                    code = (code << 4) | digit as u16;
-                }
-                match (pending_high, code) {
-                    (Some(high), 0xDC00..=0xDFFF) => {
-                        let combined = 0x10000
-                            + ((u32::from(high) - 0xD800) << 10)
-                            + (u32::from(code) - 0xDC00);
-                        out.push(char::from_u32(combined).unwrap_or(char::REPLACEMENT_CHARACTER));
-                        pending_high = None;
-                    }
-                    (_, 0xD800..=0xDBFF) => {
-                        flush_surrogate(&mut pending_high, &mut out);
-                        pending_high = Some(code);
-                    }
-                    (_, _) => {
-                        flush_surrogate(&mut pending_high, &mut out);
-                        out.push(
-                            char::from_u32(u32::from(code)).unwrap_or(char::REPLACEMENT_CHARACTER),
-                        );
-                    }
-                }
-            }
-            c if (c as u32) < 0x20 => {
-                return Err(format!(
-                    "unescaped control character at byte {}",
-                    pos + offset
-                ));
-            }
-            c => {
-                flush_surrogate(&mut pending_high, &mut out);
-                out.push(c);
-            }
-        }
-    }
-    Err("unterminated JSON string".into())
+    entries
+        .into_iter()
+        .enumerate()
+        .map(|(i, entry)| match entry {
+            Value::Str(xml) => Ok(xml),
+            _ => Err(format!("batch entry {i} is not a string")),
+        })
+        .collect()
 }
 
 /// Renders a [`DocumentAssignment`] as the canonical JSON object the
@@ -1064,31 +925,23 @@ mod tests {
     }
 
     #[test]
-    fn json_escaping_handles_hostile_strings() {
-        assert_eq!(json_escape(r#"a"b"#), r#"a\"b"#);
-        assert_eq!(json_escape("line\nbreak\ttab\\"), r"line\nbreak\ttab\\");
-        assert_eq!(json_escape("\u{1}"), "\\u0001");
-        assert_eq!(json_escape("plain"), "plain");
-    }
-
-    #[test]
     fn json_string_array_parses_the_batch_body() {
         assert_eq!(
-            parse_json_string_array(r#"["<a/>", "<b/>"]"#).unwrap(),
+            batch_documents(r#"["<a/>", "<b/>"]"#).unwrap(),
             vec!["<a/>".to_string(), "<b/>".to_string()]
         );
-        assert_eq!(parse_json_string_array("[]").unwrap(), Vec::<String>::new());
+        assert_eq!(batch_documents("[]").unwrap(), Vec::<String>::new());
         assert_eq!(
-            parse_json_string_array(r#"  [ "x" ]  "#).unwrap(),
+            batch_documents(r#"  [ "x" ]  "#).unwrap(),
             vec!["x".to_string()]
         );
         // Escapes, including \uXXXX and a surrogate pair.
         assert_eq!(
-            parse_json_string_array(r#"["a\"b\\c\n\té😀"]"#).unwrap(),
+            batch_documents(r#"["a\"b\\c\n\té😀"]"#).unwrap(),
             vec!["a\"b\\c\n\t\u{e9}\u{1F600}".to_string()]
         );
         assert_eq!(
-            parse_json_string_array(r#"["\u00e9 \ud83d\ude00"]"#).unwrap(),
+            batch_documents(r#"["\u00e9 \ud83d\ude00"]"#).unwrap(),
             vec!["\u{e9} \u{1F600}".to_string()]
         );
     }
@@ -1105,14 +958,11 @@ mod tests {
             r#"["bad \q escape"]"#,
             "\"not an array\"",
         ] {
-            assert!(
-                parse_json_string_array(bad).is_err(),
-                "must reject: {bad:?}"
-            );
+            assert!(batch_documents(bad).is_err(), "must reject: {bad:?}");
         }
         // A lone surrogate decodes to the replacement character rather
         // than corrupting the string.
-        let lone = parse_json_string_array(r#"["\ud83dx"]"#).unwrap();
+        let lone = batch_documents(r#"["\ud83dx"]"#).unwrap();
         assert_eq!(lone, vec!["\u{FFFD}x".to_string()]);
     }
 

@@ -99,7 +99,7 @@ pub mod tree;
 pub use classify::{
     Classifier, ClassifyEngine, ClassifyError, DocumentAssignment, SessionEngine, TupleAssignment,
 };
-pub use http::{assignment_json, json_escape, ServeOptions, Server, ServerStats, StatsSnapshot};
+pub use http::{assignment_json, ServeOptions, Server, ServerStats, StatsSnapshot};
 pub use index::{CandidateIds, Candidates, TagPathIndex};
 pub use remote::{RemoteClassifier, RemoteEngine, RemoteShardStats, ShardDaemon};
 pub use shard::{Shard, ShardStats, ShardedClassifier, ShardedEngine};

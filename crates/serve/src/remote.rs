@@ -28,10 +28,13 @@
 //!   model's (extraction drops terms the model's vocabulary does not
 //!   hold), and model symbols mean the same thing on both ends. Novel
 //!   label symbols (`≥` the model's label count) cannot collide with model
-//!   symbols, and equality *among themselves* is preserved because one
-//!   worker owns one connection per shard, so a connection only ever sees
-//!   one session's numbering. Structural and content similarity depend
-//!   only on those equalities.
+//!   symbols, and equality *among themselves* holds within one request,
+//!   which is all a score depends on: one worker owns one connection per
+//!   shard, so a request's tuples all carry one session's numbering, and
+//!   both ends forget their novel symbols when the next request starts
+//!   (the frontend's session renumbers its unseen labels, and the daemon's
+//!   session drops the paths it interned from them). Structural and
+//!   content similarity depend only on those equalities.
 //! * **Exact vectors.** Query vectors are built by `SparseVec::from_pairs`
 //!   (sorted, deduplicated, zero weights dropped), so re-running
 //!   `from_pairs` over the shipped `(symbol, bits)` pairs reproduces the
@@ -69,9 +72,11 @@ use crate::classify::{
 use crate::session::QuerySession;
 use crate::shard::ShardedEngine;
 use cxk_core::{save_model, snapshot_digest, TrainedModel};
-use cxk_p2p::{FramedConn, NetworkError, PeerId, TrafficLedger, Wire, WireCodec, WireReader};
+use cxk_p2p::{FramedConn, NetworkError, PeerId, TrafficLedger, Wire, WireCodec};
 use cxk_transact::item::ItemView;
 use cxk_transact::{gather_best, TagPathSimTable};
+use cxk_util::bytes::{put_u32, put_u64};
+use cxk_util::{ByteError, ByteReader};
 use std::io::{Error, ErrorKind};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::ops::Range;
@@ -173,20 +178,6 @@ const TAG_SCATTER: u8 = 2;
 const TAG_SCATTER_ACK: u8 = 3;
 const TAG_ERROR: u8 = 4;
 
-fn put_u32(buf: &mut Vec<u8>, v: u32) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(buf: &mut Vec<u8>, v: u64) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-/// Bounded pre-allocation for length-prefixed vectors: trust the claimed
-/// length only up to a small cap; pushes grow the rest honestly.
-fn capped_capacity(len: usize) -> usize {
-    len.min(4096)
-}
-
 impl WireItem {
     fn encoded_len(&self) -> usize {
         4 + 4 * self.tag_path.len() + 4 + 12 * self.terms.len() + 8
@@ -205,21 +196,25 @@ impl WireItem {
         put_u64(buf, self.fingerprint);
     }
 
-    fn decode(r: &mut WireReader<'_>) -> Option<Self> {
-        let path_len = r.u32()? as usize;
-        let mut tag_path = Vec::with_capacity(capped_capacity(path_len));
+    /// Fewest bytes an encoded item takes: two empty counts and the
+    /// fingerprint.
+    const MIN_ENCODED: usize = 4 + 4 + 8;
+
+    fn decode(r: &mut ByteReader<'_>) -> Result<Self, ByteError> {
+        let path_len = r.count(4)?;
+        let mut tag_path = r.vec_for(path_len);
         for _ in 0..path_len {
             tag_path.push(r.u32()?);
         }
-        let term_len = r.u32()? as usize;
-        let mut terms = Vec::with_capacity(capped_capacity(term_len));
+        let term_len = r.count(12)?;
+        let mut terms = r.vec_for(term_len);
         for _ in 0..term_len {
             let term = r.u32()?;
             let bits = r.u64()?;
             terms.push((term, bits));
         }
         let fingerprint = r.u64()?;
-        Some(Self {
+        Ok(Self {
             tag_path,
             terms,
             fingerprint,
@@ -294,8 +289,17 @@ impl WireCodec for ShardMsg {
     }
 
     fn decode(bytes: &[u8]) -> Option<Self> {
-        let mut r = WireReader::new(bytes);
-        let msg = match r.u8()? {
+        let mut r = ByteReader::new(bytes);
+        let msg = Self::read(&mut r).ok().flatten();
+        msg.filter(|_| r.is_exhausted())
+    }
+}
+
+impl ShardMsg {
+    /// Reads one message: `Ok(None)` for an unknown tag, or for an error
+    /// message that is not UTF-8.
+    fn read(r: &mut ByteReader<'_>) -> Result<Option<Self>, ByteError> {
+        Ok(Some(match r.u8()? {
             TAG_HELLO => ShardMsg::Hello,
             TAG_HELLO_ACK => ShardMsg::HelloAck {
                 digest: r.u64()?,
@@ -305,18 +309,14 @@ impl WireCodec for ShardMsg {
             },
             TAG_SCATTER => {
                 let seq = r.u64()?;
-                let brute = match r.u8()? {
-                    0 => false,
-                    1 => true,
-                    _ => return None,
-                };
-                let tuple_len = r.u32()? as usize;
-                let mut tuples = Vec::with_capacity(capped_capacity(tuple_len));
+                let brute = r.bool()?;
+                let tuple_len = r.count(4)?;
+                let mut tuples = r.vec_for(tuple_len);
                 for _ in 0..tuple_len {
-                    let item_len = r.u32()? as usize;
-                    let mut items = Vec::with_capacity(capped_capacity(item_len));
+                    let item_len = r.count(WireItem::MIN_ENCODED)?;
+                    let mut items = r.vec_for(item_len);
                     for _ in 0..item_len {
-                        items.push(WireItem::decode(&mut r)?);
+                        items.push(WireItem::decode(r)?);
                     }
                     tuples.push(WireTuple { items });
                 }
@@ -324,8 +324,8 @@ impl WireCodec for ShardMsg {
             }
             TAG_SCATTER_ACK => {
                 let seq = r.u64()?;
-                let len = r.u32()? as usize;
-                let mut answers = Vec::with_capacity(capped_capacity(len));
+                let len = r.count(16)?;
+                let mut answers = r.vec_for(len);
                 for _ in 0..len {
                     answers.push(ShardAnswer {
                         sim_bits: r.u64()?,
@@ -336,13 +336,14 @@ impl WireCodec for ShardMsg {
                 ShardMsg::ScatterAck { seq, answers }
             }
             TAG_ERROR => {
-                let len = r.u32()? as usize;
-                let message = String::from_utf8(r.bytes(len)?.to_vec()).ok()?;
-                ShardMsg::Error { message }
+                let len = r.count(1)?;
+                match String::from_utf8(r.bytes(len)?.to_vec()) {
+                    Ok(message) => ShardMsg::Error { message },
+                    Err(_) => return Ok(None),
+                }
             }
-            _ => return None,
-        };
-        r.is_exhausted().then_some(msg)
+            _ => return Ok(None),
+        }))
     }
 }
 
@@ -1140,6 +1141,82 @@ impl RemoteClassifier {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn encoded(msg: &ShardMsg) -> Vec<u8> {
+        let mut buf = Vec::new();
+        msg.encode(&mut buf);
+        assert_eq!(buf.len(), msg.wire_size());
+        buf
+    }
+
+    #[test]
+    fn shard_messages_round_trip_and_malformed_frames_are_refused() {
+        let item = WireItem {
+            tag_path: vec![0, 3, 9],
+            terms: vec![(1, 0.5f64.to_bits()), (4, f64::MIN_POSITIVE.to_bits())],
+            fingerprint: u64::MAX,
+        };
+        let messages = [
+            ShardMsg::Hello,
+            ShardMsg::HelloAck {
+                digest: 42,
+                k: 16,
+                start: 4,
+                end: 8,
+            },
+            ShardMsg::Scatter {
+                seq: 7,
+                brute: true,
+                tuples: vec![
+                    WireTuple { items: vec![] },
+                    WireTuple {
+                        items: vec![item.clone(), item],
+                    },
+                ],
+            },
+            ShardMsg::ScatterAck {
+                seq: 7,
+                answers: vec![ShardAnswer {
+                    sim_bits: 0.25f64.to_bits(),
+                    id: 3,
+                    scored: 2,
+                }],
+            },
+            ShardMsg::Error {
+                message: "épuisé".to_string(),
+            },
+        ];
+        for msg in &messages {
+            let bytes = encoded(msg);
+            assert_eq!(ShardMsg::decode(&bytes).as_ref(), Some(msg));
+            assert_eq!(ShardMsg::decode(&bytes[..bytes.len() - 1]), None, "{msg:?}");
+            let mut trailing = bytes.clone();
+            trailing.push(0);
+            assert_eq!(ShardMsg::decode(&trailing), None, "{msg:?}");
+        }
+        assert_eq!(ShardMsg::decode(&[9]), None, "unknown tag");
+        let mut bad_bool = encoded(&messages[2]);
+        bad_bool[9] = 2;
+        assert_eq!(ShardMsg::decode(&bad_bool), None, "brute must be 0 or 1");
+    }
+
+    #[test]
+    fn a_scatter_declaring_u32_max_tuples_is_refused_at_its_count() {
+        let mut frame = vec![TAG_SCATTER];
+        put_u64(&mut frame, 7);
+        frame.push(0);
+        put_u32(&mut frame, u32::MAX);
+        frame.extend_from_slice(&[0; 64]);
+        assert_eq!(ShardMsg::decode(&frame), None);
+        let e = ShardMsg::read(&mut ByteReader::new(&frame)).unwrap_err();
+        assert_eq!(
+            (e.offset, e.kind),
+            (
+                14,
+                cxk_util::ByteErrorKind::CountExceedsInput(u32::MAX as usize)
+            )
+        );
+    }
 
     #[test]
     fn new_rejects_unservable_topologies() {

@@ -7,7 +7,11 @@
 //! dropped at preprocessing (it has `n_{j,T} = 0` and would weigh 0).
 //! Unseen tags and paths are interned into the session's own copies of the
 //! model's label interner and path table; they only ever exact-match
-//! themselves, so they cannot affect similarities. Both tables are
+//! themselves, so they cannot affect similarities, and the session forgets
+//! them when the next request starts: both tables are cut back to the
+//! model's length, and the `sim_S` table to its base, since the forgotten
+//! ids are handed out again. A client that keeps sending fresh markup
+//! therefore never grows a worker past one request's worth. Both tables are
 //! arena-backed (`cxk_util::ArenaTable`), so each copy is three buffer
 //! copies however many labels and paths the model holds, and dropping a
 //! session frees three buffers per table. The scoring buffers are reused
@@ -176,10 +180,15 @@ impl QueryTuples {
 /// number of sessions share one model and one engine across threads.
 #[derive(Debug)]
 pub struct QuerySession {
-    /// Copy of the model's label interner (grows with unseen tags).
+    /// Copy of the model's label interner (grows with one request's
+    /// unseen tags).
     labels: Interner,
-    /// Copy of the model's path table (grows with unseen paths).
+    /// Copy of the model's path table (grows with one request's unseen
+    /// paths).
     paths: PathTable,
+    /// The model's label and path counts, which `labels` and `paths` are
+    /// cut back to when a request starts.
+    known: (usize, usize),
     /// `sim_S` over the representatives' tag paths (ranks `0..base`) and
     /// the query paths appended since the last truncation.
     tag_sim: TagPathSimTable,
@@ -213,6 +222,7 @@ impl QuerySession {
         Self {
             labels: model.labels.clone(),
             paths: model.paths.clone(),
+            known: (model.labels.len(), model.paths.len()),
             tag_sim: base.clone(),
             base: base.len(),
             cap: (base.len() * 4).max(1024),
@@ -236,6 +246,12 @@ impl QuerySession {
     #[cfg(test)]
     pub(crate) fn reading(&self) -> &ReadScratch {
         &self.reading
+    }
+
+    /// The session's label and path counts (diagnostics).
+    #[cfg(test)]
+    pub(crate) fn table_lens(&self) -> (usize, usize) {
+        (self.labels.len(), self.paths.len())
     }
 
     /// The session's `sim_S` table (diagnostics).
@@ -263,6 +279,17 @@ impl QuerySession {
         self.tag_sim.extend(request, &self.paths, &ExactMatch);
     }
 
+    /// Forgets the labels and paths the last request added to the model's.
+    /// Their ids are handed out again, so their `sim_S` rows go too.
+    fn forget_unseen(&mut self) {
+        let (labels, paths) = self.known;
+        if self.labels.len() > labels || self.paths.len() > paths {
+            self.labels.truncate(labels);
+            self.paths.truncate(paths);
+            self.tag_sim.truncate(self.base);
+        }
+    }
+
     /// Reads `xml` through the document pipeline and produces its query
     /// transactions: per tree tuple, the deduplicated items weighted
     /// against `model`'s frozen `term_stats` — the document does not join
@@ -274,6 +301,7 @@ impl QuerySession {
         model: &TrainedModel,
         xml: &str,
     ) -> Result<QueryTuples, XmlError> {
+        self.forget_unseen();
         DocumentPipeline {
             options: &model.build,
             labels: &mut self.labels,
@@ -320,6 +348,7 @@ impl QuerySession {
     /// bit-for-bit from its raw pairs, with the `sim_S` table covering
     /// their tag paths.
     pub(crate) fn decode(&mut self, tuples: &[WireTuple]) -> Vec<Vec<(PathId, SparseVec, u64)>> {
+        self.forget_unseen();
         let decoded: Vec<Vec<(PathId, SparseVec, u64)>> = tuples
             .iter()
             .map(|tuple| {

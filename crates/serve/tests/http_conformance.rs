@@ -247,6 +247,31 @@ fn refusal_table_answers_each_hostile_request_with_its_status() {
     server.shutdown();
 }
 
+/// A batch body of 100,000 `[` is refused with 400 naming the nesting
+/// cap, without overflowing a worker's stack, and the server keeps
+/// answering on the same connection.
+#[test]
+fn a_deeply_nested_batch_body_is_refused_and_serving_continues() {
+    let (model, held_out) = train_held_out();
+    let server = Server::start(model, ("127.0.0.1", 0), ServeOptions::default()).expect("bind");
+    let mut stream = connect(server.addr());
+    stream
+        .write_all(classify_request(&"[".repeat(100_000)).as_bytes())
+        .expect("send");
+    let (head, body) = read_response(&mut stream).expect("an answer");
+    assert!(head.starts_with("HTTP/1.1 400"), "{head}");
+    assert!(body.contains("nesting too deep at byte 128"), "{body}");
+    stream
+        .write_all(classify_request(&held_out[0]).as_bytes())
+        .expect("send");
+    let (head, body) = read_response(&mut stream).expect("an answer");
+    assert!(head.starts_with("HTTP/1.1 200"), "{head}");
+    assert!(body.starts_with("{\"cluster\":"), "{body}");
+    let stats = server.stats();
+    assert_eq!((stats.errors, stats.worker_panics), (1, 0));
+    server.shutdown();
+}
+
 /// Pipelined requests on one keep-alive connection are answered strictly
 /// in request order, each framed and carrying exactly one epoch header.
 #[test]

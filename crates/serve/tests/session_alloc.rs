@@ -1,15 +1,17 @@
 //! A serving session reads the model's vocabulary in place and copies its
 //! label and path tables as a few buffers: building one costs the same
 //! however many terms, labels and paths the model knows, and so does
-//! decoding a snapshot. A warm session that keeps meeting words the model
-//! never saw keeps its live heap flat while answering exactly like a
-//! fresh one.
+//! decoding a snapshot. A warm session that keeps meeting words or tags
+//! the model never saw keeps its live heap flat while answering exactly
+//! like a fresh one.
 //!
 //! A counting global allocator tallies allocations and live bytes made by
 //! the current thread (thread-local counters, so the test harness's other
 //! threads do not interfere); nothing under test spawns a thread.
 
 use cxk_core::{load_model, save_model, CxkConfig, EngineBuilder, TrainedModel};
+use cxk_p2p::WireCodec;
+use cxk_serve::remote::ShardMsg;
 use cxk_serve::{Classifier, ShardedClassifier, ShardedEngine, TreeClassifier};
 use cxk_serve::{TreeConfig, TreeEngine};
 use cxk_transact::{BuildOptions, DatasetBuilder, SimParams};
@@ -105,6 +107,14 @@ fn fresh_doc(i: usize) -> String {
     )
 }
 
+/// Document `i`: the samples' DBLP markup and topical words under a tag
+/// no model has seen. Every document has the same shape and tag lengths.
+fn fresh_tag_doc(i: usize) -> String {
+    format!(
+        r#"<dblp><inproceedings key="conf/kdd/{i:05}"><author>A. Miner</author><title>mining frequent patterns and clustering of transactional itemsets</title><note{i:05}>clustering</note{i:05}><booktitle>KDD</booktitle></inproceedings></dblp>"#
+    )
+}
+
 /// Entries [`padded`] adds to each of a model's tables.
 const PADDING: usize = 10_000;
 
@@ -197,6 +207,45 @@ fn fresh_words_leave_a_warm_session_flat() {
         "live heap grew from {after_100} to {} bytes over 9,900 documents of fresh words",
         live_bytes()
     );
+}
+
+#[test]
+fn fresh_tags_leave_a_warm_session_flat() {
+    let engine = Arc::new(ShardedEngine::build(Arc::new(model()), 1));
+    let mut warm = ShardedClassifier::new(Arc::clone(&engine));
+    let mut after_100 = None;
+    for i in 0..10_000 {
+        if i == 100 {
+            after_100 = Some(live_bytes());
+        }
+        let xml = fresh_tag_doc(i);
+        let answer = warm.classify(&xml).expect("valid document");
+        let fresh = ShardedClassifier::new(Arc::clone(&engine))
+            .classify(&xml)
+            .expect("valid document");
+        assert_eq!(answer, fresh, "document {i}");
+    }
+    let after_100 = after_100.expect("more than 100 documents");
+    assert!(
+        live_bytes() <= after_100,
+        "live heap grew from {after_100} to {} bytes over 9,900 documents of fresh tags",
+        live_bytes()
+    );
+}
+
+#[test]
+fn a_hostile_shard_frame_is_refused_before_anything_is_sized() {
+    // A `Scatter` (tag 2, sequence number, brute byte) that declares
+    // u32::MAX tuples and carries 64 bytes.
+    let mut frame = vec![2];
+    frame.extend_from_slice(&7u64.to_le_bytes());
+    frame.push(0);
+    frame.extend_from_slice(&u32::MAX.to_le_bytes());
+    frame.extend_from_slice(&[0; 64]);
+    let mut decoded = None;
+    let made = allocations_of(|| decoded = Some(ShardMsg::decode(&frame)));
+    assert_eq!(decoded, Some(None));
+    assert_eq!(made, 0, "decoding the frame allocated");
 }
 
 /// Heap allocations of one warm `Classifier::classify` of

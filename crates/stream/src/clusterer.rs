@@ -9,7 +9,9 @@ use cxk_transact::{
     BuildOptions, Dataset, DatasetBuilder, DocumentPipeline, ExactMatch, ItemKeys, ItemWeights,
     ParsedDocument, ReadScratch, Terms, Transaction,
 };
+use cxk_util::FxHashSet;
 use cxk_xml::parser::XmlError;
+use cxk_xml::path::PathId;
 use std::time::Instant;
 
 /// Configuration for a [`StreamClusterer`].
@@ -91,6 +93,10 @@ pub struct StreamClusterer {
     prepared: PreparedSlab,
     /// (path, answer) → item id, for item-domain deduplication.
     item_index: ItemKeys,
+    /// The distinct complete and tag paths of the item domain, so a push
+    /// keeps `DatasetStats::{complete_paths, tag_paths}` current without
+    /// a pass over every item.
+    item_paths: (FxHashSet<PathId>, FxHashSet<PathId>),
     /// The buffers reading a pushed document reuses, and the document.
     reading: (ReadScratch, ParsedDocument),
     /// The pushed document's item sums, and the weighing buffers.
@@ -117,6 +123,7 @@ impl StreamClusterer {
             reps: Vec::new(),
             prepared: PreparedSlab::new(),
             item_index: ItemKeys::default(),
+            item_paths: Default::default(),
             reading: Default::default(),
             weights: ItemWeights::default(),
             stats: StreamStats::default(),
@@ -217,6 +224,8 @@ impl StreamClusterer {
         for (i, item) in self.ds.items.iter_mut().enumerate().skip(first_new.index()) {
             self.weights.vector_into(ItemId(i as u32), &mut item.vector);
             self.ds.stats.max_tcu_nnz = self.ds.stats.max_tcu_nnz.max(item.vector.nnz());
+            self.item_paths.0.insert(item.path);
+            self.item_paths.1.insert(item.tag_path);
         }
         let first_transaction = self.ds.transactions.len();
         for ids in tuples {
@@ -232,6 +241,8 @@ impl StreamClusterer {
         self.ds.stats.transactions = self.ds.transactions.len();
         self.ds.stats.items = self.ds.items.len();
         self.ds.stats.vocabulary = self.ds.vocabulary.len();
+        self.ds.stats.complete_paths = self.item_paths.0.len();
+        self.ds.stats.tag_paths = self.item_paths.1.len();
         self.ds.stats.total_tcus = self.ds.term_stats.total_tcus();
         self.ds.stats.max_depth = self.ds.stats.max_depth.max(doc.depth());
 
@@ -311,8 +322,12 @@ impl StreamClusterer {
     fn recluster(&mut self) -> (usize, bool) {
         let k = self.opts.config.k;
         self.item_index.clear();
+        self.item_paths.0.clear();
+        self.item_paths.1.clear();
         for item in &self.ds.items {
             self.item_index.id(item.path, &item.raw);
+            self.item_paths.0.insert(item.path);
+            self.item_paths.1.insert(item.tag_path);
         }
         let (rounds, converged) = if self.ds.transactions.is_empty() {
             self.assignments = Vec::new();
@@ -389,6 +404,20 @@ mod tests {
             .collect();
         let refs: Vec<&str> = docs.iter().map(String::as_str).collect();
         StreamClusterer::new(&refs, options(2)).expect("bootstrap")
+    }
+
+    #[test]
+    fn push_keeps_the_path_counts_current() {
+        let mut s = bootstrap();
+        s.push(r#"<dblp><book key="b1"><author>C. Writer</author><title>mining networks</title><publisher>P</publisher></book></dblp>"#)
+            .expect("valid document");
+        let ds = s.dataset();
+        let mut complete: Vec<PathId> = ds.items.iter().map(|item| item.path).collect();
+        complete.sort_unstable();
+        complete.dedup();
+        assert_eq!(ds.stats.complete_paths, complete.len());
+        assert_eq!(ds.stats.tag_paths, ds.distinct_tag_paths().len());
+        assert_eq!(ds.stats.tag_paths, ds.tag_sim.len());
     }
 
     #[test]

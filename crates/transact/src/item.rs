@@ -10,7 +10,6 @@
 //! representative conflation in `cxk_core` — a uniform identity usable for
 //! set unions across dataset and representative items.
 
-use crate::pathsim::TagPathSimTable;
 use cxk_text::SparseVec;
 use cxk_util::{FxHasher, Symbol};
 use cxk_xml::path::PathId;
@@ -92,15 +91,6 @@ impl Item {
             fingerprint: self.fingerprint,
         }
     }
-}
-
-/// Validates that an item's tag path is registered in a similarity table —
-/// a cheap sanity check used in debug builds.
-pub fn debug_check_registered(item: &Item, table: &TagPathSimTable) {
-    debug_assert!(
-        table.rank_of(item.tag_path).is_some(),
-        "item tag path not registered in similarity table"
-    );
 }
 
 #[cfg(test)]

@@ -50,8 +50,8 @@ pub trait KeyArena: Default + Clone {
     /// The key stored at `range`, which a `push_key` call produced.
     fn key(&self, range: Range<usize>) -> &Self::Key;
 
-    /// Removes every key, keeping the capacity.
-    fn clear(&mut self);
+    /// Keeps the first `units` units, which end a key; keeps the capacity.
+    fn truncate(&mut self, units: usize);
 }
 
 impl KeyArena for String {
@@ -73,8 +73,8 @@ impl KeyArena for String {
         &self[range]
     }
 
-    fn clear(&mut self) {
-        String::clear(self);
+    fn truncate(&mut self, units: usize) {
+        String::truncate(self, units);
     }
 }
 
@@ -97,8 +97,8 @@ impl<T: Copy + Eq + Hash + fmt::Debug> KeyArena for Vec<T> {
         &self[range]
     }
 
-    fn clear(&mut self) {
-        Vec::clear(self);
+    fn truncate(&mut self, units: usize) {
+        Vec::truncate(self, units);
     }
 }
 
@@ -128,8 +128,8 @@ fn slots_for(keys: usize) -> usize {
 }
 
 /// A table mapping keys to dense `u32` ids in insertion order, append-only
-/// until cleared, its keys stored back to back in one `A` (see the module
-/// docs).
+/// until cleared or truncated, its keys stored back to back in one `A` (see
+/// the module docs).
 #[derive(Clone, Default)]
 pub struct ArenaTable<A> {
     /// Every key, back to back, in id order.
@@ -181,7 +181,7 @@ impl<A: KeyArena> ArenaTable<A> {
         }
         let id = self.ends.len();
         if 2 * (id + 1) > self.slots.len() {
-            self.grow(slots_for(id + 1));
+            self.rebuild(slots_for(id + 1));
         }
         // cxk-lint: allow(panic-freedom) -- 2^32 keys or key units, far beyond any corpus
         let id1 = u32::try_from(id + 1).expect("interner overflow");
@@ -231,8 +231,24 @@ impl<A: KeyArena> ArenaTable<A> {
             self.slots.truncate(fit);
         }
         self.slots.fill(Slot::default());
-        self.keys.clear();
+        self.keys.truncate(0);
         self.ends.clear();
+    }
+
+    /// Keeps the first `len` keys and drops the rest, keeping the buffers;
+    /// a `len` of at least [`Self::len`] changes nothing. The slots are
+    /// rebuilt from their stored hash bits, as growing them is, so no key
+    /// is rehashed, and the dropped ids are handed out again.
+    pub fn truncate(&mut self, len: usize) {
+        if len >= self.ends.len() {
+            return;
+        }
+        let units = len
+            .checked_sub(1)
+            .map_or(0, |last| self.ends[last] as usize);
+        self.keys.truncate(units);
+        self.ends.truncate(len);
+        self.rebuild(self.slots.len());
     }
 
     /// `(id, key)` pairs in id (insertion) order.
@@ -270,10 +286,15 @@ impl<A: KeyArena> ArenaTable<A> {
         at
     }
 
-    /// Moves every slot into a vector of `len` slots, by its stored hash.
-    fn grow(&mut self, len: usize) {
+    /// Moves the slot of every key the table holds into a vector of `len`
+    /// slots, by its stored hash bits.
+    fn rebuild(&mut self, len: usize) {
         let old = std::mem::replace(&mut self.slots, vec![Slot::default(); len]);
-        for slot in old.into_iter().filter(|slot| slot.id1 != 0) {
+        let held = self.ends.len();
+        for slot in old
+            .into_iter()
+            .filter(|slot| slot.id1 != 0 && slot.id1 as usize <= held)
+        {
             let at = self.vacant(slot.hash);
             self.slots[at] = slot;
         }

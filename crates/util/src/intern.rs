@@ -25,8 +25,8 @@ impl Symbol {
     }
 }
 
-/// An append-only string interner with O(1) two-way lookup; symbols are
-/// dense, in insertion order.
+/// A string interner with O(1) two-way lookup, append-only until
+/// truncated; symbols are dense, in insertion order.
 #[derive(Debug, Default, Clone)]
 pub struct Interner {
     table: ArenaTable<String>,
@@ -92,6 +92,12 @@ impl Interner {
     /// Whether no strings have been interned.
     pub fn is_empty(&self) -> bool {
         self.table.is_empty()
+    }
+
+    /// Keeps the first `len` strings and forgets the rest, whose symbols
+    /// are handed out again (see [`ArenaTable::truncate`]).
+    pub fn truncate(&mut self, len: usize) {
+        self.table.truncate(len);
     }
 
     /// Iterates over `(Symbol, &str)` pairs in insertion order.

@@ -1,4 +1,4 @@
-//! Property-based tests for hashing, interning and deterministic RNG.
+//! Property-based tests for hashing, interning, deterministic RNG and JSON.
 
 use cxk_util::{DetRng, FxHashMap, FxHashSet, Interner, Symbol};
 use proptest::prelude::*;
@@ -51,6 +51,11 @@ struct Model {
 }
 
 impl Model {
+    fn truncate(&mut self, len: usize) {
+        self.order.truncate(len);
+        self.ids.retain(|_, id| (*id as usize) < len);
+    }
+
     fn intern(&mut self, s: &str) -> u32 {
         if let Some(&id) = self.ids.get(s) {
             return id;
@@ -79,12 +84,13 @@ fn assert_matches(interner: &Interner, model: &Model) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Random interleavings of `intern`, `get`, `resolve`, `iter` and
-    /// `clone` agree with the reference model, and every clone stays as it
-    /// was taken however the original grows afterwards (and vice versa).
+    /// Random interleavings of `intern`, `get`, `resolve`, `iter`,
+    /// `truncate` and `clone` agree with the reference model, and every
+    /// clone stays as it was taken however the original changes afterwards
+    /// (and vice versa).
     #[test]
     fn interner_matches_a_reference_model(
-        ops in proptest::collection::vec((0u8..8, 0usize..256), 200..500),
+        ops in proptest::collection::vec((0u8..9, 0usize..256), 200..500),
     ) {
         let pool = string_pool();
         let mut interner = Interner::new();
@@ -103,6 +109,11 @@ proptest! {
                     prop_assert_eq!(interner.resolve(Symbol(id as u32)), model.order[id].as_str());
                 }
                 6 => assert_matches(&interner, &model),
+                8 => {
+                    let len = model.order.len().saturating_sub(pick % 4);
+                    interner.truncate(len);
+                    model.truncate(len);
+                }
                 _ => clones.push((interner.clone(), model.clone())),
             }
         }
@@ -180,5 +191,28 @@ proptest! {
         for _ in 0..16 {
             prop_assert!(rng.weighted_index(&weights) < weights.len());
         }
+    }
+}
+
+/// A character drawn so that quotes, backslashes, control characters and
+/// non-BMP characters all turn up often.
+fn json_char((kind, code): (u8, u32)) -> char {
+    let pick = match kind {
+        0 => ['"', '\\', '/', '\u{7f}'][code as usize % 4] as u32,
+        1 => code % 0x20,
+        2 => 0x1_0000 + code % 0x10_0000,
+        _ => code % 0x11_0000,
+    };
+    char::from_u32(pick).unwrap_or('\u{FFFD}')
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn escaped_strings_parse_back(chars in proptest::collection::vec((0u8..4, any::<u32>()), 0..40)) {
+        let text: String = chars.into_iter().map(json_char).collect();
+        let literal = format!("\"{}\"", cxk_util::json::escape(&text));
+        prop_assert_eq!(cxk_util::json::parse(&literal), Ok(cxk_util::json::Value::Str(text)));
     }
 }

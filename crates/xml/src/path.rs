@@ -101,6 +101,12 @@ impl PathTable {
         self.table.is_empty()
     }
 
+    /// Keeps the first `len` paths and forgets the rest, whose ids are
+    /// handed out again.
+    pub fn truncate(&mut self, len: usize) {
+        self.table.truncate(len);
+    }
+
     /// Iterates `(PathId, &labels)` in insertion order.
     pub fn iter(&self) -> impl Iterator<Item = (PathId, &[Symbol])> {
         self.table.iter().map(|(id, p)| (PathId(id), p))

@@ -159,6 +159,11 @@ struct PathModel {
 }
 
 impl PathModel {
+    fn truncate(&mut self, len: usize) {
+        self.order.truncate(len);
+        self.ids.retain(|_, id| (*id as usize) < len);
+    }
+
     fn intern(&mut self, path: &[Symbol]) -> u32 {
         if let Some(&id) = self.ids.get(path) {
             return id;
@@ -187,12 +192,13 @@ fn assert_paths_match(table: &PathTable, model: &PathModel) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Random interleavings of `intern`, `get`, `resolve`, `iter` and
-    /// `clone` agree with the reference model, and every clone stays as it
-    /// was taken however the original grows afterwards (and vice versa).
+    /// Random interleavings of `intern`, `get`, `resolve`, `iter`,
+    /// `truncate` and `clone` agree with the reference model, and every
+    /// clone stays as it was taken however the original changes afterwards
+    /// (and vice versa).
     #[test]
     fn path_table_matches_a_reference_model(
-        ops in proptest::collection::vec((0u8..8, 0usize..256), 200..500),
+        ops in proptest::collection::vec((0u8..9, 0usize..256), 200..500),
     ) {
         let pool = path_pool();
         let mut table = PathTable::new();
@@ -211,6 +217,11 @@ proptest! {
                     prop_assert_eq!(table.resolve(PathId(id as u32)), model.order[id].as_slice());
                 }
                 6 => assert_paths_match(&table, &model),
+                8 => {
+                    let len = model.order.len().saturating_sub(pick % 4);
+                    table.truncate(len);
+                    model.truncate(len);
+                }
                 _ => clones.push((table.clone(), model.clone())),
             }
         }

@@ -238,7 +238,7 @@ fn snapshot_reload_classify_and_serve_round_trip() {
     // assignment object per document, in order, with the same cluster ids
     // as the single-document requests.
     {
-        let escape = cxk_serve::json_escape;
+        let escape = cxk_util::json::escape;
         let batch = format!(
             r#"["{}","{}","<broken><xml>"]"#,
             escape(&held_out[0].1),
