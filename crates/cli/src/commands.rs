@@ -772,9 +772,9 @@ fn dataset_from_corpus_streams(inputs: &[String]) -> Result<(Dataset, IngestStat
 /// Loads a `.cxkds` dataset, or builds one from XML inputs.
 fn dataset_from_any_inputs(inputs: &[String]) -> Result<Dataset, String> {
     if inputs.len() == 1 && inputs[0].ends_with(".cxkds") {
-        let text = std::fs::read_to_string(&inputs[0])
-            .map_err(|e| format!("cannot read {}: {e}", inputs[0]))?;
-        return load_dataset(&text).map_err(|e| e.to_string());
+        let bytes =
+            std::fs::read(&inputs[0]).map_err(|e| format!("cannot read {}: {e}", inputs[0]))?;
+        return load_dataset(&bytes).map_err(|e| e.to_string());
     }
     dataset_from_xml_inputs(inputs)
 }

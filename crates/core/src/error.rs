@@ -187,6 +187,7 @@ mod tests {
     #[test]
     fn model_error_converts_and_displays() {
         let inner = ModelError {
+            kind: "model",
             offset: 3,
             message: "bad magic".into(),
         };

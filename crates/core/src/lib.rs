@@ -94,8 +94,8 @@ pub use error::CxkError;
 pub use globalrep::{compute_global_representative, merge_representatives};
 pub use localrep::{cluster_representatives, compute_local_representative, generate_tree_tuple};
 pub use model::{
-    load_model, load_model_file, peek_format_version, save_model, save_model_file, snapshot_digest,
-    ModelError, TrainedModel, MODEL_FORMAT_VERSION,
+    load_model, load_model_file, save_model, save_model_file, snapshot_digest, ModelError,
+    TrainedModel, MODEL_FORMAT_VERSION,
 };
 pub use outcome::{ClusteringOutcome, RoundTrace};
 pub use rep::{conflate_items, RepItem, Representative};

@@ -14,12 +14,16 @@
 //!   arriving TCUs are weighted against the *frozen* training collection —
 //!   the same approximation the streaming extension documents.
 //!
-//! [`save_model`] / [`load_model`] round-trip the model through a compact
-//! versioned binary format (conventionally stored as `*.cxkmodel`):
-//! little-endian fields, length-prefixed UTF-8 strings, `f64`s as raw IEEE
-//! bits so weights (and therefore synthetic fingerprints) survive
-//! bit-exactly, and a trailing FxHash checksum over the payload. The
-//! tag-path similarity table is *not* stored — it is derived state:
+//! [`save_model`] / [`load_model`] round-trip the model through the one
+//! snapshot codec, [`cxk_transact::persist`], which `.cxkds` datasets share:
+//! its envelope (magic `CXKM`, [`MODEL_FORMAT_VERSION`], a trailing FxHash
+//! checksum, checked in that order) around a payload of the similarity
+//! parameters, the build options, the training counts, the codec's table
+//! and term-statistics sections, then the representatives (each item's
+//! paths, fingerprint, source and a codec vector section). Files are
+//! conventionally stored as `*.cxkmodel`; `f64`s travel as raw IEEE bits,
+//! so weights (and therefore synthetic fingerprints) survive bit-exactly.
+//! The tag-path similarity table is *not* stored — it is derived state:
 //! [`TrainedModel::prepare`] builds it over the representatives' tag paths
 //! once per serving epoch, and every session clones and extends it.
 
@@ -27,19 +31,27 @@ use crate::error::CxkError;
 use crate::localrep::cluster_representatives;
 use crate::outcome::ClusteringOutcome;
 use crate::rep::{prepare_representatives, RepItem, Representative};
-use cxk_text::{SparseVec, TermStatsBuilder};
+use cxk_text::TermStatsBuilder;
 use cxk_transact::item::ItemId;
+use cxk_transact::persist::{
+    put_tables, put_term_stats, put_vector, read_id, read_tables, read_term_stats, read_vector,
+    Format, SnapshotError,
+};
 use cxk_transact::{BuildOptions, Dataset, PreparedSlab, SimParams, TagPathSimTable};
 use cxk_util::bytes::{put_f64, put_u32, put_u64};
-use cxk_util::{ByteError, ByteReader, FxHasher, Interner, Symbol};
+use cxk_util::Interner;
 use cxk_xml::path::{PathId, PathTable};
-use std::hash::Hasher;
 use std::path::Path;
 
-/// Snapshot format magic bytes.
-const MAGIC: &[u8; 4] = b"CXKM";
 /// Current snapshot format version.
 pub const MODEL_FORMAT_VERSION: u32 = 1;
+/// The `.cxkmodel` snapshot format.
+const MODEL: Format = Format {
+    magic: *b"CXKM",
+    version: MODEL_FORMAT_VERSION,
+    kind: "model",
+    extension: ".cxkmodel",
+};
 /// Sentinel encoding `RepItem::source = None`.
 const NO_SOURCE: u32 = u32::MAX;
 
@@ -141,38 +153,9 @@ impl TrainedModel {
     }
 }
 
-/// Errors from [`load_model`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ModelError {
-    /// Byte offset where the problem was found.
-    pub offset: usize,
-    /// Description.
-    pub message: String,
-}
-
-impl std::fmt::Display for ModelError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "model load error at byte {}: {}",
-            self.offset, self.message
-        )
-    }
-}
-
-impl std::error::Error for ModelError {}
-
-impl From<ByteError> for ModelError {
-    fn from(e: ByteError) -> Self {
-        err(e.offset, e.kind.to_string())
-    }
-}
-
-fn checksum(payload: &[u8]) -> u64 {
-    let mut hasher = FxHasher::default();
-    hasher.write(payload);
-    hasher.finish()
-}
+/// Errors from [`load_model`]: the one snapshot error, which
+/// `.cxkds` datasets share.
+pub type ModelError = SnapshotError;
 
 /// The content digest a snapshot carries in its trailing checksum, without
 /// decoding the payload. `None` when `bytes` cannot be a snapshot (too
@@ -180,187 +163,103 @@ fn checksum(payload: &[u8]) -> u64 {
 /// same model bit-for-bit, so hot-reload pollers use this to skip swaps
 /// when a re-written file's contents did not actually change.
 pub fn snapshot_digest(bytes: &[u8]) -> Option<u64> {
-    if bytes.len() < MAGIC.len() + 4 + 8 || !bytes.starts_with(MAGIC) {
-        return None;
-    }
-    ByteReader::new(&bytes[bytes.len() - 8..]).u64().ok()
-}
-
-/// The format version a snapshot declares, without decoding the payload.
-/// `None` when `bytes` is too short or does not start with the snapshot
-/// magic. Serving layers check it against [`MODEL_FORMAT_VERSION`] before
-/// attempting a hot swap, so an incompatible snapshot is rejected without
-/// disturbing the live model.
-pub fn peek_format_version(bytes: &[u8]) -> Option<u32> {
-    if bytes.len() < MAGIC.len() + 4 || !bytes.starts_with(MAGIC) {
-        return None;
-    }
-    ByteReader::new(&bytes[MAGIC.len()..]).u32().ok()
+    MODEL.digest(bytes)
 }
 
 /// Serializes a model to the versioned binary snapshot format.
 pub fn save_model(model: &TrainedModel) -> Vec<u8> {
-    let mut out = Vec::with_capacity(4096);
-    out.extend_from_slice(MAGIC);
-    put_u32(&mut out, MODEL_FORMAT_VERSION);
+    MODEL.encode(|out| {
+        put_f64(out, model.params.f);
+        put_f64(out, model.params.gamma);
 
-    put_f64(&mut out, model.params.f);
-    put_f64(&mut out, model.params.gamma);
+        out.push(u8::from(model.build.parse.keep_whitespace_text));
+        out.push(u8::from(model.build.parse.trim_text));
+        out.push(u8::from(model.build.parse.coalesce_text));
+        out.push(u8::from(model.build.pipeline.remove_stopwords));
+        out.push(u8::from(model.build.pipeline.stem));
+        put_u64(out, model.build.limits.max_tuples_per_tree as u64);
 
-    out.push(u8::from(model.build.parse.keep_whitespace_text));
-    out.push(u8::from(model.build.parse.trim_text));
-    out.push(u8::from(model.build.parse.coalesce_text));
-    out.push(u8::from(model.build.pipeline.remove_stopwords));
-    out.push(u8::from(model.build.pipeline.stem));
-    put_u64(&mut out, model.build.limits.max_tuples_per_tree as u64);
+        put_u64(out, model.trained_documents);
+        put_u64(out, model.trained_transactions);
 
-    put_u64(&mut out, model.trained_documents);
-    put_u64(&mut out, model.trained_transactions);
+        put_tables(out, &model.labels, &model.vocabulary, &model.paths);
+        put_term_stats(out, &model.term_stats);
 
-    put_interner(&mut out, &model.labels);
-    put_interner(&mut out, &model.vocabulary);
-
-    put_u32(&mut out, model.paths.len() as u32);
-    for (_, labels) in model.paths.iter() {
-        put_u32(&mut out, labels.len() as u32);
-        for sym in labels {
-            put_u32(&mut out, sym.0);
-        }
-    }
-
-    put_u64(&mut out, model.term_stats.total_tcus());
-    put_u32(&mut out, model.term_stats.counts().len() as u32);
-    for &count in model.term_stats.counts() {
-        put_u64(&mut out, count);
-    }
-
-    put_u32(&mut out, model.reps.len() as u32);
-    for rep in &model.reps {
-        put_u32(&mut out, rep.items.len() as u32);
-        for item in &rep.items {
-            put_u32(&mut out, item.path.0);
-            put_u32(&mut out, item.tag_path.0);
-            put_u64(&mut out, item.fingerprint);
-            put_u32(&mut out, item.source.map_or(NO_SOURCE, |id| id.0));
-            put_u32(&mut out, item.vector.nnz() as u32);
-            for (term, weight) in item.vector.iter() {
-                put_u32(&mut out, term.0);
-                put_f64(&mut out, weight);
+        put_u32(out, model.reps.len() as u32);
+        for rep in &model.reps {
+            put_u32(out, rep.items.len() as u32);
+            for item in &rep.items {
+                put_u32(out, item.path.0);
+                put_u32(out, item.tag_path.0);
+                put_u64(out, item.fingerprint);
+                put_u32(out, item.source.map_or(NO_SOURCE, |id| id.0));
+                put_vector(out, &item.vector);
             }
         }
-    }
-
-    let digest = checksum(&out);
-    put_u64(&mut out, digest);
-    out
+    })
 }
 
 /// Deserializes a model snapshot, verifying the magic, version, checksum
-/// and the internal consistency of every id. No label, term or path may be
-/// listed twice: the decoder builds each table in one sized pass and
-/// rejects a repeated entry, which would otherwise collapse onto the first
-/// and shift every later id onto the next entry's key.
+/// and the internal consistency of every id; no label, term or path may be
+/// listed twice.
 pub fn load_model(bytes: &[u8]) -> Result<TrainedModel, ModelError> {
-    if bytes.len() < MAGIC.len() + 4 + 8 {
-        return Err(err(0, "truncated snapshot"));
-    }
-    let (payload, tail) = bytes.split_at(bytes.len() - 8);
-    if ByteReader::new(tail).u64().ok() != Some(checksum(payload)) {
-        return Err(err(bytes.len() - 8, "checksum mismatch (corrupt snapshot)"));
-    }
-
-    let mut r = ByteReader::new(payload);
-    if r.bytes(MAGIC.len())? != MAGIC {
-        return Err(err(0, "bad magic (not a .cxkmodel snapshot)"));
-    }
-    let version = r.u32()?;
-    if version != MODEL_FORMAT_VERSION {
-        return Err(err(
-            r.offset(),
-            format!("unsupported format version {version} (expected {MODEL_FORMAT_VERSION})"),
-        ));
-    }
-
-    let f = r.f64()?;
-    let gamma = r.f64()?;
-    if !(0.0..=1.0).contains(&f) || !(0.0..=1.0).contains(&gamma) {
-        return Err(err(r.offset(), "similarity parameters out of [0, 1]"));
-    }
-    let params = SimParams::new(f, gamma);
-
-    let mut build = BuildOptions::default();
-    build.parse.keep_whitespace_text = r.bool()?;
-    build.parse.trim_text = r.bool()?;
-    build.parse.coalesce_text = r.bool()?;
-    build.pipeline.remove_stopwords = r.bool()?;
-    build.pipeline.stem = r.bool()?;
-    build.limits.max_tuples_per_tree = r.u64()? as usize;
-
-    let trained_documents = r.u64()?;
-    let trained_transactions = r.u64()?;
-
-    let labels = read_interner(&mut r, "labels")?;
-    let vocabulary = read_interner(&mut r, "vocabulary")?;
-    let paths = read_paths(&mut r, labels.len())?;
-
-    let total_tcus = r.u64()?;
-    let count_len = r.count(8)?;
-    let mut counts = r.vec_for(count_len);
-    for _ in 0..count_len {
-        counts.push(r.u64()?);
-    }
-    if counts.len() > vocabulary.len() {
-        return Err(err(r.offset(), "term statistics exceed the vocabulary"));
-    }
-    let term_stats = TermStatsBuilder::from_parts(total_tcus, counts);
-
-    let k = r.count(4)?;
-    let mut reps = r.vec_for(k);
-    for _ in 0..k {
-        let item_count = r.count(24)?;
-        let mut items = r.vec_for(item_count);
-        for _ in 0..item_count {
-            let path = r.u32()?;
-            let tag_path = r.u32()?;
-            if path as usize >= paths.len() || tag_path as usize >= paths.len() {
-                return Err(err(r.offset(), "representative item path id out of range"));
-            }
-            let fingerprint = r.u64()?;
-            let source = r.u32()?;
-            let nnz = r.count(12)?;
-            let mut pairs = r.vec_for(nnz);
-            for _ in 0..nnz {
-                let term = r.u32()?;
-                if term as usize >= vocabulary.len() {
-                    return Err(err(r.offset(), format!("vector term {term} out of range")));
-                }
-                pairs.push((Symbol(term), r.f64()?));
-            }
-            items.push(RepItem {
-                path: PathId(path),
-                tag_path: PathId(tag_path),
-                vector: SparseVec::from_pairs(pairs),
-                fingerprint,
-                source: (source != NO_SOURCE).then_some(ItemId(source)),
-            });
+    MODEL.decode(bytes, |r| {
+        let f = r.f64()?;
+        let gamma = r.f64()?;
+        if !(0.0..=1.0).contains(&f) || !(0.0..=1.0).contains(&gamma) {
+            return Err(SnapshotError::new(
+                r.offset(),
+                "similarity parameters out of [0, 1]",
+            ));
         }
-        reps.push(Representative { items });
-    }
+        let params = SimParams::new(f, gamma);
 
-    if !r.is_exhausted() {
-        return Err(err(r.offset(), "trailing bytes after the representatives"));
-    }
+        let mut build = BuildOptions::default();
+        build.parse.keep_whitespace_text = r.bool()?;
+        build.parse.trim_text = r.bool()?;
+        build.parse.coalesce_text = r.bool()?;
+        build.pipeline.remove_stopwords = r.bool()?;
+        build.pipeline.stem = r.bool()?;
+        build.limits.max_tuples_per_tree = r.u64()? as usize;
 
-    Ok(TrainedModel {
-        params,
-        build,
-        labels,
-        vocabulary,
-        paths,
-        reps,
-        term_stats,
-        trained_documents,
-        trained_transactions,
+        let trained_documents = r.u64()?;
+        let trained_transactions = r.u64()?;
+
+        let (labels, vocabulary, paths) = read_tables(r)?;
+        let term_stats = read_term_stats(r, vocabulary.len())?;
+
+        let k = r.count(4)?;
+        let mut reps = r.vec_for(k);
+        for _ in 0..k {
+            let item_count = r.count(24)?;
+            let mut items = r.vec_for(item_count);
+            for _ in 0..item_count {
+                let path = read_id(r, "path", "paths", paths.len())?;
+                let tag_path = read_id(r, "tag path", "paths", paths.len())?;
+                let fingerprint = r.u64()?;
+                let source = r.u32()?;
+                items.push(RepItem {
+                    path: PathId(path),
+                    tag_path: PathId(tag_path),
+                    vector: read_vector(r, vocabulary.len())?,
+                    fingerprint,
+                    source: (source != NO_SOURCE).then_some(ItemId(source)),
+                });
+            }
+            reps.push(Representative { items });
+        }
+
+        Ok(TrainedModel {
+            params,
+            build,
+            labels,
+            vocabulary,
+            paths,
+            reps,
+            term_stats,
+            trained_documents,
+            trained_transactions,
+        })
     })
 }
 
@@ -399,100 +298,14 @@ pub fn load_model_file(path: impl AsRef<Path>) -> Result<TrainedModel, CxkError>
     })
 }
 
-fn err(offset: usize, message: impl Into<String>) -> ModelError {
-    ModelError {
-        offset,
-        message: message.into(),
-    }
-}
-
-fn put_interner(out: &mut Vec<u8>, interner: &Interner) {
-    put_u32(out, interner.len() as u32);
-    for (_, text) in interner.iter() {
-        put_u32(out, text.len() as u32);
-        out.extend_from_slice(text.as_bytes());
-    }
-}
-
-/// Measures the `count` entries that follow, each a length-prefixed run
-/// of `unit`-byte elements, without consuming them: their total and their
-/// longest length, in elements.
-fn extent(r: &ByteReader<'_>, count: usize, unit: usize) -> Result<(usize, usize), ByteError> {
-    let mut ahead = r.clone();
-    let (mut total, mut longest) = (0, 0);
-    for _ in 0..count {
-        let len = ahead.count(unit)?;
-        ahead.bytes(unit * len)?;
-        total += len;
-        longest = longest.max(len);
-    }
-    Ok((total, longest))
-}
-
-/// Reads a string table section: a count, then length-prefixed UTF-8
-/// strings, interned in order into an interner sized from the section's
-/// extent.
-fn read_interner(r: &mut ByteReader<'_>, section: &str) -> Result<Interner, ModelError> {
-    let count = r.count(4)?;
-    let (bytes, _) = extent(r, count, 1)?;
-    let mut interner = Interner::with_capacity_and_bytes(count, bytes);
-    for _ in 0..count {
-        let at = r.offset();
-        let len = r.count(1)?;
-        let text = std::str::from_utf8(r.bytes(len)?)
-            .map_err(|_| err(r.offset(), "interned string is not UTF-8"))?;
-        interner
-            .insert_new(text)
-            .map_err(|first| duplicate(at, section, first.0))?;
-    }
-    Ok(interner)
-}
-
-/// Reads the path section: a count, then length-prefixed label sequences
-/// over `labels` labels, interned in order into a table sized from the
-/// section's extent.
-fn read_paths(r: &mut ByteReader<'_>, labels: usize) -> Result<PathTable, ModelError> {
-    let count = r.count(4)?;
-    let (total, longest) = extent(r, count, 4)?;
-    let mut paths = PathTable::with_capacity_and_labels(count, total);
-    let mut symbols = Vec::with_capacity(longest);
-    for _ in 0..count {
-        let at = r.offset();
-        let len = r.count(4)?;
-        symbols.clear();
-        for _ in 0..len {
-            let sym = r.u32()?;
-            if sym as usize >= labels {
-                return Err(err(
-                    r.offset(),
-                    format!("path label symbol {sym} out of range"),
-                ));
-            }
-            symbols.push(Symbol(sym));
-        }
-        paths
-            .insert_new(&symbols)
-            .map_err(|first| duplicate(at, "paths", first.0))?;
-    }
-    Ok(paths)
-}
-
-/// The error for the entry at byte `at` of `section`, which repeats entry
-/// `first`: interning it would collapse the two and shift every later id
-/// onto the next entry's key.
-fn duplicate(at: usize, section: &str, first: u32) -> ModelError {
-    err(
-        at,
-        format!("duplicated entry in the {section} section (entry {first} again)"),
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::cxk::CxkConfig;
     use crate::engine::EngineBuilder;
+    use cxk_transact::persist::checksum;
     use cxk_transact::DatasetBuilder;
+    use cxk_util::Symbol;
 
     fn trained() -> TrainedModel {
         let docs = [
@@ -591,7 +404,7 @@ mod tests {
 
         // Flip one payload byte: the checksum must catch it.
         let mut corrupt = bytes.clone();
-        corrupt[MAGIC.len() + 6] ^= 0xFF;
+        corrupt[MODEL.magic.len() + 6] ^= 0xFF;
         assert!(load_model(&corrupt)
             .unwrap_err()
             .message
@@ -724,10 +537,9 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_digest_and_version_peek_without_decoding() {
+    fn snapshot_digest_peeks_without_decoding() {
         let model = trained();
         let bytes = save_model(&model);
-        assert_eq!(peek_format_version(&bytes), Some(MODEL_FORMAT_VERSION));
         let digest = snapshot_digest(&bytes).expect("digest");
         // Serialization is deterministic: same model, same digest.
         assert_eq!(snapshot_digest(&save_model(&model)), Some(digest));
@@ -738,8 +550,6 @@ mod tests {
         // Non-snapshots peek to None instead of garbage.
         assert_eq!(snapshot_digest(b"short"), None);
         assert_eq!(snapshot_digest(b"XXXX-not-a-snapshot-at-all"), None);
-        assert_eq!(peek_format_version(b"CXK"), None);
-        assert_eq!(peek_format_version(b"not a snapshot"), None);
     }
 
     #[test]

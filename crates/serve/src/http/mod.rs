@@ -85,9 +85,7 @@ mod queue;
 use crate::classify::{ClassifyEngine, ClassifyError, DocumentAssignment};
 use crate::slot::{Layout, ModelSlot};
 use conn::{Limits, Request};
-use cxk_core::{
-    load_model, peek_format_version, snapshot_digest, TrainedModel, MODEL_FORMAT_VERSION,
-};
+use cxk_core::{load_model, snapshot_digest, TrainedModel};
 use cxk_p2p::NetworkError;
 use cxk_util::json::{self, Value};
 use cxk_util::LogHistogram;
@@ -633,7 +631,10 @@ fn handle_request(
                     r#"{"error":"no snapshot path: the server was started from an in-memory model; POST the path to a .cxkmodel in the body"}"#.to_string(),
                 );
             };
-            match load_snapshot(&path) {
+            let loaded = std::fs::read(&path)
+                .map_err(|e| format!("cannot read {}: {e}", path.display()))
+                .and_then(|bytes| load_snapshot(&bytes, &path));
+            match loaded {
                 Ok(model) => {
                     let new_epoch = ctx.slot.swap(model);
                     // The swap made this worker's session stale: release
@@ -669,28 +670,11 @@ fn handle_request(
     }
 }
 
-/// Validates `bytes` as a snapshot and decodes it. The magic, format
-/// version and checksum are all verified (plus the internal id
-/// consistency `load_model` enforces) *before* any swap, so a bad
-/// snapshot can never disturb the live model. `path` only labels errors.
-fn load_snapshot_bytes(bytes: &[u8], path: &Path) -> Result<TrainedModel, String> {
-    match peek_format_version(bytes) {
-        Some(MODEL_FORMAT_VERSION) => {}
-        Some(version) => {
-            return Err(format!(
-                "{}: incompatible snapshot format version {version} (this server speaks {MODEL_FORMAT_VERSION})",
-                path.display()
-            ))
-        }
-        None => return Err(format!("{}: not a .cxkmodel snapshot", path.display())),
-    }
+/// Decodes `bytes`, read from `path`, as a snapshot. `load_model` checks
+/// the magic, then the format version, then the checksum (and every id)
+/// *before* any swap, so a bad snapshot never disturbs the live model.
+fn load_snapshot(bytes: &[u8], path: &Path) -> Result<TrainedModel, String> {
     load_model(bytes).map_err(|e| format!("{}: {e}", path.display()))
-}
-
-/// Reads, validates and decodes the snapshot at `path`.
-fn load_snapshot(path: &Path) -> Result<TrainedModel, String> {
-    let bytes = std::fs::read(path).map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-    load_snapshot_bytes(&bytes, path)
 }
 
 /// The opt-in mtime poller: every `interval`, stat `path`; when the mtime
@@ -751,7 +735,7 @@ fn spawn_watcher(
             // Validate the very bytes that were read — one read per poll,
             // and the digest recorded below always describes the model
             // that actually went live.
-            match load_snapshot_bytes(&bytes, &path) {
+            match load_snapshot(&bytes, &path) {
                 Ok(model) => {
                     let epoch = slot.swap(model);
                     stats.reloads.fetch_add(1, Ordering::Relaxed);

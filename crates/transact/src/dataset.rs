@@ -36,7 +36,7 @@ pub struct BuildOptions {
 }
 
 /// Corpus-level summary statistics.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct DatasetStats {
     /// Number of documents.
     pub documents: usize,
@@ -265,7 +265,7 @@ impl DatasetBuilder {
 }
 
 /// The distinct values of `path` over `items`, sorted.
-fn distinct_paths(items: &[Item], path: impl Fn(&Item) -> PathId) -> Vec<PathId> {
+pub(crate) fn distinct_paths(items: &[Item], path: impl Fn(&Item) -> PathId) -> Vec<PathId> {
     let mut paths: Vec<PathId> = items.iter().map(path).collect();
     paths.sort_unstable();
     paths.dedup();

@@ -63,7 +63,7 @@ pub use itemsim::{SimCtx, SimParams};
 pub use pathsim::{
     tag_path_similarity, tag_path_similarity_with, ExactMatch, TagMatcher, TagPathSimTable,
 };
-pub use persist::{load as load_dataset, save as save_dataset, PersistError};
+pub use persist::{load as load_dataset, save as save_dataset, SnapshotError};
 pub use pipeline::{
     DocumentPipeline, ItemKeys, ItemWeights, ParsedDocument, ParsedLeaf, ReadScratch, Terms,
 };

@@ -1,381 +1,486 @@
-//! Dataset persistence: a compact, versioned, dependency-free text format.
+//! Snapshot persistence: the one binary codec behind `.cxkds` datasets and
+//! `.cxkmodel` models.
 //!
 //! Preprocessing (parsing, tuple extraction, `ttf.itf` weighting) dominates
-//! pipeline cost on large corpora, so a finished [`Dataset`] can be saved
-//! and reloaded. The format is line-oriented UTF-8 with `\t`/`\n`/`\\`
-//! escaping for free-text fields; the tag-path similarity table is
-//! recomputed on load (it is derived state).
+//! pipeline cost on large corpora, so a finished [`Dataset`] is saved once
+//! and reloaded ([`save`]/[`load`]); a trained model (`cxk_core::model`) is
+//! saved on the same codec. Two layers are shared:
+//!
+//! * **The envelope** ([`Format`]): four magic bytes, a `u32` version, the
+//!   payload, and a trailing FxHash [`checksum`] over every byte before it.
+//!   A reader checks the magic, then the version, then the checksum, so a
+//!   file of another format or version is named as such and a flipped or
+//!   missing byte is refused before any of the payload is decoded; bytes
+//!   the payload leaves unread are refused too.
+//! * **The shared sections**, each written and read in one place: the
+//!   label and vocabulary interners and the path table ([`put_tables`] /
+//!   [`read_tables`]: each table sized by a pre-pass over its section, no
+//!   entry listed twice, every path label in range), the term statistics
+//!   ([`put_term_stats`] / [`read_term_stats`]: no longer than the
+//!   vocabulary) and the sparse vectors ([`put_vector`] / [`read_vector`]:
+//!   every term in range).
+//!
+//! Integers are little-endian and `f64`s travel as raw IEEE bits
+//! ([`cxk_util::bytes`]), so weights, and the fingerprints derived from
+//! them, survive bit-exactly. Every count is checked against the bytes left
+//! before anything is sized from it, and every id against the table it
+//! points into ([`read_id`]), so a corrupt file is a [`SnapshotError`]
+//! naming a byte offset, never a panic or an oversized allocation.
+//!
+//! A dataset file (magic `CXKD`, version 3) holds the three tables, the
+//! items (paths, fingerprint, raw text, terms, vector), the transactions
+//! with their document index, the term statistics and the summary
+//! statistics. The tag-path similarity table is derived state: [`load`]
+//! rebuilds it.
 
-use crate::dataset::{Dataset, DatasetStats};
+use crate::dataset::{distinct_paths, Dataset, DatasetStats};
 use crate::item::{Item, ItemId};
 use crate::pathsim::TagPathSimTable;
 use crate::transaction::Transaction;
 use cxk_text::{SparseVec, TermStatsBuilder};
-use cxk_util::{Interner, Symbol};
+use cxk_util::bytes::{put_f64, put_u32, put_u64};
+use cxk_util::{ByteError, ByteReader, FxHasher, Interner, Symbol};
 use cxk_xml::path::{PathId, PathTable};
-use std::fmt::Write as _;
+use std::hash::Hasher;
 
-/// Format magic + version.
-const HEADER: &str = "cxkds 2";
+/// The `.cxkds` dataset format.
+const DATASET: Format = Format {
+    magic: *b"CXKD",
+    version: 3,
+    kind: "dataset",
+    extension: ".cxkds",
+};
 
-/// Errors from [`load`].
+/// Bytes of the magic and version that open every snapshot.
+const HEADER: usize = 8;
+/// Bytes of the checksum that closes every snapshot.
+const CHECKSUM: usize = 8;
+
+/// Why a snapshot was refused, and the byte offset where.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PersistError {
-    /// Line number (1-based) where the problem was found.
-    pub line: usize,
+pub struct SnapshotError {
+    /// What the file was read as (`"dataset"`, `"model"`), as
+    /// [`Format::decode`] names it; `"snapshot"` before that.
+    pub kind: &'static str,
+    /// Byte offset in the file where the problem was found.
+    pub offset: usize,
     /// Description.
     pub message: String,
 }
 
-impl std::fmt::Display for PersistError {
+impl SnapshotError {
+    /// An error at byte `offset`, named by the format that decodes it.
+    pub fn new(offset: usize, message: impl Into<String>) -> Self {
+        Self {
+            kind: "snapshot",
+            offset,
+            message: message.into(),
+        }
+    }
+}
+
+impl std::fmt::Display for SnapshotError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "dataset load error at line {}: {}",
-            self.line, self.message
+            "{} load error at byte {}: {}",
+            self.kind, self.offset, self.message
         )
     }
 }
 
-impl std::error::Error for PersistError {}
+impl std::error::Error for SnapshotError {}
 
-fn escape(text: &str) -> String {
-    let mut out = String::with_capacity(text.len());
-    for c in text.chars() {
-        match c {
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            _ => out.push(c),
-        }
-    }
-    out
-}
-
-fn unescape(text: &str) -> String {
-    let mut out = String::with_capacity(text.len());
-    let mut chars = text.chars();
-    while let Some(c) = chars.next() {
-        if c != '\\' {
-            out.push(c);
-            continue;
-        }
-        match chars.next() {
-            Some('n') => out.push('\n'),
-            Some('t') => out.push('\t'),
-            Some('\\') => out.push('\\'),
-            Some(other) => {
-                out.push('\\');
-                out.push(other);
-            }
-            None => out.push('\\'),
-        }
-    }
-    out
-}
-
-/// Serializes a dataset to the persistence format.
-pub fn save(ds: &Dataset) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "{HEADER}");
-
-    let write_interner = |name: &str, interner: &Interner, out: &mut String| {
-        let _ = writeln!(out, "[{name}] {}", interner.len());
-        for (_, text) in interner.iter() {
-            let _ = writeln!(out, "{}", escape(text));
-        }
-    };
-    write_interner("labels", &ds.labels, &mut out);
-    write_interner("vocabulary", &ds.vocabulary, &mut out);
-
-    let _ = writeln!(out, "[paths] {}", ds.paths.len());
-    for (_, labels) in ds.paths.iter() {
-        let ids: Vec<String> = labels.iter().map(|s| s.0.to_string()).collect();
-        let _ = writeln!(out, "{}", ids.join(" "));
-    }
-
-    let _ = writeln!(out, "[items] {}", ds.items.len());
-    for item in &ds.items {
-        let terms: Vec<String> = item.terms.iter().map(|t| t.0.to_string()).collect();
-        let vector: Vec<String> = item
-            .vector
-            .iter()
-            .map(|(t, w)| format!("{}:{}", t.0, hex_f64(w)))
-            .collect();
-        let _ = writeln!(
-            out,
-            "{}\t{}\t{}\t{}\t{}\t{}",
-            item.path.0,
-            item.tag_path.0,
-            item.fingerprint,
-            escape(&item.raw),
-            terms.join(" "),
-            vector.join(" "),
-        );
-    }
-
-    let _ = writeln!(out, "[transactions] {}", ds.transactions.len());
-    for (tr, &doc) in ds.transactions.iter().zip(&ds.doc_of) {
-        let ids: Vec<String> = tr.items().iter().map(|i| i.0.to_string()).collect();
-        let _ = writeln!(out, "{doc}\t{}", ids.join(" "));
-    }
-
-    let counts: Vec<String> = ds.term_stats.counts().iter().map(u64::to_string).collect();
-    let _ = writeln!(
-        out,
-        "[termstats]\t{}\t{}",
-        ds.term_stats.total_tcus(),
-        counts.join(" ")
-    );
-
-    let s = &ds.stats;
-    let _ = writeln!(
-        out,
-        "[stats]\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}",
-        s.documents,
-        s.transactions,
-        s.items,
-        s.vocabulary,
-        s.complete_paths,
-        s.tag_paths,
-        s.max_transaction_len,
-        s.max_tcu_nnz,
-        s.total_tcus,
-        s.max_depth,
-    );
-    out
-}
-
-/// Bit-exact `f64` encoding (weights must round-trip exactly so that
-/// synthetic fingerprints stay stable).
-fn hex_f64(x: f64) -> String {
-    format!("{:016x}", x.to_bits())
-}
-
-fn parse_hex_f64(s: &str, line: usize) -> Result<f64, PersistError> {
-    u64::from_str_radix(s, 16)
-        .map(f64::from_bits)
-        .map_err(|_| err(line, format!("bad f64 bits `{s}`")))
-}
-
-fn err(line: usize, message: impl Into<String>) -> PersistError {
-    PersistError {
-        line,
-        message: message.into(),
+impl From<ByteError> for SnapshotError {
+    fn from(e: ByteError) -> Self {
+        Self::new(e.offset, e.kind.to_string())
     }
 }
 
-/// An id that names no entry of the table it points into.
-fn out_of_range(line: usize, what: &str, id: u32, table: &str, len: usize) -> PersistError {
-    err(
-        line,
-        format!("{what} id {id} is past [{table}], which holds {len} entries"),
-    )
+/// The FxHash a snapshot ends with, over every byte before it.
+pub fn checksum(bytes: &[u8]) -> u64 {
+    let mut hasher = FxHasher::default();
+    hasher.write(bytes);
+    hasher.finish()
 }
 
-/// Deserializes a dataset. The tag-path similarity table is rebuilt.
-/// Every id is checked against the table it points into — a path's
-/// labels, an item's paths and terms, a transaction's items — so a
-/// corrupted file is an error naming its line, never a panic.
-pub fn load(text: &str) -> Result<Dataset, PersistError> {
-    let mut lines = text.lines().enumerate().map(|(i, l)| (i + 1, l));
-    let (line_no, header) = lines.next().ok_or_else(|| err(0, "empty input"))?;
-    if header != HEADER {
-        return Err(err(line_no, format!("bad header `{header}`")));
+/// One snapshot format: what its envelope declares.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Format {
+    /// The four bytes a file of this format starts with.
+    pub magic: [u8; 4],
+    /// The version written, and the only one read.
+    pub version: u32,
+    /// What a file of this format holds, as its errors name it.
+    pub kind: &'static str,
+    /// The conventional file extension, as a bad magic names it.
+    pub extension: &'static str,
+}
+
+impl Format {
+    /// A snapshot of this format: the magic and version, what `payload`
+    /// appends, then the checksum.
+    pub fn encode(&self, payload: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+        let mut out = Vec::with_capacity(4096);
+        out.extend_from_slice(&self.magic);
+        put_u32(&mut out, self.version);
+        payload(&mut out);
+        let digest = checksum(&out);
+        put_u64(&mut out, digest);
+        out
     }
 
-    let read_section = |lines: &mut dyn Iterator<Item = (usize, &str)>,
-                        name: &str|
-     -> Result<Vec<(usize, String)>, PersistError> {
-        let (line_no, head) = lines
-            .next()
-            .ok_or_else(|| err(usize::MAX, format!("missing section [{name}]")))?;
-        let expected_prefix = format!("[{name}] ");
-        let count: usize = head
-            .strip_prefix(&expected_prefix)
-            .ok_or_else(|| err(line_no, format!("expected `[{name}] N`, got `{head}`")))?
-            .parse()
-            .map_err(|_| err(line_no, "bad section count"))?;
-        let mut rows = Vec::with_capacity(count);
-        for _ in 0..count {
-            let (n, l) = lines
-                .next()
-                .ok_or_else(|| err(line_no, format!("truncated section [{name}]")))?;
-            rows.push((n, l.to_string()));
-        }
-        Ok(rows)
-    };
-
-    // A repeated entry would collapse onto the first and shift every later
-    // id onto the next entry's key, so each table takes new entries only.
-    let duplicate = |n: usize, section: &str| err(n, format!("duplicated entry in [{section}]"));
-    let rows = read_section(&mut lines, "labels")?;
-    let mut labels = Interner::with_capacity(rows.len());
-    for (n, l) in rows {
-        labels
-            .insert_new(&unescape(&l))
-            .map_err(|_| duplicate(n, "labels"))?;
-    }
-    let rows = read_section(&mut lines, "vocabulary")?;
-    let mut vocabulary = Interner::with_capacity(rows.len());
-    for (n, l) in rows {
-        vocabulary
-            .insert_new(&unescape(&l))
-            .map_err(|_| duplicate(n, "vocabulary"))?;
+    /// Decodes a snapshot of this format. The magic, then the version, then
+    /// the checksum are checked; `payload` then reads from just after the
+    /// version (offsets count from the start of the file), and any byte it
+    /// leaves unread is refused. Every error names this format's kind.
+    pub fn decode<'a, T>(
+        &self,
+        bytes: &'a [u8],
+        payload: impl FnOnce(&mut ByteReader<'a>) -> Result<T, SnapshotError>,
+    ) -> Result<T, SnapshotError> {
+        self.open(bytes)
+            .and_then(|mut r| {
+                let value = payload(&mut r)?;
+                if !r.is_exhausted() {
+                    return Err(SnapshotError::new(r.offset(), "trailing bytes"));
+                }
+                Ok(value)
+            })
+            .map_err(|e| SnapshotError {
+                kind: self.kind,
+                ..e
+            })
     }
 
-    let rows = read_section(&mut lines, "paths")?;
-    let mut paths = PathTable::with_capacity(rows.len());
-    for (n, l) in rows {
-        let symbols: Result<Vec<Symbol>, _> = l
-            .split_whitespace()
-            .map(|tok| tok.parse::<u32>().map(Symbol))
-            .collect();
-        let symbols = symbols.map_err(|_| err(n, "bad path symbol"))?;
-        if let Some(label) = symbols.iter().find(|s| s.index() >= labels.len()) {
-            return Err(out_of_range(
-                n,
-                "path label",
-                label.0,
-                "labels",
-                labels.len(),
+    /// Checks the envelope; a reader over the payload, past the version.
+    fn open<'a>(&self, bytes: &'a [u8]) -> Result<ByteReader<'a>, SnapshotError> {
+        let mut header = ByteReader::new(bytes);
+        if header.bytes(self.magic.len()).ok() != Some(&self.magic[..]) {
+            return Err(SnapshotError::new(
+                0,
+                format!("bad magic (not a {} snapshot)", self.extension),
             ));
+        }
+        let at = header.offset();
+        let version = header.u32()?;
+        if version != self.version {
+            return Err(SnapshotError::new(
+                at,
+                format!(
+                    "unsupported format version {version} (expected {})",
+                    self.version
+                ),
+            ));
+        }
+        let end = bytes.len().saturating_sub(CHECKSUM);
+        if end < HEADER {
+            return Err(SnapshotError::new(bytes.len(), "truncated snapshot"));
+        }
+        let (body, tail) = bytes.split_at(end);
+        if ByteReader::new(tail).u64().ok() != Some(checksum(body)) {
+            return Err(SnapshotError::new(
+                end,
+                "checksum mismatch (corrupt snapshot)",
+            ));
+        }
+        let mut r = ByteReader::new(body);
+        r.bytes(HEADER)?;
+        Ok(r)
+    }
+
+    /// The checksum a snapshot of this format ends with, read without
+    /// decoding it: `None` when `bytes` is too short or lacks the magic.
+    /// Equal digests mean the same content, bit for bit.
+    pub fn digest(&self, bytes: &[u8]) -> Option<u64> {
+        let end = bytes.len().checked_sub(CHECKSUM)?;
+        if end < HEADER || !bytes.starts_with(&self.magic) {
+            return None;
+        }
+        ByteReader::new(&bytes[end..]).u64().ok()
+    }
+}
+
+/// Reads a `u32` id into the `table` of `len` entries, refusing one past
+/// its end at the id's offset.
+pub fn read_id(
+    r: &mut ByteReader<'_>,
+    what: &str,
+    table: &str,
+    len: usize,
+) -> Result<u32, SnapshotError> {
+    let at = r.offset();
+    let id = r.u32()?;
+    if id as usize >= len {
+        return Err(SnapshotError::new(
+            at,
+            format!("{what} id {id} is past the {table} table, which holds {len} entries"),
+        ));
+    }
+    Ok(id)
+}
+
+/// Appends a length-prefixed UTF-8 string.
+fn put_str(out: &mut Vec<u8>, text: &str) {
+    put_u32(out, text.len() as u32);
+    out.extend_from_slice(text.as_bytes());
+}
+
+/// Reads a length-prefixed UTF-8 string.
+fn read_str<'a>(r: &mut ByteReader<'a>) -> Result<&'a str, SnapshotError> {
+    let len = r.count(1)?;
+    let at = r.offset();
+    std::str::from_utf8(r.bytes(len)?).map_err(|_| SnapshotError::new(at, "string is not UTF-8"))
+}
+
+/// Appends the label interner, the vocabulary and the path table: each a
+/// count, then its entries in id order (a string, or a count of labels).
+pub fn put_tables(out: &mut Vec<u8>, labels: &Interner, vocabulary: &Interner, paths: &PathTable) {
+    for interner in [labels, vocabulary] {
+        put_u32(out, interner.len() as u32);
+        for (_, text) in interner.iter() {
+            put_str(out, text);
+        }
+    }
+    put_u32(out, paths.len() as u32);
+    for (_, path) in paths.iter() {
+        put_u32(out, path.len() as u32);
+        for label in path {
+            put_u32(out, label.0);
+        }
+    }
+}
+
+/// Reads what [`put_tables`] wrote: the labels, the vocabulary and the
+/// paths, each table sized from its section before it is filled. An entry
+/// listed twice is refused, since interning it would collapse it onto the
+/// first and shift every later id onto the next entry's key.
+pub fn read_tables(
+    r: &mut ByteReader<'_>,
+) -> Result<(Interner, Interner, PathTable), SnapshotError> {
+    let labels = read_interner(r, "labels")?;
+    let vocabulary = read_interner(r, "vocabulary")?;
+    let count = r.count(4)?;
+    let (total, longest) = extent(r, count, 4)?;
+    let mut paths = PathTable::with_capacity_and_labels(count, total);
+    let mut symbols = Vec::with_capacity(longest);
+    for _ in 0..count {
+        let at = r.offset();
+        let len = r.count(4)?;
+        symbols.clear();
+        for _ in 0..len {
+            symbols.push(Symbol(read_id(r, "path label", "labels", labels.len())?));
         }
         paths
             .insert_new(&symbols)
-            .map_err(|_| duplicate(n, "paths"))?;
+            .map_err(|first| duplicate(at, "paths", first.0))?;
     }
+    Ok((labels, vocabulary, paths))
+}
 
-    let mut items = Vec::new();
-    for (n, l) in read_section(&mut lines, "items")? {
-        let mut fields = l.split('\t');
-        let mut next = |what: &str| {
-            fields
-                .next()
-                .ok_or_else(|| err(n, format!("missing item field {what}")))
-        };
-        let path = PathId(next("path")?.parse().map_err(|_| err(n, "bad path id"))?);
-        let tag_path = PathId(
-            next("tag_path")?
-                .parse()
-                .map_err(|_| err(n, "bad tag path id"))?,
-        );
-        for (what, id) in [("path", path), ("tag path", tag_path)] {
-            if id.index() >= paths.len() {
-                return Err(out_of_range(n, what, id.0, "paths", paths.len()));
+fn read_interner(r: &mut ByteReader<'_>, section: &str) -> Result<Interner, SnapshotError> {
+    let count = r.count(4)?;
+    let (bytes, _) = extent(r, count, 1)?;
+    let mut interner = Interner::with_capacity_and_bytes(count, bytes);
+    for _ in 0..count {
+        let at = r.offset();
+        interner
+            .insert_new(read_str(r)?)
+            .map_err(|first| duplicate(at, section, first.0))?;
+    }
+    Ok(interner)
+}
+
+/// Measures the `count` entries that follow, each a length-prefixed run
+/// of `unit`-byte elements, without consuming them: their total and their
+/// longest length, in elements.
+fn extent(r: &ByteReader<'_>, count: usize, unit: usize) -> Result<(usize, usize), ByteError> {
+    let mut ahead = r.clone();
+    let (mut total, mut longest) = (0, 0);
+    for _ in 0..count {
+        let len = ahead.count(unit)?;
+        ahead.bytes(unit * len)?;
+        total += len;
+        longest = longest.max(len);
+    }
+    Ok((total, longest))
+}
+
+/// The error for the entry at byte `at` of `section`, which repeats entry
+/// `first`.
+fn duplicate(at: usize, section: &str, first: u32) -> SnapshotError {
+    SnapshotError::new(
+        at,
+        format!("duplicated entry in the {section} section (entry {first} again)"),
+    )
+}
+
+/// Appends term statistics: `N_T`, then a count and each term's `n_{j,T}`.
+pub fn put_term_stats(out: &mut Vec<u8>, stats: &TermStatsBuilder) {
+    put_u64(out, stats.total_tcus());
+    put_u32(out, stats.counts().len() as u32);
+    for &count in stats.counts() {
+        put_u64(out, count);
+    }
+}
+
+/// Reads what [`put_term_stats`] wrote, refusing more counts than the
+/// `vocabulary` has terms.
+pub fn read_term_stats(
+    r: &mut ByteReader<'_>,
+    vocabulary: usize,
+) -> Result<TermStatsBuilder, SnapshotError> {
+    let total_tcus = r.u64()?;
+    let len = r.count(8)?;
+    if len > vocabulary {
+        return Err(SnapshotError::new(
+            r.offset(),
+            format!("{len} term statistics exceed the vocabulary of {vocabulary}"),
+        ));
+    }
+    let mut counts = r.vec_for(len);
+    for _ in 0..len {
+        counts.push(r.u64()?);
+    }
+    Ok(TermStatsBuilder::from_parts(total_tcus, counts))
+}
+
+/// Appends a sparse vector: a count, then each `(term, weight)` entry.
+pub fn put_vector(out: &mut Vec<u8>, vector: &SparseVec) {
+    put_u32(out, vector.nnz() as u32);
+    for (term, weight) in vector.iter() {
+        put_u32(out, term.0);
+        put_f64(out, weight);
+    }
+}
+
+/// Reads what [`put_vector`] wrote, every term checked against a
+/// `vocabulary` of that many terms.
+pub fn read_vector(r: &mut ByteReader<'_>, vocabulary: usize) -> Result<SparseVec, SnapshotError> {
+    let nnz = r.count(12)?;
+    let mut pairs = r.vec_for(nnz);
+    for _ in 0..nnz {
+        let term = read_id(r, "vector term", "vocabulary", vocabulary)?;
+        pairs.push((Symbol(term), r.f64()?));
+    }
+    Ok(SparseVec::from_pairs(pairs))
+}
+
+/// Serializes a dataset to the `.cxkds` format.
+pub fn save(ds: &Dataset) -> Vec<u8> {
+    DATASET.encode(|out| {
+        put_tables(out, &ds.labels, &ds.vocabulary, &ds.paths);
+        put_u32(out, ds.items.len() as u32);
+        for item in &ds.items {
+            put_u32(out, item.path.0);
+            put_u32(out, item.tag_path.0);
+            put_u64(out, item.fingerprint);
+            put_str(out, &item.raw);
+            put_u32(out, item.terms.len() as u32);
+            for term in &item.terms {
+                put_u32(out, term.0);
+            }
+            put_vector(out, &item.vector);
+        }
+        put_u32(out, ds.transactions.len() as u32);
+        for (tr, &doc) in ds.transactions.iter().zip(&ds.doc_of) {
+            put_u32(out, doc);
+            put_u32(out, tr.items().len() as u32);
+            for id in tr.items() {
+                put_u32(out, id.0);
             }
         }
-        let fingerprint: u64 = next("fingerprint")?
-            .parse()
-            .map_err(|_| err(n, "bad fingerprint"))?;
-        let raw = unescape(next("raw")?);
-        let term = |id: u32, what: &str| {
-            if id as usize >= vocabulary.len() {
-                return Err(out_of_range(n, what, id, "vocabulary", vocabulary.len()));
-            }
-            Ok(Symbol(id))
-        };
-        let terms: Result<Vec<Symbol>, PersistError> = next("terms")?
-            .split_whitespace()
-            .map(|tok| {
-                let id = tok.parse::<u32>().map_err(|_| err(n, "bad term id"))?;
-                term(id, "term")
-            })
-            .collect();
-        let vector_field = next("vector")?;
-        let mut pairs = Vec::new();
-        for tok in vector_field.split_whitespace() {
-            let (t, w) = tok
-                .split_once(':')
-                .ok_or_else(|| err(n, "bad vector entry"))?;
-            let id: u32 = t.parse().map_err(|_| err(n, "bad vector term"))?;
-            pairs.push((term(id, "vector term")?, parse_hex_f64(w, n)?));
+        put_term_stats(out, &ds.term_stats);
+        let s = &ds.stats;
+        for stat in [
+            s.documents,
+            s.transactions,
+            s.items,
+            s.vocabulary,
+            s.complete_paths,
+            s.tag_paths,
+            s.max_transaction_len,
+            s.max_tcu_nnz,
+        ] {
+            put_u64(out, stat as u64);
         }
-        items.push(Item {
-            path,
-            tag_path,
-            raw: raw.into_boxed_str(),
-            terms: terms?,
-            vector: SparseVec::from_pairs(pairs),
-            fingerprint,
-        });
-    }
+        put_u64(out, s.total_tcus);
+        put_u64(out, s.max_depth as u64);
+    })
+}
 
-    let mut transactions = Vec::new();
-    let mut doc_of = Vec::new();
-    for (n, l) in read_section(&mut lines, "transactions")? {
-        let (doc, ids) = l
-            .split_once('\t')
-            .ok_or_else(|| err(n, "bad transaction line"))?;
-        doc_of.push(doc.parse().map_err(|_| err(n, "bad doc index"))?);
-        let ids: Result<Vec<ItemId>, PersistError> = ids
-            .split_whitespace()
-            .map(|tok| {
-                let id = tok.parse::<u32>().map_err(|_| err(n, "bad item id"))?;
-                if id as usize >= items.len() {
-                    return Err(out_of_range(n, "item", id, "items", items.len()));
-                }
-                Ok(ItemId(id))
-            })
-            .collect();
-        transactions.push(Transaction::new(ids?));
-    }
+/// Deserializes a `.cxkds` dataset; the tag-path similarity table is
+/// rebuilt. Every id is checked against the table it points into (a path's
+/// labels, an item's paths and terms, a transaction's items), so a corrupt
+/// file is an error naming its byte offset, never a panic.
+pub fn load(bytes: &[u8]) -> Result<Dataset, SnapshotError> {
+    DATASET.decode(bytes, |r| {
+        let (labels, vocabulary, paths) = read_tables(r)?;
+        // An item is at least its two paths, fingerprint and three counts.
+        let count = r.count(28)?;
+        let mut items = r.vec_for(count);
+        for _ in 0..count {
+            let path = PathId(read_id(r, "path", "paths", paths.len())?);
+            let tag_path = PathId(read_id(r, "tag path", "paths", paths.len())?);
+            let fingerprint = r.u64()?;
+            let raw = read_str(r)?.into();
+            let len = r.count(4)?;
+            let mut terms = r.vec_for(len);
+            for _ in 0..len {
+                terms.push(Symbol(read_id(r, "term", "vocabulary", vocabulary.len())?));
+            }
+            let vector = read_vector(r, vocabulary.len())?;
+            items.push(Item {
+                path,
+                tag_path,
+                raw,
+                terms,
+                vector,
+                fingerprint,
+            });
+        }
 
-    let (n, ts_line) = lines
-        .next()
-        .ok_or_else(|| err(usize::MAX, "missing [termstats]"))?;
-    let ts_fields: Vec<&str> = ts_line.split('\t').collect();
-    if ts_fields.len() != 3 || ts_fields[0] != "[termstats]" {
-        return Err(err(n, "bad termstats line"));
-    }
-    let total_tcus: u64 = ts_fields[1]
-        .parse()
-        .map_err(|_| err(n, "bad termstats total"))?;
-    let counts: Result<Vec<u64>, PersistError> = ts_fields[2]
-        .split_whitespace()
-        .map(|tok| tok.parse().map_err(|_| err(n, "bad termstats count")))
-        .collect();
-    let term_stats = TermStatsBuilder::from_parts(total_tcus, counts?);
+        let count = r.count(8)?;
+        let mut transactions = r.vec_for(count);
+        let mut doc_of = r.vec_for(count);
+        for _ in 0..count {
+            doc_of.push(r.u32()?);
+            let len = r.count(4)?;
+            let mut ids = r.vec_for(len);
+            for _ in 0..len {
+                ids.push(ItemId(read_id(r, "item", "items", items.len())?));
+            }
+            transactions.push(Transaction::new(ids));
+        }
 
-    let (n, stats_line) = lines
-        .next()
-        .ok_or_else(|| err(usize::MAX, "missing [stats]"))?;
-    let fields: Vec<&str> = stats_line.split('\t').collect();
-    if fields.len() != 11 || fields[0] != "[stats]" {
-        return Err(err(n, "bad stats line"));
-    }
-    let num = |i: usize| -> Result<usize, PersistError> {
-        fields[i].parse().map_err(|_| err(n, "bad stats value"))
-    };
-    let stats = DatasetStats {
-        documents: num(1)?,
-        transactions: num(2)?,
-        items: num(3)?,
-        vocabulary: num(4)?,
-        complete_paths: num(5)?,
-        tag_paths: num(6)?,
-        max_transaction_len: num(7)?,
-        max_tcu_nnz: num(8)?,
-        total_tcus: num(9)? as u64,
-        max_depth: num(10)?,
-    };
+        let term_stats = read_term_stats(r, vocabulary.len())?;
+        let mut stat = || r.u64().map(|v| v as usize);
+        let stats = DatasetStats {
+            documents: stat()?,
+            transactions: stat()?,
+            items: stat()?,
+            vocabulary: stat()?,
+            complete_paths: stat()?,
+            tag_paths: stat()?,
+            max_transaction_len: stat()?,
+            max_tcu_nnz: stat()?,
+            total_tcus: stat()? as u64,
+            max_depth: stat()?,
+        };
 
-    // Rebuild the derived similarity table.
-    let mut tag_paths: Vec<PathId> = items.iter().map(|i| i.tag_path).collect();
-    tag_paths.sort_unstable();
-    tag_paths.dedup();
-    let tag_sim = TagPathSimTable::build(&tag_paths, &paths);
+        let tag_sim = TagPathSimTable::build(&distinct_paths(&items, |i| i.tag_path), &paths);
 
-    Ok(Dataset {
-        labels,
-        vocabulary,
-        paths,
-        items,
-        transactions,
-        doc_of,
-        tag_sim,
-        term_stats,
-        stats,
+        Ok(Dataset {
+            labels,
+            vocabulary,
+            paths,
+            items,
+            transactions,
+            doc_of,
+            tag_sim,
+            term_stats,
+            stats,
+        })
     })
 }
 
@@ -398,16 +503,101 @@ mod tests {
         builder.finish()
     }
 
+    /// Recomputes the trailing checksum after `bytes` was edited.
+    fn reseal(bytes: &mut [u8]) {
+        let end = bytes.len() - CHECKSUM;
+        let digest = checksum(&bytes[..end]);
+        bytes[end..].copy_from_slice(&digest.to_le_bytes());
+    }
+
+    /// `bytes` with the `u32` at `at` set to `value`, resealed.
+    fn with_u32(bytes: &[u8], at: usize, value: u32) -> Vec<u8> {
+        let mut patched = bytes.to_vec();
+        patched[at..at + 4].copy_from_slice(&value.to_le_bytes());
+        reseal(&mut patched);
+        patched
+    }
+
+    /// Where the counts and records of `save(ds)` start, computed from the
+    /// layout in the module docs rather than by the decoder.
+    struct Offsets {
+        labels: usize,
+        vocabulary: usize,
+        paths: usize,
+        items: usize,
+        /// Each item's first byte (its path id).
+        item: Vec<usize>,
+        transactions: usize,
+        /// Each transaction's first byte (its document index).
+        transaction: Vec<usize>,
+        /// The term statistics' count (after `N_T`).
+        term_stats: usize,
+    }
+
+    fn str_len(text: &str) -> usize {
+        4 + text.len()
+    }
+
+    fn offsets(ds: &Dataset) -> Offsets {
+        let labels = HEADER;
+        let vocabulary = labels + 4 + ds.labels.iter().map(|(_, t)| str_len(t)).sum::<usize>();
+        let paths = vocabulary + 4 + ds.vocabulary.iter().map(|(_, t)| str_len(t)).sum::<usize>();
+        let items = paths + 4 + ds.paths.iter().map(|(_, p)| 4 + 4 * p.len()).sum::<usize>();
+        let mut at = items + 4;
+        let item = ds
+            .items
+            .iter()
+            .map(|i| {
+                let start = at;
+                at += 16 + str_len(&i.raw) + 4 + 4 * i.terms.len() + 4 + 12 * i.vector.nnz();
+                start
+            })
+            .collect();
+        let transactions = at;
+        at += 4;
+        let transaction = ds
+            .transactions
+            .iter()
+            .map(|t| {
+                let start = at;
+                at += 8 + 4 * t.len();
+                start
+            })
+            .collect();
+        Offsets {
+            labels,
+            vocabulary,
+            paths,
+            items,
+            item,
+            transactions,
+            transaction,
+            term_stats: at + 8,
+        }
+    }
+
+    /// The first item with a term, and the offsets of its terms' count and
+    /// its vector's count.
+    fn item_with_terms(ds: &Dataset, at: &Offsets) -> (usize, usize) {
+        let (i, item) = ds
+            .items
+            .iter()
+            .enumerate()
+            .find(|(_, i)| !i.terms.is_empty() && i.vector.nnz() > 0)
+            .expect("an item with terms");
+        let terms = at.item[i] + 16 + str_len(&item.raw);
+        (terms, terms + 4 + 4 * item.terms.len())
+    }
+
     #[test]
     fn round_trip_preserves_everything() {
         let ds = sample_dataset();
-        let text = save(&ds);
-        let loaded = load(&text).expect("loads");
+        let bytes = save(&ds);
+        let loaded = load(&bytes).expect("loads");
         assert_eq!(loaded.items.len(), ds.items.len());
         assert_eq!(loaded.transactions.len(), ds.transactions.len());
         assert_eq!(loaded.doc_of, ds.doc_of);
-        assert_eq!(loaded.stats.documents, ds.stats.documents);
-        assert_eq!(loaded.stats.total_tcus, ds.stats.total_tcus);
+        assert_eq!(loaded.stats, ds.stats);
         assert_eq!(loaded.term_stats.total_tcus(), ds.term_stats.total_tcus());
         assert_eq!(loaded.term_stats.counts(), ds.term_stats.counts());
         for (a, b) in loaded.items.iter().zip(&ds.items) {
@@ -421,10 +611,18 @@ mod tests {
         for (a, b) in loaded.transactions.iter().zip(&ds.transactions) {
             assert_eq!(a.items(), b.items());
         }
-        // Interners resolve identically.
+        // Interners and paths resolve identically.
         for (sym, text) in ds.vocabulary.iter() {
             assert_eq!(loaded.vocabulary.resolve(sym), text);
         }
+        for (sym, text) in ds.labels.iter() {
+            assert_eq!(loaded.labels.resolve(sym), text);
+        }
+        for (id, labels) in ds.paths.iter() {
+            assert_eq!(loaded.paths.resolve(id), labels);
+        }
+        // Saving is deterministic: the reloaded dataset saves to the same bytes.
+        assert_eq!(save(&loaded), bytes);
     }
 
     #[test]
@@ -452,104 +650,213 @@ mod tests {
     }
 
     #[test]
-    fn escaping_round_trips_hostile_text() {
-        for text in ["a\tb", "line\nbreak", "back\\slash", "\\n literal", ""] {
-            assert_eq!(unescape(&escape(text)), text);
+    fn hostile_raw_text_round_trips() {
+        let hostile = [
+            "a\tb",
+            "line\nbreak",
+            "back\\slash",
+            "\\n literal",
+            "",
+            "non-BMP 𝔛 🦀",
+            "\r\n\t\\\0",
+        ];
+        let mut ds = sample_dataset();
+        assert!(ds.items.len() >= hostile.len());
+        for (item, text) in ds.items.iter_mut().zip(hostile) {
+            item.raw = text.into();
+        }
+        for text in hostile {
+            ds.labels.intern(text);
+            ds.vocabulary.intern(text);
+        }
+        let loaded = load(&save(&ds)).expect("loads");
+        for (a, b) in loaded.items.iter().zip(&ds.items) {
+            assert_eq!(a.raw, b.raw);
+        }
+        for text in hostile {
+            assert_eq!(loaded.labels.get(text), ds.labels.get(text), "{text:?}");
+            assert_eq!(loaded.vocabulary.get(text), ds.vocabulary.get(text));
         }
     }
 
     #[test]
     fn rejects_bad_header() {
-        let e = load("not a dataset").unwrap_err();
-        assert!(e.message.contains("bad header"));
+        let e = load(b"not a dataset").unwrap_err();
+        assert_eq!(e.offset, 0);
+        assert!(e.message.contains("bad magic"), "{e}");
+        // A text file from earlier builds is refused by its magic, whatever
+        // it declares.
+        let text = b"cxkds 2\n[labels] 99999999999999\n";
+        assert_eq!(text.len(), 32);
+        let e = load(text).unwrap_err();
+        assert_eq!(
+            e.to_string(),
+            "dataset load error at byte 0: bad magic (not a .cxkds snapshot)"
+        );
+        // Another version is named before the checksum is consulted.
+        let mut bytes = save(&sample_dataset());
+        bytes[4..8].copy_from_slice(&2u32.to_le_bytes());
+        let e = load(&bytes).unwrap_err();
+        assert_eq!(e.offset, 4);
+        assert!(e.message.contains("version 2"), "{e}");
     }
 
     #[test]
     fn rejects_truncation() {
-        let ds = sample_dataset();
-        let text = save(&ds);
-        let truncated: String = text.lines().take(5).collect::<Vec<_>>().join("\n");
-        assert!(load(&truncated).is_err());
-    }
-
-    #[test]
-    fn rejects_corrupted_item_line() {
-        let ds = sample_dataset();
-        let text = save(&ds);
-        let corrupted = text.replacen("[items]", "[items] ", 1); // breaks count parse
-        assert!(load(&corrupted).is_err());
-    }
-
-    #[test]
-    fn rejects_a_duplicated_entry_with_its_line() {
-        let text = save(&sample_dataset());
-        let lines: Vec<&str> = text.lines().collect();
-        for section in ["labels", "vocabulary", "paths"] {
-            // Overwrite the section's second entry with its first.
-            let head = lines
-                .iter()
-                .position(|l| l.starts_with(&format!("[{section}] ")))
-                .expect("section present");
-            let mut patched = lines.clone();
-            patched[head + 2] = lines[head + 1];
-            let e = load(&patched.join("\n")).unwrap_err();
-            assert_eq!(e.line, head + 3, "{section}: {e}");
-            assert!(e.message.contains(&format!("[{section}]")), "{e}");
+        let bytes = save(&sample_dataset());
+        for len in [0, 3, 8, 15, 16, bytes.len() / 2, bytes.len() - 1] {
+            assert!(load(&bytes[..len]).is_err(), "{len} bytes");
         }
+        let e = load(&bytes[..bytes.len() / 2]).unwrap_err();
+        assert!(e.message.contains("checksum"), "{e}");
     }
 
-    /// `text` with field `field` (tab-separated) of the first line of
-    /// `section` replaced by `value`, and that line's 1-based number.
-    fn patch_field(text: &str, section: &str, field: usize, value: &str) -> (String, usize) {
-        let mut lines: Vec<String> = text.lines().map(str::to_string).collect();
-        let head = lines
-            .iter()
-            .position(|l| l.starts_with(&format!("[{section}] ")))
-            .expect("section present");
-        let mut fields: Vec<String> = lines[head + 1].split('\t').map(str::to_string).collect();
-        fields[field] = value.to_string();
-        lines[head + 1] = fields.join("\t");
-        (lines.join("\n"), head + 2)
+    #[test]
+    fn rejects_a_corrupted_item() {
+        let ds = sample_dataset();
+        let bytes = save(&ds);
+        // The first item's raw text, made invalid UTF-8.
+        let raw = offsets(&ds).item[0] + 16;
+        assert!(!ds.items[0].raw.is_empty());
+        let mut corrupt = bytes.clone();
+        corrupt[raw + 4] = 0xFF;
+        // Unsealed, the checksum refuses it; resealed, the decoder does.
+        assert!(load(&corrupt).unwrap_err().message.contains("checksum"));
+        reseal(&mut corrupt);
+        let e = load(&corrupt).unwrap_err();
+        assert_eq!(e.offset, raw + 4);
+        assert!(e.message.contains("not UTF-8"), "{e}");
     }
 
-    /// Loading the sample dataset with `value` in field `field` of the
-    /// first line of `section` fails at that line, naming the id.
-    fn assert_rejected(section: &str, field: usize, value: &str, what: &str) {
-        let (patched, line) = patch_field(&save(&sample_dataset()), section, field, value);
-        let e = load(&patched).expect_err(what);
-        assert_eq!(e.line, line, "{e}");
+    /// `ds`'s file with the one occurrence of `from` replaced by `to` (as
+    /// long), resealed; also returns where.
+    fn patched(ds: &Dataset, from: &[u8], to: &[u8]) -> (Vec<u8>, usize) {
+        let mut bytes = save(ds);
+        let found: Vec<usize> = (0..bytes.len() - from.len())
+            .filter(|&at| bytes[at..].starts_with(from))
+            .collect();
+        assert_eq!(found.len(), 1, "the pattern occurs once");
+        bytes[found[0]..found[0] + to.len()].copy_from_slice(to);
+        reseal(&mut bytes);
+        (bytes, found[0])
+    }
+
+    #[test]
+    fn rejects_a_duplicated_entry_with_its_offset() {
+        let entry = |text: &str| {
+            let mut out = Vec::new();
+            put_str(&mut out, text);
+            out
+        };
+        for section in ["labels", "vocabulary"] {
+            let mut ds = sample_dataset();
+            let table = if section == "labels" {
+                &mut ds.labels
+            } else {
+                &mut ds.vocabulary
+            };
+            for text in ["zzdupa", "zzdupb", "zzlast"] {
+                table.intern(text);
+            }
+            let (bytes, at) = patched(&ds, &entry("zzdupb"), &entry("zzdupa"));
+            let e = load(&bytes).unwrap_err();
+            assert_eq!(e.offset, at, "{section}: {e}");
+            assert!(e.message.contains(&format!("{section} section")), "{e}");
+        }
+        // Two new paths that differ in their last label only, then one more
+        // whose id the duplicate would shift.
+        let mut ds = sample_dataset();
+        let label = ds.labels.intern("zzonly");
+        let next = ds.labels.intern("zznext");
+        let encode = |labels: &[Symbol]| {
+            let mut out = Vec::new();
+            put_u32(&mut out, labels.len() as u32);
+            for sym in labels {
+                put_u32(&mut out, sym.0);
+            }
+            out
+        };
+        let (dup, twin) = ([label, label, label], [label, label, next]);
+        ds.paths.intern(&dup);
+        ds.paths.intern(&twin);
+        ds.paths.intern(&[next]);
+        let (bytes, at) = patched(&ds, &encode(&twin), &encode(&dup));
+        let e = load(&bytes).unwrap_err();
+        assert_eq!(e.offset, at, "{e}");
+        assert!(e.message.contains("paths section"), "{e}");
+    }
+
+    /// Loading the sample dataset with the `u32` at `at` set to `value`
+    /// fails at that offset, the message starting with `what`.
+    fn assert_rejected(at: impl Fn(&Offsets, &Dataset) -> usize, value: u32, what: &str) {
+        let ds = sample_dataset();
+        let at = at(&offsets(&ds), &ds);
+        let e = load(&with_u32(&save(&ds), at, value)).expect_err(what);
+        assert_eq!(e.offset, at, "{e}");
         assert!(e.message.starts_with(what), "{e}");
     }
 
     #[test]
     fn rejects_an_out_of_range_tag_path() {
-        assert_rejected("items", 1, "999999", "tag path id 999999");
+        assert_rejected(|at, _| at.item[0] + 4, 999999, "tag path id 999999");
     }
 
     #[test]
     fn rejects_an_out_of_range_path() {
-        assert_rejected("items", 0, "999999", "path id 999999");
+        assert_rejected(|at, _| at.item[0], 999999, "path id 999999");
     }
 
     #[test]
     fn rejects_an_out_of_range_path_label() {
-        assert_rejected("paths", 0, "0 999999", "path label id 999999");
+        // The first path's first label (after the section's and its count).
+        assert_rejected(|at, _| at.paths + 8, 999999, "path label id 999999");
     }
 
     #[test]
     fn rejects_an_out_of_range_term() {
-        assert_rejected("items", 4, "999999", "term id 999999");
-        assert_rejected(
-            "items",
-            5,
-            "999999:3ff0000000000000",
-            "vector term id 999999",
-        );
+        let terms = |at: &Offsets, ds: &Dataset| item_with_terms(ds, at).0 + 4;
+        assert_rejected(terms, 999999, "term id 999999");
+        let vector = |at: &Offsets, ds: &Dataset| item_with_terms(ds, at).1 + 4;
+        assert_rejected(vector, 999999, "vector term id 999999");
     }
 
     #[test]
     fn rejects_an_out_of_range_item() {
-        assert_rejected("transactions", 1, "0 999999", "item id 999999");
+        // The first transaction's first item (after its document and count).
+        assert_rejected(|at, _| at.transaction[0] + 8, 999999, "item id 999999");
+    }
+
+    #[test]
+    fn every_count_is_refused_before_anything_is_sized() {
+        let ds = sample_dataset();
+        let at = offsets(&ds);
+        let (terms, vector) = item_with_terms(&ds, &at);
+        let counts = [
+            ("labels", at.labels),
+            ("vocabulary", at.vocabulary),
+            ("paths", at.paths),
+            ("items", at.items),
+            ("an item's terms", terms),
+            ("an item's vector", vector),
+            ("transactions", at.transactions),
+            ("a transaction's items", at.transaction[0] + 4),
+            ("term statistics", at.term_stats),
+        ];
+        let bytes = save(&ds);
+        for (what, count_at) in counts {
+            let e = load(&with_u32(&bytes, count_at, u32::MAX)).expect_err(what);
+            assert_eq!(e.offset, count_at + 4, "{what}: {e}");
+            assert_eq!(
+                e.message,
+                format!("count {} exceeds the bytes left", u32::MAX),
+                "{what}"
+            );
+        }
+        // The oracle agrees with the file: the stats close the payload.
+        assert_eq!(
+            at.term_stats + 4 + 8 * ds.term_stats.counts().len() + 80 + 8,
+            bytes.len()
+        );
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Little-endian binary encoding: the one writer and the one
-//! bounds-checked reader behind the `.cxkmodel` snapshot codec and the
-//! shard wire protocol.
+//! bounds-checked reader behind the snapshot codec (`.cxkmodel` models and
+//! `.cxkds` datasets) and the shard wire protocol.
 //!
 //! Integers are little-endian, `f64`s travel as their raw IEEE bits, and
 //! a variable-length section is a `u32` count followed by its elements.

@@ -20,7 +20,8 @@
 //! * [`json`] — the one JSON escaping rule and the one JSON reader, with a
 //!   nesting cap, behind batch bodies, error bodies and reports.
 //! * [`bytes`] — the one little-endian writer and bounds-checked reader
-//!   behind the `.cxkmodel` snapshot codec and the shard wire protocol.
+//!   behind the snapshot codec (`.cxkmodel`, `.cxkds`) and the shard wire
+//!   protocol.
 
 #![warn(missing_docs)]
 

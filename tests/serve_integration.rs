@@ -480,8 +480,8 @@ fn post_reload_swaps_and_rejects_incompatible_snapshots() {
     assert!(head.starts_with("HTTP/1.1 409"), "{head}: {body}");
     assert!(body.contains("not a .cxkmodel"), "{body}");
 
-    // A future format version is rejected by the peek — before the
-    // checksum is even consulted — and names the version mismatch.
+    // A future format version is rejected by the envelope's version check
+    // — before the checksum is even consulted — and names the mismatch.
     let mut future = save_model(&model_b);
     future[4..8].copy_from_slice(&99u32.to_le_bytes());
     let future_path = scratch_file("reload-future.cxkmodel");
