@@ -3,8 +3,13 @@
 //! criterion's two modes:
 //!
 //! * **bench mode** (`cargo bench` passes `--bench`): each routine is warmed
-//!   up once, then timed over `sample_size` samples; mean wall-clock time per
-//!   iteration (and throughput when configured) is printed to stdout.
+//!   up once, then run in batches doubling in size until one batch lasts at
+//!   least 1 ms; `sample_size` batches of that size are timed one
+//!   by one, and the median wall-clock time per iteration, with the fastest
+//!   and slowest sample beside it (and throughput at the median when
+//!   configured), is printed to stdout. A median of separately timed
+//!   samples does not move with one slow batch — a page fault, a
+//!   descheduled thread — as a mean over one timed block does.
 //! * **test mode** (`cargo test` runs bench targets without `--bench`): each
 //!   routine runs exactly once as a smoke test, so benches stay cheap inside
 //!   the test suite while still exercising their full code paths.
@@ -17,6 +22,14 @@ use std::fmt::Write as _;
 use std::time::{Duration, Instant};
 
 pub use std::hint::black_box;
+
+/// The shortest a timed sample may be: a batch of iterations is sized to
+/// last at least this long, so timer resolution and the per-sample
+/// overhead stay small beside what is measured.
+const MIN_SAMPLE: Duration = Duration::from_millis(1);
+
+/// The largest batch, for routines too fast to reach [`MIN_SAMPLE`].
+const MAX_BATCH: u64 = 1 << 24;
 
 /// How batched inputs are grouped; accepted for API compatibility only.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -64,8 +77,9 @@ impl BenchmarkId {
 pub struct Bencher<'a> {
     samples: u64,
     bench_mode: bool,
-    /// Mean nanoseconds per iteration, reported back to the [`Criterion`].
-    mean_nanos: &'a mut f64,
+    /// Nanoseconds per iteration of each timed sample, reported back to
+    /// the [`Criterion`].
+    per_iter: &'a mut Vec<f64>,
 }
 
 impl Bencher<'_> {
@@ -75,16 +89,19 @@ impl Bencher<'_> {
             black_box(routine());
             return;
         }
-        black_box(routine()); // warm-up
-        let start = Instant::now();
-        for _ in 0..self.samples {
-            black_box(routine());
-        }
-        *self.mean_nanos = start.elapsed().as_nanos() as f64 / self.samples as f64;
+        self.measure(|n| {
+            let start = Instant::now();
+            for _ in 0..n {
+                black_box(routine());
+            }
+            start.elapsed()
+        });
     }
 
     /// Times `routine` over inputs produced by `setup`. As in criterion,
-    /// neither running `setup` nor dropping the routine's output is timed.
+    /// neither running `setup` nor dropping the routine's output is timed:
+    /// each call is timed on its own, one input alive at a time, and a
+    /// batch's time is the sum of its calls'.
     pub fn iter_batched<I, O>(
         &mut self,
         mut setup: impl FnMut() -> I,
@@ -95,15 +112,33 @@ impl Bencher<'_> {
             black_box(routine(setup()));
             return;
         }
-        let mut total = Duration::ZERO;
-        for _ in 0..self.samples {
-            let input = setup();
-            let start = Instant::now();
-            let output = black_box(routine(input));
-            total += start.elapsed();
-            drop(output);
+        self.measure(|n| {
+            let mut total = Duration::ZERO;
+            for _ in 0..n {
+                let input = setup();
+                let start = Instant::now();
+                let output = black_box(routine(input));
+                total += start.elapsed();
+                drop(output);
+            }
+            total
+        });
+    }
+
+    /// Warms up with one iteration, doubles the batch until one lasts
+    /// [`MIN_SAMPLE`], then times `samples` batches of that size.
+    /// `run(n)` runs `n` iterations and returns the time they took.
+    fn measure(&mut self, mut run: impl FnMut(u64) -> Duration) {
+        run(1);
+        let mut batch = 1;
+        while run(batch) < MIN_SAMPLE && batch < MAX_BATCH {
+            batch *= 2;
         }
-        *self.mean_nanos = total.as_nanos() as f64 / self.samples as f64;
+        self.per_iter.clear();
+        for _ in 0..self.samples {
+            self.per_iter
+                .push(run(batch).as_nanos() as f64 / batch as f64);
+        }
     }
 }
 
@@ -162,24 +197,34 @@ impl Criterion {
         {
             return;
         }
-        let mut mean_nanos = 0.0;
+        let mut per_iter = Vec::new();
         let mut bencher = Bencher {
             samples,
             bench_mode: self.bench_mode,
-            mean_nanos: &mut mean_nanos,
+            per_iter: &mut per_iter,
         };
         f(&mut bencher);
         if !self.bench_mode {
             return;
         }
-        let mut line = format!("{id:<48} {:>12}/iter", format_nanos(mean_nanos));
+        per_iter.sort_by(f64::total_cmp);
+        let (Some(&min), Some(&max)) = (per_iter.first(), per_iter.last()) else {
+            return;
+        };
+        let median = per_iter[per_iter.len() / 2];
+        let mut line = format!(
+            "{id:<48} {:>12}/iter  ({} – {})",
+            format_nanos(median),
+            format_nanos(min),
+            format_nanos(max)
+        );
         if let Some(tp) = throughput {
-            let per_sec = |units: u64| units as f64 / (mean_nanos / 1e9);
+            let per_sec = |units: u64| units as f64 / (median / 1e9);
             match tp {
-                Throughput::Bytes(b) if mean_nanos > 0.0 => {
+                Throughput::Bytes(b) if median > 0.0 => {
                     let _ = write!(line, "  {:.1} MiB/s", per_sec(b) / (1024.0 * 1024.0));
                 }
-                Throughput::Elements(n) if mean_nanos > 0.0 => {
+                Throughput::Elements(n) if median > 0.0 => {
                     let _ = write!(line, "  {:.0} elem/s", per_sec(n));
                 }
                 _ => {}
@@ -306,6 +351,12 @@ mod tests {
         assert_eq!(runs, 1);
     }
 
+    /// A routine that takes at least [`MIN_SAMPLE`], so every batch is one
+    /// iteration.
+    fn slow() {
+        std::thread::sleep(MIN_SAMPLE);
+    }
+
     #[test]
     fn bench_mode_runs_warmup_plus_samples() {
         let mut c = Criterion {
@@ -314,8 +365,34 @@ mod tests {
             filter: None,
         };
         let mut runs = 0;
-        c.bench_function("timed", |b| b.iter(|| runs += 1));
-        assert_eq!(runs, 5);
+        c.bench_function("timed", |b| {
+            b.iter(|| {
+                runs += 1;
+                slow()
+            })
+        });
+        // The warm-up, a first batch of one that already lasts the
+        // minimum, then four samples of one.
+        assert_eq!(runs, 6);
+    }
+
+    #[test]
+    fn a_fast_routine_is_timed_in_batches_of_at_least_the_minimum() {
+        let mut per_iter = Vec::new();
+        let mut b = Bencher {
+            samples: 5,
+            bench_mode: true,
+            per_iter: &mut per_iter,
+        };
+        let mut runs = 0u64;
+        b.iter(|| runs += 1);
+        // The warm-up, batches 1, 2, …, 2^j while sizing, then five samples
+        // of 2^j: 7 · 2^j runs in all.
+        let batch = runs / 7;
+        assert_eq!(runs, 7 * batch);
+        assert!(batch.is_power_of_two(), "{runs} runs");
+        assert!(batch > 1, "a no-op fits many times in {MIN_SAMPLE:?}");
+        assert_eq!(per_iter.len(), 5);
     }
 
     #[test]
@@ -327,12 +404,24 @@ mod tests {
         };
         let mut group = c.benchmark_group("g");
         group.throughput(Throughput::Bytes(128));
-        let mut total = 0u64;
+        let (mut made, mut total) = (0u64, 0u64);
         group.bench_with_input(BenchmarkId::from_parameter(7), &7u64, |b, &x| {
-            b.iter_batched(|| x, |v| total += v, BatchSize::LargeInput)
+            b.iter_batched(
+                || {
+                    made += 1;
+                    x
+                },
+                |v| {
+                    total += v;
+                    slow()
+                },
+                BatchSize::LargeInput,
+            )
         });
         group.finish();
-        assert_eq!(total, 21);
+        // One input per run: the warm-up, a first batch of one, three
+        // samples of one.
+        assert_eq!((made, total), (5, 35));
     }
 
     #[test]

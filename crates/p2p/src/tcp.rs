@@ -1,28 +1,34 @@
 //! Length-prefixed TCP framing for the `cxk_p2p` fabric.
 //!
-//! The in-process network ([`crate::net`]) routes [`Envelope`]s over
-//! `std::sync::mpsc` channels and meters their [`Wire::wire_size`] in a
-//! shared [`TrafficLedger`]. This module carries the **same envelope
-//! semantics across process boundaries**: a [`FramedConn`] wraps one
-//! `TcpStream` and exchanges envelopes as length-prefixed frames, metering
-//! *actual* frame bytes into a caller-supplied ledger. The fabric stays
+//! The in-process network ([`crate::net`]) routes envelopes over
+//! `std::sync::mpsc` channels. This module carries messages **across
+//! process boundaries**: a [`FramedConn`] wraps one `TcpStream` and
+//! exchanges messages as length-prefixed frames. The fabric stays
 //! clustering-agnostic — payloads are anything implementing [`WireCodec`],
-//! and this crate knows nothing about what they mean.
+//! and this crate knows nothing about what they mean. A connection has two
+//! ends and nothing else, so a frame names no peer, and the bytes each call
+//! moves are returned to the caller, who counts them where it needs them.
 //!
 //! # Frame format
 //!
-//! Every frame is `12 + len` bytes, all integers little-endian:
+//! Every frame is `4 + len` bytes:
 //!
 //! ```text
-//! ┌────────────┬────────────┬────────────┬──────────────────┐
-//! │ from: u32  │  to: u32   │  len: u32  │  payload (len B) │
-//! └────────────┴────────────┴────────────┴──────────────────┘
+//! ┌────────────┬──────────────────┐
+//! │  len: u32  │  payload (len B) │
+//! └────────────┴──────────────────┘
 //! ```
 //!
-//! `from`/`to` are [`PeerId`]s under whatever numbering the application
-//! chose (the distributed serving layer numbers the frontend 0 and shard
-//! `i`'s daemon `i + 1`). The payload is the [`WireCodec`] encoding of the
-//! message.
+//! `len` is little-endian and at most [`MAX_FRAME_BYTES`]; the payload is
+//! the [`WireCodec`] encoding of the message.
+//!
+//! # Untrusted input
+//!
+//! The receive side never sizes a buffer from the length a peer declares:
+//! the payload buffer reaches at most one 64 KiB chunk past the bytes
+//! received, so its capacity stays within twice what the peer actually
+//! sent plus one chunk, and a header that claims 256 MiB and then stalls
+//! costs one chunk, not a 256 MiB zero-fill.
 //!
 //! # Error mapping and the timeout contract
 //!
@@ -42,30 +48,28 @@
 //!   exactly that, and additionally tags requests with sequence numbers).
 //! * EOF, resets and every other I/O failure surface as
 //!   [`NetworkError::Disconnected`]; the connection is then dead.
-//!
-//! Metering records each frame once, at send time, matching the
-//! in-process ledger contract.
 
-use crate::net::{Envelope, NetworkError, PeerId, TrafficLedger, Wire};
+use crate::net::NetworkError;
 use std::io::{Read, Write};
 use std::marker::PhantomData;
 use std::net::TcpStream;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Frames larger than this are treated as protocol corruption rather than
-/// allocated: a desynced stream must not look like a 4 GiB message.
+/// received: a desynced stream must not look like a 4 GiB message.
 pub const MAX_FRAME_BYTES: usize = 256 * 1024 * 1024;
 
-/// Bytes of frame header preceding every payload (`from`, `to`, `len`).
-pub const FRAME_HEADER_BYTES: usize = 12;
+/// Bytes of frame header preceding every payload (`len`).
+pub const FRAME_HEADER_BYTES: usize = 4;
 
-/// A message that can cross a byte-oriented transport: [`Wire`] (so
-/// in-process metering still works) plus an explicit encoding.
+/// Most bytes the payload buffer grows by before the peer has sent them.
+const RX_CHUNK_BYTES: usize = 64 * 1024;
+
+/// A message that can cross a byte-oriented transport.
 ///
 /// Encodings must be self-delimiting within the frame: `decode` receives
 /// exactly the bytes `encode` produced for one message.
-pub trait WireCodec: Wire + Sized {
+pub trait WireCodec: Sized {
     /// Appends this message's encoding to `buf`.
     fn encode(&self, buf: &mut Vec<u8>);
 
@@ -74,18 +78,13 @@ pub trait WireCodec: Wire + Sized {
     fn decode(bytes: &[u8]) -> Option<Self>;
 }
 
-/// One framed, metered TCP connection speaking [`Envelope`]s of `M`.
+/// One framed TCP connection exchanging messages of type `M`.
 ///
 /// The connection is symmetric — either end may send or receive — and
 /// single-threaded by design (`&mut self`): the serving layer gives each
-/// worker its own connection per shard, mirroring how each in-process peer
-/// owns its channel handle.
+/// worker its own connection per shard.
 pub struct FramedConn<M: WireCodec> {
     stream: TcpStream,
-    /// This endpoint's id, stamped into outgoing frames.
-    id: PeerId,
-    /// Shared traffic meter; `None` disables metering.
-    ledger: Option<Arc<TrafficLedger>>,
     /// Reusable encode buffer.
     buf: Vec<u8>,
     /// The in-progress inbound frame, retained across timeouts.
@@ -99,93 +98,42 @@ pub struct FramedConn<M: WireCodec> {
 struct RxFrame {
     header: [u8; FRAME_HEADER_BYTES],
     header_filled: usize,
-    /// Expected payload length, set once the header is complete and
-    /// validated; `None` while the header is still being read.
-    payload_len: Option<usize>,
-    /// Payload bytes; the allocation is reused across frames.
+    /// Payload bytes received so far; the allocation is reused across
+    /// frames.
     payload: Vec<u8>,
-    payload_filled: usize,
-}
-
-/// Little-endian u32 at `offset` of a frame header. Infallible by
-/// construction: callers index within `FRAME_HEADER_BYTES - 4`.
-fn header_u32(header: &[u8; FRAME_HEADER_BYTES], offset: usize) -> u32 {
-    u32::from_le_bytes([
-        header[offset],
-        header[offset + 1],
-        header[offset + 2],
-        header[offset + 3],
-    ])
 }
 
 impl<M: WireCodec> FramedConn<M> {
     /// Wraps an established stream. `TCP_NODELAY` is set — frames are
     /// request/response sized and latency-bound, not throughput-bound.
-    pub fn new(
-        stream: TcpStream,
-        id: PeerId,
-        ledger: Option<Arc<TrafficLedger>>,
-    ) -> std::io::Result<Self> {
+    pub fn new(stream: TcpStream) -> std::io::Result<Self> {
         stream.set_nodelay(true)?;
         Ok(Self {
             stream,
-            id,
-            ledger,
             buf: Vec::new(),
             rx: RxFrame::default(),
             _marker: PhantomData,
         })
     }
 
-    /// Dials `addr` and wraps the resulting stream.
-    pub fn connect(
-        addr: &str,
-        id: PeerId,
-        ledger: Option<Arc<TrafficLedger>>,
-    ) -> std::io::Result<Self> {
-        Self::new(TcpStream::connect(addr)?, id, ledger)
-    }
-
-    /// This endpoint's id.
-    pub fn id(&self) -> PeerId {
-        self.id
-    }
-
-    /// Re-numbers this endpoint. An accepting side that does not know the
-    /// dialer's peer numbering adopts the `to` id of the first envelope it
-    /// receives, so its replies carry a meaningful `from`.
-    pub fn set_id(&mut self, id: PeerId) {
-        self.id = id;
-    }
-
-    /// The remote endpoint's socket address.
-    pub fn peer_addr(&self) -> std::io::Result<std::net::SocketAddr> {
-        self.stream.peer_addr()
-    }
-
-    /// Sends one envelope `self.id → to`, returning the frame bytes
-    /// written (header + payload), which are also metered into the ledger.
-    pub fn send(&mut self, to: PeerId, payload: &M) -> Result<usize, NetworkError> {
+    /// Sends one message, returning the frame bytes written (header +
+    /// payload).
+    pub fn send(&mut self, msg: &M) -> Result<usize, NetworkError> {
         self.buf.clear();
-        self.buf.extend_from_slice(&self.id.0.to_le_bytes());
-        self.buf.extend_from_slice(&to.0.to_le_bytes());
-        self.buf.extend_from_slice(&[0u8; 4]); // len backpatched below
-        payload.encode(&mut self.buf);
+        self.buf.extend_from_slice(&[0u8; FRAME_HEADER_BYTES]); // len backpatched below
+        msg.encode(&mut self.buf);
         let len = self.buf.len() - FRAME_HEADER_BYTES;
         if len > MAX_FRAME_BYTES {
             return Err(NetworkError::Disconnected);
         }
-        self.buf[8..12].copy_from_slice(&(len as u32).to_le_bytes());
+        self.buf[..FRAME_HEADER_BYTES].copy_from_slice(&(len as u32).to_le_bytes());
         self.stream
             .write_all(&self.buf)
             .map_err(|_| NetworkError::Disconnected)?;
-        if let Some(ledger) = &self.ledger {
-            ledger.record(self.id, to, self.buf.len());
-        }
         Ok(self.buf.len())
     }
 
-    /// Receives one envelope, waiting at most `timeout` **in total**,
+    /// Receives one message, waiting at most `timeout` **in total**,
     /// returning it with the frame bytes read. The deadline is absolute:
     /// the socket timeout is re-armed with the remaining time before each
     /// read, so slowly arriving bytes cannot stretch the wait.
@@ -198,10 +146,7 @@ impl<M: WireCodec> FramedConn<M> {
     /// drop the connection anyway). [`NetworkError::Disconnected`] on EOF,
     /// I/O failure, an oversized frame, or a payload `M::decode` rejects;
     /// the connection is then dead.
-    pub fn recv_timeout(
-        &mut self,
-        timeout: Duration,
-    ) -> Result<(Envelope<M>, usize), NetworkError> {
+    pub fn recv_timeout(&mut self, timeout: Duration) -> Result<(M, usize), NetworkError> {
         let deadline = Instant::now() + timeout;
         let rx = &mut self.rx;
         while rx.header_filled < FRAME_HEADER_BYTES {
@@ -212,35 +157,31 @@ impl<M: WireCodec> FramedConn<M> {
             )?;
             rx.header_filled += n;
         }
-        let len = match rx.payload_len {
-            Some(len) => len,
-            None => {
-                let len = header_u32(&rx.header, 8) as usize;
-                if len > MAX_FRAME_BYTES {
-                    return Err(NetworkError::Disconnected);
-                }
-                rx.payload.clear();
-                rx.payload.resize(len, 0);
-                rx.payload_len = Some(len);
-                rx.payload_filled = 0;
-                len
-            }
-        };
-        while rx.payload_filled < len {
-            let n = read_some(
-                &mut self.stream,
-                &mut rx.payload[rx.payload_filled..len],
-                deadline,
-            )?;
-            rx.payload_filled += n;
+        let len = u32::from_le_bytes(rx.header) as usize;
+        if len > MAX_FRAME_BYTES {
+            return Err(NetworkError::Disconnected);
         }
-        let from = PeerId(header_u32(&rx.header, 0));
-        let to = PeerId(header_u32(&rx.header, 4));
+        while rx.payload.len() < len {
+            // Extend by one bounded chunk, read into it, and keep only
+            // what arrived.
+            let filled = rx.payload.len();
+            rx.payload
+                .resize(filled + (len - filled).min(RX_CHUNK_BYTES), 0);
+            match read_some(&mut self.stream, &mut rx.payload[filled..], deadline) {
+                Ok(n) => rx.payload.truncate(filled + n),
+                Err(e) => {
+                    rx.payload.truncate(filled);
+                    return Err(e);
+                }
+            }
+        }
         rx.header_filled = 0;
-        rx.payload_len = None;
-        rx.payload_filled = 0;
-        let payload = M::decode(&rx.payload[..len]).ok_or(NetworkError::Disconnected)?;
-        Ok((Envelope { from, to, payload }, FRAME_HEADER_BYTES + len))
+        let msg = M::decode(&rx.payload);
+        rx.payload.clear();
+        Ok((
+            msg.ok_or(NetworkError::Disconnected)?,
+            FRAME_HEADER_BYTES + len,
+        ))
     }
 }
 
@@ -282,12 +223,6 @@ mod tests {
     #[derive(Debug, Clone, PartialEq)]
     struct Msg(Vec<u8>);
 
-    impl Wire for Msg {
-        fn wire_size(&self) -> usize {
-            4 + self.0.len()
-        }
-    }
-
     impl WireCodec for Msg {
         fn encode(&self, buf: &mut Vec<u8>) {
             buf.extend_from_slice(&(self.0.len() as u32).to_le_bytes());
@@ -302,88 +237,89 @@ mod tests {
     }
 
     /// A connected loopback pair.
-    fn pair(ledger: Option<Arc<TrafficLedger>>) -> (FramedConn<Msg>, FramedConn<Msg>) {
+    fn pair() -> (FramedConn<Msg>, FramedConn<Msg>) {
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
         let addr = listener.local_addr().expect("addr");
         let dialer = thread::spawn(move || TcpStream::connect(addr).expect("connect"));
         let (accepted, _) = listener.accept().expect("accept");
         let client = dialer.join().expect("dial");
         (
-            FramedConn::new(client, PeerId(0), ledger.clone()).expect("client conn"),
-            FramedConn::new(accepted, PeerId(1), ledger).expect("server conn"),
+            FramedConn::new(client).expect("client conn"),
+            FramedConn::new(accepted).expect("server conn"),
         )
     }
 
+    /// A connection whose peer is a raw stream the test writes bytes to.
+    fn raw_pair() -> (FramedConn<Msg>, TcpStream) {
+        let (conn, peer) = pair();
+        let raw = peer.stream.try_clone().expect("clone");
+        (conn, raw)
+    }
+
+    /// The frame of `Msg(body)`.
+    fn frame_of(body: &[u8]) -> Vec<u8> {
+        let mut frame = Vec::new();
+        frame.extend_from_slice(&(4 + body.len() as u32).to_le_bytes());
+        frame.extend_from_slice(&(body.len() as u32).to_le_bytes());
+        frame.extend_from_slice(body);
+        frame
+    }
+
     #[test]
-    fn round_trip_preserves_envelope_and_meters_frames() {
-        let ledger = Arc::new(TrafficLedger::new(2));
-        let (mut a, mut b) = pair(Some(Arc::clone(&ledger)));
-        let sent = a.send(PeerId(1), &Msg(vec![7, 8, 9])).expect("send");
+    fn round_trip_preserves_the_message_and_counts_frame_bytes() {
+        let (mut a, mut b) = pair();
+        let sent = a.send(&Msg(vec![7, 8, 9])).expect("send");
         assert_eq!(sent, FRAME_HEADER_BYTES + 4 + 3);
-        let (envelope, read) = b.recv_timeout(Duration::from_secs(5)).expect("recv");
-        assert_eq!(envelope.from, PeerId(0));
-        assert_eq!(envelope.to, PeerId(1));
-        assert_eq!(envelope.payload, Msg(vec![7, 8, 9]));
+        let (msg, read) = b.recv_timeout(Duration::from_secs(5)).expect("recv");
+        assert_eq!(msg, Msg(vec![7, 8, 9]));
         assert_eq!(read, sent);
-        // Metered once, at send time, with actual frame bytes.
-        assert_eq!(ledger.messages(), 1);
-        assert_eq!(ledger.bytes(), sent as u64);
-        assert_eq!(ledger.edge_bytes(PeerId(0), PeerId(1)), sent as u64);
-        assert_eq!(ledger.edge_bytes(PeerId(1), PeerId(0)), 0);
     }
 
     #[test]
     fn both_directions_and_empty_payloads() {
-        let (mut a, mut b) = pair(None);
-        b.send(PeerId(0), &Msg(vec![])).expect("send");
-        a.send(PeerId(1), &Msg(vec![1])).expect("send");
+        let (mut a, mut b) = pair();
+        b.send(&Msg(vec![])).expect("send");
+        a.send(&Msg(vec![1])).expect("send");
         let (from_b, _) = a.recv_timeout(Duration::from_secs(5)).expect("recv");
         let (from_a, _) = b.recv_timeout(Duration::from_secs(5)).expect("recv");
-        assert_eq!(from_b.payload, Msg(vec![]));
-        assert_eq!(from_a.payload, Msg(vec![1]));
+        assert_eq!(from_b, Msg(vec![]));
+        assert_eq!(from_a, Msg(vec![1]));
     }
 
     #[test]
     fn recv_timeout_is_typed() {
-        let (mut a, _b) = pair(None);
+        let (mut a, _b) = pair();
         let err = a.recv_timeout(Duration::from_millis(20)).unwrap_err();
         assert_eq!(err, NetworkError::Timeout);
     }
 
     #[test]
     fn timeout_mid_frame_resumes_on_next_recv() {
-        let (mut a, b) = pair(None);
+        let (mut a, mut raw) = raw_pair();
         // Hand-feed half a frame, let the receiver time out mid-frame,
         // then complete it: the next recv must return the intact message.
-        let mut frame = Vec::new();
-        frame.extend_from_slice(&1u32.to_le_bytes()); // from
-        frame.extend_from_slice(&0u32.to_le_bytes()); // to
-        frame.extend_from_slice(&7u32.to_le_bytes()); // len
-        frame.extend_from_slice(&3u32.to_le_bytes()); // Msg inner len
-        frame.extend_from_slice(&[4, 5, 6]);
-        let mut raw = b.stream.try_clone().expect("clone");
-        raw.write_all(&frame[..9]).expect("write first half");
+        let frame = frame_of(&[4, 5, 6]);
+        raw.write_all(&frame[..6]).expect("write first half");
         let err = a.recv_timeout(Duration::from_millis(30)).unwrap_err();
         assert_eq!(err, NetworkError::Timeout);
-        raw.write_all(&frame[9..]).expect("write second half");
-        let (envelope, read) = a
+        raw.write_all(&frame[6..]).expect("write second half");
+        let (msg, read) = a
             .recv_timeout(Duration::from_secs(5))
             .expect("resumed recv");
-        assert_eq!(envelope.from, PeerId(1));
-        assert_eq!(envelope.payload, Msg(vec![4, 5, 6]));
+        assert_eq!(msg, Msg(vec![4, 5, 6]));
         assert_eq!(read, frame.len());
-        drop(b);
     }
 
     #[test]
     fn slow_drip_cannot_extend_the_deadline() {
-        let (mut a, b) = pair(None);
-        // A peer dripping one byte per 20 ms keeps every per-read timer
-        // happy forever; the absolute deadline must still fire.
-        let mut raw = b.stream.try_clone().expect("clone");
+        let (mut a, mut raw) = raw_pair();
+        // A peer dripping one byte of a frame per 20 ms keeps every
+        // per-read timer happy forever; the absolute deadline must still
+        // fire.
+        let frame = frame_of(&[0; 64]);
         let dripper = thread::spawn(move || {
-            for _ in 0..50 {
-                if raw.write_all(&[0]).is_err() {
+            for byte in frame.chunks(1).take(50) {
+                if raw.write_all(byte).is_err() {
                     return;
                 }
                 thread::sleep(Duration::from_millis(20));
@@ -402,8 +338,47 @@ mod tests {
     }
 
     #[test]
+    fn a_stalled_frame_claiming_the_maximum_grows_no_buffer_past_its_bytes() {
+        let (mut a, mut raw) = raw_pair();
+        raw.write_all(&(MAX_FRAME_BYTES as u32).to_le_bytes())
+            .expect("header");
+        raw.write_all(&[1; 16]).expect("16 payload bytes");
+        let err = a.recv_timeout(Duration::from_millis(100)).unwrap_err();
+        assert_eq!(err, NetworkError::Timeout);
+        assert_eq!(a.rx.payload.len(), 16, "the bytes that arrived are kept");
+        assert!(
+            a.rx.payload.capacity() < 1024 * 1024,
+            "a stalled 256 MiB claim reserved {} bytes",
+            a.rx.payload.capacity()
+        );
+    }
+
+    #[test]
+    fn a_frame_of_a_few_mib_dripped_in_chunks_decodes() {
+        let (mut a, mut raw) = raw_pair();
+        let body: Vec<u8> = (0..3 * 1024 * 1024 + 17).map(|i| (i % 251) as u8).collect();
+        let frame = frame_of(&body);
+        let writer = thread::spawn(move || {
+            for chunk in frame.chunks(100_000) {
+                raw.write_all(chunk).expect("write chunk");
+                thread::sleep(Duration::from_millis(2));
+            }
+        });
+        let (msg, read) = loop {
+            match a.recv_timeout(Duration::from_millis(5)) {
+                Ok(got) => break got,
+                Err(NetworkError::Timeout) => continue,
+                Err(e) => panic!("{e}"),
+            }
+        };
+        writer.join().expect("writer");
+        assert_eq!(read, FRAME_HEADER_BYTES + 4 + body.len());
+        assert_eq!(msg, Msg(body));
+    }
+
+    #[test]
     fn peer_hangup_is_disconnected() {
-        let (mut a, b) = pair(None);
+        let (mut a, b) = pair();
         drop(b);
         let err = a.recv_timeout(Duration::from_secs(5)).unwrap_err();
         assert_eq!(err, NetworkError::Disconnected);
@@ -411,42 +386,21 @@ mod tests {
 
     #[test]
     fn garbage_payload_is_disconnected_not_panic() {
-        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-        let addr = listener.local_addr().expect("addr");
-        let writer = thread::spawn(move || {
-            let mut s = TcpStream::connect(addr).expect("connect");
-            // Valid header claiming a 2-byte payload that Msg::decode
-            // rejects (its inner length prefix points past the end).
-            let mut frame = Vec::new();
-            frame.extend_from_slice(&0u32.to_le_bytes());
-            frame.extend_from_slice(&1u32.to_le_bytes());
-            frame.extend_from_slice(&2u32.to_le_bytes());
-            frame.extend_from_slice(&[0xFF, 0xFF]);
-            s.write_all(&frame).expect("write");
-        });
-        let (accepted, _) = listener.accept().expect("accept");
-        let mut conn = FramedConn::<Msg>::new(accepted, PeerId(1), None).expect("conn");
+        let (mut conn, mut raw) = raw_pair();
+        // Valid header claiming a 2-byte payload that Msg::decode rejects
+        // (its inner length prefix points past the end).
+        raw.write_all(&2u32.to_le_bytes()).expect("header");
+        raw.write_all(&[0xFF, 0xFF]).expect("payload");
         let err = conn.recv_timeout(Duration::from_secs(5)).unwrap_err();
         assert_eq!(err, NetworkError::Disconnected);
-        writer.join().expect("writer");
     }
 
     #[test]
     fn oversized_frame_is_rejected_without_allocating() {
-        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-        let addr = listener.local_addr().expect("addr");
-        let writer = thread::spawn(move || {
-            let mut s = TcpStream::connect(addr).expect("connect");
-            let mut frame = Vec::new();
-            frame.extend_from_slice(&0u32.to_le_bytes());
-            frame.extend_from_slice(&1u32.to_le_bytes());
-            frame.extend_from_slice(&u32::MAX.to_le_bytes());
-            s.write_all(&frame).expect("write");
-        });
-        let (accepted, _) = listener.accept().expect("accept");
-        let mut conn = FramedConn::<Msg>::new(accepted, PeerId(1), None).expect("conn");
+        let (mut conn, mut raw) = raw_pair();
+        raw.write_all(&u32::MAX.to_le_bytes()).expect("header");
         let err = conn.recv_timeout(Duration::from_secs(5)).unwrap_err();
         assert_eq!(err, NetworkError::Disconnected);
-        writer.join().expect("writer");
+        assert_eq!(conn.rx.payload.capacity(), 0);
     }
 }

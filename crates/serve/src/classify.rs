@@ -86,7 +86,9 @@ pub struct DocumentAssignment {
 /// ([`ClassifyError::Network`] — a [`NetworkError::Timeout`] stays typed
 /// so callers can distinguish deadline misses from hangups), or a daemon
 /// answering with a protocol/configuration error such as a model-digest
-/// mismatch ([`ClassifyError::Remote`]).
+/// mismatch, or shards reading one document differently
+/// ([`ClassifyError::Remote`]). A document the daemons reject is
+/// [`ClassifyError::Xml`], as in process.
 #[derive(Debug)]
 pub enum ClassifyError {
     /// The document failed to parse.

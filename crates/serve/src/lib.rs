@@ -32,9 +32,10 @@
 //! * [`remote`] — the same scatter/gather pushed across process
 //!   boundaries over the `cxk_p2p` framed TCP fabric: [`ShardDaemon`]s
 //!   each serve one representative range of the model, and a
-//!   [`RemoteClassifier`] fans every query out to all of them with
-//!   per-shard deadlines and replica failover — still bit-identical to
-//!   brute force (see the module docs for the wire argument).
+//!   [`RemoteClassifier`] sends every document to all of them with
+//!   per-shard deadlines and replica failover; each daemon reads it with
+//!   the in-process sharded session — still bit-identical to brute force
+//!   (see the module docs for the wire argument).
 //! * [`http`] — a dependency-free multi-threaded HTTP/1.1 server
 //!   ([`Server`]) exposing `POST /classify`, `POST /reload`, `GET /model`
 //!   and `GET /stats`, with one [`ClassifyEngine`] session per worker

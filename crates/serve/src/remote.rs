@@ -3,50 +3,45 @@
 //!
 //! This module pushes the in-process transport seam of [`crate::shard`]
 //! across process boundaries. The decomposition is unchanged — shards own
-//! contiguous, disjoint, ascending representative ranges and exchange only
+//! contiguous, disjoint, ascending representative ranges and answer
 //! `(simγJ, id, scored)` triples — but the shards now live in **other
 //! processes**, each serving its range of a `.cxkmodel` behind a TCP
-//! listener ([`ShardDaemon`]), while the frontend scatters every query
-//! tuple to all daemons and gathers their local argmaxes
-//! ([`RemoteClassifier`], held by the [`crate::ClassifyEngine::Remote`]
-//! arm).
+//! listener ([`ShardDaemon`]), while the frontend sends every document to
+//! all daemons and gathers their local argmaxes ([`RemoteClassifier`], held
+//! by the [`crate::ClassifyEngine::Remote`] arm). As in the paper, where
+//! each peer reads its own documents and only summaries cross the network,
+//! a document crosses as its bytes and every daemon reads it; only the
+//! per-tuple triples come back.
 //!
 //! # Why bit-identity survives the wire
 //!
 //! The in-process sharded path is bit-identical to brute force because
-//! shards see the *same* query views and representatives, and the gather
-//! re-applies the exact argmax/tie-break/trash rules (see the `shard`
-//! module docs). The wire adds one risk — reconstructing the query on the
-//! far side — and the protocol removes it:
+//! shards score the *same* query against the same representatives, and the
+//! gather re-applies the exact argmax/tie-break/trash rules (see the
+//! `shard` module docs). Nothing about the query is rebuilt on the far
+//! side:
 //!
 //! * **Same model on both ends.** Frontend and daemon each load the full
-//!   `.cxkmodel`; the handshake compares snapshot digests, so interners
-//!   and path tables start as identical clones.
-//! * **Raw symbols, not strings.** Each item ships its tag path as the
-//!   frontend's label-symbol `u32` sequence and its vector as raw
-//!   `(term symbol, f64 bit pattern)` pairs. Term symbols are always the
-//!   model's (extraction drops terms the model's vocabulary does not
-//!   hold), and model symbols mean the same thing on both ends. Novel
-//!   label symbols (`≥` the model's label count) cannot collide with model
-//!   symbols, and equality *among themselves* holds within one request,
-//!   which is all a score depends on: one worker owns one connection per
-//!   shard, so a request's tuples all carry one session's numbering, and
-//!   both ends forget their novel symbols when the next request starts
-//!   (the frontend's session renumbers its unseen labels, and the daemon's
-//!   session drops the paths it interned from them). Structural and
-//!   content similarity depend only on those equalities.
-//! * **Exact vectors.** Query vectors are built by `SparseVec::from_pairs`
-//!   (sorted, deduplicated, zero weights dropped), so re-running
-//!   `from_pairs` over the shipped `(symbol, bits)` pairs reproduces the
-//!   vector bit-for-bit — no floating-point arithmetic happens in transit,
-//!   and weights are computed once, on the frontend.
-//! * **Unchanged gather.** Each daemon is a one-shard `ShardedEngine`
-//!   over its range, and each of its connections a `QuerySession` like a
-//!   frontend worker's: it scores its range under the relocation rule
-//!   (`cxk_transact::txsim::argmax_prepared`: strict `>`, lowest id wins
-//!   ties); the frontend gathers their answers in ascending range order
-//!   with the same rule (`gather_best`), which declares trash exactly when
-//!   the global best is `0.0`.
+//!   `.cxkmodel`; the handshake compares snapshot digests.
+//! * **Same bytes, same code.** A [`ShardMsg::Scatter`] carries the
+//!   document's UTF-8 bytes verbatim, and each daemon reads them with the
+//!   [`ShardedClassifier`] the in-process layouts run — one session per
+//!   connection over a one-shard [`ShardedEngine`] for its range — so it
+//!   derives the tuples, items and weights the in-process engine derives,
+//!   and scores its range under the relocation rule (`argmax_prepared`:
+//!   strict `>`, lowest id wins ties). Similarities come back as `f64`
+//!   bit patterns.
+//! * **Unchanged gather.** The frontend gathers the answers in ascending
+//!   range order with the same rule (`gather_best`), which declares trash
+//!   exactly when the global best is `0.0`, and aggregates the document as
+//!   every session does.
+//! * **Checked agreement.** Every daemon reads the whole document, so all
+//!   of them must agree on whether it parses, how many tuples it has and
+//!   whether the tuple cap truncated it; shards that disagree make the
+//!   request a [`ClassifyError::Remote`], never a mixed answer. A document
+//!   every daemon rejects ([`ShardMsg::Rejected`]) is the client's fault:
+//!   the frontend returns the daemons' error as [`ClassifyError::Xml`],
+//!   field for field what a local session returns.
 //!
 //! # Failover contract
 //!
@@ -58,25 +53,29 @@
 //! replica has failed does the request surface the last error — a
 //! [`NetworkError::Timeout`] stays typed all the way out — and on any
 //! error exit every connection with an unread reply in flight is dropped
-//! too. Stale answers are structurally impossible either way: every
-//! `Scatter` carries a sequence number its `ScatterAck` must echo.
-//! Counters:
+//! too. A rejection is an answer, not a failure: it is not retried and
+//! its connection is kept. Stale answers are structurally impossible
+//! either way: every `Scatter` carries a sequence number its reply must
+//! echo. Counters:
 //! `retries` counts every re-ask, `failovers` counts answers obtained from
-//! a different replica than first tried, `requests` counts successful
-//! answers, `bytes` counts frame bytes both directions, and `rtt_micros`
-//! accumulates scatter round-trip time.
+//! a different replica than first tried, `requests` counts answers
+//! (rejections included), `bytes` counts frame bytes both directions, and
+//! `rtt_micros` accumulates scatter round-trip time.
+//!
+//! Because the frontend reads no document itself, a document whose every
+//! replica of some shard is unreachable answers with the network error
+//! (`502`/`504` over HTTP) even when it is malformed or has no tuples.
 
 use crate::classify::{
     aggregate_document, ClassifyError, DocumentAssignment, SessionEngine, TupleAssignment,
 };
-use crate::session::QuerySession;
-use crate::shard::ShardedEngine;
+use crate::shard::{ShardedClassifier, ShardedEngine};
 use cxk_core::{save_model, snapshot_digest, TrainedModel};
-use cxk_p2p::{FramedConn, NetworkError, PeerId, TrafficLedger, Wire, WireCodec};
-use cxk_transact::item::ItemView;
-use cxk_transact::{gather_best, TagPathSimTable};
+use cxk_p2p::{FramedConn, NetworkError, WireCodec};
+use cxk_transact::gather_best;
 use cxk_util::bytes::{put_u32, put_u64};
 use cxk_util::{ByteError, ByteReader};
+use cxk_xml::parser::XmlError;
 use std::io::{Error, ErrorKind};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::ops::Range;
@@ -85,36 +84,11 @@ use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
-/// The frontend's peer id in the serving fabric; shard `i`'s daemon is
-/// peer `i + 1`.
-pub const FRONTEND: PeerId = PeerId(0);
-
 /// Default per-shard scatter deadline (`cxk serve --remote-deadline-ms`).
 pub const DEFAULT_DEADLINE: Duration = Duration::from_secs(2);
 
 /// How often daemon connection handlers wake to check the shutdown flag.
 const DAEMON_POLL: Duration = Duration::from_millis(200);
-
-/// One query item on the wire: everything a daemon needs to rebuild the
-/// frontend's [`ItemView`] exactly (see the module docs for why this is
-/// lossless).
-#[derive(Debug, Clone, PartialEq)]
-pub struct WireItem {
-    /// The tag path as the frontend's label-symbol sequence.
-    pub tag_path: Vec<u32>,
-    /// The `ttf.itf` vector as raw `(term symbol, f64 bit pattern)` pairs
-    /// in sorted term order.
-    pub terms: Vec<(u32, u64)>,
-    /// The item's identity fingerprint, verbatim.
-    pub fingerprint: u64,
-}
-
-/// One query transaction (tree tuple) on the wire.
-#[derive(Debug, Clone, PartialEq)]
-pub struct WireTuple {
-    /// The tuple's deduplicated items, in extraction order.
-    pub items: Vec<WireItem>,
-}
 
 /// One shard's verdict for one tuple: its local argmax triple.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -146,24 +120,39 @@ pub enum ShardMsg {
         /// End of the served representative range (exclusive).
         end: u32,
     },
-    /// Frontend → daemon: score these tuples against your range.
+    /// Frontend → daemon: read this document and score its tuples against
+    /// your range.
     Scatter {
-        /// Request sequence number, echoed in the ack. Lets the frontend
+        /// Request sequence number, echoed in the reply. Lets the frontend
         /// reject an answer to an *earlier* request that was still in
         /// flight on a reused connection (e.g. after a sibling shard's
         /// failure aborted a scatter mid-gather).
         seq: u64,
         /// Skip index pruning and score the whole range (brute force).
         brute: bool,
-        /// The document's tuples, one entry per tree tuple.
-        tuples: Vec<WireTuple>,
+        /// The document, verbatim.
+        xml: String,
     },
-    /// Daemon → frontend: one answer per scattered tuple, in order.
+    /// Daemon → frontend: one answer per tuple of the document, in order.
     ScatterAck {
         /// The sequence number of the [`ShardMsg::Scatter`] being answered.
         seq: u64,
+        /// Whether the tuple cap truncated the document.
+        capped: bool,
         /// The per-tuple local argmax triples.
         answers: Vec<ShardAnswer>,
+    },
+    /// Daemon → frontend: the document does not parse; the fields of its
+    /// `XmlError`.
+    Rejected {
+        /// The sequence number of the [`ShardMsg::Scatter`] being answered.
+        seq: u64,
+        /// Byte offset of the error.
+        offset: u64,
+        /// 1-based line of the offset.
+        line: u64,
+        /// The parser's description.
+        message: String,
     },
     /// Daemon → frontend: the request could not be served.
     Error {
@@ -174,72 +163,24 @@ pub enum ShardMsg {
 
 const TAG_HELLO: u8 = 0;
 const TAG_HELLO_ACK: u8 = 1;
-const TAG_SCATTER: u8 = 2;
-const TAG_SCATTER_ACK: u8 = 3;
+// Tags 2 and 3 carried pre-extracted tuples and their answers in an
+// earlier protocol; they stay unassigned, so such a peer's frames are
+// refused rather than misread.
 const TAG_ERROR: u8 = 4;
+const TAG_SCATTER: u8 = 5;
+const TAG_SCATTER_ACK: u8 = 6;
+const TAG_REJECTED: u8 = 7;
 
-impl WireItem {
-    fn encoded_len(&self) -> usize {
-        4 + 4 * self.tag_path.len() + 4 + 12 * self.terms.len() + 8
-    }
-
-    fn encode(&self, buf: &mut Vec<u8>) {
-        put_u32(buf, self.tag_path.len() as u32);
-        for &label in &self.tag_path {
-            put_u32(buf, label);
-        }
-        put_u32(buf, self.terms.len() as u32);
-        for &(term, bits) in &self.terms {
-            put_u32(buf, term);
-            put_u64(buf, bits);
-        }
-        put_u64(buf, self.fingerprint);
-    }
-
-    /// Fewest bytes an encoded item takes: two empty counts and the
-    /// fingerprint.
-    const MIN_ENCODED: usize = 4 + 4 + 8;
-
-    fn decode(r: &mut ByteReader<'_>) -> Result<Self, ByteError> {
-        let path_len = r.count(4)?;
-        let mut tag_path = r.vec_for(path_len);
-        for _ in 0..path_len {
-            tag_path.push(r.u32()?);
-        }
-        let term_len = r.count(12)?;
-        let mut terms = r.vec_for(term_len);
-        for _ in 0..term_len {
-            let term = r.u32()?;
-            let bits = r.u64()?;
-            terms.push((term, bits));
-        }
-        let fingerprint = r.u64()?;
-        Ok(Self {
-            tag_path,
-            terms,
-            fingerprint,
-        })
-    }
+/// Appends a `u32` byte length and `text`'s bytes.
+fn put_str(buf: &mut Vec<u8>, text: &str) {
+    put_u32(buf, text.len() as u32);
+    buf.extend_from_slice(text.as_bytes());
 }
 
-impl Wire for ShardMsg {
-    fn wire_size(&self) -> usize {
-        match self {
-            ShardMsg::Hello => 1,
-            ShardMsg::HelloAck { .. } => 1 + 8 + 4 + 4 + 4,
-            ShardMsg::Scatter { tuples, .. } => {
-                1 + 8
-                    + 1
-                    + 4
-                    + tuples
-                        .iter()
-                        .map(|t| 4 + t.items.iter().map(WireItem::encoded_len).sum::<usize>())
-                        .sum::<usize>()
-            }
-            ShardMsg::ScatterAck { answers, .. } => 1 + 8 + 4 + 16 * answers.len(),
-            ShardMsg::Error { message } => 1 + 4 + message.len(),
-        }
-    }
+/// Reads what [`put_str`] wrote: `Ok(None)` when the bytes are not UTF-8.
+fn read_str(r: &mut ByteReader<'_>) -> Result<Option<String>, ByteError> {
+    let len = r.count(1)?;
+    Ok(std::str::from_utf8(r.bytes(len)?).ok().map(str::to_owned))
 }
 
 impl WireCodec for ShardMsg {
@@ -258,21 +199,20 @@ impl WireCodec for ShardMsg {
                 put_u32(buf, *start);
                 put_u32(buf, *end);
             }
-            ShardMsg::Scatter { seq, brute, tuples } => {
+            ShardMsg::Scatter { seq, brute, xml } => {
                 buf.push(TAG_SCATTER);
                 put_u64(buf, *seq);
                 buf.push(u8::from(*brute));
-                put_u32(buf, tuples.len() as u32);
-                for tuple in tuples {
-                    put_u32(buf, tuple.items.len() as u32);
-                    for item in &tuple.items {
-                        item.encode(buf);
-                    }
-                }
+                put_str(buf, xml);
             }
-            ShardMsg::ScatterAck { seq, answers } => {
+            ShardMsg::ScatterAck {
+                seq,
+                capped,
+                answers,
+            } => {
                 buf.push(TAG_SCATTER_ACK);
                 put_u64(buf, *seq);
+                buf.push(u8::from(*capped));
                 put_u32(buf, answers.len() as u32);
                 for answer in answers {
                     put_u64(buf, answer.sim_bits);
@@ -280,10 +220,21 @@ impl WireCodec for ShardMsg {
                     put_u32(buf, answer.scored);
                 }
             }
+            ShardMsg::Rejected {
+                seq,
+                offset,
+                line,
+                message,
+            } => {
+                buf.push(TAG_REJECTED);
+                put_u64(buf, *seq);
+                put_u64(buf, *offset);
+                put_u64(buf, *line);
+                put_str(buf, message);
+            }
             ShardMsg::Error { message } => {
                 buf.push(TAG_ERROR);
-                put_u32(buf, message.len() as u32);
-                buf.extend_from_slice(message.as_bytes());
+                put_str(buf, message);
             }
         }
     }
@@ -296,8 +247,8 @@ impl WireCodec for ShardMsg {
 }
 
 impl ShardMsg {
-    /// Reads one message: `Ok(None)` for an unknown tag, or for an error
-    /// message that is not UTF-8.
+    /// Reads one message: `Ok(None)` for an unknown tag, or for a text
+    /// field that is not UTF-8.
     fn read(r: &mut ByteReader<'_>) -> Result<Option<Self>, ByteError> {
         Ok(Some(match r.u8()? {
             TAG_HELLO => ShardMsg::Hello,
@@ -310,20 +261,14 @@ impl ShardMsg {
             TAG_SCATTER => {
                 let seq = r.u64()?;
                 let brute = r.bool()?;
-                let tuple_len = r.count(4)?;
-                let mut tuples = r.vec_for(tuple_len);
-                for _ in 0..tuple_len {
-                    let item_len = r.count(WireItem::MIN_ENCODED)?;
-                    let mut items = r.vec_for(item_len);
-                    for _ in 0..item_len {
-                        items.push(WireItem::decode(r)?);
-                    }
-                    tuples.push(WireTuple { items });
-                }
-                ShardMsg::Scatter { seq, brute, tuples }
+                let Some(xml) = read_str(r)? else {
+                    return Ok(None);
+                };
+                ShardMsg::Scatter { seq, brute, xml }
             }
             TAG_SCATTER_ACK => {
                 let seq = r.u64()?;
+                let capped = r.bool()?;
                 let len = r.count(16)?;
                 let mut answers = r.vec_for(len);
                 for _ in 0..len {
@@ -333,15 +278,28 @@ impl ShardMsg {
                         scored: r.u32()?,
                     });
                 }
-                ShardMsg::ScatterAck { seq, answers }
-            }
-            TAG_ERROR => {
-                let len = r.count(1)?;
-                match String::from_utf8(r.bytes(len)?.to_vec()) {
-                    Ok(message) => ShardMsg::Error { message },
-                    Err(_) => return Ok(None),
+                ShardMsg::ScatterAck {
+                    seq,
+                    capped,
+                    answers,
                 }
             }
+            TAG_REJECTED => {
+                let (seq, offset, line) = (r.u64()?, r.u64()?, r.u64()?);
+                let Some(message) = read_str(r)? else {
+                    return Ok(None);
+                };
+                ShardMsg::Rejected {
+                    seq,
+                    offset,
+                    line,
+                    message,
+                }
+            }
+            TAG_ERROR => match read_str(r)? {
+                Some(message) => ShardMsg::Error { message },
+                None => return Ok(None),
+            },
             _ => return Ok(None),
         }))
     }
@@ -350,15 +308,15 @@ impl ShardMsg {
 /// State shared between the daemon's accept loop and its handlers.
 struct DaemonShared {
     /// One shard over the served range.
-    engine: ShardedEngine,
+    engine: Arc<ShardedEngine>,
     range: Range<u32>,
     digest: u64,
     shutdown: AtomicBool,
 }
 
 /// A running shard daemon: serves one contiguous representative range of a
-/// trained model over framed TCP, answering [`ShardMsg::Scatter`] requests
-/// with its local argmax triples.
+/// trained model over framed TCP, answering each [`ShardMsg::Scatter`] with
+/// the local argmax triples of the document's tuples, or its parse error.
 ///
 /// Dropping the daemon shuts it down (flag + join); [`ShardDaemon::join`]
 /// blocks the caller instead (the CLI's foreground mode).
@@ -399,7 +357,7 @@ impl ShardDaemon {
             )
         })?;
         let shared = Arc::new(DaemonShared {
-            engine: ShardedEngine::for_range(model, range.clone()),
+            engine: Arc::new(ShardedEngine::for_range(model, range.clone())),
             range: range.clone(),
             digest,
             shutdown: AtomicBool::new(false),
@@ -490,8 +448,8 @@ fn accept_loop(listener: TcpListener, shared: Arc<DaemonShared>) {
     }
 }
 
-/// One connection's serve loop: adopt the dialer's numbering, answer
-/// handshakes and scatters until hangup or shutdown.
+/// One connection's serve loop: answer handshakes and scatters until
+/// hangup or shutdown.
 fn handle_conn(stream: TcpStream, shared: &DaemonShared) {
     // A failed fcntl means the socket is already dead; dropping the
     // connection (instead of panicking this handler thread) lets the
@@ -499,15 +457,11 @@ fn handle_conn(stream: TcpStream, shared: &DaemonShared) {
     if stream.set_nonblocking(false).is_err() {
         return;
     }
-    // Daemons meter nothing: the frontend's ledger records both
-    // directions (sends at send time, replies at receive time), so each
-    // frame is counted exactly once fabric-wide.
-    let Ok(mut conn) = FramedConn::<ShardMsg>::new(stream, PeerId(u32::MAX), None) else {
+    let Ok(mut conn) = FramedConn::<ShardMsg>::new(stream) else {
         return;
     };
-    // One session per connection: a connection only ever sees one
-    // frontend worker's numbering of novel labels.
-    let mut session = QuerySession::new(shared.engine.model(), shared.engine.tag_sim());
+    // One session per connection, as one per worker in process.
+    let mut classifier = ShardedClassifier::new(Arc::clone(&shared.engine));
     loop {
         if shared.shutdown.load(Ordering::Acquire) {
             return;
@@ -515,64 +469,54 @@ fn handle_conn(stream: TcpStream, shared: &DaemonShared) {
         // `recv_timeout` is resumable: a poll-interval timeout keeps any
         // partially received frame buffered on the connection, so looping
         // here is safe even while a large Scatter is dripping in.
-        let envelope = match conn.recv_timeout(DAEMON_POLL) {
-            Ok((envelope, _)) => envelope,
+        let request = match conn.recv_timeout(DAEMON_POLL) {
+            Ok((request, _)) => request,
             Err(NetworkError::Timeout) => continue,
             Err(_) => return,
         };
-        conn.set_id(envelope.to);
-        let reply = match envelope.payload {
+        let reply = match request {
             ShardMsg::Hello => ShardMsg::HelloAck {
                 digest: shared.digest,
                 k: shared.engine.model().k() as u32,
                 start: shared.range.start,
                 end: shared.range.end,
             },
-            ShardMsg::Scatter { seq, brute, tuples } => ShardMsg::ScatterAck {
-                seq,
-                answers: answer_scatter(shared, &mut session, brute, &tuples),
-            },
+            ShardMsg::Scatter { seq, brute, xml } => {
+                let read = if brute {
+                    classifier.classify_brute(&xml)
+                } else {
+                    classifier.classify(&xml)
+                };
+                match read {
+                    Ok(doc) => ShardMsg::ScatterAck {
+                        seq,
+                        capped: doc.capped,
+                        answers: doc
+                            .tuples
+                            .iter()
+                            .map(|tuple| ShardAnswer {
+                                sim_bits: tuple.similarity.to_bits(),
+                                id: tuple.cluster,
+                                scored: tuple.candidates as u32,
+                            })
+                            .collect(),
+                    },
+                    Err(e) => ShardMsg::Rejected {
+                        seq,
+                        offset: e.offset as u64,
+                        line: e.line as u64,
+                        message: e.message,
+                    },
+                }
+            }
             other => ShardMsg::Error {
                 message: format!("unexpected request: {other:?}"),
             },
         };
-        if conn.send(envelope.from, &reply).is_err() {
+        if conn.send(&reply).is_err() {
             return;
         }
     }
-}
-
-/// Scores shipped tuples against this daemon's range: the one-shard
-/// engine's tuple step, answered as triples instead of gathered.
-fn answer_scatter(
-    shared: &DaemonShared,
-    session: &mut QuerySession,
-    brute: bool,
-    tuples: &[WireTuple],
-) -> Vec<ShardAnswer> {
-    let decoded = session.decode(tuples);
-    let mut views = Vec::new();
-    decoded
-        .iter()
-        .map(|items| {
-            views.clear();
-            views.extend(
-                items
-                    .iter()
-                    .map(|(tag_path, vector, fingerprint)| ItemView {
-                        tag_path: *tag_path,
-                        vector,
-                        fingerprint: *fingerprint,
-                    }),
-            );
-            let answer = shared.engine.assign_tuple(session, &views, !brute);
-            ShardAnswer {
-                sim_bits: answer.similarity.to_bits(),
-                id: answer.cluster,
-                scored: answer.candidates as u32,
-            }
-        })
-        .collect()
 }
 
 /// Per-shard network counters, cache-line separated like the in-process
@@ -606,15 +550,14 @@ pub struct RemoteShardStats {
 }
 
 /// The shared, immutable half of remote serving: the shard topology
-/// (replica sets in ascending range order), the per-request deadline, the
-/// per-shard counters, and the fabric's traffic ledger. Lives outside the
-/// model epoch — counters and topology survive hot reloads.
+/// (replica sets in ascending range order), the per-request deadline and
+/// the per-shard counters. Lives outside the model epoch — counters and
+/// topology survive hot reloads.
 #[derive(Debug)]
 pub struct RemoteEngine {
     shards: Vec<Vec<String>>,
     deadline: Duration,
     counters: Vec<ShardNetCounters>,
-    ledger: Arc<TrafficLedger>,
 }
 
 impl RemoteEngine {
@@ -634,12 +577,10 @@ impl RemoteEngine {
             ));
         }
         let counters = shards.iter().map(|_| ShardNetCounters::default()).collect();
-        let ledger = Arc::new(TrafficLedger::new(shards.len() + 1));
         Ok(Self {
             shards,
             deadline,
             counters,
-            ledger,
         })
     }
 
@@ -651,12 +592,6 @@ impl RemoteEngine {
     /// The per-shard request deadline.
     pub fn deadline(&self) -> Duration {
         self.deadline
-    }
-
-    /// The fabric's traffic ledger (frontend is peer 0, shard `i`'s
-    /// daemon is peer `i + 1`).
-    pub fn ledger(&self) -> &Arc<TrafficLedger> {
-        &self.ledger
     }
 
     /// Snapshots every shard's counters.
@@ -676,10 +611,21 @@ impl RemoteEngine {
     }
 }
 
-/// The per-worker remote classify strategy: extracts query tuples locally
-/// through its own `QuerySession`, scatters them to every shard daemon,
-/// and gathers the per-range argmaxes under the unchanged brute-force
-/// tie-break/trash rules.
+/// One shard's reply to a scatter: whether the tuple cap truncated the
+/// document and its per-tuple triples, or the document's parse error.
+type ShardReply = Result<(bool, Vec<ShardAnswer>), XmlError>;
+
+/// What every shard must agree on: the parse error, or whether the tuple
+/// cap truncated the document and how many tuples it has.
+fn shape(reply: &ShardReply) -> Result<(bool, usize), &XmlError> {
+    reply
+        .as_ref()
+        .map(|(capped, answers)| (*capped, answers.len()))
+}
+
+/// The per-worker remote classify strategy: sends each document to every
+/// shard daemon and gathers the per-range argmaxes under the unchanged
+/// brute-force tie-break/trash rules.
 ///
 /// Connections are dialed lazily and kept per shard slot; on failure the
 /// classifier walks the slot's replica set (see the module docs for the
@@ -692,7 +638,6 @@ pub struct RemoteClassifier {
     /// than silently matching (a digest can't be fabricated as 0 on both
     /// sides).
     digest: Option<u64>,
-    session: QuerySession,
     conns: Vec<Option<FramedConn<ShardMsg>>>,
     /// Replica index currently backing each slot's connection.
     cursor: Vec<usize>,
@@ -708,16 +653,12 @@ impl RemoteClassifier {
     /// Builds a classifier over the shared topology and model. Cheap: no
     /// connections are dialed until the first classify.
     pub fn new(engine: Arc<RemoteEngine>, model: Arc<TrainedModel>) -> Self {
-        // The frontend only extracts; the daemons score, so its table stays
-        // empty.
-        let session = QuerySession::new(&model, &TagPathSimTable::default());
         let digest = snapshot_digest(&save_model(&model));
         let shards = engine.shard_count();
         Self {
             engine,
             model,
             digest,
-            session,
             conns: (0..shards).map(|_| None).collect(),
             cursor: vec![0; shards],
             ranges: vec![None; shards],
@@ -740,9 +681,10 @@ impl RemoteClassifier {
     /// range index.
     ///
     /// # Errors
-    /// [`ClassifyError::Xml`] on parse failure; [`ClassifyError::Network`]
-    /// / [`ClassifyError::Remote`] when a shard's whole replica set failed.
-    /// The classifier stays usable either way.
+    /// [`ClassifyError::Xml`] when the daemons reject the document;
+    /// [`ClassifyError::Network`] / [`ClassifyError::Remote`] when a shard's
+    /// whole replica set failed or the shards read the document
+    /// differently. The classifier stays usable either way.
     pub fn classify(&mut self, xml: &str) -> Result<DocumentAssignment, ClassifyError> {
         self.classify_impl(xml, true)
     }
@@ -761,84 +703,64 @@ impl RemoteClassifier {
         xml: &str,
         indexed: bool,
     ) -> Result<DocumentAssignment, ClassifyError> {
-        let query = self
-            .session
-            .extract(&self.model, xml)
-            .map_err(ClassifyError::Xml)?;
-        let (n_tuples, capped) = (query.len(), query.capped);
-        let k = self.model.k();
-        let wire_tuples: Vec<WireTuple> = query
-            .tuples()
-            .map(|tuple| WireTuple {
-                items: tuple
-                    .map(|item| WireItem {
-                        tag_path: self
-                            .session
-                            .paths()
-                            .resolve(item.tag_path)
-                            .iter()
-                            .map(|label| label.0)
-                            .collect(),
-                        terms: item
-                            .vector
-                            .iter()
-                            .map(|(term, weight)| (term.0, weight.to_bits()))
-                            .collect(),
-                        fingerprint: item.fingerprint,
-                    })
-                    .collect(),
-            })
-            .collect();
-        self.session.recycle(query);
-        if n_tuples == 0 {
-            // Nothing to score: the document is trash without consulting
-            // the network, exactly like the in-process paths.
-            return Ok(aggregate_document(k, Vec::new(), capped));
-        }
         let seq = self.next_seq;
         self.next_seq += 1;
         let request = ShardMsg::Scatter {
             seq,
             brute: !indexed,
-            tuples: wire_tuples,
+            xml: xml.to_owned(),
         };
-
-        let per_shard = self.scatter(&request, seq, n_tuples)?;
-
-        let trash = k as u32;
-        let mut assignments = Vec::with_capacity(n_tuples);
-        for t in 0..n_tuples {
-            let mut scored = 0usize;
-            // Slots ascend by range (coverage-checked), so the relocation
-            // rule keeps the lowest winning id — the brute-force tie-break.
-            let answers = per_shard.iter().filter_map(|answers| {
-                let answer = answers.get(t)?;
-                scored += answer.scored as usize;
-                Some((answer.id, f64::from_bits(answer.sim_bits)))
-            });
-            let (cluster, similarity) = gather_best(answers, trash);
-            assignments.push(TupleAssignment {
-                cluster,
-                similarity,
-                candidates: scored,
-            });
+        let replies = self.scatter(&request, seq)?;
+        if let Some(first) = replies.first().map(shape) {
+            let mut shapes = replies.iter().map(shape).enumerate();
+            if let Some((shard, other)) = shapes.find(|(_, s)| *s != first) {
+                return Err(ClassifyError::Remote(format!(
+                    "shards 0 and {shard} read the document differently: {first:?} vs {other:?}"
+                )));
+            }
         }
+        // The shards agree, so the first rejection is every shard's.
+        let mut capped = false;
+        let mut per_shard = Vec::with_capacity(replies.len());
+        for reply in replies {
+            let (truncated, answers) = reply.map_err(ClassifyError::Xml)?;
+            capped = truncated;
+            per_shard.push(answers);
+        }
+
+        let k = self.model.k();
+        let trash = k as u32;
+        let n_tuples = per_shard.first().map_or(0, Vec::len);
+        let assignments = (0..n_tuples)
+            .map(|t| {
+                let mut scored = 0usize;
+                // Slots ascend by range (coverage-checked), so the
+                // relocation rule keeps the lowest winning id — the
+                // brute-force tie-break.
+                let answers = per_shard.iter().filter_map(|answers| {
+                    let answer = answers.get(t)?;
+                    scored += answer.scored as usize;
+                    Some((answer.id, f64::from_bits(answer.sim_bits)))
+                });
+                let (cluster, similarity) = gather_best(answers, trash);
+                TupleAssignment {
+                    cluster,
+                    similarity,
+                    candidates: scored,
+                }
+            })
+            .collect();
         Ok(aggregate_document(k, assignments, capped))
     }
 
-    /// Scatters `request` to every shard and collects one answer vector
-    /// per slot, failing over within each slot's replica set.
+    /// Scatters `request` to every shard and collects one reply per slot,
+    /// failing over within each slot's replica set.
     ///
     /// On an error return no connection is left with a reply in flight:
     /// any shard whose answer was never read has its connection dropped,
-    /// so the next classify can never pair a stale `ScatterAck` with a new
+    /// so the next classify can never pair a stale reply with a new
     /// request (the `seq` echo guards the same hazard independently).
-    fn scatter(
-        &mut self,
-        request: &ShardMsg,
-        seq: u64,
-        n_tuples: usize,
-    ) -> Result<Vec<Vec<ShardAnswer>>, ClassifyError> {
+    fn scatter(&mut self, request: &ShardMsg, seq: u64) -> Result<Vec<ShardReply>, ClassifyError> {
         let shards = self.engine.shard_count();
         // Send to every shard before receiving from any, so daemons score
         // their ranges in parallel.
@@ -857,7 +779,7 @@ impl RemoteClassifier {
                 }
             }
         }
-        let result = self.gather(request, seq, n_tuples, &mut pending, &first_replica);
+        let result = self.gather(request, seq, &mut pending, &first_replica);
         if result.is_err() {
             for (shard, in_flight) in pending.iter().enumerate() {
                 if in_flight.is_some() {
@@ -877,24 +799,23 @@ impl RemoteClassifier {
         &mut self,
         request: &ShardMsg,
         seq: u64,
-        n_tuples: usize,
         pending: &mut [Option<Instant>],
         first_replica: &[usize],
-    ) -> Result<Vec<Vec<ShardAnswer>>, ClassifyError> {
+    ) -> Result<Vec<ShardReply>, ClassifyError> {
         let shards = self.engine.shard_count();
         let mut results = Vec::with_capacity(shards);
         for shard in 0..shards {
-            let answers = match pending[shard].take() {
-                Some(t0) => match self.finish_recv(shard, t0, seq, n_tuples) {
-                    Ok(answers) => answers,
+            let reply = match pending[shard].take() {
+                Some(t0) => match self.finish_recv(shard, t0, seq) {
+                    Ok(reply) => reply,
                     Err(_) => {
                         self.fail_shard(shard);
-                        self.retry_shard(shard, request, seq, n_tuples, first_replica[shard])?
+                        self.retry_shard(shard, request, seq, first_replica[shard])?
                     }
                 },
-                None => self.retry_shard(shard, request, seq, n_tuples, first_replica[shard])?,
+                None => self.retry_shard(shard, request, seq, first_replica[shard])?,
             };
-            results.push(answers);
+            results.push(reply);
         }
         self.check_coverage()?;
         Ok(results)
@@ -906,9 +827,8 @@ impl RemoteClassifier {
         shard: usize,
         request: &ShardMsg,
         seq: u64,
-        n_tuples: usize,
         first_replica: usize,
-    ) -> Result<Vec<ShardAnswer>, ClassifyError> {
+    ) -> Result<ShardReply, ClassifyError> {
         let replicas = self.engine.shards[shard].len();
         let mut last = ClassifyError::Network(NetworkError::Disconnected);
         for _ in 0..replicas {
@@ -918,15 +838,15 @@ impl RemoteClassifier {
             let attempt = self
                 .dial_current(shard)
                 .and_then(|()| self.send_request(shard, request))
-                .and_then(|t0| self.finish_recv(shard, t0, seq, n_tuples));
+                .and_then(|t0| self.finish_recv(shard, t0, seq));
             match attempt {
-                Ok(answers) => {
+                Ok(reply) => {
                     if self.cursor[shard] != first_replica {
                         self.engine.counters[shard]
                             .failovers
                             .fetch_add(1, Ordering::Relaxed);
                     }
-                    return Ok(answers);
+                    return Ok(reply);
                 }
                 Err(e) => {
                     last = e;
@@ -967,23 +887,21 @@ impl RemoteClassifier {
                 _ => NetworkError::Disconnected,
             })
         })?;
-        let mut conn = FramedConn::new(stream, FRONTEND, Some(Arc::clone(&self.engine.ledger)))
+        let mut conn = FramedConn::new(stream)
             .map_err(|_| ClassifyError::Network(NetworkError::Disconnected))?;
-        let to = PeerId(shard as u32 + 1);
         let sent = conn
-            .send(to, &ShardMsg::Hello)
+            .send(&ShardMsg::Hello)
             .map_err(ClassifyError::Network)?;
         self.engine.counters[shard]
             .bytes
             .fetch_add(sent as u64, Ordering::Relaxed);
-        let (envelope, got) = conn
+        let (reply, got) = conn
             .recv_timeout(deadline)
             .map_err(ClassifyError::Network)?;
-        self.engine.ledger.record(to, FRONTEND, got);
         self.engine.counters[shard]
             .bytes
             .fetch_add(got as u64, Ordering::Relaxed);
-        match envelope.payload {
+        match reply {
             ShardMsg::HelloAck {
                 digest,
                 k,
@@ -1035,75 +953,75 @@ impl RemoteClassifier {
     /// Sends `request` on the slot's live connection, returning the send
     /// completion instant (the RTT clock's zero).
     fn send_request(&mut self, shard: usize, request: &ShardMsg) -> Result<Instant, ClassifyError> {
-        let to = PeerId(shard as u32 + 1);
         // The caller dials before sending, so a missing connection means
         // it was torn down by a failed earlier exchange: surface it as a
         // disconnect so the failover path re-dials a replica.
         let Some(conn) = self.conns[shard].as_mut() else {
             return Err(ClassifyError::Network(NetworkError::Disconnected));
         };
-        let sent = conn.send(to, request).map_err(ClassifyError::Network)?;
+        let sent = conn.send(request).map_err(ClassifyError::Network)?;
         self.engine.counters[shard]
             .bytes
             .fetch_add(sent as u64, Ordering::Relaxed);
         Ok(Instant::now())
     }
 
-    /// Receives and validates one scatter answer within the deadline. An
-    /// ack whose `seq` is not the current request's is a stale reply to an
-    /// abandoned scatter — rejected, which drops the connection via the
-    /// caller's failover path.
+    /// Receives and validates one scatter reply within the deadline. A
+    /// reply whose `seq` is not the current request's is a stale reply to
+    /// an abandoned scatter — rejected, which drops the connection via the
+    /// caller's failover path. A `Rejected` reply is an answer.
     fn finish_recv(
         &mut self,
         shard: usize,
         t0: Instant,
         seq: u64,
-        n_tuples: usize,
-    ) -> Result<Vec<ShardAnswer>, ClassifyError> {
+    ) -> Result<ShardReply, ClassifyError> {
         let deadline = self.engine.deadline;
         // Same contract as `send_request`: no live connection reads as a
         // disconnect, not a panic, so the worker thread survives.
         let Some(conn) = self.conns[shard].as_mut() else {
             return Err(ClassifyError::Network(NetworkError::Disconnected));
         };
-        let (envelope, got) = conn
+        let (reply, got) = conn
             .recv_timeout(deadline)
             .map_err(ClassifyError::Network)?;
-        self.engine
-            .ledger
-            .record(PeerId(shard as u32 + 1), FRONTEND, got);
-        self.engine.counters[shard]
-            .bytes
-            .fetch_add(got as u64, Ordering::Relaxed);
-        match envelope.payload {
+        let counters = &self.engine.counters[shard];
+        counters.bytes.fetch_add(got as u64, Ordering::Relaxed);
+        let answer = match reply {
             ShardMsg::ScatterAck {
                 seq: got_seq,
+                capped,
                 answers,
-            } if got_seq == seq && answers.len() == n_tuples => {
-                self.engine.counters[shard]
-                    .requests
-                    .fetch_add(1, Ordering::Relaxed);
-                self.engine.counters[shard]
-                    .rtt_micros
-                    .fetch_add(t0.elapsed().as_micros() as u64, Ordering::Relaxed);
-                Ok(answers)
-            }
-            ShardMsg::ScatterAck { seq: got_seq, .. } if got_seq != seq => {
-                Err(ClassifyError::Remote(format!(
+            } if got_seq == seq => Ok((capped, answers)),
+            ShardMsg::Rejected {
+                seq: got_seq,
+                offset,
+                line,
+                message,
+            } if got_seq == seq => Err(XmlError {
+                offset: offset as usize,
+                line: line as usize,
+                message,
+            }),
+            ShardMsg::ScatterAck { seq: got_seq, .. } | ShardMsg::Rejected { seq: got_seq, .. } => {
+                return Err(ClassifyError::Remote(format!(
                     "shard {shard}: stale answer (seq {got_seq}, expected {seq})"
                 )))
             }
-            ShardMsg::ScatterAck { answers, .. } => Err(ClassifyError::Remote(format!(
-                "shard {shard}: {} answers for {n_tuples} tuples",
-                answers.len()
-            ))),
             ShardMsg::Error { message } => {
-                Err(ClassifyError::Remote(format!("shard {shard}: {message}")))
+                return Err(ClassifyError::Remote(format!("shard {shard}: {message}")))
             }
-            _ => Err(ClassifyError::Remote(format!(
-                "shard {shard}: unexpected reply to scatter"
-            ))),
-        }
+            _ => {
+                return Err(ClassifyError::Remote(format!(
+                    "shard {shard}: unexpected reply to scatter"
+                )))
+            }
+        };
+        counters.requests.fetch_add(1, Ordering::Relaxed);
+        counters
+            .rtt_micros
+            .fetch_add(t0.elapsed().as_micros() as u64, Ordering::Relaxed);
+        Ok(answer)
     }
 
     /// Validates, once, that the learned ranges are contiguous, ascending
@@ -1145,17 +1063,11 @@ mod tests {
     fn encoded(msg: &ShardMsg) -> Vec<u8> {
         let mut buf = Vec::new();
         msg.encode(&mut buf);
-        assert_eq!(buf.len(), msg.wire_size());
         buf
     }
 
     #[test]
     fn shard_messages_round_trip_and_malformed_frames_are_refused() {
-        let item = WireItem {
-            tag_path: vec![0, 3, 9],
-            terms: vec![(1, 0.5f64.to_bits()), (4, f64::MIN_POSITIVE.to_bits())],
-            fingerprint: u64::MAX,
-        };
         let messages = [
             ShardMsg::Hello,
             ShardMsg::HelloAck {
@@ -1167,20 +1079,39 @@ mod tests {
             ShardMsg::Scatter {
                 seq: 7,
                 brute: true,
-                tuples: vec![
-                    WireTuple { items: vec![] },
-                    WireTuple {
-                        items: vec![item.clone(), item],
+                xml: "<dblp><title>épuisé</title></dblp>".to_string(),
+            },
+            ShardMsg::Scatter {
+                seq: 8,
+                brute: false,
+                xml: String::new(),
+            },
+            ShardMsg::ScatterAck {
+                seq: 7,
+                capped: true,
+                answers: vec![
+                    ShardAnswer {
+                        sim_bits: 0.25f64.to_bits(),
+                        id: 3,
+                        scored: 2,
+                    },
+                    ShardAnswer {
+                        sim_bits: f64::MIN_POSITIVE.to_bits(),
+                        id: 16,
+                        scored: 0,
                     },
                 ],
             },
             ShardMsg::ScatterAck {
+                seq: 9,
+                capped: false,
+                answers: vec![],
+            },
+            ShardMsg::Rejected {
                 seq: 7,
-                answers: vec![ShardAnswer {
-                    sim_bits: 0.25f64.to_bits(),
-                    id: 3,
-                    scored: 2,
-                }],
+                offset: 13,
+                line: 2,
+                message: "unexpected end of input: <xml> is not closed".to_string(),
             },
             ShardMsg::Error {
                 message: "épuisé".to_string(),
@@ -1198,10 +1129,28 @@ mod tests {
         let mut bad_bool = encoded(&messages[2]);
         bad_bool[9] = 2;
         assert_eq!(ShardMsg::decode(&bad_bool), None, "brute must be 0 or 1");
+        let mut bad_capped = encoded(&messages[4]);
+        bad_capped[9] = 2;
+        assert_eq!(ShardMsg::decode(&bad_capped), None, "capped must be 0 or 1");
+        let mut not_utf8 = encoded(&messages[2]);
+        let last = not_utf8.len() - 1;
+        not_utf8[last] = 0xFF;
+        assert_eq!(ShardMsg::decode(&not_utf8), None, "the document is UTF-8");
+        // The tuple-carrying scatter and its ack of the earlier protocol
+        // (tags 2 and 3), here with zero tuples and zero answers.
+        let mut old_scatter = vec![2];
+        put_u64(&mut old_scatter, 7);
+        old_scatter.push(0);
+        put_u32(&mut old_scatter, 0);
+        assert_eq!(ShardMsg::decode(&old_scatter), None, "old scatter");
+        let mut old_ack = vec![3];
+        put_u64(&mut old_ack, 7);
+        put_u32(&mut old_ack, 0);
+        assert_eq!(ShardMsg::decode(&old_ack), None, "old scatter ack");
     }
 
     #[test]
-    fn a_scatter_declaring_u32_max_tuples_is_refused_at_its_count() {
+    fn a_scatter_declaring_u32_max_document_bytes_is_refused_at_its_count() {
         let mut frame = vec![TAG_SCATTER];
         put_u64(&mut frame, 7);
         frame.push(0);
@@ -1235,40 +1184,5 @@ mod tests {
         }
         let engine = RemoteEngine::new(vec![one(), one()], DEFAULT_DEADLINE).expect("servable");
         assert_eq!(engine.shard_count(), 2);
-    }
-
-    #[test]
-    fn the_frontend_sessions_table_stays_empty() {
-        use crate::classify::Classifier;
-        use cxk_core::{CxkConfig, EngineBuilder};
-        use cxk_transact::{BuildOptions, DatasetBuilder};
-
-        let docs = [
-            r#"<dblp><article key="m1"><author>A. Miner</author><title>mining frequent patterns</title></article></dblp>"#,
-            r#"<dblp><article key="m2"><author>A. Miner</author><title>clustering mining trees</title></article></dblp>"#,
-        ];
-        let mut builder = DatasetBuilder::new(BuildOptions::default());
-        for doc in docs {
-            builder.add_xml(doc).expect("valid document");
-        }
-        let ds = builder.finish();
-        let model = Arc::new(
-            EngineBuilder::from_cxk_config(&CxkConfig::new(1))
-                .build()
-                .expect("valid config")
-                .fit(&ds)
-                .expect("fit succeeds")
-                .into_model(&ds, BuildOptions::default()),
-        );
-        let daemon = ShardDaemon::start(Arc::clone(&model), 0..1, "127.0.0.1:0").expect("daemon");
-        let topology = RemoteEngine::new(vec![vec![daemon.addr().to_string()]], DEFAULT_DEADLINE)
-            .expect("servable");
-        let mut remote = RemoteClassifier::new(Arc::new(topology), Arc::clone(&model));
-        let mut local = Classifier::shared(model);
-        // Fresh markup reaches the daemons' tables, never the frontend's.
-        let doc = docs[0].replace("</author>", "</author><note>draft</note>");
-        let answer = remote.classify(&doc).expect("remote");
-        assert_eq!(answer, local.classify(&doc).expect("local"));
-        assert!(remote.session.tag_sim().is_empty());
     }
 }

@@ -37,12 +37,11 @@
 //! without allocating per token, tag, text run, leaf or item
 //! (`tests/session_alloc.rs` pins a warm classify's count).
 //!
-//! Every session in the crate is one of these: a `Classifier` over its
-//! engine, a `RemoteClassifier` for extraction, and each connection of a
-//! `ShardDaemon` for the tuples shipped to it.
+//! Every session in the crate is one of these, inside a `Classifier` over
+//! its engine; each connection of a `ShardDaemon` holds one over the
+//! one-shard engine for its range.
 
 use crate::index::{Candidates, TagPathIndex};
-use crate::remote::WireTuple;
 use cxk_core::rep::RepItem;
 use cxk_core::TrainedModel;
 use cxk_text::SparseVec;
@@ -54,7 +53,7 @@ use cxk_transact::{
     DocumentPipeline, ExactMatch, ItemKeys, ItemWeights, ParsedDocument, ReadScratch, SimCtx,
     SimParams, TagPathSimTable, Terms,
 };
-use cxk_util::{Interner, Symbol};
+use cxk_util::Interner;
 use cxk_xml::parser::XmlError;
 use cxk_xml::path::{PathId, PathTable};
 use std::ops::Range;
@@ -141,11 +140,6 @@ impl TupleLists {
 }
 
 impl QueryTuples {
-    /// Number of tuples.
-    pub fn len(&self) -> usize {
-        self.tuples.ends.len()
-    }
-
     /// The tag paths of the document's items.
     pub fn tag_paths(&self) -> impl Iterator<Item = PathId> + Clone + '_ {
         self.items.live().iter().map(|item| item.tag_path)
@@ -214,8 +208,8 @@ pub struct QuerySession {
 
 impl QuerySession {
     /// A fresh session over `model`, its `sim_S` table a clone of `base`
-    /// (the engine's table over the representatives' tag paths; empty for
-    /// a session that only extracts). Its reading buffers start empty —
+    /// (the engine's table over the representatives' tag paths). Its
+    /// reading buffers start empty —
     /// nothing is sized by the vocabulary — and fill with the first
     /// requests.
     pub(crate) fn new(model: &TrainedModel, base: &TagPathSimTable) -> Self {
@@ -235,11 +229,6 @@ impl QuerySession {
             scratch: ScoreScratch::default(),
             candidates: Candidates::new(),
         }
-    }
-
-    /// The session's path table (the model's, extended by query markup).
-    pub(crate) fn paths(&self) -> &PathTable {
-        &self.paths
     }
 
     /// The reading buffers (diagnostics).
@@ -340,37 +329,6 @@ impl QuerySession {
     /// Takes back the buffers [`Self::extract`] lent out.
     pub(crate) fn recycle(&mut self, tuples: QueryTuples) {
         self.tuples = tuples;
-    }
-
-    /// The shard daemon's counterpart of [`Self::extract`]: the shipped
-    /// tuples as `(tag path, vector, fingerprint)` items, each tag path
-    /// interned from the frontend's label symbols and each vector rebuilt
-    /// bit-for-bit from its raw pairs, with the `sim_S` table covering
-    /// their tag paths.
-    pub(crate) fn decode(&mut self, tuples: &[WireTuple]) -> Vec<Vec<(PathId, SparseVec, u64)>> {
-        self.forget_unseen();
-        let decoded: Vec<Vec<(PathId, SparseVec, u64)>> = tuples
-            .iter()
-            .map(|tuple| {
-                tuple
-                    .items
-                    .iter()
-                    .map(|item| {
-                        let labels: Vec<Symbol> =
-                            item.tag_path.iter().map(|&raw| Symbol(raw)).collect();
-                        let pairs = item
-                            .terms
-                            .iter()
-                            .map(|&(term, bits)| (Symbol(term), f64::from_bits(bits)))
-                            .collect();
-                        let vector = SparseVec::from_pairs(pairs);
-                        (self.paths.intern(&labels), vector, item.fingerprint)
-                    })
-                    .collect()
-            })
-            .collect();
-        self.cover(decoded.iter().flatten().map(|item| item.0));
-        decoded
     }
 
     /// Prepares `tuple` as the query the next scores use, ranking its tag

@@ -4,16 +4,18 @@
 //! in-process sharded engine and to brute force — including `γ = 0`
 //! (pruning disabled), empty/alien queries, and `k < S` (daemons serving
 //! empty ranges) — and killing a daemon mid-stream fails over to its
-//! replica with an identical answer.
+//! replica with an identical answer. A document the daemons cannot parse
+//! comes back as the parse error a local session reports.
 
 use cxk_core::{save_model, snapshot_digest, CxkConfig, EngineBuilder, TrainedModel};
-use cxk_p2p::{FramedConn, PeerId};
+use cxk_p2p::FramedConn;
 use cxk_serve::remote::{ShardAnswer, ShardMsg};
 use cxk_serve::{
-    Classifier, Layout, RemoteClassifier, RemoteEngine, ServeOptions, Server, ShardDaemon,
-    ShardedClassifier, ShardedEngine,
+    Classifier, ClassifyError, DocumentAssignment, Layout, RemoteClassifier, RemoteEngine,
+    ServeOptions, Server, ShardDaemon, ShardedClassifier, ShardedEngine,
 };
 use cxk_transact::{BuildOptions, DatasetBuilder, SimParams};
+use std::io::{Read, Write};
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
@@ -61,7 +63,7 @@ fn train_on_samples(k: usize, f: f64, gamma: f64) -> TrainedModel {
 }
 
 /// The corpus plus the degenerate query shapes: an alien vocabulary, a
-/// zero-tuple document (never touches the network), and all-empty TCUs.
+/// zero-tuple document, and all-empty TCUs.
 fn probe_docs() -> Vec<(String, String)> {
     let mut docs = sample_docs();
     docs.push((
@@ -150,9 +152,6 @@ fn remote_equals_sharded_and_brute_on_samples() {
             "healthy daemons never fail over"
         );
         assert!(stats.iter().all(|st| st.bytes > 0));
-        // The fabric ledger metered both directions of real frames.
-        assert!(topology.ledger().messages() > 0);
-        assert!(topology.ledger().bytes() > 0);
         drop(daemons);
     }
 }
@@ -246,59 +245,74 @@ fn dead_first_replica_is_skipped_on_first_contact() {
     assert!(stats[0].requests > 0);
 }
 
+/// An impostor's answer to a scatter: from its `seq` and the document as
+/// a genuine shard reads it.
+type Reply = fn(u64, &DocumentAssignment) -> ShardMsg;
+
 /// An impostor daemon: handshakes like a genuine shard (correct digest,
-/// `k`, and range) but answers every scatter with a **wrong sequence
-/// number** and poisoned similarities. If the frontend ever accepted its
-/// ack, the winning cluster would be 0 with an absurd score — so passing
-/// the bit-identity assertions below proves stale/mismatched replies are
-/// rejected and failed over, never consumed.
-fn spawn_wrong_seq_impostor(
+/// `k`, and range), reads every scattered document as a genuine one would,
+/// and answers it with `reply(seq, &read)`. It serves one connection.
+fn spawn_impostor(
     model: &Arc<TrainedModel>,
     start: u32,
     end: u32,
+    reply: Reply,
 ) -> (String, std::thread::JoinHandle<()>) {
     let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind impostor");
     let addr = listener.local_addr().expect("addr").to_string();
     let digest = snapshot_digest(&save_model(model)).expect("digest");
     let k = model.k() as u32;
+    let mut reader = Classifier::shared(Arc::clone(model));
     let handle = std::thread::spawn(move || {
         let Ok((stream, _)) = listener.accept() else {
             return;
         };
-        let Ok(mut conn) = FramedConn::<ShardMsg>::new(stream, PeerId(u32::MAX), None) else {
+        let Ok(mut conn) = FramedConn::<ShardMsg>::new(stream) else {
             return;
         };
         loop {
-            let Ok((envelope, _)) = conn.recv_timeout(Duration::from_secs(10)) else {
+            let Ok((request, _)) = conn.recv_timeout(Duration::from_secs(10)) else {
                 return;
             };
-            conn.set_id(envelope.to);
-            let reply = match envelope.payload {
+            let answer = match request {
                 ShardMsg::Hello => ShardMsg::HelloAck {
                     digest,
                     k,
                     start,
                     end,
                 },
-                ShardMsg::Scatter { seq, tuples, .. } => ShardMsg::ScatterAck {
-                    seq: seq.wrapping_add(99),
-                    answers: tuples
-                        .iter()
-                        .map(|_| ShardAnswer {
-                            sim_bits: f64::MAX.to_bits(),
-                            id: 0,
-                            scored: 1,
-                        })
-                        .collect(),
-                },
+                ShardMsg::Scatter { seq, xml, .. } => {
+                    reply(seq, &reader.classify(&xml).expect("a valid sample"))
+                }
                 _ => return,
             };
-            if conn.send(envelope.from, &reply).is_err() {
+            if conn.send(&answer).is_err() {
                 return;
             }
         }
     });
     (addr, handle)
+}
+
+/// The wrong-seq impostor's reply: the document's true tuple count and
+/// cap, but a **wrong sequence number** and poisoned similarities. If the
+/// frontend ever accepted it, the winning cluster would be 0 with an
+/// absurd score — so passing the bit-identity assertions below proves
+/// stale/mismatched replies are rejected and failed over, never consumed.
+fn wrong_seq(seq: u64, doc: &DocumentAssignment) -> ShardMsg {
+    ShardMsg::ScatterAck {
+        seq: seq.wrapping_add(99),
+        capped: doc.capped,
+        answers: doc
+            .tuples
+            .iter()
+            .map(|_| ShardAnswer {
+                sim_bits: f64::MAX.to_bits(),
+                id: 0,
+                scored: 1,
+            })
+            .collect(),
+    }
 }
 
 /// A reply whose `seq` does not match the outstanding request is treated
@@ -308,7 +322,7 @@ fn spawn_wrong_seq_impostor(
 #[test]
 fn wrong_seq_answer_is_rejected_and_fails_over() {
     let model = Arc::new(train_on_samples(2, 0.5, 0.6));
-    let (impostor_addr, impostor) = spawn_wrong_seq_impostor(&model, 0, 1);
+    let (impostor_addr, impostor) = spawn_impostor(&model, 0, 1, wrong_seq);
     let honest = ShardDaemon::start(Arc::clone(&model), 0..1, "127.0.0.1:0").expect("honest");
     let other = ShardDaemon::start(Arc::clone(&model), 1..2, "127.0.0.1:0").expect("other");
     let topology = Arc::new(
@@ -337,6 +351,180 @@ fn wrong_seq_answer_is_rejected_and_fails_over() {
     assert!(stats[0].retries >= 1, "the re-ask was counted");
     drop(remote);
     impostor.join().expect("impostor thread");
+}
+
+/// An answer with the current `seq` that reads the document differently
+/// from the honest shard — its tuples dropped, the cap flipped, or rejected —
+/// fails the request as a remote error: it is neither failed over nor
+/// gathered into a mixed answer.
+#[test]
+fn shards_that_read_a_document_differently_fail_the_request() {
+    let model = Arc::new(train_on_samples(2, 0.5, 0.6));
+    let honest = ShardDaemon::start(Arc::clone(&model), 1..2, "127.0.0.1:0").expect("honest");
+    let (_, text) = &sample_docs()[0];
+    let disagreements: [(&str, Reply); 3] = [
+        ("its tuples dropped", |seq, doc| ShardMsg::ScatterAck {
+            seq,
+            capped: doc.capped,
+            answers: vec![],
+        }),
+        ("the cap flipped", |seq, doc| ShardMsg::ScatterAck {
+            seq,
+            capped: !doc.capped,
+            answers: doc
+                .tuples
+                .iter()
+                .map(|t| ShardAnswer {
+                    sim_bits: t.similarity.to_bits(),
+                    id: t.cluster,
+                    scored: t.candidates as u32,
+                })
+                .collect(),
+        }),
+        ("rejected", |seq, _| ShardMsg::Rejected {
+            seq,
+            offset: 0,
+            line: 1,
+            message: "no".to_string(),
+        }),
+    ];
+    for (what, reply) in disagreements {
+        let (impostor_addr, impostor) = spawn_impostor(&model, 0, 1, reply);
+        let topology = Arc::new(
+            RemoteEngine::new(
+                vec![vec![impostor_addr], vec![honest.addr().to_string()]],
+                DEADLINE,
+            )
+            .expect("valid topology"),
+        );
+        let mut remote = RemoteClassifier::new(Arc::clone(&topology), Arc::clone(&model));
+        match remote.classify(text) {
+            Err(ClassifyError::Remote(message)) => {
+                assert!(
+                    message.contains("read the document differently"),
+                    "{what}: {message}"
+                );
+            }
+            other => panic!("{what}: {other:?}"),
+        }
+        let stats = topology.shard_stats();
+        assert!(
+            stats.iter().all(|st| st.retries == 0 && st.failovers == 0),
+            "{what}: {stats:?}"
+        );
+        drop(remote);
+        impostor.join().expect("impostor thread");
+    }
+}
+
+/// Malformed documents: a one-line one, and one whose error sits past its
+/// first line.
+const MALFORMED: [&str; 2] = [
+    "<broken><xml>",
+    "<dblp>\n<article key=\"m\">\n<title>mining</article>\n</dblp>",
+];
+
+/// A document every daemon rejects comes back through the remote
+/// classifier as the `XmlError` a local session returns, field for field,
+/// indexed and brute alike. A rejection is an answer: nothing is retried
+/// or failed over, and the next valid document still answers
+/// bit-identically to brute force on the same connections.
+#[test]
+fn a_rejected_document_returns_the_local_parse_error() {
+    let model = Arc::new(train_on_samples(3, 0.5, 0.6));
+    let (daemons, shards) = spawn_daemons(&model, 2);
+    let topology = Arc::new(RemoteEngine::new(shards, DEADLINE).expect("valid topology"));
+    let mut remote = RemoteClassifier::new(Arc::clone(&topology), Arc::clone(&model));
+    let mut local = Classifier::shared(Arc::clone(&model));
+    let wants: Vec<_> = MALFORMED
+        .iter()
+        .map(|xml| local.classify(xml).expect_err("malformed"))
+        .collect();
+    assert!(wants.iter().any(|e| e.line > 1), "{wants:?}");
+    for (xml, want) in MALFORMED.iter().zip(&wants) {
+        for (what, got) in [
+            ("indexed", remote.classify(xml)),
+            ("brute", remote.classify_brute(xml)),
+        ] {
+            match got {
+                Err(ClassifyError::Xml(e)) => {
+                    assert_eq!(
+                        (e.offset, e.line, &e.message),
+                        (want.offset, want.line, &want.message),
+                        "{what}: {xml:?}"
+                    );
+                }
+                other => panic!("{what}: {xml:?} answered {other:?}"),
+            }
+        }
+    }
+    let stats = topology.shard_stats();
+    assert!(
+        stats.iter().all(|st| st.retries == 0 && st.failovers == 0),
+        "a rejection is not a failure: {stats:?}"
+    );
+    assert!(stats
+        .iter()
+        .all(|st| st.requests == 2 * MALFORMED.len() as u64));
+    for (name, text) in &sample_docs() {
+        let r = remote.classify(text).expect("remote");
+        let b = local.classify_brute(text).expect("brute");
+        assert_eq!(r.cluster, b.cluster, "{name}");
+        assert_eq!(r.score, b.score, "{name}: bit-identical after a rejection");
+        assert_eq!(r.tuples.len(), b.tuples.len(), "{name}");
+        for (tr, tb) in r.tuples.iter().zip(&b.tuples) {
+            assert_eq!((tr.cluster, tr.similarity), (tb.cluster, tb.similarity));
+        }
+    }
+    let stats = topology.shard_stats();
+    assert!(stats.iter().all(|st| st.retries == 0 && st.failovers == 0));
+    drop(daemons);
+}
+
+/// `POST /classify` of `xml` with the connection closed after the answer:
+/// the status line and the body.
+fn post_classify(addr: std::net::SocketAddr, xml: &str) -> (String, String) {
+    let mut stream = std::net::TcpStream::connect(addr).expect("connect");
+    let request = format!(
+        "POST /classify HTTP/1.1\r\nHost: localhost\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{xml}",
+        xml.len()
+    );
+    stream.write_all(request.as_bytes()).expect("send");
+    let mut response = String::new();
+    stream.read_to_string(&mut response).expect("receive");
+    let (head, body) = response.split_once("\r\n\r\n").expect("head and body");
+    let status = head.lines().next().expect("status line");
+    (status.to_string(), body.to_string())
+}
+
+/// Over HTTP a remote-layout server answers a malformed document `400`
+/// with the body the default indexed layout gives.
+#[test]
+fn a_remote_server_answers_a_malformed_document_like_an_indexed_one() {
+    let model = train_on_samples(2, 0.5, 0.5);
+    let (daemons, replicas) = spawn_daemons(&Arc::new(model.clone()), 2);
+    let start = |layout| {
+        let opts = ServeOptions {
+            threads: 2,
+            layout,
+            ..ServeOptions::default()
+        };
+        Server::start(model.clone(), ("127.0.0.1", 0), opts).expect("bind")
+    };
+    let indexed = start(Layout::default());
+    let remote = start(Layout::Remote {
+        replicas,
+        deadline: DEADLINE,
+    });
+    for xml in MALFORMED {
+        let want = post_classify(indexed.addr(), xml);
+        assert!(want.0.starts_with("HTTP/1.1 400"), "{want:?}");
+        assert!(want.1.contains(r#""error":"#), "{want:?}");
+        assert_eq!(post_classify(remote.addr(), xml), want, "{xml:?}");
+    }
+    remote.shutdown();
+    indexed.shutdown();
+    drop(daemons);
 }
 
 /// A daemon must refuse to serve a range that is not a sub-range of the

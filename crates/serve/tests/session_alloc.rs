@@ -235,9 +235,9 @@ fn fresh_tags_leave_a_warm_session_flat() {
 
 #[test]
 fn a_hostile_shard_frame_is_refused_before_anything_is_sized() {
-    // A `Scatter` (tag 2, sequence number, brute byte) that declares
-    // u32::MAX tuples and carries 64 bytes.
-    let mut frame = vec![2];
+    // A `Scatter` (tag 5, sequence number, brute byte) that declares
+    // u32::MAX document bytes and carries 64 bytes.
+    let mut frame = vec![5];
     frame.extend_from_slice(&7u64.to_le_bytes());
     frame.push(0);
     frame.extend_from_slice(&u32::MAX.to_le_bytes());
